@@ -71,6 +71,14 @@ if [[ $quick -eq 0 ]]; then
   echo "== cargo test --profile checked (fault-inject) =="
   cargo test --offline --workspace -q --profile checked --features fault-inject
 
+  # The layered benchmark is a package of its own (benchmark/): its tests
+  # pin the staged composition it times to fsi_with_q / fsi_measurement_set
+  # bit for bit on all four patterns, which gates every fsi-selinv
+  # refactor. Default (unoptimised) profile: tests/alloc.rs counts
+  # allocations the optimiser may elide.
+  echo "== cargo test (benchmark package) =="
+  cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
   # Non-gating: record kernel throughput (results/BENCH_kernels.json is
   # informational; timing noise must never fail the gate).
   echo "== bench smoke (non-gating) =="

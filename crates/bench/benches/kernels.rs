@@ -125,17 +125,15 @@ fn bench_ormqr(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_solve_right(c: &mut Criterion) {
-    // The wrap step-right primitive: X = G·B⁻¹.
-    let mut g = c.benchmark_group("lu_solve_right");
+fn bench_inverse(c: &mut Criterion) {
+    // What the wrap stage runs once per applied B⁻¹: GETRF + GETRI.
+    let mut g = c.benchmark_group("lu_inverse");
     for n in [64usize, 128, 256] {
         let mut b = test_matrix(n, n, 7);
         b.add_diag(n as f64);
-        let f = getrf(b).expect("nonsingular");
-        let rhs = test_matrix(n, n, 8);
-        g.throughput(Throughput::Elements(2 * counts::trsm(n, n)));
+        g.throughput(Throughput::Elements(counts::getrf(n, n) + counts::getri(n)));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| std::hint::black_box(f.solve_right(&rhs)));
+            bench.iter(|| std::hint::black_box(getrf(b.clone()).expect("nonsingular").inverse()));
         });
     }
     g.finish();
@@ -186,7 +184,7 @@ criterion_group!(
     bench_getrf,
     bench_geqrf_panel,
     bench_ormqr,
-    bench_solve_right,
+    bench_inverse,
     bench_expm,
     bench_invert_upper
 );

@@ -67,7 +67,7 @@ fn main() {
             let mut cur = seed.clone();
             let mut row = k;
             for d in 1..=up_steps {
-                cur = step_up(&pc, &factors, &cur, row, col);
+                cur = step_up(&pc, &factors, &cur, row, col).expect("invertible B block");
                 row = pc.up(row);
                 let want = pc.dense_block(&g_ref, row, col);
                 split_err[d] = split_err[d].max(fsi_dense::rel_error(&cur, &want));
@@ -112,8 +112,8 @@ fn main() {
     println!("split indeed halves the walk distance. In this reproduction, however, the two");
     println!("directions are not symmetric: the DOWN relation (multiply by B) is forward-");
     println!("stable — its relative error stays flat with distance — while the UP relation");
-    println!("(solve with B) amplifies by cond(B) per step at low temperature. A down-only");
-    println!("walk is then both cheaper (GEMM vs LU solve) and more accurate. The library");
+    println!("(multiply by B⁻¹) amplifies by cond(B) per step at low temperature. A down-only");
+    println!("walk is then both cheaper (no block to invert) and more accurate. The library");
     println!("keeps the paper-faithful split as the default; EXPERIMENTS.md records this");
     println!("deviation.");
 }

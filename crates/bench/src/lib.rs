@@ -226,7 +226,8 @@ pub fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> FsiTraces {
             let mut cur = g_seed.clone();
             let mut row = k;
             for _ in 0..up_steps {
-                cur = fsi_selinv::wrap::step_up(pc, &factors, &cur, row, l);
+                cur = fsi_selinv::wrap::step_up(pc, &factors, &cur, row, l)
+                    .expect("Hubbard B blocks are invertible");
                 row = pc.up(row);
             }
             let mut cur = g_seed;

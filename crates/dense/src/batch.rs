@@ -296,6 +296,32 @@ fn small_nn(
     }
 }
 
+/// `C := alpha·A·B` (`accumulate = false`) or `C += alpha·A·B`, without
+/// flop accounting or a kernel span — for kernels (GETRI's triangular
+/// phases) that charged their own analytic total and recurse down to
+/// products far smaller than a pack is worth: shapes inside one cache
+/// block take the direct no-pack driver, larger ones the packed engine.
+pub(crate) fn gemm_nn_uncounted(
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    accumulate: bool,
+    mut c: MatMut<'_>,
+) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!(b.rows(), k, "gemm: inner dimensions disagree");
+    assert_eq!((c.rows(), c.cols()), (m, n), "gemm: C shape mismatch");
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k > 0 && m <= MC && n <= MC && k <= KC {
+        small_nn(kernel::active(), k, alpha, a, b, &mut c, !accumulate);
+    } else {
+        let beta = if accumulate { 1.0 } else { 0.0 };
+        gemm_op_uncounted(Par::Seq, alpha, Op::NoTrans, a, Op::NoTrans, b, beta, c);
+    }
+}
+
 /// One small product over pre-packed panels: the bare macro loop of the
 /// general engine, without its MC/KC/NC blocking (the whole problem is
 /// one block by the small-path bound).

@@ -6,33 +6,53 @@
 //! * forward/back substitution against `L` (unit lower) and `U` (upper),
 //!   plus their transposed forms — the building blocks of `getrs`;
 //! * in-place inversion of an upper triangle — used by BSOFI's structured
-//!   `R⁻¹` and by `getri`.
+//!   `R⁻¹` and, with the unit-lower right-solve, by `getri`.
 //!
 //! All kernels access matrix columns contiguously (column-major layout), so
 //! the inner loops are axpy/dot streams.
 
+use crate::batch::gemm_nn_uncounted;
 use crate::blas::{axpy, dot};
-use crate::gemm::{gemm_op, gemm_op_uncounted, Op};
+use crate::gemm::{gemm_op, Op};
 use crate::matrix::{MatMut, MatRef};
 use fsi_runtime::{flops, workspace, Par};
 
 /// Diagonal-block size of the blocked substitutions: each `TB × TB`
 /// triangle is solved with the scalar kernel, and the off-diagonal
-/// updates flow through GEMM (level-3), which is what keeps the wrapping
-/// stage of FSI at DGEMM-like rates.
+/// updates flow through GEMM (level-3).
 const TB: usize = 48;
+
+/// Triangle width at which the recursive kernels (TRTRI and the unit-lower
+/// right-solve — the two phases of GETRI, which the wrapping stage of FSI
+/// runs once per applied `B⁻¹` at `N ≤ 64`) stop halving and hand over to
+/// the scalar kernel. Small, because the products in between run on the
+/// no-pack direct GEMM driver, which is efficient well below `TB`.
+const RB: usize = 16;
 
 /// Solves `L·X = B` in place (`B := L⁻¹B`) with `L` unit lower triangular.
 ///
 /// # Panics
 /// Panics unless `L` is square with side `B.rows()`.
-pub fn solve_unit_lower(l: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = check_square(l, b.rows());
+pub fn solve_unit_lower(l: MatRef<'_>, b: MatMut<'_>) {
     let _kernel = fsi_runtime::trace::kernel_span("trsm");
+    solve_unit_lower_impl(true, l, b);
+}
+
+/// [`solve_unit_lower`] without flop accounting or a kernel span, for
+/// GETRF, which charges its own analytic total.
+pub(crate) fn solve_unit_lower_uncounted(l: MatRef<'_>, b: MatMut<'_>) {
+    solve_unit_lower_impl(false, l, b);
+}
+
+fn solve_unit_lower_impl(count: bool, l: MatRef<'_>, mut b: MatMut<'_>) {
+    let n = check_square(l, b.rows());
     let nrhs = b.cols();
     let mut j0 = 0;
     while j0 < n {
         let tb = TB.min(n - j0);
+        if count {
+            flops::add_flops(flops::counts::trsm(tb, nrhs));
+        }
         solve_unit_lower_unblocked(
             l.submatrix(j0, j0, tb, tb),
             b.rb_mut().submatrix(j0, 0, tb, nrhs),
@@ -42,7 +62,7 @@ pub fn solve_unit_lower(l: MatRef<'_>, mut b: MatMut<'_>) {
             let lower = l.submatrix(j0 + tb, j0, n - j0 - tb, tb);
             let (top, rest) = b.rb_mut().split_at_row(j0 + tb);
             let solved = top.as_ref().submatrix(j0, 0, tb, nrhs);
-            gemm_raw(lower, solved, rest);
+            gemm_raw(count, lower, solved, rest);
         }
         j0 += tb;
     }
@@ -50,7 +70,6 @@ pub fn solve_unit_lower(l: MatRef<'_>, mut b: MatMut<'_>) {
 
 fn solve_unit_lower_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
     let n = l.rows();
-    flops::add_flops(flops::counts::trsm(n, b.cols()));
     for c in 0..b.cols() {
         let col = b.col_mut(c);
         for j in 0..n {
@@ -85,7 +104,7 @@ pub fn solve_upper(u: MatRef<'_>, mut b: MatMut<'_>) {
             let upper = u.submatrix(0, j0, j0, tb);
             let (rest, bottom) = b.rb_mut().split_at_row(j0);
             let solved = bottom.as_ref().submatrix(0, 0, tb, nrhs);
-            gemm_raw(upper, solved, rest);
+            gemm_raw(true, upper, solved, rest);
         }
         j1 = j0;
     }
@@ -202,60 +221,15 @@ fn solve_upper_trans_unblocked(u: MatRef<'_>, mut b: MatMut<'_>) {
     }
 }
 
-/// Off-diagonal substitution update `C −= A·B` (GEMM accounts for its own
-/// flops; together with the per-triangle charges the total matches the
-/// textbook n²·nrhs).
-fn gemm_raw(a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
-    crate::gemm::gemm(Par::Seq, -1.0, a, b, 1.0, c);
-}
-
-/// Solves `X·U = B` in place (`B := B·U⁻¹`) with `U` upper triangular
-/// (non-unit). Right-side solves keep the wrapping relation
-/// `G(k,ℓ+1) = G(k,ℓ)·B⁻¹` transpose-free and GEMM-rich.
-///
-/// # Panics
-/// Panics on shape mismatch or an exactly zero diagonal entry.
-pub fn solve_upper_right(u: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = check_square(u, b.cols());
-    let _kernel = fsi_runtime::trace::kernel_span("trsm");
-    let nrhs = b.rows();
-    // Column blocks left-to-right: solve X[:, j0..j1]·U[j0..j1, j0..j1] =
-    // B[:, j0..j1] − X[:, ..j0]·U[..j0, j0..j1].
-    let mut j0 = 0;
-    while j0 < n {
-        let tb = TB.min(n - j0);
-        if j0 > 0 {
-            let above = u.submatrix(0, j0, j0, tb);
-            let (solved, rest) = b.rb_mut().split_at_col(j0);
-            let target = rest.submatrix(0, 0, nrhs, tb);
-            gemm_raw(solved.as_ref(), above, target);
-        }
-        solve_upper_right_unblocked(
-            u.submatrix(j0, j0, tb, tb),
-            b.rb_mut().submatrix(0, j0, nrhs, tb),
-        );
-        j0 += tb;
-    }
-}
-
-fn solve_upper_right_unblocked(u: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = u.cols();
-    flops::add_flops(flops::counts::trsm(n, b.rows()));
-    for j in 0..n {
-        let ujj = u.at(j, j);
-        assert!(ujj != 0.0, "singular upper triangle at {j}");
-        // X[:, j] = (B[:, j] − Σ_{p<j} X[:, p]·U[p, j]) / U[j, j]
-        for p in 0..j {
-            let upj = u.at(p, j);
-            if upj != 0.0 {
-                let (left, mut rest) = b.rb_mut().split_at_col(j);
-                axpy(-upj, left.as_ref().col(p), rest.col_mut(0));
-            }
-        }
-        let inv = 1.0 / ujj;
-        for x in b.col_mut(j) {
-            *x *= inv;
-        }
+/// Off-diagonal substitution update `C −= A·B`. Counted, GEMM accounts for
+/// its own flops (together with the per-triangle charges the total matches
+/// the textbook n²·nrhs); uncounted, the caller has charged an analytic
+/// total of its own (and small updates skip the pack — same bits).
+fn gemm_raw(count: bool, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
+    if count {
+        crate::gemm::gemm(Par::Seq, -1.0, a, b, 1.0, c);
+    } else {
+        gemm_nn_uncounted(-1.0, a, b, true, c);
     }
 }
 
@@ -264,33 +238,38 @@ fn solve_upper_right_unblocked(u: MatRef<'_>, mut b: MatMut<'_>) {
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn solve_unit_lower_right(l: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = check_square(l, b.cols());
+pub fn solve_unit_lower_right(l: MatRef<'_>, b: MatMut<'_>) {
     let _kernel = fsi_runtime::trace::kernel_span("trsm");
+    solve_unit_lower_right_impl(true, l, b);
+}
+
+/// [`solve_unit_lower_right`] without flop accounting or a kernel span,
+/// for GETRI, which charges its own analytic total.
+pub(crate) fn solve_unit_lower_right_uncounted(l: MatRef<'_>, b: MatMut<'_>) {
+    solve_unit_lower_right_impl(false, l, b);
+}
+
+fn solve_unit_lower_right_impl(count: bool, l: MatRef<'_>, b: MatMut<'_>) {
+    let n = check_square(l, b.cols());
     let nrhs = b.rows();
-    // Column blocks right-to-left: X[:, j0..j1] = B[:, j0..j1] −
-    // X[:, j1..]·L[j1.., j0..j1], then the diagonal triangle.
-    let mut j1 = n;
-    while j1 > 0 {
-        let tb = TB.min(j1);
-        let j0 = j1 - tb;
-        if j1 < n {
-            let below = l.submatrix(j1, j0, n - j1, tb);
-            let (left, solved) = b.rb_mut().split_at_col(j1);
-            let target = left.submatrix(0, j0, nrhs, tb);
-            gemm_raw(solved.as_ref(), below, target);
+    if n <= RB {
+        if count {
+            flops::add_flops(flops::counts::trsm(n, nrhs));
         }
-        solve_unit_lower_right_unblocked(
-            l.submatrix(j0, j0, tb, tb),
-            b.rb_mut().submatrix(0, j0, nrhs, tb),
-        );
-        j1 = j0;
+        solve_unit_lower_right_unblocked(l, b);
+        return;
     }
+    // Halve the columns: X₂ = B₂·L₂₂⁻¹, then X₁ = (B₁ − X₂·L₂₁)·L₁₁⁻¹.
+    // Down to RB-wide triangles all the work is the product in between.
+    let h = n / 2;
+    let (mut b1, mut b2) = b.split_at_col(h);
+    solve_unit_lower_right_impl(count, l.submatrix(h, h, n - h, n - h), b2.rb_mut());
+    gemm_raw(count, b2.as_ref(), l.submatrix(h, 0, n - h, h), b1.rb_mut());
+    solve_unit_lower_right_impl(count, l.submatrix(0, 0, h, h), b1);
 }
 
 fn solve_unit_lower_right_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
     let n = l.cols();
-    flops::add_flops(flops::counts::trsm(n, b.rows()));
     // X[:, j] = B[:, j] − Σ_{p>j} X[:, p]·L[p, j], solved right-to-left.
     for j in (0..n).rev() {
         for p in j + 1..n {
@@ -308,131 +287,91 @@ fn solve_unit_lower_right_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
 /// In-place inversion of an upper triangle (entries below the diagonal are
 /// ignored and left untouched).
 ///
-/// Blocked column-sweep TRTRI: each `TB`-wide column block is computed as
-/// `X[0..j0, jb] = −X_lead · U[0..j0, jb] · X_diag`, where `X_lead` is the
-/// already-inverted leading triangle and `X_diag` the freshly inverted
-/// diagonal block. The leading product is assembled block-row by block-row
-/// (small dense trmm per diagonal block plus a GEMM accumulate), so almost
-/// all of the O(n³/3) work flows through the packed GEMM engine. Internal
-/// products use the uncounted entry point — the analytic `trtri` total is
-/// charged once up front, exactly as before.
+/// Recursive TRTRI: with `U = [U₁₁ U₁₂; 0 U₂₂]` the two diagonal triangles
+/// are inverted in place (down to `RB`-wide triangles for the scalar
+/// kernel) and `X₁₂ = −X₁₁·U₁₂·X₂₂` follows as two dense products against
+/// zero-padded scratch copies of the inverted triangles, so almost all of
+/// the work flows through GEMM at every size. Internal products use the
+/// uncounted entry point — the analytic `trtri` total is charged once up
+/// front.
 ///
 /// # Panics
 /// Panics on an exactly zero diagonal entry.
-pub fn invert_upper(mut u: MatMut<'_>) {
+pub fn invert_upper(u: MatMut<'_>) {
+    let _kernel = fsi_runtime::trace::kernel_span("trtri");
+    flops::add_flops(flops::counts::trtri(u.rows()) * 2);
+    invert_upper_uncounted(u);
+}
+
+/// [`invert_upper`] without flop accounting or a kernel span, for GETRI,
+/// which charges its own analytic total.
+pub(crate) fn invert_upper_uncounted(mut u: MatMut<'_>) {
     let n = u.rows();
     assert_eq!(u.cols(), n, "invert_upper needs a square matrix");
-    let _kernel = fsi_runtime::trace::kernel_span("trtri");
-    flops::add_flops(flops::counts::trtri(n) * 2);
-    if n <= TB {
+    if n <= RB {
         invert_upper_unblocked(u);
         return;
     }
-    // W holds X_lead · U[0..j0, jb] (≤ n × TB); D is a dense, zero-lower
-    // copy of the inverted diagonal block.
-    workspace::with_scratch2(n * TB, TB * TB, |wbuf, dbuf| {
-        let mut j0 = 0;
-        while j0 < n {
-            let tb = TB.min(n - j0);
-            if j0 == 0 {
-                invert_upper_unblocked(u.rb_mut().submatrix(0, 0, tb, tb));
-                j0 += tb;
-                continue;
-            }
-            // W[0..j0, :] := X[0..j0, 0..j0] · U[0..j0, jb], built one
-            // block row at a time: the diagonal block of X is triangular
-            // (trmm), the part right of it is dense (gemm).
-            let mut w = MatMut::from_slice(&mut wbuf[..j0 * tb], j0, tb, j0);
-            let mut i0 = 0;
-            while i0 < j0 {
-                let ib = TB.min(j0 - i0);
-                trmm_upper_left(
-                    u.as_ref().submatrix(i0, i0, ib, ib),
-                    u.as_ref().submatrix(i0, j0, ib, tb),
-                    w.rb_mut().submatrix(i0, 0, ib, tb),
-                );
-                if i0 + ib < j0 {
-                    gemm_op_uncounted(
-                        Par::Seq,
-                        1.0,
-                        Op::NoTrans,
-                        u.as_ref().submatrix(i0, i0 + ib, ib, j0 - i0 - ib),
-                        Op::NoTrans,
-                        u.as_ref().submatrix(i0 + ib, j0, j0 - i0 - ib, tb),
-                        1.0,
-                        w.rb_mut().submatrix(i0, 0, ib, tb),
-                    );
-                }
-                i0 += ib;
-            }
-            invert_upper_unblocked(u.rb_mut().submatrix(j0, j0, tb, tb));
-            let mut d = MatMut::from_slice(&mut dbuf[..tb * tb], tb, tb, tb);
-            for jj in 0..tb {
-                for ii in 0..tb {
-                    let v = if ii <= jj {
-                        u.at(j0 + ii, j0 + jj)
-                    } else {
-                        0.0
-                    };
-                    d.set(ii, jj, v);
-                }
-            }
-            // X[0..j0, jb] := −W · X_diag.
-            gemm_op_uncounted(
-                Par::Seq,
-                -1.0,
-                Op::NoTrans,
-                w.as_ref(),
-                Op::NoTrans,
-                d.as_ref(),
-                0.0,
-                u.rb_mut().submatrix(0, j0, j0, tb),
-            );
-            j0 += tb;
-        }
+    let (h, m) = (n / 2, n - n / 2);
+    invert_upper_uncounted(u.rb_mut().submatrix(0, 0, h, h));
+    invert_upper_uncounted(u.rb_mut().submatrix(h, h, m, m));
+    workspace::with_scratch(h * h + m * m + h * m, |buf| {
+        let (x11, rest) = buf.split_at_mut(h * h);
+        let (x22, w) = rest.split_at_mut(m * m);
+        copy_upper(u.as_ref().submatrix(0, 0, h, h), x11);
+        copy_upper(u.as_ref().submatrix(h, h, m, m), x22);
+        let mut w = MatMut::from_slice(w, h, m, h);
+        // W := U₁₂·X₂₂, then U₁₂ := −X₁₁·W.
+        let u12 = u.as_ref().submatrix(0, h, h, m);
+        gemm_nn_uncounted(
+            1.0,
+            u12,
+            MatRef::from_slice(x22, m, m, m),
+            false,
+            w.rb_mut(),
+        );
+        let x12 = u.rb_mut().submatrix(0, h, h, m);
+        gemm_nn_uncounted(
+            -1.0,
+            MatRef::from_slice(x11, h, h, h),
+            w.as_ref(),
+            false,
+            x12,
+        );
     });
 }
 
-/// Scalar column-oriented TRTRI on a diagonal block (flops are charged by
-/// the blocked caller).
+/// Copies the upper triangle of `t` into the dense column-major `out`,
+/// zero below the diagonal.
+pub(crate) fn copy_upper(t: MatRef<'_>, out: &mut [f64]) {
+    let n = t.rows();
+    for (j, col) in out.chunks_exact_mut(n).enumerate() {
+        col[..=j].copy_from_slice(&t.col(j)[..=j]);
+        col[j + 1..].fill(0.0);
+    }
+}
+
+/// Scalar column-oriented TRTRI on a triangle at most `RB` wide (flops
+/// are charged by the caller).
 fn invert_upper_unblocked(mut u: MatMut<'_>) {
     let n = u.rows();
     // For each column j compute X[0..j, j] from the already-inverted
     // leading triangle.
+    let mut v = [0.0; RB];
     for j in 0..n {
         let ujj = u.at(j, j);
         assert!(ujj != 0.0, "singular upper triangle at {j}");
         let xjj = 1.0 / ujj;
         u.set(j, j, xjj);
-        if j == 0 {
-            continue;
-        }
         // v := U[0..j, j] (original column), X[0..j, j] := −X[0..j,0..j]·v·xjj
-        let v: Vec<f64> = (0..j).map(|i| u.at(i, j)).collect();
+        v[..j].copy_from_slice(&u.as_ref().col(j)[..j]);
         for i in 0..j {
             // X[i, j] = −xjj · Σ_{p=i..j-1} X[i, p] v[p]
             let mut s = 0.0;
-            for (p, vp) in v.iter().enumerate().skip(i) {
+            for (p, vp) in v[..j].iter().enumerate().skip(i) {
                 s += u.at(i, p) * vp;
             }
             u.set(i, j, -xjj * s);
-        }
-    }
-}
-
-/// `out := triu(T)·B` for one inverted `≤ TB` diagonal block (dense
-/// small-operand trmm; flops are part of the caller's analytic charge).
-fn trmm_upper_left(t: MatRef<'_>, b: MatRef<'_>, mut out: MatMut<'_>) {
-    let nb = t.rows();
-    for c in 0..b.cols() {
-        let bcol = b.col(c);
-        let ocol = out.col_mut(c);
-        for (i, oi) in ocol.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for p in i..nb {
-                s += t.at(i, p) * bcol[p];
-            }
-            *oi = s;
         }
     }
 }
@@ -521,9 +460,9 @@ mod tests {
 
     #[test]
     fn invert_upper_gives_inverse() {
-        // 25 stays on the scalar path; 150 runs the blocked column sweep
-        // over several TB-wide panels.
-        for (n, seed) in [(25, 9), (150, 10)] {
+        // 12 stays on the scalar kernel; 25 halves once, unevenly; 150
+        // recurses four levels deep.
+        for (n, seed) in [(12, 8), (25, 9), (150, 10)] {
             let u = upper(n, seed);
             let mut x = u.clone();
             invert_upper(x.as_mut());
@@ -576,33 +515,15 @@ mod tests {
     }
 
     #[test]
-    fn right_solves_give_small_residuals() {
-        // X·U = B.
-        let u = upper(70, 21);
-        let b = test_matrix(5, 70, 22);
-        let mut x = b.clone();
-        solve_upper_right(u.as_ref(), x.as_mut());
-        assert!(residual(&x, &u, &b) < 1e-11, "XU residual");
-        // X·L = B with unit lower L.
-        let l = unit_lower(70, 23);
-        let mut x = b.clone();
-        solve_unit_lower_right(l.as_ref(), x.as_mut());
-        assert!(residual(&x, &l, &b) < 1e-11, "XL residual");
-    }
-
-    #[test]
-    fn right_solve_matches_left_solve_of_transpose() {
-        let u = upper(33, 24);
-        let b = test_matrix(4, 33, 25);
-        let mut x_right = b.clone();
-        solve_upper_right(u.as_ref(), x_right.as_mut());
-        // Xᵀ solves Uᵀ·Xᵀ = Bᵀ.
-        let mut xt = b.transpose();
-        solve_upper_trans(u.as_ref(), xt.as_mut());
-        let x_want = xt.transpose();
-        let mut d = x_right.clone();
-        d.sub_assign(&x_want);
-        assert!(d.max_abs() < 1e-12);
+    fn unit_lower_right_solve() {
+        // X·L = B; 12 stays on the scalar kernel, 70 halves three times.
+        for n in [12, 70] {
+            let l = unit_lower(n, 23);
+            let b = test_matrix(5, n, 22);
+            let mut x = b.clone();
+            solve_unit_lower_right(l.as_ref(), x.as_mut());
+            assert!(residual(&x, &l, &b) < 1e-11, "XL residual at n={n}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use rand::Rng;
 use crate::bsofi::{bsofi, bsofi_selected, StructuredQr};
 use crate::cls::{cls, Clustered};
 use crate::patterns::{SelectedInverse, SelectedPattern, Selection};
-use crate::wrap::{wrap, wrap_selected};
+use crate::wrap::{wrap_all_diagonals_with, wrap_with, BlockFactors, Seeds};
 
 /// Execution style of one FSI invocation.
 #[derive(Clone, Copy)]
@@ -103,6 +103,14 @@ impl ReducedInverse {
         }
     }
 
+    /// This inverse as a wrap's seed source.
+    fn seeds(&self) -> Seeds<'_> {
+        match self {
+            ReducedInverse::Dense(g) => Seeds::Dense(g),
+            ReducedInverse::Selected(s) => Seeds::Selected(s),
+        }
+    }
+
     /// Looks up reduced block `Ḡ(k₀, ℓ₀)` regardless of representation;
     /// `None` if a sparse run did not assemble it.
     pub fn block(&self, clustered: &Clustered, k0: usize, l0: usize) -> Option<Matrix> {
@@ -147,6 +155,17 @@ pub fn fsi_with_q(
     pc: &BlockPCyclic,
     selection: &Selection,
 ) -> FsiResult<FsiOutput> {
+    fsi_with_factors(par, pc, selection, &BlockFactors::new(pc))
+}
+
+/// [`fsi_with_q`] wrapping through a caller-owned inverse cache, so
+/// further wraps of the same matrix reuse the `B_k⁻¹` this one formed.
+fn fsi_with_factors(
+    par: Parallelism<'_>,
+    pc: &BlockPCyclic,
+    selection: &Selection,
+    factors: &BlockFactors<'_>,
+) -> FsiResult<FsiOutput> {
     let (outer, inner) = par.split();
     let _fsi_span = fsi_runtime::trace::span("fsi");
     let mut profile = Profile::new();
@@ -176,13 +195,8 @@ pub fn fsi_with_q(
             )?)),
         }
     })?;
-    let selected = profile.time("wrap", || -> FsiResult<SelectedInverse> {
-        match &g_reduced {
-            ReducedInverse::Dense(g) => wrap(outer, pc, &clustered, g, selection),
-            ReducedInverse::Selected(seeds) => {
-                wrap_selected(outer, pc, &clustered, seeds, selection)
-            }
-        }
+    let selected = profile.time("wrap", || {
+        wrap_with(outer, pc, &clustered, factors, g_reduced.seeds(), selection)
     })?;
 
     Ok(FsiOutput {
@@ -238,7 +252,8 @@ pub fn fsi<R: Rng + ?Sized>(
 
 /// The paper's §V-C measurement selection: *all* `L` diagonal blocks plus
 /// `b` block rows plus `b` block columns, produced from a single
-/// clustering + BSOFI (the expensive part is shared by the three wraps).
+/// clustering + BSOFI and one cache of `B_k⁻¹` (the expensive parts are
+/// shared by the three wraps).
 ///
 /// Returns `(merged, diagonals)`: the full union for time-dependent
 /// measurements, and the diagonal-only subset for equal-time
@@ -250,22 +265,21 @@ pub fn fsi_measurement_set(
     q: usize,
 ) -> FsiResult<(SelectedInverse, SelectedInverse)> {
     let (outer, _) = par.split();
+    let factors = BlockFactors::new(pc);
     let rows_sel = Selection::new(crate::patterns::Pattern::Rows, c, q);
-    let out = fsi_with_q(par, pc, &rows_sel)?;
-    let g_reduced = out
-        .g_reduced
-        .dense()
-        .expect("rows selection materializes the dense reduced inverse");
+    let out = fsi_with_factors(par, pc, &rows_sel, &factors)?;
+    let seeds = out.g_reduced.seeds();
     let mut merged = out.selected;
-    let cols = crate::wrap::wrap(
+    let cols = wrap_with(
         outer,
         pc,
         &out.clustered,
-        g_reduced,
+        &factors,
+        seeds,
         &Selection::new(crate::patterns::Pattern::Columns, c, q),
     )?;
     merged.merge(cols);
-    let diags = crate::wrap::wrap_all_diagonals(outer, pc, &out.clustered, g_reduced)?;
+    let diags = wrap_all_diagonals_with(outer, pc, &out.clustered, &factors, seeds)?;
     merged.merge(diags.clone());
     Ok((merged, diags))
 }

@@ -17,7 +17,8 @@
 //!   path that skips the dense materialization for diagonal requests;
 //! * [`wrap`](mod@wrap) — the reduced inverse's blocks are exact blocks of the
 //!   original Green's function (`Ḡ(k₀,ℓ₀) = G(ck₀+o, cℓ₀+o)`); the
-//!   adjacency relations (4)–(7) grow the selection from those seeds;
+//!   adjacency relations (4)–(7) grow the selection from those seeds, a
+//!   line of seeds per batched product against `B_k` or a cached `B_k⁻¹`;
 //! * [`fsi`](mod@fsi) — the driver tying the stages together, with the paper's two
 //!   single-socket execution styles (coarse-grained "OpenMP" vs
 //!   fine-grained "MKL") selectable per run;

@@ -245,6 +245,13 @@ impl SelectedInverse {
         Self::default()
     }
 
+    /// An empty selection result with room for `blocks` blocks.
+    pub fn with_capacity(blocks: usize) -> Self {
+        SelectedInverse {
+            blocks: HashMap::with_capacity(blocks),
+        }
+    }
+
     /// Inserts block `(k, ℓ)`; replaces any previous value.
     pub fn insert(&mut self, k: usize, l: usize, block: Matrix) {
         self.blocks.insert((k, l), block);

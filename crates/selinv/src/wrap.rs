@@ -1,50 +1,90 @@
 //! WRP — the wrapping stage of FSI (paper Alg. 2 and relations (4)–(7)).
 //!
 //! Adjacent blocks of the Green's function satisfy one-step recurrences:
-//! knowing `G(k, ℓ)`, its four neighbours cost one `N × N` product or
-//! solve each. In 0-based torus indices the paper's nine boundary cases
-//! collapse to a uniform rule per direction:
+//! knowing `G(k, ℓ)`, each of its four neighbours costs one `N × N`
+//! product with a block `B[r]` of the matrix or with its inverse. In
+//! 0-based torus indices the paper's nine boundary cases collapse to a
+//! uniform rule per direction:
 //!
 //! ```text
-//! down : G(k+1, ℓ) = s·b[k+1]·G(k, ℓ) + [k+1 = ℓ]·I      s = −1 iff k+1 wraps to 0
-//! up   : G(k−1, ℓ) = s·b[k]⁻¹·(G(k, ℓ) − [k = ℓ]·I)      s = −1 iff k = 0 (wraps)
-//! right: G(k, ℓ+1) = s·(G(k, ℓ) − [k = ℓ]·I)·b[ℓ+1]⁻¹    s = −1 iff ℓ+1 wraps to 0
-//! left : G(k, ℓ−1) = s·G(k, ℓ)·b[ℓ] + [k = ℓ−1]·I        s = −1 iff ℓ = 0 (wraps)
+//! down : G(k+1, ℓ) = s·B[r]·G(k, ℓ) + [r = ℓ]·I            r = k+1
+//! up   : G(k−1, ℓ) = s·B[r]⁻¹·(G(k, ℓ) − [k = ℓ]·I)        r = k
+//! right: G(k, ℓ+1) = s·(G(k, ℓ) − [k = ℓ]·I)·B[r]⁻¹        r = ℓ+1
+//! left : G(k, ℓ−1) = s·G(k, ℓ)·B[r] + [k = ℓ−1]·I          r = ℓ
+//!
+//! s = −1 iff r = 0 (the step crosses the torus seam), +1 otherwise
 //! ```
 //!
 //! (Each is derived from the explicit expression Eq. (3) via the
 //! similarity `b[r]·W(r−1)⁻¹ = W(r)⁻¹·b[r]`; the identity corrections
-//! appear exactly when the step crosses the block diagonal, the sign flips
-//! exactly when the step crosses the torus seam. All four rules and all
-//! their boundary cases are property-tested against the dense inverse.)
+//! appear exactly when the step crosses the block diagonal. All four rules
+//! and all their boundary cases are property-tested against the dense
+//! inverse.)
 //!
-//! Algorithm 2 then grows a selected inversion from the `b²` seeds that
-//! BSOFI provides: each seed walks `⌈(c−1)/2⌉` rows up and `⌊(c−1)/2⌋`
-//! rows down (columns pattern; left/right for the rows pattern). Splitting
-//! the walk halves the length of the recurrence chains, halving the
-//! accumulated floating-point error — the `ablation_wrap_split` bench
-//! quantifies this against a one-directional walk. Seeds are independent;
-//! the stage runs under `parallel_for`. Cost `3(bL − b²)N³`.
+//! Algorithm 2 grows a selected inversion from the `b²` seeds that BSOFI
+//! provides: each seed walks `⌈(c−1)/2⌉` rows up and `⌊(c−1)/2⌋` rows down
+//! (columns pattern; left/right for the rows pattern). Splitting the walk
+//! halves the length of the recurrence chains, halving the accumulated
+//! floating-point error — the `ablation_wrap_split` bench quantifies this
+//! against a one-directional walk. Cost `3(bL − b²)N³` in the paper's
+//! model ([`wrap_flops`]); what the kernels here execute is
+//! [`wrap_kernel_flops`].
 //!
-//! Inverse applications `b[k]⁻¹·X` and `X·b[k]⁻¹` are realized as LU
-//! solves against lazily cached factorizations (one per block, shared by
-//! all seeds via `OnceLock`).
+//! # One step, many seeds
+//!
+//! The `b` seeds of one seed row apply the same operator at every step of
+//! an up or down walk (the seeds of one seed column at every step left or
+//! right), so a *line* of seeds advances in lockstep: one step is one
+//! [`gemm_batched`] call with the operator as the shared operand and the
+//! previous generation of blocks as the per-item operand, written straight
+//! into the freshly allocated output blocks. The sign rides in `alpha`;
+//! the identity correction touches the one block of the line that crosses
+//! the diagonal (for the inverse directions it is applied after the
+//! product, as `− s·B[r]⁻¹`, so no block is copied to be corrected). A
+//! walk only ever borrows the generation before it. Lines and directions
+//! are independent tasks under `parallel_map`; every block is computed by
+//! the same kernel call sequence whatever the schedule, so results do not
+//! depend on `Par` bit for bit. The single-block functions [`step_up`],
+//! [`step_down`], [`step_left`] and [`step_right`] are the same product
+//! with a batch of one.
+//!
+//! `B[r]⁻¹` is formed explicitly, once per block and wrap (GETRF, a pivot
+//! probe, GETRI), and cached in [`BlockFactors`]. Wrapping chains are at
+//! most `⌈(c−1)/2⌉` steps long by construction, which is what keeps plain
+//! products with the explicit inverse as accurate as LU solves were; a
+//! block too ill-conditioned to invert raises a [`HealthEvent`] instead.
 
 use std::sync::OnceLock;
 
-use fsi_dense::{getrf, LuFactor, Matrix};
+use fsi_dense::blas::axpy;
+use fsi_dense::{gemm_batched, getrf, BatchOperand, MatMut, MatRef, Matrix, Op};
 use fsi_pcyclic::BlockPCyclic;
 use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
-use fsi_runtime::{Par, Schedule};
+use fsi_runtime::{parallel_map, Par, Schedule};
 
 use crate::cls::Clustered;
 use crate::patterns::{Pattern, SelectedInverse, Selection};
 
-/// Lazily cached LU factorizations of the `B` blocks, shared across wrap
-/// walks (thread-safe: each cell is computed at most once per block).
+/// Lazily cached explicit inverses `B[k]⁻¹` of the matrix's blocks, shared
+/// by every walk of a wrap (thread-safe: each inverse is computed at most
+/// once).
+///
+/// ```
+/// use fsi_selinv::BlockFactors;
+///
+/// let pc = fsi_pcyclic::random_pcyclic(4, 6, 7);
+/// let factors = BlockFactors::new(&pc);
+/// assert_eq!(factors.computed(), 0);
+/// let inv = factors.inverse(2).expect("well-conditioned block");
+/// let mut prod = fsi_dense::mul(pc.block(2), inv);
+/// prod.add_diag(-1.0);
+/// assert!(prod.max_abs() < 1e-12);
+/// let _ = factors.inverse(2);
+/// assert_eq!(factors.computed(), 1);
+/// ```
 pub struct BlockFactors<'a> {
     pc: &'a BlockPCyclic,
-    cells: Vec<OnceLock<LuFactor>>,
+    cells: Vec<OnceLock<Result<Matrix, HealthEvent>>>,
 }
 
 impl<'a> BlockFactors<'a> {
@@ -56,83 +96,200 @@ impl<'a> BlockFactors<'a> {
         }
     }
 
-    /// The LU factorization of `b[k]`, computing it on first use.
-    pub fn factor(&self, k: usize) -> &LuFactor {
-        self.cells[k].get_or_init(|| {
-            getrf(self.pc.block(k).clone())
-                .expect("Hubbard B blocks are products of nonsingular factors")
-        })
+    /// `B[k]⁻¹`, computing it on first use.
+    ///
+    /// # Errors
+    /// [`HealthEvent::SingularPivot`] if `B[k]` has an exactly zero pivot,
+    /// and whatever [`health::check_pivots`] raises on the diagonal of its
+    /// `U` factor — a block graded past [`health::KAPPA_MAX`] is
+    /// [`HealthEvent::IllConditioned`] rather than inverted. The outcome
+    /// is cached either way.
+    pub fn inverse(&self, k: usize) -> FsiResult<&Matrix> {
+        self.cells[k]
+            .get_or_init(|| invert_block(self.pc, k))
+            .as_ref()
+            .map_err(|&event| event.into())
     }
 
-    /// Number of factorizations computed so far (test/telemetry hook).
+    /// Number of inverses attempted so far (test/telemetry hook).
     pub fn computed(&self) -> usize {
         self.cells.iter().filter(|c| c.get().is_some()).count()
     }
 }
 
-/// One step down: from `G(k, ℓ)` to `G(k+1, ℓ)` (relation (5) with all
-/// boundary cases).
-pub fn step_down(pc: &BlockPCyclic, g: &Matrix, k: usize, l: usize) -> Matrix {
-    let r = pc.down(k);
-    let mut out = fsi_dense::mul(pc.block(r), g);
-    if r == 0 {
-        out.scale(-1.0);
+/// GETRF → pivot probe → GETRI on `B[k]`; reported columns are global
+/// (block `k` owns columns `kN..(k+1)N`).
+fn invert_block(pc: &BlockPCyclic, k: usize) -> Result<Matrix, HealthEvent> {
+    let n = pc.n();
+    let lu = getrf(pc.block(k).clone()).map_err(|e| {
+        let fsi_dense::DenseError::Singular { column } = e else {
+            unreachable!("getrf only fails on a zero pivot");
+        };
+        let event = HealthEvent::SingularPivot {
+            stage: Stage::Wrap,
+            column: k * n + column,
+        };
+        event.record();
+        event
+    })?;
+    let diag: Vec<f64> = (0..n).map(|i| lu.packed()[(i, i)]).collect();
+    health::check_pivots(Stage::Wrap, k * n, &diag)?;
+    Ok(lu.inverse())
+}
+
+/// Direction of a wrap step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Dir {
+    Up,
+    Down,
+    Left,
+    Right,
+}
+
+impl Dir {
+    /// Index `r` of the block whose `B[r]` (down, left) or `B[r]⁻¹` (up,
+    /// right) the step from `(k, ℓ)` applies.
+    fn operator(self, pc: &BlockPCyclic, (k, l): (usize, usize)) -> usize {
+        match self {
+            Dir::Down => pc.down(k),
+            Dir::Up => k,
+            Dir::Right => pc.down(l),
+            Dir::Left => l,
+        }
     }
-    if r == l {
-        out.add_diag(1.0);
+
+    /// Coordinates of the block one step from `(k, ℓ)`.
+    fn target(self, pc: &BlockPCyclic, (k, l): (usize, usize)) -> (usize, usize) {
+        match self {
+            Dir::Down => (pc.down(k), l),
+            Dir::Up => (pc.up(k), l),
+            Dir::Right => (k, pc.down(l)),
+            Dir::Left => (k, pc.up(l)),
+        }
     }
+}
+
+/// `out[i] := alpha·a[i]·b[i]` — one batched dispatch, store-mode
+/// writeback straight into the output blocks.
+fn products(
+    par: Par<'_>,
+    alpha: f64,
+    a: BatchOperand<'_>,
+    b: BatchOperand<'_>,
+    out: &mut [Matrix],
+) {
+    let mut c: Vec<MatMut<'_>> = out.iter_mut().map(Matrix::as_mut).collect();
+    gemm_batched(par, alpha, Op::NoTrans, a, Op::NoTrans, b, 0.0, &mut c);
+}
+
+/// The wrap step: advances the blocks `prev[i] = G(at[i])` one step in
+/// direction `dir` into `out[i]`. All of `at` must share the step's
+/// operator `op` (one block row for up/down, one block column for
+/// left/right) — the module docs give the rule per direction.
+fn step(
+    dir: Dir,
+    pc: &BlockPCyclic,
+    op: &Matrix,
+    at: &[(usize, usize)],
+    prev: &[MatRef<'_>],
+    out: &mut [Matrix],
+) {
+    let r = dir.operator(pc, at[0]);
+    debug_assert!(at.iter().all(|&coord| dir.operator(pc, coord) == r));
+    let alpha = if r == 0 { -1.0 } else { 1.0 };
+    let (shared, each) = (BatchOperand::Shared(op.as_ref()), BatchOperand::Each(prev));
+    match dir {
+        Dir::Up | Dir::Down => products(Par::Seq, alpha, shared, each, out),
+        Dir::Left | Dir::Right => products(Par::Seq, alpha, each, shared, out),
+    }
+    for (blk, &(k, l)) in out.iter_mut().zip(at) {
+        match dir {
+            Dir::Down if r == l => blk.add_diag(1.0),
+            Dir::Left if k == pc.up(l) => blk.add_diag(1.0),
+            // s·B⁻¹·(G − I) = s·B⁻¹·G − s·B⁻¹ (and its mirror image).
+            Dir::Up | Dir::Right if k == l => axpy(-alpha, op.as_slice(), blk.as_mut_slice()),
+            _ => {}
+        }
+    }
+}
+
+/// [`step`] on a single block.
+fn step_one(dir: Dir, pc: &BlockPCyclic, op: &Matrix, g: MatRef<'_>, at: (usize, usize)) -> Matrix {
+    let mut out = Matrix::zeros(pc.n(), pc.n());
+    step(dir, pc, op, &[at], &[g], std::slice::from_mut(&mut out));
     out
 }
 
+/// One step down: from `G(k, ℓ)` to `G(k+1, ℓ)` (relation (5) with all
+/// boundary cases).
+pub fn step_down(pc: &BlockPCyclic, g: &Matrix, k: usize, l: usize) -> Matrix {
+    step_one(Dir::Down, pc, pc.block(pc.down(k)), g.as_ref(), (k, l))
+}
+
 /// One step up: from `G(k, ℓ)` to `G(k−1, ℓ)` (relation (4)).
+///
+/// # Errors
+/// As [`BlockFactors::inverse`] for block `k`.
 pub fn step_up(
-    _pc: &BlockPCyclic,
+    pc: &BlockPCyclic,
     factors: &BlockFactors<'_>,
     g: &Matrix,
     k: usize,
     l: usize,
-) -> Matrix {
-    let mut rhs = g.clone();
-    if k == l {
-        rhs.add_diag(-1.0);
-    }
-    let mut out = factors.factor(k).solve(&rhs);
-    if k == 0 {
-        out.scale(-1.0);
-    }
-    out
+) -> FsiResult<Matrix> {
+    Ok(step_one(
+        Dir::Up,
+        pc,
+        factors.inverse(k)?,
+        g.as_ref(),
+        (k, l),
+    ))
 }
 
 /// One step right: from `G(k, ℓ)` to `G(k, ℓ+1)` (relation (7)).
+///
+/// # Errors
+/// As [`BlockFactors::inverse`] for block `ℓ+1`.
 pub fn step_right(
     pc: &BlockPCyclic,
     factors: &BlockFactors<'_>,
     g: &Matrix,
     k: usize,
     l: usize,
-) -> Matrix {
-    let cnew = pc.down(l);
-    let mut lhs = g.clone();
-    if k == l {
-        lhs.add_diag(-1.0);
-    }
-    let mut out = factors.factor(cnew).solve_right(&lhs);
-    if cnew == 0 {
-        out.scale(-1.0);
-    }
-    out
+) -> FsiResult<Matrix> {
+    let op = factors.inverse(pc.down(l))?;
+    Ok(step_one(Dir::Right, pc, op, g.as_ref(), (k, l)))
 }
 
 /// One step left: from `G(k, ℓ)` to `G(k, ℓ−1)` (relation (6)).
 pub fn step_left(pc: &BlockPCyclic, g: &Matrix, k: usize, l: usize) -> Matrix {
-    let mut out = fsi_dense::mul(g, pc.block(l));
-    if l == 0 {
-        out.scale(-1.0);
+    step_one(Dir::Left, pc, pc.block(l), g.as_ref(), (k, l))
+}
+
+/// Where the seed blocks `Ḡ(k₀, ℓ₀)` of a wrap come from: the dense
+/// reduced inverse or a sparse selected assembly.
+#[derive(Clone, Copy)]
+pub(crate) enum Seeds<'a> {
+    /// The dense `bN × bN` output of [`crate::bsofi`].
+    Dense(&'a Matrix),
+    /// The blocks [`crate::bsofi_selected`] assembled.
+    Selected(&'a SelectedInverse),
+}
+
+impl<'a> Seeds<'a> {
+    /// Seed block `Ḡ(k₀, ℓ₀)`, viewed in place.
+    ///
+    /// # Panics
+    /// Panics if a sparse assembly does not hold the block.
+    fn view(self, n: usize, k0: usize, l0: usize) -> MatRef<'a> {
+        match self {
+            Seeds::Dense(g) => g.view(k0 * n, l0 * n, n, n),
+            Seeds::Selected(seeds) => seeds
+                .get(k0, l0)
+                .unwrap_or_else(|| panic!("seed block ({k0},{l0}) missing from selected inverse"))
+                .as_ref(),
+        }
     }
-    if k == pc.up(l) {
-        out.add_diag(1.0);
-    }
-    out
 }
 
 /// The wrapping process (paper Alg. 2, extended to all four patterns):
@@ -140,8 +297,8 @@ pub fn step_left(pc: &BlockPCyclic, g: &Matrix, k: usize, l: usize) -> Matrix {
 /// requested selection.
 ///
 /// `g_reduced` is the dense `bN × bN` output of BSOFI on the clustered
-/// matrix. `par` parallelizes over seeds (each seed's walk is a serial
-/// chain; seeds are independent).
+/// matrix. `par` parallelizes over lines of seeds and walk directions
+/// (each walk is a serial chain of batched steps; walks are independent).
 pub fn wrap(
     par: Par<'_>,
     pc: &BlockPCyclic,
@@ -149,8 +306,15 @@ pub fn wrap(
     g_reduced: &Matrix,
     selection: &Selection,
 ) -> FsiResult<SelectedInverse> {
-    let seed = |k0: usize, l0: usize| clustered.reduced.dense_block(g_reduced, k0, l0);
-    wrap_with(par, pc, clustered, &seed, selection)
+    let factors = BlockFactors::new(pc);
+    wrap_with(
+        par,
+        pc,
+        clustered,
+        &factors,
+        Seeds::Dense(g_reduced),
+        selection,
+    )
 }
 
 /// [`wrap`] fed from a sparse [`SelectedInverse`] of seed blocks (the
@@ -167,33 +331,76 @@ pub fn wrap_selected(
     seeds: &SelectedInverse,
     selection: &Selection,
 ) -> FsiResult<SelectedInverse> {
-    let seed = |k0: usize, l0: usize| {
-        seeds
-            .get(k0, l0)
-            .unwrap_or_else(|| panic!("seed block ({k0},{l0}) missing from selected inverse"))
-            .clone()
-    };
-    wrap_with(par, pc, clustered, &seed, selection)
+    let factors = BlockFactors::new(pc);
+    wrap_with(
+        par,
+        pc,
+        clustered,
+        &factors,
+        Seeds::Selected(seeds),
+        selection,
+    )
 }
 
-/// Shared wrap engine: the seed closure abstracts over where the reduced
-/// inverse blocks come from (dense `Ḡ` vs sparse selected assembly).
 /// Wrap-stage boundary probe (plus injection hook under `fault-inject`),
 /// fused into block production so it runs while the freshly wrapped block
 /// is still cache-hot instead of as a cold post-pass over the selection.
-#[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
-fn probe_wrapped(k: usize, mut blk: Matrix) -> Result<Matrix, HealthEvent> {
+/// `k` is the block row the block belongs to.
+fn probe_wrapped(k: usize, blk: &mut Matrix) -> Result<(), HealthEvent> {
     #[cfg(feature = "fault-inject")]
     health::inject::poison(Stage::Wrap, k, blk.as_mut_slice());
-    health::check_block(Stage::Wrap, k, blk.as_slice())?;
-    Ok(blk)
+    health::check_block(Stage::Wrap, k, blk.as_slice())
 }
 
-fn wrap_with(
+/// Blocks of `G` with their coordinates, as a walk hands them back.
+type Produced = Vec<((usize, usize), Matrix)>;
+
+/// Walks one line of seeds `steps` steps in direction `dir`, every block
+/// of the line advancing together (one [`step`] per generation, probed
+/// while hot). Returns the blocks of all generations after the seeds.
+fn walk_line(
+    dir: Dir,
+    steps: usize,
+    pc: &BlockPCyclic,
+    factors: &BlockFactors<'_>,
+    seeds: &[((usize, usize), Matrix)],
+) -> FsiResult<Produced> {
+    let (n, width) = (pc.n(), seeds.len());
+    let mut at: Vec<(usize, usize)> = seeds.iter().map(|&(coord, _)| coord).collect();
+    let mut blocks: Vec<Matrix> = Vec::with_capacity(steps * width);
+    let mut coords: Vec<(usize, usize)> = Vec::with_capacity(steps * width);
+    for _ in 0..steps {
+        let r = dir.operator(pc, at[0]);
+        let op = match dir {
+            Dir::Down | Dir::Left => pc.block(r),
+            Dir::Up | Dir::Right => factors.inverse(r)?,
+        };
+        let start = blocks.len();
+        blocks.resize_with(start + width, || Matrix::zeros(n, n));
+        let (done, fresh) = blocks.split_at_mut(start);
+        let prev: Vec<MatRef<'_>> = match start {
+            0 => seeds.iter().map(|(_, g)| g.as_ref()).collect(),
+            _ => done[start - width..].iter().map(Matrix::as_ref).collect(),
+        };
+        step(dir, pc, op, &at, &prev, fresh);
+        for (coord, blk) in at.iter_mut().zip(fresh) {
+            *coord = dir.target(pc, *coord);
+            probe_wrapped(coord.0, blk)?;
+        }
+        coords.extend_from_slice(&at);
+    }
+    Ok(coords.into_iter().zip(blocks).collect())
+}
+
+/// Shared wrap engine behind [`wrap`] and [`wrap_selected`]; `factors` is
+/// the inverse cache to use, so callers running several wraps of one
+/// matrix invert each block once.
+pub(crate) fn wrap_with(
     par: Par<'_>,
     pc: &BlockPCyclic,
     clustered: &Clustered,
-    seed: &(dyn Fn(usize, usize) -> Matrix + Sync),
+    factors: &BlockFactors<'_>,
+    seeds: Seeds<'_>,
     selection: &Selection,
 ) -> FsiResult<SelectedInverse> {
     assert_eq!(
@@ -204,98 +411,78 @@ fn wrap_with(
         selection.q, clustered.q,
         "selection and clustering disagree on q"
     );
-    let b = clustered.b();
-    let c = clustered.c;
-    let factors = BlockFactors::new(pc);
+    let (n, b, c) = (pc.n(), clustered.b(), clustered.c);
+    let seed_block = |k0: usize, l0: usize| -> Result<((usize, usize), Matrix), HealthEvent> {
+        let (k, l) = (clustered.to_original(k0), clustered.to_original(l0));
+        let mut blk = seeds.view(n, k0, l0).to_owned();
+        probe_wrapped(k, &mut blk)?;
+        Ok(((k, l), blk))
+    };
 
     match selection.pattern {
         Pattern::Diagonal => {
             // S1: the diagonal seeds ARE the selection — no wrapping.
-            let mut out = SelectedInverse::new();
+            let mut out = SelectedInverse::with_capacity(b);
             for k0 in 0..b {
-                let k = clustered.to_original(k0);
-                out.insert(k, k, probe_wrapped(k, seed(k0, k0))?);
+                let ((k, l), blk) = seed_block(k0, k0)?;
+                out.insert(k, l, blk);
             }
             Ok(out)
         }
         Pattern::SubDiagonal => {
-            // S2: one right-step from each diagonal seed.
-            let results = fsi_runtime::parallel_map(
-                par,
-                b,
-                Schedule::Dynamic(1),
-                |k0| -> Result<(usize, usize, Matrix), HealthEvent> {
-                    let k = clustered.to_original(k0);
-                    let gkk = seed(k0, k0);
-                    let gk_next = probe_wrapped(k, step_right(pc, &factors, &gkk, k, k))?;
-                    Ok((k, pc.down(k), gk_next))
-                },
-            );
-            let mut out = SelectedInverse::new();
+            // S2: one right-step from each diagonal seed; every seed has
+            // an operator of its own, so the steps are batches of one.
+            let results = parallel_map(par, b, Schedule::Dynamic(1), |k0| -> FsiResult<_> {
+                let k = clustered.to_original(k0);
+                let op = factors.inverse(pc.down(k))?;
+                let mut next = step_one(Dir::Right, pc, op, seeds.view(n, k0, k0), (k, k));
+                probe_wrapped(k, &mut next)?;
+                Ok(((k, pc.down(k)), next))
+            });
+            let mut out = SelectedInverse::with_capacity(b);
             for r in results {
-                let (k, l, blk) = r?;
+                let ((k, l), blk) = r?;
                 out.insert(k, l, blk);
             }
             Ok(out)
         }
         Pattern::Columns | Pattern::Rows => {
-            let rows_pattern = selection.pattern == Pattern::Rows;
-            // b² independent seeds; each walks (c−1) steps split between
-            // the two directions to minimize chain length.
-            let up_steps = c / 2; // ⌈(c−1)/2⌉ for the "before" direction
-            let down_steps = (c - 1) - up_steps;
-            let results = fsi_runtime::parallel_map(
-                par,
-                b * b,
-                Schedule::Dynamic(1),
-                |s| -> Result<Vec<(usize, usize, Matrix)>, HealthEvent> {
-                    let (k0, l0) = (s / b, s % b);
-                    let k = clustered.to_original(k0);
-                    let l = clustered.to_original(l0);
-                    let mut produced: Vec<(usize, usize, Matrix)> = Vec::with_capacity(c);
-                    let g_seed = seed(k0, l0);
-                    if rows_pattern {
-                        // Walk left then right along block row k.
-                        let mut cur = g_seed.clone();
-                        let mut col = l;
-                        for _ in 0..up_steps {
-                            cur = step_left(pc, &cur, k, col);
-                            col = pc.up(col);
-                            produced.push((k, col, probe_wrapped(k, cur.clone())?));
-                        }
-                        let mut cur = g_seed.clone();
-                        let mut col = l;
-                        for _ in 0..down_steps {
-                            cur = step_right(pc, &factors, &cur, k, col);
-                            col = pc.down(col);
-                            produced.push((k, col, probe_wrapped(k, cur.clone())?));
-                        }
+            // A line is the b seeds sharing a seed row (columns pattern:
+            // they walk up and down) or a seed column (rows pattern: left
+            // and right); each walks c−1 steps split between the two
+            // directions to minimize chain length.
+            let (before, after, by_row) = match selection.pattern {
+                Pattern::Columns => (Dir::Up, Dir::Down, true),
+                _ => (Dir::Left, Dir::Right, false),
+            };
+            let before_steps = c / 2; // ⌈(c−1)/2⌉
+            let after_steps = (c - 1) - before_steps;
+            let mut lines: Vec<Produced> = Vec::with_capacity(b);
+            for line in 0..b {
+                let seeds_of_line = (0..b).map(|i| {
+                    if by_row {
+                        seed_block(line, i)
                     } else {
-                        // Walk up then down along block column ℓ.
-                        let mut cur = g_seed.clone();
-                        let mut row = k;
-                        for _ in 0..up_steps {
-                            cur = step_up(pc, &factors, &cur, row, l);
-                            row = pc.up(row);
-                            produced.push((row, l, probe_wrapped(row, cur.clone())?));
-                        }
-                        let mut cur = g_seed.clone();
-                        let mut row = k;
-                        for _ in 0..down_steps {
-                            cur = step_down(pc, &cur, row, l);
-                            row = pc.down(row);
-                            produced.push((row, l, probe_wrapped(row, cur.clone())?));
-                        }
+                        seed_block(i, line)
                     }
-                    produced.push((k, l, probe_wrapped(k, g_seed)?));
-                    Ok(produced)
-                },
-            );
-            let mut out = SelectedInverse::new();
-            for chunk in results {
-                for (k, l, blk) in chunk? {
+                });
+                lines.push(seeds_of_line.collect::<Result<_, _>>()?);
+            }
+            let walks = parallel_map(par, 2 * b, Schedule::Dynamic(1), |task| {
+                let (dir, steps) = match task % 2 {
+                    0 => (before, before_steps),
+                    _ => (after, after_steps),
+                };
+                walk_line(dir, steps, pc, factors, &lines[task / 2])
+            });
+            let mut out = SelectedInverse::with_capacity(b * pc.l());
+            for walk in walks {
+                for ((k, l), blk) in walk? {
                     out.insert(k, l, blk);
                 }
+            }
+            for ((k, l), blk) in lines.into_iter().flatten() {
+                out.insert(k, l, blk);
             }
             Ok(out)
         }
@@ -315,8 +502,8 @@ pub fn wrap_all_diagonals(
     clustered: &Clustered,
     g_reduced: &Matrix,
 ) -> FsiResult<SelectedInverse> {
-    let seed = |k0: usize| clustered.reduced.dense_block(g_reduced, k0, k0);
-    wrap_all_diagonals_with(par, pc, clustered, &seed)
+    let factors = BlockFactors::new(pc);
+    wrap_all_diagonals_with(par, pc, clustered, &factors, Seeds::Dense(g_reduced))
 }
 
 /// [`wrap_all_diagonals`] fed from sparse diagonal seeds (the output of
@@ -330,48 +517,72 @@ pub fn wrap_all_diagonals_selected(
     clustered: &Clustered,
     seeds: &SelectedInverse,
 ) -> FsiResult<SelectedInverse> {
-    let seed = |k0: usize| {
-        seeds
-            .get(k0, k0)
-            .unwrap_or_else(|| panic!("diagonal seed ({k0},{k0}) missing from selected inverse"))
-            .clone()
-    };
-    wrap_all_diagonals_with(par, pc, clustered, &seed)
+    let factors = BlockFactors::new(pc);
+    wrap_all_diagonals_with(par, pc, clustered, &factors, Seeds::Selected(seeds))
 }
 
-fn wrap_all_diagonals_with(
+/// The all-diagonals engine. The `b` seeds sit on different block rows,
+/// so no two of them share an operator; they still advance in lockstep,
+/// one generation per pair of batched products with per-item operands:
+/// `G(r,r) = B[r]·G(k,k)·B[r]⁻¹` with `r = k+1`. That is the down step to
+/// `G(r,k)` followed by the right step from it: both carry the same seam
+/// sign, which cancels, and neither crosses the diagonal (for `L > 1`).
+/// The intermediate `G(r,k)` live in `b` scratch blocks reused by every
+/// generation. `par` splits each batch over the pool.
+pub(crate) fn wrap_all_diagonals_with(
     par: Par<'_>,
     pc: &BlockPCyclic,
     clustered: &Clustered,
-    seed: &(dyn Fn(usize) -> Matrix + Sync),
+    factors: &BlockFactors<'_>,
+    seeds: Seeds<'_>,
 ) -> FsiResult<SelectedInverse> {
-    let b = clustered.b();
-    let c = clustered.c;
-    let factors = BlockFactors::new(pc);
-    let results = fsi_runtime::parallel_map(
-        par,
-        b,
-        Schedule::Dynamic(1),
-        |k0| -> Result<Vec<(usize, Matrix)>, HealthEvent> {
-            let mut produced = Vec::with_capacity(c);
-            let k = clustered.to_original(k0);
-            let mut cur = seed(k0);
-            produced.push((k, probe_wrapped(k, cur.clone())?));
-            let mut row = k;
-            for _ in 0..c - 1 {
-                let below = step_down(pc, &cur, row, row);
-                cur = step_right(pc, &factors, &below, pc.down(row), row);
-                row = pc.down(row);
-                produced.push((row, probe_wrapped(row, cur.clone())?));
-            }
-            Ok(produced)
-        },
-    );
-    let mut out = SelectedInverse::new();
-    for chunk in results {
-        for (k, blk) in chunk? {
-            out.insert(k, k, blk);
+    let (n, b, c) = (pc.n(), clustered.b(), clustered.c);
+    let mut rows: Vec<usize> = (0..b).map(|k0| clustered.to_original(k0)).collect();
+    let mut blocks: Vec<Matrix> = Vec::with_capacity(b * c);
+    let mut coords: Vec<usize> = Vec::with_capacity(b * c);
+    for (k0, &k) in rows.iter().enumerate() {
+        let mut blk = seeds.view(n, k0, k0).to_owned();
+        probe_wrapped(k, &mut blk)?;
+        blocks.push(blk);
+    }
+    coords.extend_from_slice(&rows);
+    let mut below: Vec<Matrix> = (0..b).map(|_| Matrix::zeros(n, n)).collect();
+    for _ in 1..c {
+        for k in &mut rows {
+            *k = pc.down(*k);
         }
+        let ops: Vec<MatRef<'_>> = rows.iter().map(|&r| pc.block(r).as_ref()).collect();
+        let inverses = rows
+            .iter()
+            .map(|&r| factors.inverse(r).map(Matrix::as_ref))
+            .collect::<FsiResult<Vec<MatRef<'_>>>>()?;
+        let start = blocks.len();
+        blocks.resize_with(start + b, || Matrix::zeros(n, n));
+        let (done, fresh) = blocks.split_at_mut(start);
+        let prev: Vec<MatRef<'_>> = done[start - b..].iter().map(Matrix::as_ref).collect();
+        products(
+            par,
+            1.0,
+            BatchOperand::Each(&ops),
+            BatchOperand::Each(&prev),
+            &mut below,
+        );
+        let below_refs: Vec<MatRef<'_>> = below.iter().map(Matrix::as_ref).collect();
+        products(
+            par,
+            1.0,
+            BatchOperand::Each(&below_refs),
+            BatchOperand::Each(&inverses),
+            fresh,
+        );
+        for (blk, &k) in fresh.iter_mut().zip(&rows) {
+            probe_wrapped(k, blk)?;
+        }
+        coords.extend_from_slice(&rows);
+    }
+    let mut out = SelectedInverse::with_capacity(b * c);
+    for (k, blk) in coords.into_iter().zip(blocks) {
+        out.insert(k, k, blk);
     }
     Ok(out)
 }
@@ -383,9 +594,28 @@ pub fn wrap_flops(n: usize, l: usize, c: usize) -> u64 {
     3 * (b * l as u64 - b * b) * (n as u64).pow(3)
 }
 
+/// What [`wrap`] / [`wrap_selected`] execute, to the flop: `2N³` per
+/// produced block (one product each) plus `2N³` per inverted `B[k]` (a
+/// GETRF and a GETRI). The up half of a columns walk and the right half of
+/// a rows walk apply inverses, `⌈(c−1)/2⌉` respectively `⌊(c−1)/2⌋`
+/// distinct ones per line.
+pub fn wrap_kernel_flops(pattern: Pattern, n: usize, l: usize, c: usize) -> u64 {
+    let b = l / c;
+    let (produced, inverted) = match pattern {
+        Pattern::Diagonal => (0, 0),
+        Pattern::SubDiagonal => (b, b),
+        Pattern::Columns => (b * l - b * b, b * (c / 2)),
+        Pattern::Rows => (b * l - b * b, b * (c - 1 - c / 2)),
+    };
+    2 * (produced + inverted) as u64 * (n as u64).pow(3)
+}
+
 /// Exercises every relation against a dense reference — used by tests and
 /// the validation binary. Returns the maximum relative error over all
 /// steps from all `(k, ℓ)` source blocks.
+///
+/// # Panics
+/// Panics if a block of `pc` cannot be inverted.
 pub fn max_relation_error(pc: &BlockPCyclic, g_dense: &Matrix) -> f64 {
     let l = pc.l();
     let factors = BlockFactors::new(pc);
@@ -395,8 +625,16 @@ pub fn max_relation_error(pc: &BlockPCyclic, g_dense: &Matrix) -> f64 {
             let g = pc.dense_block(g_dense, k, j);
             let checks = [
                 (pc.down(k), j, step_down(pc, &g, k, j)),
-                (pc.up(k), j, step_up(pc, &factors, &g, k, j)),
-                (k, pc.down(j), step_right(pc, &factors, &g, k, j)),
+                (
+                    pc.up(k),
+                    j,
+                    step_up(pc, &factors, &g, k, j).expect("invertible block"),
+                ),
+                (
+                    k,
+                    pc.down(j),
+                    step_right(pc, &factors, &g, k, j).expect("invertible block"),
+                ),
                 (k, pc.up(j), step_left(pc, &g, k, j)),
             ];
             for (kk, jj, got) in checks {
@@ -441,14 +679,35 @@ mod tests {
     }
 
     #[test]
-    fn factors_are_computed_lazily_and_once() {
+    fn inverses_are_computed_lazily_and_once() {
         let pc = random_pcyclic(3, 8, 22);
         let f = BlockFactors::new(&pc);
         assert_eq!(f.computed(), 0);
-        let _ = f.factor(3);
-        let _ = f.factor(3);
-        let _ = f.factor(5);
+        let first = f.inverse(3).expect("invertible") as *const Matrix;
+        let again = f.inverse(3).expect("invertible") as *const Matrix;
+        assert_eq!(first, again);
+        let _ = f.inverse(5);
         assert_eq!(f.computed(), 2);
+    }
+
+    #[test]
+    fn singular_block_is_an_event_with_a_global_column() {
+        let mut blocks: Vec<Matrix> = (0..4).map(|_| Matrix::identity(3)).collect();
+        blocks[2][(1, 1)] = 0.0;
+        let pc = BlockPCyclic::new(blocks);
+        let f = BlockFactors::new(&pc);
+        let want = HealthEvent::SingularPivot {
+            stage: Stage::Wrap,
+            column: 2 * 3 + 1,
+        };
+        assert_eq!(f.inverse(2).unwrap_err().health_event(), Some(&want));
+        // The failure is cached, and it surfaces through the walks.
+        assert_eq!(f.inverse(2).unwrap_err().health_event(), Some(&want));
+        assert_eq!(f.computed(), 1);
+        let g = Matrix::identity(3);
+        assert!(step_up(&pc, &f, &g, 2, 0).is_err());
+        assert!(step_right(&pc, &f, &g, 0, 1).is_err());
+        assert!(step_up(&pc, &f, &g, 1, 0).is_ok());
     }
 
     fn check_selection(pattern: Pattern, n: usize, l: usize, c: usize, q: usize, tol: f64) {
@@ -514,7 +773,7 @@ mod tests {
         assert_eq!(seq.len(), par.len());
         for (coord, blk) in seq.iter() {
             let other = par.get(coord.0, coord.1).expect("same coords");
-            assert!(rel_error(blk, other) < 1e-15);
+            assert_eq!(blk, other, "{coord:?}");
         }
     }
 
@@ -583,5 +842,20 @@ mod tests {
     fn wrap_flop_formula() {
         // 3(bL − b²)N³ for (N, L, c) = (10, 100, 10): b = 10.
         assert_eq!(wrap_flops(10, 100, 10), 3 * (1000 - 100) * 1000);
+        // Executed: 900 products; 10 lines × 5 inverses up, × 4 right.
+        let n3 = 2 * 1000;
+        assert_eq!(
+            wrap_kernel_flops(Pattern::Columns, 10, 100, 10),
+            (900 + 50) * n3
+        );
+        assert_eq!(
+            wrap_kernel_flops(Pattern::Rows, 10, 100, 10),
+            (900 + 40) * n3
+        );
+        assert_eq!(
+            wrap_kernel_flops(Pattern::SubDiagonal, 10, 100, 10),
+            20 * n3
+        );
+        assert_eq!(wrap_kernel_flops(Pattern::Diagonal, 10, 100, 10), 0);
     }
 }

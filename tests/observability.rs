@@ -77,9 +77,9 @@ fn stage_walls_sum_to_driver_and_stage_flops_match_model() {
         report.flops_of("fsi"),
         report.flops_of("cls") + report.flops_of("bsofi") + report.flops_of("wrap")
     );
-    // BSOFI/WRP closed forms are leading-order approximations; the
-    // measured counts must stay within bookkeeping tolerance, with a firm
-    // lower bound so unaccounted kernels are caught.
+    // BSOFI's closed form is a leading-order approximation; the measured
+    // count must stay within bookkeeping tolerance, with a firm lower
+    // bound so unaccounted kernels are caught.
     let b = l / c;
     let bsofi_ratio =
         report.flops_of("bsofi") as f64 / fsi::selinv::bsofi::bsofi_flops(n, b) as f64;
@@ -87,8 +87,12 @@ fn stage_walls_sum_to_driver_and_stage_flops_match_model() {
         (0.3..=2.0).contains(&bsofi_ratio),
         "bsofi ratio {bsofi_ratio}"
     );
-    let wrap_ratio = report.flops_of("wrap") as f64 / fsi::selinv::wrap::wrap_flops(n, l, c) as f64;
-    assert!((0.5..=1.5).contains(&wrap_ratio), "wrap ratio {wrap_ratio}");
+    // WRP is one product per produced block and one GETRF + GETRI per
+    // inverted B_k, each charged exactly once: equal to the flop.
+    assert_eq!(
+        report.flops_of("wrap"),
+        fsi::selinv::wrap::wrap_kernel_flops(Pattern::Columns, n, l, c)
+    );
 }
 
 #[test]
