@@ -67,7 +67,12 @@ if [[ $quick -eq 0 ]]; then
 
   # The checked profile keeps release optimization but turns debug
   # assertions and overflow checks back on — numeric guardrail bugs that
-  # only trip under assertions surface here.
+  # only trip under assertions surface here. It is also the lane in which
+  # the block pool's stale-data guard is armed at optimized codegen: every
+  # pooled buffer is NaN-filled when it changes hands, so
+  # tests/steady_state_memory.rs and fsi-selinv's prop_pool (with its
+  # fault-inject drill) catch an output block that is not fully
+  # overwritten.
   echo "== cargo test --profile checked (fault-inject) =="
   cargo test --offline --workspace -q --profile checked --features fault-inject
 

@@ -230,7 +230,8 @@ impl LuFactor {
         let _kernel = fsi_runtime::trace::kernel_span("getri");
         let n = self.n();
         flops::add_flops(flops::counts::getri(n));
-        let mut x = Matrix::zeros(n, n);
+        // Every element is written below: no zero fill needed.
+        let mut x = Matrix::pooled(n, n);
         tri::copy_upper(self.lu.as_ref(), x.as_mut_slice());
         tri::invert_upper_uncounted(x.as_mut());
         tri::solve_unit_lower_right_uncounted(self.lu.as_ref(), x.as_mut());

@@ -1,8 +1,9 @@
 //! Column-major dense matrix storage and borrowed views.
 //!
-//! [`Matrix`] owns its data; [`MatRef`]/[`MatMut`] are lightweight views with
-//! an explicit leading dimension (`ld`), exactly like the `(pointer, lda)`
-//! convention of BLAS/LAPACK. Views allow the blocked factorization kernels
+//! [`Matrix`] owns its data (on a pooled, cache-line-aligned buffer once
+//! it is 1 KiB or larger — see its docs); [`MatRef`]/[`MatMut`] are
+//! lightweight views with an explicit leading dimension (`ld`), exactly
+//! like the `(pointer, lda)` convention of BLAS/LAPACK. Views allow the blocked factorization kernels
 //! to operate in place on submatrices, and `MatMut::split_*` provides the
 //! disjoint mutable partitions the parallel kernels hand to pool workers.
 //!
@@ -25,21 +26,76 @@
 use std::fmt;
 use std::marker::PhantomData;
 
+use fsi_runtime::workspace::{self, LINE_F64};
+
+/// Element count (1 KiB) from which a matrix lives on a pooled,
+/// cache-line-aligned buffer. Smaller matrices are allocated exactly — one
+/// allocation of `rows·cols` doubles — because a line of padding and a
+/// trip through the pool would be a large share of their cost and no
+/// vector kernel streams over them for long.
+const POOL_FLOOR: usize = 128;
+
 /// Owned, heap-allocated, column-major `f64` matrix.
-#[derive(Clone, PartialEq)]
+///
+/// # Storage
+///
+/// From 128 elements (1 KiB) up, a matrix borrows its buffer from the
+/// process-wide block pool ([`fsi_runtime::workspace::take`]) and hands it
+/// back when dropped, so the blocks of one selected inversion — and the
+/// temporaries of one DQMC sweep — become those of the next without a
+/// trip through the allocator or a page fault. Every constructor but
+/// [`Matrix::from_col_major`], which adopts the caller's vector as is,
+/// builds on such a buffer; [`Matrix::pooled`] alone leaves its contents
+/// unspecified.
+///
+/// The first element of a pooled matrix sits on a cache line: the buffer
+/// is one line longer than the matrix, which lives at an offset into it.
+/// The vector kernels read operands in place with full-width unaligned
+/// loads, which split a line on every access unless the column starts on
+/// one (at `N = 64` every column then does).
 pub struct Matrix {
-    data: Vec<f64>,
+    /// Backing allocation; the elements are `buf[off..off + rows·cols]`.
+    buf: Vec<f64>,
+    off: usize,
     rows: usize,
     cols: usize,
+    /// Whether `buf` came from the block pool and returns to it on drop.
+    pooled: bool,
 }
 
 impl Matrix {
     /// Creates an `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
+        let mut m = Self::pooled(rows, cols);
+        if m.pooled {
+            m.fill_zero();
+        }
+        m
+    }
+
+    /// Creates an `rows × cols` matrix whose contents are **unspecified**
+    /// (whatever the buffer's last user left; NaN under
+    /// `debug_assertions`): for outputs the caller overwrites completely
+    /// before reading, such as the target of a `beta = 0` product or of a
+    /// block copy. Saves the zero fill of [`Matrix::zeros`], and for a
+    /// large matrix of which only a part is ever written, the page
+    /// faults of the rest.
+    pub fn pooled(rows: usize, cols: usize) -> Self {
+        let len = rows * cols;
+        let pooled = len >= POOL_FLOOR;
+        let (buf, off) = if pooled {
+            let buf = workspace::take(len + LINE_F64);
+            let off = workspace::line_offset(buf.as_ptr());
+            (buf, off)
+        } else {
+            (vec![0.0; len], 0)
+        };
         Matrix {
-            data: vec![0.0; rows * cols],
+            buf,
+            off,
             rows,
             cols,
+            pooled,
         }
     }
 
@@ -52,24 +108,32 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix whose `(i, j)` entry is `f(i, j)`.
+    /// Creates a matrix whose `(i, j)` entry is `f(i, j)`, evaluated in
+    /// storage order (down each column, columns left to right).
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut m = Self::pooled(rows, cols);
         for j in 0..cols {
-            for i in 0..rows {
-                data.push(f(i, j));
+            for (i, x) in m.as_mut().col_mut(j).iter_mut().enumerate() {
+                *x = f(i, j);
             }
         }
-        Matrix { data, rows, cols }
+        m
     }
 
-    /// Creates a matrix from a column-major data vector.
+    /// Creates a matrix from a column-major data vector, adopted as is
+    /// (no copy, so neither pooled nor realigned).
     ///
     /// # Panics
     /// Panics unless `data.len() == rows * cols`.
     pub fn from_col_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "column-major length mismatch");
-        Matrix { data, rows, cols }
+        Matrix {
+            buf: data,
+            off: 0,
+            rows,
+            cols,
+            pooled: false,
+        }
     }
 
     /// Creates a diagonal matrix from the given diagonal entries.
@@ -103,20 +167,20 @@ impl Matrix {
     /// Underlying column-major storage.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        &self.buf[self.off..self.off + self.rows * self.cols]
     }
 
     /// Mutable underlying column-major storage.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        &mut self.buf[self.off..self.off + self.rows * self.cols]
     }
 
     /// Immutable view of the whole matrix.
     #[inline]
     pub fn as_ref(&self) -> MatRef<'_> {
         MatRef {
-            ptr: self.data.as_ptr(),
+            ptr: self.as_slice().as_ptr(),
             rows: self.rows,
             cols: self.cols,
             ld: self.rows,
@@ -128,7 +192,7 @@ impl Matrix {
     #[inline]
     pub fn as_mut(&mut self) -> MatMut<'_> {
         MatMut {
-            ptr: self.data.as_mut_ptr(),
+            ptr: self.as_mut_slice().as_mut_ptr(),
             rows: self.rows,
             cols: self.cols,
             ld: self.rows,
@@ -168,7 +232,7 @@ impl Matrix {
 
     /// In-place scale: `self *= alpha`.
     pub fn scale(&mut self, alpha: f64) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x *= alpha;
         }
     }
@@ -179,7 +243,7 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += b;
         }
     }
@@ -190,7 +254,7 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn sub_assign(&mut self, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a -= b;
         }
     }
@@ -205,7 +269,7 @@ impl Matrix {
 
     /// Fills the matrix with zeros without reallocating.
     pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
+        self.as_mut_slice().fill(0.0);
     }
 
     /// Overwrites with the identity (square matrices only).
@@ -214,7 +278,7 @@ impl Matrix {
     /// Panics if not square.
     pub fn set_identity(&mut self) {
         assert!(self.is_square(), "identity requires a square matrix");
-        self.data.fill(0.0);
+        self.fill_zero();
         for i in 0..self.rows {
             self[(i, i)] = 1.0;
         }
@@ -222,7 +286,27 @@ impl Matrix {
 
     /// Maximum absolute entry (`max |a_ij|`), 0 for empty matrices.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
+        self.as_slice().iter().fold(0.0, |m, &x| m.max(x.abs()))
+    }
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        self.as_ref().to_owned()
+    }
+}
+
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Matrix) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.as_slice() == other.as_slice()
+    }
+}
+
+impl Drop for Matrix {
+    fn drop(&mut self) {
+        if self.pooled {
+            workspace::give(std::mem::take(&mut self.buf));
+        }
     }
 }
 
@@ -231,7 +315,7 @@ impl std::ops::Index<(usize, usize)> for Matrix {
     #[inline]
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &self.data[i + j * self.rows]
+        &self.as_slice()[i + j * self.rows]
     }
 }
 
@@ -239,7 +323,8 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     #[inline]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i + j * self.rows]
+        let at = i + j * self.rows;
+        &mut self.as_mut_slice()[at]
     }
 }
 
@@ -373,10 +458,8 @@ impl<'a> MatRef<'a> {
 
     /// Copies the view into a new owned matrix.
     pub fn to_owned(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
-        for j in 0..self.cols {
-            m.data[j * self.rows..(j + 1) * self.rows].copy_from_slice(self.col(j));
-        }
+        let mut m = Matrix::pooled(self.rows, self.cols);
+        m.as_mut().copy_from(*self);
         m
     }
 
@@ -668,6 +751,38 @@ mod tests {
         assert_eq!(id[(2, 2)], 1.0);
         assert_eq!(id[(2, 1)], 0.0);
         assert!(id.is_square());
+    }
+
+    #[test]
+    fn storage_is_pooled_and_aligned_above_the_floor() {
+        let line = fsi_runtime::workspace::CACHE_LINE;
+        let at = |m: &Matrix| m.as_slice().as_ptr() as usize;
+        for n in [12, 16, 64, 144] {
+            let z = Matrix::zeros(n, n);
+            let f = Matrix::from_fn(n, n + 1, |i, j| (i + j) as f64);
+            let copies = [
+                f.clone(),
+                f.view(0, 1, n, n).to_owned(),
+                Matrix::pooled(n, n),
+            ];
+            assert!(z.as_slice().iter().all(|&x| x == 0.0), "n={n}");
+            assert_eq!((at(&z) % line, at(&f) % line), (0, 0), "n={n}");
+            assert!(copies.iter().all(|m| at(m) % line == 0), "n={n}");
+            assert_eq!(copies[0], f);
+            assert_eq!(f.as_slice().len(), n * (n + 1));
+        }
+        // Below the floor the buffer is exactly the matrix.
+        let small = Matrix::zeros(8, 8);
+        assert_eq!((small.buf.len(), small.off, small.pooled), (64, 0, false));
+
+        // A dirty buffer comes back zeroed from `zeros` (buffer reuse
+        // itself is pinned down by tests/steady_state_memory.rs, which has
+        // its process to itself).
+        for _ in 0..4 {
+            let mut m = Matrix::zeros(37, 41);
+            assert!(m.as_slice().iter().all(|&x| x == 0.0));
+            m.as_mut().fill(2.5);
+        }
     }
 
     #[test]

@@ -73,12 +73,8 @@ pub fn geqrf(a: Matrix) -> QrFactor {
 fn house_generate(a: &mut Matrix, j: usize) -> f64 {
     let m = a.rows();
     let alpha = a[(j, j)];
-    // Norm of the subdiagonal part.
-    let mut xnorm = 0.0;
-    if j + 1 < m {
-        let col: Vec<f64> = (j + 1..m).map(|i| a[(i, j)]).collect();
-        xnorm = nrm2(&col);
-    }
+    // Norm of the subdiagonal part, taken in place.
+    let xnorm = nrm2(&a.as_ref().col(j)[j + 1..]);
     if xnorm == 0.0 {
         return 0.0; // H = I
     }
@@ -92,24 +88,27 @@ fn house_generate(a: &mut Matrix, j: usize) -> f64 {
     tau
 }
 
-/// Applies `H_j = I − τ·v·vᵀ` to the columns `A[j.., j+1..end)`.
+/// Applies `H_j = I − τ·v·vᵀ` to the columns `A[j.., j+1..end)` of the
+/// current panel (`end − j − 1 < IB` of them).
 fn house_apply_trailing(a: &mut Matrix, j: usize, tau: f64, end: usize) {
     let m = a.rows();
     let width = end - j - 1;
-    // v = [1; A[j+1.., j]]
-    let mut v = Vec::with_capacity(m - j);
-    v.push(1.0);
-    for i in j + 1..m {
-        v.push(a[(i, j)]);
-    }
-    // w = A[j.., j+1..end)ᵀ v ; A[j.., j+1..end) −= τ v wᵀ
-    // Uncounted: the enclosing GEQRF already charged its analytic total.
-    let mut w = vec![0.0; width];
+    // v = [1; A[j+1.., j]]: the implicit unit entry sits on the diagonal
+    // for the duration of the update (as in LAPACK's DGEQR2), so v is read
+    // where it is stored.
+    let beta = std::mem::replace(&mut a[(j, j)], 1.0);
     {
-        let trail = a.view(j, j + 1, m - j, width);
-        gemv_t_uncounted(1.0, trail, &v, 0.0, &mut w);
+        let (left, right) = a.as_mut().split_at_col(j + 1);
+        let v = &left.as_ref().col(j)[j..];
+        let trail = right.submatrix(j, 0, m - j, width);
+        // w = A[j.., j+1..end)ᵀ v ; A[j.., j+1..end) −= τ v wᵀ
+        // Uncounted: the enclosing GEQRF already charged its analytic total.
+        let mut w = [0.0; IB];
+        let w = &mut w[..width];
+        gemv_t_uncounted(1.0, trail.as_ref(), v, 0.0, w);
+        ger_uncounted(-tau, v, w, trail);
     }
-    ger_uncounted(-tau, &v, &w, a.view_mut(j, j + 1, m - j, width));
+    a[(j, j)] = beta;
 }
 
 /// Which side of `C` the orthogonal factor is applied to.
@@ -207,11 +206,9 @@ impl QrFactor {
         //   right & !trans (CQ) : forward
         //   right & trans  (CQᵀ): backward
         let forward = trans == (side == Side::Left);
-        let mut starts: Vec<usize> = (0..k).step_by(IB).collect();
-        if !forward {
-            starts.reverse();
-        }
-        for i0 in starts {
+        let blocks = k.div_ceil(IB);
+        for step in 0..blocks {
+            let i0 = IB * if forward { step } else { blocks - 1 - step };
             let kb = IB.min(k - i0);
             let (v, t) = self.block_vt(i0, kb);
             let rows_below = m - i0;
@@ -252,6 +249,7 @@ impl QrFactor {
 /// `(m−i0) × kb`) of the packed factor and its triangular factor `T`
 /// (LARFT, forward columnwise): `H_{i0}⋯H_{i0+kb−1} = I − V·T·Vᵀ`.
 fn build_vt(qr: &Matrix, tau: &[f64], i0: usize, kb: usize) -> (Matrix, Matrix) {
+    assert!(kb <= IB, "reflector block wider than IB");
     let m = qr.rows();
     let rows = m - i0;
     let mut v = Matrix::zeros(rows, kb);
@@ -272,12 +270,10 @@ fn build_vt(qr: &Matrix, tau: &[f64], i0: usize, kb: usize) -> (Matrix, Matrix) 
         }
         // w = V[:, 0..j]ᵀ · v_j  (only rows j.. of v_j are nonzero).
         // Uncounted: LARFT overhead is inside GEQRF/ORMQR's analytic total.
-        let mut w = vec![0.0; j];
-        let vj = v.col_from(j);
-        {
-            let vblock = v.view(j, 0, rows - j, j);
-            gemv_t_uncounted(-tj, vblock, &vj[j..], 0.0, &mut w);
-        }
+        let mut w = [0.0; IB];
+        let w = &mut w[..j];
+        let vj = &v.as_ref().col(j)[j..];
+        gemv_t_uncounted(-tj, v.view(j, 0, rows - j, j), vj, 0.0, w);
         // w := T[0..j, 0..j] · w  (upper-triangular matvec).
         for i in 0..j {
             let mut s = 0.0;
@@ -428,13 +424,6 @@ fn trmm_upper_right(t: &Matrix, trans: bool, mut w: MatMut<'_>) {
                 }
             }
         }
-    }
-}
-
-impl Matrix {
-    /// Copies column `j` into a vector (helper for reflector assembly).
-    fn col_from(&self, j: usize) -> Vec<f64> {
-        self.as_ref().col(j).to_vec()
     }
 }
 
@@ -612,6 +601,109 @@ mod tests {
         );
         g.add_diag(-1.0);
         assert_small(&g, 1e-12, "thin Q orthonormality");
+    }
+
+    /// The factorization as it was before the unblocked kernels stopped
+    /// allocating: a fresh `Vec` for every column norm, reflector, `w` and
+    /// `v_j`. Same arithmetic in the same order, so [`geqrf`] and
+    /// [`build_vt`] must reproduce it bit for bit.
+    mod reference {
+        use super::super::*;
+
+        fn house_generate(a: &mut Matrix, j: usize) -> f64 {
+            let m = a.rows();
+            let alpha = a[(j, j)];
+            let col: Vec<f64> = (j + 1..m).map(|i| a[(i, j)]).collect();
+            let xnorm = nrm2(&col);
+            if xnorm == 0.0 {
+                return 0.0;
+            }
+            let beta = -alpha.signum() * (alpha * alpha + xnorm * xnorm).sqrt();
+            let tau = (beta - alpha) / beta;
+            let scale = 1.0 / (alpha - beta);
+            for i in j + 1..m {
+                a[(i, j)] *= scale;
+            }
+            a[(j, j)] = beta;
+            tau
+        }
+
+        fn house_apply_trailing(a: &mut Matrix, j: usize, tau: f64, end: usize) {
+            let m = a.rows();
+            let width = end - j - 1;
+            let mut v = vec![1.0];
+            v.extend((j + 1..m).map(|i| a[(i, j)]));
+            let mut w = vec![0.0; width];
+            gemv_t_uncounted(1.0, a.view(j, j + 1, m - j, width), &v, 0.0, &mut w);
+            ger_uncounted(-tau, &v, &w, a.view_mut(j, j + 1, m - j, width));
+        }
+
+        pub fn build_vt(qr: &Matrix, tau: &[f64], i0: usize, kb: usize) -> (Matrix, Matrix) {
+            let m = qr.rows();
+            let rows = m - i0;
+            let mut v = Matrix::zeros(rows, kb);
+            for jj in 0..kb {
+                v[(jj, jj)] = 1.0;
+                for i in i0 + jj + 1..m {
+                    v[(i - i0, jj)] = qr[(i, i0 + jj)];
+                }
+            }
+            let mut t = Matrix::zeros(kb, kb);
+            for j in 0..kb {
+                let tj = tau[i0 + j];
+                t[(j, j)] = tj;
+                if j == 0 || tj == 0.0 {
+                    continue;
+                }
+                let mut w = vec![0.0; j];
+                let vj = v.as_ref().col(j).to_vec();
+                gemv_t_uncounted(-tj, v.view(j, 0, rows - j, j), &vj[j..], 0.0, &mut w);
+                for i in 0..j {
+                    t[(i, j)] = (i..j).fold(0.0, |s, p| s + t[(i, p)] * w[p]);
+                }
+            }
+            (v, t)
+        }
+
+        pub fn geqrf(mut qr: Matrix) -> (Matrix, Vec<f64>) {
+            let (m, n) = (qr.rows(), qr.cols());
+            let mut tau = vec![0.0; n];
+            for j0 in (0..n).step_by(IB) {
+                let kb = IB.min(n - j0);
+                for j in j0..j0 + kb {
+                    tau[j] = house_generate(&mut qr, j);
+                    if tau[j] != 0.0 && j + 1 < j0 + kb {
+                        house_apply_trailing(&mut qr, j, tau[j], j0 + kb);
+                    }
+                }
+                if j0 + kb < n {
+                    let (v, t) = build_vt(&qr, &tau, j0, kb);
+                    let trailing = qr.view_mut(j0, j0 + kb, m - j0, n - j0 - kb);
+                    larfb_left(Par::Seq, &v, &t, true, trailing);
+                }
+            }
+            (qr, tau)
+        }
+    }
+
+    #[test]
+    fn factors_are_bitwise_those_of_the_allocating_kernels() {
+        // BSOFI's 2N × N panels at the benchmark's block sizes, plus a
+        // shape whose last reflector block is partial.
+        for &(m, n) in &[(128, 64), (288, 144), (45, 37)] {
+            let a = test_matrix(m, n, (m + n) as u64);
+            let (want_qr, want_tau) = reference::geqrf(a.clone());
+            let f = geqrf(a);
+            assert_eq!(f.packed().as_slice(), want_qr.as_slice(), "{m}x{n} R and V");
+            assert_eq!(f.taus(), &want_tau[..], "{m}x{n} tau");
+            for i0 in (0..n).step_by(IB) {
+                let kb = IB.min(n - i0);
+                let (v, t) = f.block_vt(i0, kb);
+                let (want_v, want_t) = reference::build_vt(&want_qr, &want_tau, i0, kb);
+                assert_eq!(v.as_slice(), want_v.as_slice(), "{m}x{n} V at {i0}");
+                assert_eq!(t.as_slice(), want_t.as_slice(), "{m}x{n} T at {i0}");
+            }
+        }
     }
 
     #[test]

@@ -249,18 +249,9 @@ impl StructuredQr {
                 par_pipe,
                 b - 2,
                 move |i| {
-                    let mut panel = Matrix::zeros(2 * n, n);
-                    panel.set_block(0, 0, d_cur.as_ref());
-                    {
-                        let mut bottom = panel.view_mut(n, 0, n, n);
-                        bottom.copy_from(pc.block(i + 1).as_ref());
-                        bottom.scale(-1.0);
-                    }
-                    let f = geqrf(panel);
+                    let f = geqrf(panel(d_cur, pc.block(i + 1)));
                     // Column i+1 currently holds [0; I] in rows (i, i+1).
-                    let mut col = Matrix::zeros(2 * n, n);
-                    col.view_mut(n, 0, n, n)
-                        .copy_from(Matrix::identity(n).as_ref());
+                    let mut col = stacked(n, None, true);
                     f.apply_qt_left(par_gemm, col.as_mut());
                     e.push(col.block(0, 0, n, n));
                     *d_cur = col.block(n, 0, n, n);
@@ -268,8 +259,7 @@ impl StructuredQr {
                 },
                 move |_i, f: &QrFactor| {
                     // Last column currently holds [corner; 0].
-                    let mut last = Matrix::zeros(2 * n, n);
-                    last.set_block(0, 0, corner.as_ref());
+                    let mut last = stacked(n, Some(corner), false);
                     f.apply_qt_left(par_gemm, last.as_mut());
                     c.push(last.block(0, 0, n, n));
                     *corner = last.block(n, 0, n, n);
@@ -280,18 +270,8 @@ impl StructuredQr {
         // the superdiagonal and corner fills merge, so the two pipeline
         // chains converge and this panel runs after the pipeline drains.
         {
-            let mut panel = Matrix::zeros(2 * n, n);
-            panel.set_block(0, 0, d_cur.as_ref());
-            {
-                let mut bottom = panel.view_mut(n, 0, n, n);
-                bottom.copy_from(pc.block(b - 1).as_ref());
-                bottom.scale(-1.0);
-            }
-            let f = geqrf(panel);
-            let mut last = Matrix::zeros(2 * n, n);
-            last.set_block(0, 0, corner.as_ref());
-            last.view_mut(n, 0, n, n)
-                .copy_from(Matrix::identity(n).as_ref());
+            let f = geqrf(panel(&d_cur, pc.block(b - 1)));
+            let mut last = stacked(n, Some(&corner), true);
             f.apply_qt_left(par_gemm, last.as_mut());
             e.push(last.block(0, 0, n, n));
             d_cur = last.block(n, 0, n, n);
@@ -302,7 +282,7 @@ impl StructuredQr {
         let r_diags = qrs
             .iter()
             .map(|f| {
-                let mut r = Matrix::zeros(n, n);
+                let mut r = Matrix::pooled(n, n);
                 f.write_r(r.as_mut());
                 r
             })
@@ -416,9 +396,10 @@ impl StructuredQr {
         let (n, b) = (self.n, self.b);
         let dim = b * n;
         let rinv = self.rinv_diagonals();
-        let mut g = Matrix::zeros(dim, dim);
+        let mut g = Matrix::pooled(dim, dim);
         // Stage B: build X = R⁻¹ column by column (independent columns →
-        // parallel_map), then write the blocks into the dense output.
+        // parallel_map), then write the blocks into the dense output:
+        // the computed blocks on and above the diagonal, zeros below.
         let columns: Vec<Vec<(usize, Matrix)>> =
             fsi_runtime::parallel_map(par_cols, b, Schedule::Dynamic(1), |j| {
                 self.rinv_column(par_gemm, &rinv, j)
@@ -427,6 +408,8 @@ impl StructuredQr {
             for (i, blk) in col {
                 g.set_block(i * n, j * n, blk.as_ref());
             }
+            let below = (j + 1) * n;
+            g.view_mut(below, j * n, dim - below, n).fill(0.0);
         }
         // Stage C: Ḡ = X·Qᵀ.
         self.apply_qt_right_cols(par_cols, par_gemm, &mut g);
@@ -451,7 +434,7 @@ impl StructuredQr {
         // recurrence passes column j multiplies by the same W_j.
         let mut w: Vec<Option<Matrix>> = (0..b).map(|_| None).collect();
         for (j, slot) in w.iter_mut().enumerate().take(b - 1).skip(kmin + 1) {
-            let mut wj = Matrix::zeros(n, n);
+            let mut wj = Matrix::pooled(n, n);
             gemm(
                 par_gemm,
                 -1.0,
@@ -467,11 +450,17 @@ impl StructuredQr {
         let x_last = self.rinv_last_column_from(par_gemm, &rinv, kmin);
         // Stage B: the requested rows of X = R⁻¹, written straight into a
         // stacked buffer (band p ↔ block row rows[p]) — no per-row
-        // temporaries or restacking copies.
-        let mut buf = Matrix::zeros(rows.len() * n, b * n);
+        // temporaries or restacking copies. The buffer is pooled: left of
+        // its diagonal block a band holds whatever the last user left.
+        let mut buf = Matrix::pooled(rows.len() * n, b * n);
         self.fill_x_rows(par_gemm, &rows, &rinv, &w, &x_last, kmin, &mut buf);
         if matches!(pattern, SelectedPattern::Full) {
-            // Dense request: stage C degenerates to the full right-apply.
+            // Dense request: stage C degenerates to the full right-apply,
+            // which reads every band whole — X is zero left of its
+            // diagonal.
+            for (p, &k) in rows.iter().enumerate() {
+                buf.view_mut(p * n, 0, n, k * n).fill(0.0);
+            }
             self.apply_qt_right_cols(par_rows, par_gemm, &mut buf);
             let mut out = SelectedInverse::new();
             for (p, &k) in rows.iter().enumerate() {
@@ -552,6 +541,8 @@ impl StructuredQr {
     ///
     /// The GEMM shapes are tall and clean (`gA·N × N × N`), which is why
     /// this path beats the dense inverse by more than its flop ratio.
+    /// It reads `buf` only on and right of each band's diagonal block, so
+    /// the pooled buffer's stale left part is never touched.
     fn diagonal_chain(&self, par_gemm: Par<'_>, rows: &[usize], buf: &Matrix) -> SelectedInverse {
         let (n, b) = (self.n, self.b);
         let r_cnt = rows.len();
@@ -560,7 +551,7 @@ impl StructuredQr {
         // live := X(:, b−1)·Q̃_{b−1}ᵀ (the final panel is N-wide).
         let mut z_last = Matrix::identity(n);
         self.qrs[b - 1].apply_qt_left(par_gemm, z_last.as_mut());
-        let mut live = Matrix::zeros(r_cnt * n, n);
+        let mut live = Matrix::pooled(r_cnt * n, n);
         gemm(
             par_gemm,
             1.0,
@@ -569,8 +560,8 @@ impl StructuredQr {
             0.0,
             live.as_mut(),
         );
-        let mut scratch = Matrix::zeros(r_cnt * n, n);
-        let mut z = Matrix::zeros(2 * n, 2 * n);
+        let mut scratch = Matrix::pooled(r_cnt * n, n);
+        let mut z = Matrix::pooled(2 * n, 2 * n);
         for i in (kmin.saturating_sub(1)..b - 1).rev() {
             // The gA requested rows `k ≤ i` precede row i+1 in the stack.
             let ga = rows.partition_point(|&k| k <= i);
@@ -587,7 +578,7 @@ impl StructuredQr {
             fill_shifted_identity(&mut z, lo, hi - lo);
             self.qrs[i].apply_qt_left(par_gemm, z.view_mut(0, 0, 2 * n, hi - lo));
             if has_b {
-                let mut g = Matrix::zeros(n, n);
+                let mut g = Matrix::pooled(n, n);
                 gemm(
                     par_gemm,
                     1.0,
@@ -687,9 +678,9 @@ impl StructuredQr {
         let last_col = j == b - 1;
         // Walk upward: X_ij = −R_ii⁻¹·(E_i·X_{i+1,j} [+ C_i·X_{b−1,j}]).
         let x_last = if last_col { Some(&rinv[b - 1]) } else { None };
-        let mut x_below: Matrix = rinv[j].clone();
+        let mut t = Matrix::pooled(n, n);
         for i in (0..j).rev() {
-            let mut t = Matrix::zeros(n, n);
+            let x_below = &out.last().expect("starts with the diagonal block").1;
             gemm(
                 par_gemm,
                 -1.0,
@@ -710,7 +701,7 @@ impl StructuredQr {
                     );
                 }
             }
-            let mut xij = Matrix::zeros(n, n);
+            let mut xij = Matrix::pooled(n, n);
             gemm(
                 par_gemm,
                 1.0,
@@ -720,7 +711,6 @@ impl StructuredQr {
                 xij.as_mut(),
             );
             out.push((i, xij));
-            x_below = out.last().expect("just pushed").1.clone();
         }
         out
     }
@@ -737,8 +727,8 @@ impl StructuredQr {
         let (n, b) = (self.n, self.b);
         let mut out = vec![Matrix::zeros(0, 0); b - stop];
         out[b - 1 - stop] = rinv[b - 1].clone();
+        let mut t = Matrix::pooled(n, n);
         for i in (stop..b - 1).rev() {
-            let mut t = Matrix::zeros(n, n);
             gemm(
                 par_gemm,
                 -1.0,
@@ -757,7 +747,7 @@ impl StructuredQr {
                     t.as_mut(),
                 );
             }
-            let mut xi = Matrix::zeros(n, n);
+            let mut xi = Matrix::pooled(n, n);
             gemm(
                 par_gemm,
                 1.0,
@@ -770,6 +760,32 @@ impl StructuredQr {
         }
         out
     }
+}
+
+/// The `2N × N` panel `[D; −B]` that stage A factors.
+fn panel(d: &Matrix, b: &Matrix) -> Matrix {
+    let n = d.rows();
+    let mut panel = Matrix::pooled(2 * n, n);
+    panel.set_block(0, 0, d.as_ref());
+    let mut bottom = panel.view_mut(n, 0, n, n);
+    bottom.copy_from(b.as_ref());
+    bottom.scale(-1.0);
+    panel
+}
+
+/// A `2N × N` right-hand side `[top; bottom]` of stage A: `top` or zero
+/// above, the identity or zero below.
+fn stacked(n: usize, top: Option<&Matrix>, identity_below: bool) -> Matrix {
+    let mut m = Matrix::zeros(2 * n, n);
+    if let Some(t) = top {
+        m.set_block(0, 0, t.as_ref());
+    }
+    if identity_below {
+        for i in 0..n {
+            m[(n + i, i)] = 1.0;
+        }
+    }
+    m
 }
 
 /// Fills the first `cols` columns of `z` with an identity block whose

@@ -37,7 +37,11 @@
 //! right), so a *line* of seeds advances in lockstep: one step is one
 //! [`gemm_batched`] call with the operator as the shared operand and the
 //! previous generation of blocks as the per-item operand, written straight
-//! into the freshly allocated output blocks. The sign rides in `alpha`;
+//! into the output blocks. Those sit on buffers from the process-wide
+//! block pool ([`Matrix::pooled`]) and go back to it when the caller drops
+//! the selection — or when an `Err` unwinds a half-finished walk — so a
+//! steady stream of wraps reuses one set of blocks instead of faulting
+//! fresh pages in on every call. The sign rides in `alpha`;
 //! the identity correction touches the one block of the line that crosses
 //! the diagonal (for the inverse directions it is applied after the
 //! product, as `− s·B[r]⁻¹`, so no block is copied to be corrected). A
@@ -170,7 +174,8 @@ impl Dir {
 }
 
 /// `out[i] := alpha·a[i]·b[i]` — one batched dispatch, store-mode
-/// writeback straight into the output blocks.
+/// writeback straight into the output blocks (which may hold anything:
+/// they come from the block pool).
 fn products(
     par: Par<'_>,
     alpha: f64,
@@ -215,7 +220,7 @@ fn step(
 
 /// [`step`] on a single block.
 fn step_one(dir: Dir, pc: &BlockPCyclic, op: &Matrix, g: MatRef<'_>, at: (usize, usize)) -> Matrix {
-    let mut out = Matrix::zeros(pc.n(), pc.n());
+    let mut out = Matrix::pooled(pc.n(), pc.n());
     step(dir, pc, op, &[at], &[g], std::slice::from_mut(&mut out));
     out
 }
@@ -376,7 +381,7 @@ fn walk_line(
             Dir::Up | Dir::Right => factors.inverse(r)?,
         };
         let start = blocks.len();
-        blocks.resize_with(start + width, || Matrix::zeros(n, n));
+        blocks.resize_with(start + width, || Matrix::pooled(n, n));
         let (done, fresh) = blocks.split_at_mut(start);
         let prev: Vec<MatRef<'_>> = match start {
             0 => seeds.iter().map(|(_, g)| g.as_ref()).collect(),
@@ -546,7 +551,7 @@ pub(crate) fn wrap_all_diagonals_with(
         blocks.push(blk);
     }
     coords.extend_from_slice(&rows);
-    let mut below: Vec<Matrix> = (0..b).map(|_| Matrix::zeros(n, n)).collect();
+    let mut below: Vec<Matrix> = (0..b).map(|_| Matrix::pooled(n, n)).collect();
     for _ in 1..c {
         for k in &mut rows {
             *k = pc.down(*k);
@@ -557,7 +562,7 @@ pub(crate) fn wrap_all_diagonals_with(
             .map(|&r| factors.inverse(r).map(Matrix::as_ref))
             .collect::<FsiResult<Vec<MatRef<'_>>>>()?;
         let start = blocks.len();
-        blocks.resize_with(start + b, || Matrix::zeros(n, n));
+        blocks.resize_with(start + b, || Matrix::pooled(n, n));
         let (done, fresh) = blocks.split_at_mut(start);
         let prev: Vec<MatRef<'_>> = done[start - b..].iter().map(Matrix::as_ref).collect();
         products(

@@ -411,6 +411,12 @@ impl Service {
                 checkpoint_job(&self.inner, &job);
             }
         }
+        if drain {
+            // A drained service is going away: hand the matrix memory the
+            // block pool retains back to the OS. A plain shutdown keeps it,
+            // so a service restarted in this process starts warm.
+            fsi_runtime::workspace::release_pool();
+        }
     }
 }
 
