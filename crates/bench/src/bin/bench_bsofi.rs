@@ -21,7 +21,7 @@
 
 use std::time::SystemTime;
 
-use fsi_bench::{apply_kernel_flag, Args};
+use fsi_bench::Args;
 use fsi_runtime::trace::{self, Json};
 use fsi_runtime::{Par, Stopwatch, ThreadPool};
 use fsi_selinv::{
@@ -112,7 +112,7 @@ fn print_record(r: &Record) {
 
 fn main() {
     let args = Args::parse();
-    let kernel = apply_kernel_flag(&args);
+    let kernel = fsi_dense::active_tier();
     println!("kernel tier: {}", kernel.name());
     let label = args.flag_value("label").unwrap_or("current").to_string();
     let out = args

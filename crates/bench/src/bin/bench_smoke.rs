@@ -8,18 +8,18 @@
 //! machine-readable artifact; `ci/bench_smoke.sh` runs it as a non-gating
 //! CI step.
 //!
-//! Usage: `bench_smoke [--label=NAME] [--out=PATH] [--kernel=TIER]
-//! [sizes=64,128,256] [N=36] [L=32] [c=8]`
+//! Usage: `bench_smoke [--label=NAME] [--out=PATH] [sizes=64,128,256]
+//! [N=36] [L=32] [c=8]`
 //!
 //! Alongside the blocked-GEMM `records`, a `batched` section times the
 //! [`fsi_dense::gemm_batched`] engine against a loop of plain `gemm_op`
 //! calls at the CLS hot shapes (small uniform `n × n × n` batches) and
-//! records the speedup; `--kernel=avx512|avx2|scalar` pins the
+//! records the speedup; `FSI_KERNEL=avx512|avx2|scalar` pins the
 //! micro-kernel tier so runs on different hosts stay comparable.
 
 use std::time::SystemTime;
 
-use fsi_bench::{apply_kernel_flag, hubbard_matrix, lattice_side_for, Args};
+use fsi_bench::{hubbard_matrix, lattice_side_for, Args};
 use fsi_dense::{gemm_batched, gemm_op, test_matrix, BatchOperand, Matrix, Op};
 use fsi_pcyclic::Spin;
 use fsi_runtime::flops::counts;
@@ -221,7 +221,7 @@ fn bench_gemm(name: &str, n: usize, opa: Op, opb: Op) -> Record {
 
 fn main() {
     let args = Args::parse();
-    let kernel = apply_kernel_flag(&args);
+    let kernel = fsi_dense::active_tier();
     println!("kernel tier: {}", kernel.name());
     let label = args.flag_value("label").unwrap_or("current").to_string();
     let out = args

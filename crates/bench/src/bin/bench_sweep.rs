@@ -19,7 +19,7 @@
 
 use std::time::SystemTime;
 
-use fsi_bench::{apply_kernel_flag, lattice_side_for, Args};
+use fsi_bench::{lattice_side_for, Args};
 use fsi_dqmc::{wrap_dense, wrap_factored, SweepConfig, Sweeper};
 use fsi_pcyclic::{BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
 use fsi_runtime::trace::{self, Json};
@@ -86,7 +86,7 @@ fn print_record(r: &Record) {
 
 fn main() {
     let args = Args::parse();
-    let kernel = apply_kernel_flag(&args);
+    let kernel = fsi_dense::active_tier();
     println!("kernel tier: {}", kernel.name());
     let label = args.flag_value("label").unwrap_or("current").to_string();
     let out = args

@@ -56,7 +56,6 @@ fn main() {
             c,
             pattern: Pattern::Columns,
             seed: 2400,
-            scheduling: fsi_selinv::Scheduling::WorkStealing,
         };
         // The span context propagates into the rank threads, so the
         // span's flop total covers all ranks of this split.

@@ -114,29 +114,6 @@ impl Args {
     }
 }
 
-/// Applies the `--kernel=avx512|avx2|scalar` override shared by the
-/// harness binaries: forces the dense micro-kernel tier for the whole
-/// process via [`fsi_dense::set_default_tier`] and returns the tier now
-/// active. Exits with an error when the name is unknown or the host lacks
-/// the requested ISA — a benchmark silently measuring a different kernel
-/// than the one named on the command line would poison recorded baselines.
-///
-/// Without the flag the runtime dispatch order stands (the `FSI_KERNEL`
-/// environment variable, then the best ISA the host offers).
-pub fn apply_kernel_flag(args: &Args) -> fsi_dense::Tier {
-    if let Some(name) = args.flag_value("kernel") {
-        let tier = fsi_dense::Tier::parse(name).unwrap_or_else(|| {
-            eprintln!("error: unknown --kernel={name} (expected avx512, avx2, or scalar)");
-            std::process::exit(2);
-        });
-        if let Err(e) = fsi_dense::set_default_tier(tier) {
-            eprintln!("error: --kernel={name}: {e}");
-            std::process::exit(2);
-        }
-    }
-    fsi_dense::active_tier()
-}
-
 /// Builds a Hubbard p-cyclic matrix for an `nx × nx` lattice (the paper's
 /// benchmark family, `(t, β, U) = (1, 1, 2)`).
 pub fn hubbard_matrix(nx: usize, l: usize, seed: u64, spin: Spin) -> BlockPCyclic {

@@ -38,14 +38,12 @@
 //! at 1e-13).
 //!
 //! **Dispatch.** [`active_tier`] resolves, in priority order: a
-//! thread-local override ([`with_tier`], for equivalence tests), a
-//! process-wide override ([`set_default_tier`], behind bench `--kernel=`
-//! flags), the `FSI_KERNEL=avx512|avx2|scalar` environment variable, and
-//! finally feature detection (widest supported tier). A requested tier
-//! the CPU lacks silently degrades to the next narrower one, so
-//! `FSI_KERNEL=avx512` on an AVX2-only host runs the AVX2 kernel.
+//! thread-local override ([`with_tier`], for equivalence tests), the
+//! `FSI_KERNEL=avx512|avx2|scalar` environment variable (the process-wide
+//! pin), and finally feature detection (widest supported tier). A
+//! requested tier the CPU lacks silently degrades to the next narrower
+//! one, so `FSI_KERNEL=avx512` on an AVX2-only host runs the AVX2 kernel.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// The packed micro-kernel signature: `(kc, alpha, Ã-panel, B̃-panel,
@@ -117,8 +115,7 @@ impl Tier {
         }
     }
 
-    /// Parses a tier name as accepted by `FSI_KERNEL` and the bench
-    /// `--kernel=` flag.
+    /// Parses a tier name as accepted by `FSI_KERNEL`.
     pub fn parse(s: &str) -> Option<Tier> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" | "portable" => Some(Tier::Scalar),
@@ -206,31 +203,9 @@ fn process_default() -> Tier {
     })
 }
 
-/// Process-wide override set by [`set_default_tier`] (0 = unset).
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
 thread_local! {
     /// Thread-local override set by [`with_tier`] (0 = unset).
     static TL_TIER: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
-}
-
-/// Forces the process-wide kernel tier (the bench binaries' `--kernel=`
-/// flag). Takes priority over `FSI_KERNEL` and detection; [`with_tier`]
-/// still wins on its thread.
-///
-/// # Errors
-/// Returns the tier name when the running CPU cannot execute it — the
-/// caller asked for an explicit tier, so unlike the env path this does
-/// not degrade silently.
-pub fn set_default_tier(tier: Tier) -> Result<(), String> {
-    if !tier.is_available() {
-        return Err(format!(
-            "kernel tier {} not supported by this CPU",
-            tier.name()
-        ));
-    }
-    FORCED.store(tier.code(), Ordering::Relaxed);
-    Ok(())
 }
 
 /// Runs `f` with the calling thread's kernel tier forced to `tier`
@@ -260,12 +235,9 @@ pub fn with_tier<R>(tier: Tier, f: impl FnOnce() -> R) -> R {
 }
 
 /// The tier the calling thread's next GEMM will run: thread-local
-/// override, then process-wide override, then `FSI_KERNEL`/detection.
+/// override, then `FSI_KERNEL`/detection.
 pub fn active_tier() -> Tier {
     if let Some(t) = Tier::from_code(TL_TIER.with(|c| c.get())) {
-        return t;
-    }
-    if let Some(t) = Tier::from_code(FORCED.load(Ordering::Relaxed)) {
         return t;
     }
     process_default()

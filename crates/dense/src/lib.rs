@@ -53,7 +53,7 @@ pub use cond::{cond1_estimate, norm1_inv_estimate, norm1_inv_estimate_detailed, 
 pub use error::{DenseError, Result};
 pub use expm::{expm, expm_diag, expm_par, scale_cols_exp, scale_rows_exp};
 pub use gemm::{chain_mul, gemm, gemm_op, mul, mul_par, test_matrix, Op};
-pub use kernel::{active_tier, available_tiers, set_default_tier, with_tier, Tier};
+pub use kernel::{active_tier, available_tiers, with_tier, Tier};
 pub use lu::{getrf, getrf_par, inverse, inverse_par, solve, LuFactor};
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use norms::{cond1, frobenius, norm1, norm_inf, rel_error};

@@ -13,80 +13,11 @@
 //! pool), so concurrent regions measure independently. Harnesses bracket a
 //! region with `trace::span(..)` and read flops from
 //! [`crate::trace::SpanGuard::finish`] or the run report.
-//!
-//! The process-global counter behind [`flop_count`] / [`reset_flops`] /
-//! [`FlopCounter`] still accumulates for backward compatibility, but those
-//! entry points are deprecated: the global is shared by all threads, so
-//! two concurrently measured regions each observe the other's kernels
-//! (and `reset_flops` clobbers every enclosing measurement). Span-scoped
-//! counters have neither race.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static GLOBAL_FLOPS: AtomicU64 = AtomicU64::new(0);
-
-/// Adds `n` flops to the current trace span (and to the deprecated global
-/// counter, so existing [`FlopCounter`] callers keep working).
+/// Adds `n` flops to the innermost open trace span of this thread.
 #[inline]
 pub fn add_flops(n: u64) {
-    GLOBAL_FLOPS.fetch_add(n, Ordering::Relaxed);
     crate::trace::charge_flops(n);
-}
-
-/// Current value of the global flop counter.
-#[deprecated(
-    since = "0.1.0",
-    note = "process-global counter races between concurrently measured \
-            regions; bracket the region with `trace::span` and read \
-            `SpanStats::flops` instead"
-)]
-pub fn flop_count() -> u64 {
-    GLOBAL_FLOPS.load(Ordering::Relaxed)
-}
-
-/// Resets the global flop counter to zero.
-#[deprecated(
-    since = "0.1.0",
-    note = "resetting the process-global counter clobbers every other \
-            in-flight measurement; use `trace::span` regions instead"
-)]
-pub fn reset_flops() {
-    GLOBAL_FLOPS.store(0, Ordering::Relaxed);
-}
-
-/// Snapshot-based region counter on the process-global count.
-#[deprecated(
-    since = "0.1.0",
-    note = "global snapshots include flops from unrelated threads; bracket \
-            the region with `trace::span` and use `SpanStats` instead"
-)]
-pub struct FlopCounter {
-    start: u64,
-}
-
-#[allow(deprecated)]
-impl FlopCounter {
-    /// Starts counting from the current global value.
-    pub fn start() -> Self {
-        FlopCounter {
-            start: GLOBAL_FLOPS.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Flops accumulated since [`FlopCounter::start`].
-    pub fn elapsed(&self) -> u64 {
-        GLOBAL_FLOPS
-            .load(Ordering::Relaxed)
-            .wrapping_sub(self.start)
-    }
-
-    /// Convenience: elapsed flops divided by `seconds`, in Gflop/s.
-    pub fn gflops(&self, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
-            return 0.0;
-        }
-        self.elapsed() as f64 / seconds / 1e9
-    }
 }
 
 /// Textbook flop counts for the dense kernels, kept in one place so kernels
@@ -138,44 +69,8 @@ pub mod counts {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deprecated_global_shims_still_accumulate() {
-        // The shims stay functional for external callers; span scoping is
-        // exercised in trace::span tests. (Other tests in this binary may
-        // add flops concurrently, so only deltas are asserted.)
-        let before = flop_count();
-        add_flops(10);
-        add_flops(32);
-        assert!(flop_count() >= before + 42);
-    }
-
-    #[test]
-    fn region_counter_measures_delta() {
-        let region = FlopCounter::start();
-        add_flops(250);
-        assert!(region.elapsed() >= 250);
-        assert!(region.gflops(1.0) > 0.0);
-        assert_eq!(region.gflops(0.0), 0.0);
-    }
-
-    #[test]
-    fn counting_is_thread_safe() {
-        let region = FlopCounter::start();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        add_flops(1);
-                    }
-                });
-            }
-        });
-        assert!(region.elapsed() >= 8000);
-    }
 
     #[test]
     fn textbook_counts_match_known_values() {

@@ -13,18 +13,16 @@
 //!   [`parallel_map`]) with static or dynamic scheduling. This is the
 //!   OpenMP analog: pools of an exact size are created for the thread-count
 //!   sweeps of Fig. 8 (bottom) and Fig. 11.
-//! * [`comm`] — in-process "ranks" with point-to-point messaging and the
-//!   collectives the paper uses (`Scatter`, `Gather`, `Broadcast`, `Reduce`,
-//!   `Allreduce`, `Barrier`). This is the MPI analog used by the multi-matrix
-//!   driver (Alg. 3) and the Fig. 9 hybrid sweep.
 //! * [`steal`] — per-worker task deques with Cilk-style steal-half load
-//!   balancing. The multi-matrix service tier schedules whole selected
-//!   inversions through [`StealQueues`] instead of Alg. 3's static
-//!   scatter, so mixed-shape tenant jobs cannot strand a rank idle.
+//!   balancing. This is the MPI analog: the multi-matrix driver (Alg. 3,
+//!   the Fig. 9 hybrid sweep) seeds one deque per rank with the paper's
+//!   block distribution, and the service tier schedules tenant jobs through
+//!   the same [`StealQueues`], so mixed-shape jobs cannot strand a rank
+//!   idle.
 //! * [`flops`] — analytic floating-point-operation accounting. The paper
-//!   reports Gflop/s rates for each FSI stage; our dense kernels add their
-//!   textbook flop counts to a global counter so harnesses can report the
-//!   same rates without hardware performance counters.
+//!   reports Gflop/s rates for each FSI stage; our dense kernels charge
+//!   their textbook flop counts to the open trace span so harnesses can
+//!   report the same rates without hardware performance counters.
 //! * [`timing`] — stopwatches and named-section profiles used by the
 //!   figure-regeneration harnesses.
 //! * [`workspace`] — thread-local reusable scratch buffers: the packed
@@ -47,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod ckpt;
-pub mod comm;
 pub mod flops;
 pub mod health;
 pub mod metrics;
@@ -59,8 +56,6 @@ pub mod timing;
 pub mod trace;
 pub mod workspace;
 
-#[allow(deprecated)] // shims kept for external callers of the old API
-pub use flops::{flop_count, reset_flops, FlopCounter};
 pub use health::{FsiError, FsiResult, HealthEvent, Stage};
 pub use metrics::{Meter, MetricsSnapshot};
 pub use parallel::{join, parallel_for, parallel_map, pipeline, Schedule};

@@ -82,6 +82,9 @@ impl<T> StealQueues<T> {
     pub fn push(&self, worker: usize, task: T) {
         self.deques[worker].lock().unwrap().push_back(task);
         self.pending.fetch_add(1, Ordering::AcqRel);
+        // Notify under the gate: `acquire` checks `pending` and parks while
+        // holding it, so a push cannot fall between its check and its wait.
+        let _gate = self.gate.lock().unwrap();
         self.cv.notify_one();
     }
 
@@ -95,6 +98,7 @@ impl<T> StealQueues<T> {
         drop(dq);
         if added > 0 {
             self.pending.fetch_add(added, Ordering::AcqRel);
+            let _gate = self.gate.lock().unwrap(); // as in `push`
             self.cv.notify_all();
         }
     }
@@ -269,6 +273,47 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), None);
         }
+    }
+
+    #[test]
+    fn a_push_to_a_parking_worker_is_never_lost() {
+        // One worker forwards each task to a channel and the producer pushes
+        // the next only once the last came back, so every push meets the
+        // worker on its way to park. A push that notified between the
+        // worker's `pending` check and its wait would leave the task queued
+        // with nobody awake. 5 s of round trips over both push paths: with
+        // the notify outside the gate a debug build loses one within the
+        // first ~15 000, a release build within the first million.
+        use std::time::{Duration, Instant};
+        let q = Arc::new(StealQueues::new(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                while let Some(t) = q.acquire(0) {
+                    tx.send(t).unwrap();
+                }
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut i = 0u64;
+        while Instant::now() < deadline {
+            if i.is_multiple_of(2) {
+                q.push(0, i);
+            } else {
+                q.push_batch(0, [i]);
+            }
+            let got = rx.recv_timeout(Duration::from_secs(2));
+            if got.is_err() {
+                q.close(); // wakes the worker so the join below returns
+                worker.join().unwrap();
+                panic!("push {i} woke nobody");
+            }
+            assert_eq!(got, Ok(i));
+            i += 1;
+        }
+        q.close();
+        worker.join().unwrap();
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property-based tests of the runtime substrate: scheduling equivalence,
-//! collective correctness, and simulator bounds on arbitrary inputs.
+//! Property-based tests of the runtime substrate: scheduling equivalence
+//! and simulator bounds on arbitrary inputs.
 
 use fsi_runtime::sim::makespan;
-use fsi_runtime::{comm, parallel_map, Par, Schedule, ThreadPool};
+use fsi_runtime::{parallel_map, Par, Schedule, ThreadPool};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,42 +25,6 @@ proptest! {
         prop_assert_eq!(seq, par);
     }
 
-    /// Reductions across any rank count equal the sequential fold.
-    #[test]
-    fn reduce_is_topology_invariant(values in prop::collection::vec(-100i64..100, 1..20)) {
-        let want: i64 = values.iter().sum();
-        for ranks in [1usize, 2, 3] {
-            let ranks = ranks.min(values.len());
-            let values = values.clone();
-            let results = comm::run(ranks, move |rank| {
-                let mine: i64 = comm::block_range(values.len(), rank.size(), rank.id())
-                    .map(|i| values[i])
-                    .sum();
-                rank.reduce(mine, 1, |a, b| a + b)
-            });
-            prop_assert_eq!(results[0], Some(want));
-        }
-    }
-
-    /// block_range partitions exactly and near-evenly for any (n, size).
-    #[test]
-    fn block_range_partitions(n in 0usize..1000, size in 1usize..17) {
-        let mut seen = 0usize;
-        let mut lens = Vec::new();
-        let mut next = 0usize;
-        for r in 0..size {
-            let range = comm::block_range(n, size, r);
-            prop_assert_eq!(range.start, next);
-            next = range.end;
-            seen += range.len();
-            lens.push(range.len());
-        }
-        prop_assert_eq!(seen, n);
-        let max = lens.iter().max().unwrap();
-        let min = lens.iter().min().unwrap();
-        prop_assert!(max - min <= 1);
-    }
-
     /// Makespan respects the two classical lower bounds and the
     /// one-worker upper bound.
     #[test]
@@ -75,17 +39,5 @@ proptest! {
         // which is itself ≥ max(longest, total/workers).
         let lower = longest.max(total / workers as f64);
         prop_assert!(m <= 2.0 * lower + 1e-9, "worse than 2x optimum bound");
-    }
-
-    /// Scatter + gather is the identity on any payload arrangement.
-    #[test]
-    fn scatter_gather_roundtrip(payload in prop::collection::vec(any::<i32>(), 1..12)) {
-        let ranks = payload.len();
-        let payload2 = payload.clone();
-        let results = comm::run(ranks, move |rank| {
-            let mine: i32 = rank.scatter(rank.is_root().then(|| payload2.clone()), 5);
-            rank.gather(mine, 6)
-        });
-        prop_assert_eq!(results[0].clone(), Some(payload));
     }
 }

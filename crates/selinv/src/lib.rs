@@ -53,8 +53,8 @@ pub use cls::{cls, cls_flops, cls_incremental_flops, Clustered};
 pub use flops::{bsofi_selected_flops, structured_qr_flops};
 pub use fsi::{fsi, fsi_with_q, FsiOutput, Parallelism, ReducedInverse};
 pub use multi::{
-    generate_fields, per_rank_bytes, run_multi, shift_for, trace_measure, JobStep, MatrixTask,
-    MemoryModel, MultiConfig, MultiResult, Scheduling, TaskSnapshot,
+    generate_fields, per_rank_bytes, run_multi, shift_for, trace_measure, MatrixTask, MemoryModel,
+    MultiConfig, MultiResult,
 };
 pub use patterns::{Pattern, SelectedInverse, SelectedPattern, Selection};
 pub use stability::{auto_cluster_size, growth_rate, max_stable_cluster};

@@ -6,27 +6,20 @@
 //! generates the Hubbard–Stratonovich field parameters `h` (cheap to ship,
 //! unlike the matrices), each rank builds its matrices locally and runs
 //! the OpenMP FSI per matrix, and local measurement quantities are
-//! combined with `MPI_Reduce`. This module reproduces that loop on the
-//! in-process ranks of [`fsi_runtime::comm`], with the per-matrix stage
-//! loop factored into a resumable [`MatrixTask`] state machine
-//! ([`JobStep`]) that schedulers can interleave.
+//! combined with `MPI_Reduce`. [`run_multi`] is that loop in one process:
+//! the paper's block distribution seeds one deque per rank
+//! ([`fsi_runtime::StealQueues`]), each rank is a thread with its own
+//! `threads_per_rank` pool running one [`MatrixTask`] per matrix, and a rank
+//! that runs dry steals half of the fullest backlog — on Fig. 9's
+//! equal-cost matrices that happens only at the tail. The `fsi-service`
+//! crate builds its multi-tenant job queue on the same two pieces.
 //!
-//! Two [`Scheduling`] disciplines drive the same task machinery:
-//!
-//! * [`Scheduling::Static`] is the paper-literal Alg. 3 — a block scatter
-//!   fixed at submit time, one in-process rank per share, collectives for
-//!   the reduction.
-//! * [`Scheduling::WorkStealing`] (the default) seeds the same block
-//!   distribution into per-worker deques ([`fsi_runtime::StealQueues`])
-//!   and lets idle workers steal half of the fullest victim's backlog —
-//!   the shape the `fsi-service` crate builds its multi-tenant job queue
-//!   on.
-//!
-//! Both disciplines produce **bitwise-identical** results for the same
-//! `(seed, matrices, c, pattern)`: fields come from one root RNG stream
-//! in matrix order, each matrix's shift `q` is derived from
-//! `(seed, index)` alone (never from the rank that happens to run it),
-//! and measurement vectors are summed in matrix-index order.
+//! Results are **bitwise independent** of the rank count, the thread count
+//! and of who stole what, for the same `(seed, matrices, c, pattern)`:
+//! fields come from one root RNG stream in matrix order, each matrix's
+//! shift `q` is derived from `(seed, index)` alone (never from the rank
+//! that happens to run it), and measurement vectors are summed in
+//! matrix-index order.
 //!
 //! The memory model captures why the paper's Fig. 9 favors the hybrid
 //! configuration: a rank must hold its matrix, the reduced inverse `Ḡ`,
@@ -46,28 +39,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, BlockPCyclic, HsField, Spin};
-use fsi_runtime::ckpt::{CkptError, Reader as CkptReader, Writer as CkptWriter};
+use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, Spin};
 use fsi_runtime::health::{FsiError, FsiResult};
-use fsi_runtime::{comm, StealQueues, Stopwatch, ThreadPool};
+use fsi_runtime::{StealQueues, Stopwatch, ThreadPool};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::fsi::{FsiOutput, Parallelism};
+use crate::fsi::Parallelism;
 use crate::patterns::{Pattern, SelectedInverse, Selection};
-
-/// How a multi-matrix run distributes matrices over workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduling {
-    /// The paper-literal Alg. 3: a block scatter fixed at submit time,
-    /// executed on in-process ranks with collectives.
-    Static,
-    /// Per-worker deques with steal-half rebalancing
-    /// ([`fsi_runtime::StealQueues`]); tolerates heterogeneous per-matrix
-    /// cost without stranding workers idle.
-    #[default]
-    WorkStealing,
-}
 
 /// Configuration of a multi-matrix FSI run.
 #[derive(Clone, Debug)]
@@ -84,8 +63,6 @@ pub struct MultiConfig {
     pub pattern: Pattern,
     /// RNG seed for field generation and the per-matrix shift `q`.
     pub seed: u64,
-    /// Task distribution discipline.
-    pub scheduling: Scheduling,
 }
 
 /// Result of a multi-matrix run.
@@ -104,45 +81,22 @@ pub struct MultiResult {
 /// paper's `local_measurement_quantities` → `MPI_Reduce`).
 pub type MeasureFn = dyn Fn(&SelectedInverse) -> Vec<f64> + Sync;
 
-/// Where a [`MatrixTask`] stands in its stage pipeline.
+/// One matrix's unit of work: the per-matrix body of Alg. 3.
 ///
-/// The steps mirror the per-matrix body of Alg. 3: build the p-cyclic
-/// matrix from the scattered field, run the selected inversion (Alg. 1),
-/// measure. A scheduler may park a task between any two steps and resume
-/// it on a different worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobStep {
-    /// Assemble the block p-cyclic matrix from the HS field.
-    Build,
-    /// Run FSI (CLS → BSOFI → wrap) on the built matrix.
-    Invert,
-    /// Reduce the selected inversion to measurement quantities.
-    Measure,
-    /// All stages complete; [`MatrixTask::quantities`] is available.
-    Done,
-}
-
-/// One matrix's resumable unit of work.
-///
-/// Owns the HS field and all intermediate state, so a scheduler can
-/// advance it step by step ([`MatrixTask::step`]) or to completion
-/// ([`MatrixTask::run`]) on whichever worker holds it. The shift `q` is
-/// derived from `(seed, index, c)` alone, so results are independent of
-/// which worker executes the task and in what order.
+/// Owns the HS field, so whichever worker holds the task can
+/// [`run`](MatrixTask::run) it. The shift `q` is derived from
+/// `(seed, index, c)` alone, so results are independent of which worker
+/// executes the task and in what order.
 ///
 /// [`MatrixTask::degrade`] implements the per-job rung of the §II-C
-/// recovery ladder: it halves the cluster size and rewinds the task to
-/// [`JobStep::Build`], so one sick job retries smaller without touching
-/// its neighbors.
+/// recovery ladder: it halves the cluster size, so one sick job retries
+/// smaller without touching its neighbors.
 pub struct MatrixTask {
     index: usize,
     field: HsField,
     c: usize,
     pattern: Pattern,
     seed: u64,
-    step: JobStep,
-    pc: Option<BlockPCyclic>,
-    out: Option<FsiOutput>,
     quantities: Option<Vec<f64>>,
     degradations: u32,
 }
@@ -159,9 +113,6 @@ impl MatrixTask {
             c,
             pattern,
             seed,
-            step: JobStep::Build,
-            pc: None,
-            out: None,
             quantities: None,
             degradations: 0,
         }
@@ -183,86 +134,45 @@ impl MatrixTask {
         self.degradations
     }
 
-    /// The current pipeline position.
-    pub fn step_now(&self) -> JobStep {
-        self.step
-    }
-
-    /// Whether the task has completed all stages.
-    pub fn is_done(&self) -> bool {
-        self.step == JobStep::Done
-    }
-
-    /// The measurement quantities, once [`JobStep::Done`].
-    pub fn quantities(&self) -> Option<&[f64]> {
-        self.quantities.as_deref()
-    }
-
     /// Consumes the task, returning `(index, quantities)`.
     ///
     /// # Panics
-    /// If the task is not [`JobStep::Done`].
+    /// If [`MatrixTask::run`] has not succeeded since construction or the
+    /// last [`MatrixTask::degrade`].
     pub fn into_quantities(self) -> (usize, Vec<f64>) {
         (
             self.index,
-            self.quantities.expect("task must be Done before harvest"),
+            self.quantities.expect("task must run before harvest"),
         )
     }
 
-    /// Advances the pipeline by exactly one step and returns the *new*
-    /// position. A no-op at [`JobStep::Done`].
+    /// Builds the p-cyclic matrix from the field, runs the selected
+    /// inversion (Alg. 1) and measures it. The matrix and the selected
+    /// blocks are dropped before this returns; only the measurement vector
+    /// stays in the task.
     ///
     /// # Errors
-    /// Propagates health-probe failures from the inversion; the task
-    /// stays at its current step so the caller may [`MatrixTask::degrade`]
-    /// and retry.
-    pub fn step(
-        &mut self,
-        par: Parallelism<'_>,
-        builder: &BlockBuilder,
-        measure: &MeasureFn,
-    ) -> FsiResult<JobStep> {
-        static MATRICES: fsi_runtime::metrics::LazyCounter =
-            fsi_runtime::metrics::LazyCounter::new("selinv.multi.matrices");
-        match self.step {
-            JobStep::Build => {
-                self.pc = Some(hubbard_pcyclic(builder, &self.field, Spin::Up));
-                self.step = JobStep::Invert;
-            }
-            JobStep::Invert => {
-                let pc = self.pc.as_ref().expect("Build ran before Invert");
-                let q = shift_for(self.seed, self.index, self.c);
-                let selection = Selection::new(self.pattern, self.c, q);
-                self.out = Some(crate::fsi::fsi_with_q(par, pc, &selection)?);
-                self.step = JobStep::Measure;
-            }
-            JobStep::Measure => {
-                let out = self.out.as_ref().expect("Invert ran before Measure");
-                self.quantities = Some(measure(&out.selected));
-                MATRICES.inc();
-                self.step = JobStep::Done;
-            }
-            JobStep::Done => {}
-        }
-        Ok(self.step)
-    }
-
-    /// Runs the remaining steps to completion.
-    ///
-    /// # Errors
-    /// First health-probe failure; see [`MatrixTask::step`].
+    /// Propagates health-probe failures from the inversion; the caller may
+    /// [`MatrixTask::degrade`] and run again.
     pub fn run(
         &mut self,
         par: Parallelism<'_>,
         builder: &BlockBuilder,
         measure: &MeasureFn,
     ) -> FsiResult<()> {
-        while self.step(par, builder, measure)? != JobStep::Done {}
+        static MATRICES: fsi_runtime::metrics::LazyCounter =
+            fsi_runtime::metrics::LazyCounter::new("selinv.multi.matrices");
+        let pc = hubbard_pcyclic(builder, &self.field, Spin::Up);
+        let q = shift_for(self.seed, self.index, self.c);
+        let selection = Selection::new(self.pattern, self.c, q);
+        let out = crate::fsi::fsi_with_q(par, &pc, &selection)?;
+        self.quantities = Some(measure(&out.selected));
+        MATRICES.inc();
         Ok(())
     }
 
     /// Shrinks the cluster size (the §II-C "shrink `c`" rung scoped to
-    /// this one task) and rewinds the pipeline to [`JobStep::Build`].
+    /// this one task) and discards any earlier result.
     ///
     /// An even `c` halves (`c | L` and `2 | c` imply `c/2 | L`, so the
     /// clustering stays legal); an odd `c > 1` drops to 1 (plain block
@@ -278,144 +188,8 @@ impl MatrixTask {
             1
         };
         self.degradations += 1;
-        self.step = JobStep::Build;
-        self.pc = None;
-        self.out = None;
         self.quantities = None;
         true
-    }
-}
-
-impl JobStep {
-    /// Stable one-byte encoding for checkpoints.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            JobStep::Build => 0,
-            JobStep::Invert => 1,
-            JobStep::Measure => 2,
-            JobStep::Done => 3,
-        }
-    }
-
-    /// Decodes [`JobStep::as_u8`].
-    ///
-    /// # Errors
-    /// [`CkptError::Malformed`] on an unknown discriminant.
-    pub fn from_u8(v: u8) -> Result<Self, CkptError> {
-        Ok(match v {
-            0 => JobStep::Build,
-            1 => JobStep::Invert,
-            2 => JobStep::Measure,
-            3 => JobStep::Done,
-            _ => return Err(CkptError::Malformed("unknown JobStep discriminant")),
-        })
-    }
-}
-
-/// The checkpointable state of a [`MatrixTask`].
-///
-/// The built matrix and the inversion output are *not* carried: they are
-/// pure deterministic functions of `(field, c, pattern, seed, index)`,
-/// so a task parked at [`JobStep::Invert`] or [`JobStep::Measure`]
-/// snapshots as [`JobStep::Build`] and recomputes the intermediates on
-/// resume — bitwise identically, by the same argument that makes the
-/// static and stealing schedules agree. Only a [`JobStep::Done`] task
-/// carries its measurement vector, so a resumed scheduler never re-runs
-/// finished work.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TaskSnapshot {
-    /// The matrix index ([`MatrixTask::index`]).
-    pub index: usize,
-    /// The cluster size in force (after any degradations).
-    pub c: usize,
-    /// Recovery-ladder rungs the task has descended.
-    pub degradations: u32,
-    /// The (coarsened) pipeline position: `Build` or `Done`.
-    pub step: JobStep,
-    /// The measurement vector, present exactly when `step == Done`.
-    pub quantities: Option<Vec<f64>>,
-}
-
-impl TaskSnapshot {
-    /// Serializes into `w` (the task's share of a larger checkpoint).
-    pub fn encode(&self, w: &mut CkptWriter) {
-        w.put_u64(self.index as u64);
-        w.put_u64(self.c as u64);
-        w.put_u32(self.degradations);
-        w.put_u32(self.step.as_u8() as u32);
-        match &self.quantities {
-            Some(q) => {
-                w.put_u32(1);
-                w.put_f64s(q);
-            }
-            None => w.put_u32(0),
-        }
-    }
-
-    /// Deserializes what [`TaskSnapshot::encode`] wrote.
-    ///
-    /// # Errors
-    /// [`CkptError::Malformed`] on truncation or structural nonsense
-    /// (a `Done` step without quantities, and vice versa).
-    pub fn decode(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
-        let index = r.take_u64()? as usize;
-        let c = r.take_u64()? as usize;
-        if c == 0 {
-            return Err(CkptError::Malformed("cluster size zero"));
-        }
-        let degradations = r.take_u32()?;
-        let step = JobStep::from_u8(r.take_u32()? as u8)?;
-        let quantities = match r.take_u32()? {
-            0 => None,
-            1 => Some(r.take_f64s()?),
-            _ => return Err(CkptError::Malformed("bad quantities tag")),
-        };
-        if (step == JobStep::Done) != quantities.is_some() {
-            return Err(CkptError::Malformed("step/quantities mismatch"));
-        }
-        Ok(TaskSnapshot {
-            index,
-            c,
-            degradations,
-            step,
-            quantities,
-        })
-    }
-}
-
-impl MatrixTask {
-    /// Captures the checkpointable state (see [`TaskSnapshot`] for what
-    /// is coarsened and why).
-    pub fn snapshot(&self) -> TaskSnapshot {
-        TaskSnapshot {
-            index: self.index,
-            c: self.c,
-            degradations: self.degradations,
-            step: if self.step == JobStep::Done {
-                JobStep::Done
-            } else {
-                JobStep::Build
-            },
-            quantities: self.quantities.clone(),
-        }
-    }
-
-    /// Rebuilds a task from a snapshot plus the externally-regenerated
-    /// field (fields come from the run's root RNG stream, so the
-    /// checkpoint owner regenerates them rather than storing each copy).
-    pub fn restore(snap: TaskSnapshot, field: HsField, pattern: Pattern, seed: u64) -> Self {
-        MatrixTask {
-            index: snap.index,
-            field,
-            c: snap.c,
-            pattern,
-            seed,
-            step: snap.step,
-            pc: None,
-            out: None,
-            quantities: snap.quantities,
-            degradations: snap.degradations,
-        }
     }
 }
 
@@ -423,7 +197,7 @@ impl MatrixTask {
 /// randomly").
 ///
 /// Derived from `(seed, index, c)` only — *not* from the rank or worker
-/// executing the matrix — so static and work-stealing schedules produce
+/// executing the matrix — so every rank count and steal order produces
 /// bitwise-identical selected inversions.
 pub fn shift_for(seed: u64, index: usize, c: usize) -> usize {
     let mix = seed ^ 0x9E37 ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -432,7 +206,7 @@ pub fn shift_for(seed: u64, index: usize, c: usize) -> usize {
 
 /// Generates the HS fields for a run: one [`ChaCha8Rng`] stream seeded by
 /// `seed`, drawn in matrix order — the root-side generation of Alg. 3,
-/// shared by both scheduling paths and the `fsi-service` job runner.
+/// shared by [`run_multi`] and the `fsi-service` job runner.
 pub fn generate_fields(l: usize, n: usize, matrices: usize, seed: u64) -> Vec<HsField> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..matrices)
@@ -441,9 +215,9 @@ pub fn generate_fields(l: usize, n: usize, matrices: usize, seed: u64) -> Vec<Hs
 }
 
 /// Sums per-matrix measurement vectors in matrix-index order, so the
-/// global reduction is bitwise-reproducible across rank counts and
-/// scheduling disciplines (float addition is not associative; fixing the
-/// order fixes the sum).
+/// global reduction is bitwise-reproducible across rank counts and steal
+/// orders (float addition is not associative; fixing the order fixes the
+/// sum).
 fn ordered_sum(mut pairs: Vec<(usize, Vec<f64>)>) -> Vec<f64> {
     pairs.sort_by_key(|(i, _)| *i);
     let mut acc: Vec<f64> = Vec::new();
@@ -460,17 +234,25 @@ fn ordered_sum(mut pairs: Vec<(usize, Vec<f64>)>) -> Vec<f64> {
     acc
 }
 
-/// Runs Alg. 3: distribute fields over workers, per-worker FSI over the
-/// local share of matrices, reduce measurement vectors in matrix order.
+/// The half-open range of `n` items owned by `rank` of `size` under the
+/// paper's block distribution (`m_per_MPI = m / num_MPI_process`, the
+/// first `n % size` ranks taking one more).
+fn block_range(n: usize, size: usize, rank: usize) -> std::ops::Range<usize> {
+    let base = n / size;
+    let extra = n % size;
+    let lo = rank * base + rank.min(extra);
+    lo..lo + base + usize::from(rank < extra)
+}
+
+/// Runs Alg. 3: distribute fields over ranks, per-rank FSI over the local
+/// share of matrices, reduce measurement vectors in matrix order.
 ///
 /// The spin is fixed to [`Spin::Up`]; DQMC proper (both spins, Metropolis
 /// dynamics) lives in the `fsi-dqmc` crate — this driver is the
-/// performance harness of the paper's §V-B. The scheduling discipline is
-/// chosen by [`MultiConfig::scheduling`]; both disciplines give the same
-/// bits for the same seed (see the module docs).
+/// performance harness of the paper's §V-B.
 ///
 /// ```
-/// use fsi_selinv::{run_multi, trace_measure, MultiConfig, Pattern, Scheduling};
+/// use fsi_selinv::{run_multi, trace_measure, MultiConfig, Pattern};
 /// use fsi_pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
 ///
 /// let builder = BlockBuilder::new(
@@ -484,7 +266,6 @@ fn ordered_sum(mut pairs: Vec<(usize, Vec<f64>)>) -> Vec<f64> {
 ///     c: 4,
 ///     pattern: Pattern::Diagonal,
 ///     seed: 1,
-///     scheduling: Scheduling::WorkStealing,
 /// };
 /// let result = run_multi(&builder, &cfg, &trace_measure).unwrap();
 /// // One diagonal selection per cluster: 3 matrices × (L/c = 2) blocks.
@@ -492,7 +273,7 @@ fn ordered_sum(mut pairs: Vec<(usize, Vec<f64>)>) -> Vec<f64> {
 /// ```
 ///
 /// # Errors
-/// Any worker whose FSI invocation trips a health probe aborts the run;
+/// Any rank whose FSI invocation trips a health probe aborts the run;
 /// remaining queued matrices are drained unprocessed and the failure with
 /// the lowest matrix index is surfaced.
 pub fn run_multi(
@@ -502,90 +283,17 @@ pub fn run_multi(
 ) -> FsiResult<MultiResult> {
     assert!(cfg.ranks > 0 && cfg.threads_per_rank > 0 && cfg.matrices > 0);
     let sw = Stopwatch::start();
-    let pairs = match cfg.scheduling {
-        Scheduling::Static => run_static(builder, cfg, measure)?,
-        Scheduling::WorkStealing => run_stealing(builder, cfg, measure)?,
-    };
-    Ok(MultiResult {
-        global_measurements: ordered_sum(pairs),
-        seconds: sw.seconds(),
-        matrices: cfg.matrices,
-    })
-}
-
-/// The paper-literal path: root generates and scatters fields, each rank
-/// runs its block share, per-matrix vectors are gathered at the root.
-fn run_static(
-    builder: &BlockBuilder,
-    cfg: &MultiConfig,
-    measure: &MeasureFn,
-) -> FsiResult<Vec<(usize, Vec<f64>)>> {
     let l = builder.params().l;
     let n = builder.lattice().n_sites();
-    let results = comm::run(cfg.ranks, |rank| {
-        // Root generates all HS fields (as flat ±1 vectors) and scatters
-        // each rank its share, mirroring MPI_Scatter of `h`.
-        let shares: Option<Vec<Vec<Vec<i8>>>> = rank.is_root().then(|| {
-            let fields = generate_fields(l, n, cfg.matrices, cfg.seed);
-            let mut shares: Vec<Vec<Vec<i8>>> = vec![Vec::new(); rank.size()];
-            for (m, field) in fields.iter().enumerate() {
-                shares[owner_of(m, cfg.matrices, rank.size())].push(field.to_flat());
-            }
-            shares
-        });
-        let my_fields: Vec<Vec<i8>> = rank.scatter(shares, 1);
-        let my_range = comm::block_range(cfg.matrices, rank.size(), rank.id());
-
-        // Per-rank pool = the OpenMP level of the hybrid model.
-        let pool = ThreadPool::new(cfg.threads_per_rank);
-        let par = if cfg.threads_per_rank == 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::OpenMp(&pool)
-        };
-        let mut local: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut failure: Option<(usize, FsiError)> = None;
-        for (index, flat) in my_range.zip(&my_fields) {
-            let field = HsField::from_flat(l, n, flat);
-            let mut task = MatrixTask::new(index, field, cfg.c, cfg.pattern, cfg.seed);
-            // A failed inversion must not skip the collectives below (all
-            // ranks participate or none return), so park the error.
-            match task.run(par, builder, measure) {
-                Ok(()) => local.push(task.into_quantities()),
-                Err(e) => {
-                    failure = Some((index, e));
-                    break;
-                }
-            }
-        }
-        // Gather per-matrix vectors at the root (the paper's MPI_Reduce;
-        // we reduce in matrix order on the root for bitwise stability).
-        let gathered = rank.gather(local, 2);
-        let failures = rank.gather(failure, 3);
-        gathered.zip(failures)
-    });
-    let root = results.into_iter().next().flatten();
-    let (gathered, failures) = root.expect("root holds the gathers");
-    if let Some((_, e)) = failures.into_iter().flatten().min_by_key(|(i, _)| *i) {
-        return Err(e);
-    }
-    Ok(gathered.into_iter().flatten().collect())
-}
-
-/// The work-stealing path: the same block distribution seeds per-worker
-/// deques, idle workers steal half of the fullest backlog.
-fn run_stealing(
-    builder: &BlockBuilder,
-    cfg: &MultiConfig,
-    measure: &MeasureFn,
-) -> FsiResult<Vec<(usize, Vec<f64>)>> {
-    let l = builder.params().l;
-    let n = builder.lattice().n_sites();
-    let fields = generate_fields(l, n, cfg.matrices, cfg.seed);
+    let mut fields = generate_fields(l, n, cfg.matrices, cfg.seed).into_iter();
     let queues = StealQueues::new(cfg.ranks);
-    for (m, field) in fields.into_iter().enumerate() {
-        let task = MatrixTask::new(m, field, cfg.c, cfg.pattern, cfg.seed);
-        queues.push(owner_of(m, cfg.matrices, cfg.ranks), task);
+    for rank in 0..cfg.ranks {
+        // The range leads the zip, so an exhausted share takes no field.
+        let share = block_range(cfg.matrices, cfg.ranks, rank).zip(fields.by_ref());
+        queues.push_batch(
+            rank,
+            share.map(|(m, field)| MatrixTask::new(m, field, cfg.c, cfg.pattern, cfg.seed)),
+        );
     }
     queues.close(); // batch run: drain and exit
 
@@ -593,19 +301,17 @@ fn run_stealing(
     let failure: Mutex<Option<(usize, FsiError)>> = Mutex::new(None);
     let done: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
-        for w in 0..cfg.ranks {
-            let queues = &queues;
-            let abort = &abort;
-            let failure = &failure;
-            let done = &done;
+        for rank in 0..cfg.ranks {
+            let (queues, abort, failure, done) = (&queues, &abort, &failure, &done);
             s.spawn(move || {
+                // Per-rank pool = the OpenMP level of the hybrid model.
                 let pool = ThreadPool::new(cfg.threads_per_rank);
                 let par = if cfg.threads_per_rank == 1 {
                     Parallelism::Serial
                 } else {
                     Parallelism::OpenMp(&pool)
                 };
-                while let Some(mut task) = queues.acquire(w) {
+                while let Some(mut task) = queues.acquire(rank) {
                     if abort.load(Ordering::Acquire) {
                         continue; // drain without processing
                     }
@@ -628,17 +334,11 @@ fn run_stealing(
     if let Some((_, e)) = failure.into_inner().unwrap() {
         return Err(e);
     }
-    Ok(done.into_inner().unwrap())
-}
-
-/// Which rank owns matrix `m` under the block distribution.
-fn owner_of(m: usize, total: usize, ranks: usize) -> usize {
-    for r in 0..ranks {
-        if comm::block_range(total, ranks, r).contains(&m) {
-            return r;
-        }
-    }
-    unreachable!("matrix {m} of {total} not owned by any of {ranks} ranks")
+    Ok(MultiResult {
+        global_measurements: ordered_sum(done.into_inner().unwrap()),
+        seconds: sw.seconds(),
+        matrices: cfg.matrices,
+    })
 }
 
 /// A simple default measurement: `[Σ tr G(k,k), #blocks]` over the
@@ -729,6 +429,7 @@ impl MemoryModel {
 mod tests {
     use super::*;
     use fsi_pcyclic::{HubbardParams, SquareLattice};
+    use proptest::prelude::*;
 
     fn small_builder() -> BlockBuilder {
         BlockBuilder::new(SquareLattice::square(2), HubbardParams::paper_validation(8))
@@ -742,8 +443,25 @@ mod tests {
             c: 4,
             pattern: Pattern::Diagonal,
             seed: 42,
-            scheduling: Scheduling::WorkStealing,
         }
+    }
+
+    /// `ordered_sum` of a serial `MatrixTask::run` loop: what Alg. 3 must
+    /// reduce to whatever the ranks, threads and steals.
+    fn serial_reference(builder: &BlockBuilder, cfg: &MultiConfig) -> Vec<f64> {
+        let l = builder.params().l;
+        let n = builder.lattice().n_sites();
+        let pairs = generate_fields(l, n, cfg.matrices, cfg.seed)
+            .into_iter()
+            .enumerate()
+            .map(|(m, field)| {
+                let mut task = MatrixTask::new(m, field, cfg.c, cfg.pattern, cfg.seed);
+                task.run(Parallelism::Serial, builder, &trace_measure)
+                    .expect("healthy");
+                task.into_quantities()
+            })
+            .collect();
+        ordered_sum(pairs)
     }
 
     #[test]
@@ -757,24 +475,57 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_disciplines_are_bitwise_identical() {
+    fn results_match_the_two_executor_parent_to_the_bit() {
+        // `global_measurements` of commit 7994857 for this configuration,
+        // identical there under `Static` and `WorkStealing` on every point
+        // of this grid.
+        let want = [f64::from_bits(0x403c_3898_0cfd_d89a), 14.0];
         let builder = small_builder();
-        let mut cfg = base_cfg();
-        cfg.scheduling = Scheduling::Static;
-        let stat = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
-        cfg.scheduling = Scheduling::WorkStealing;
-        let steal = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
-        assert_eq!(
-            stat.global_measurements, steal.global_measurements,
-            "static vs stealing must agree to the bit"
-        );
+        for ranks in [1usize, 2, 3, 5] {
+            for threads_per_rank in [1usize, 2] {
+                let cfg = MultiConfig {
+                    ranks,
+                    threads_per_rank,
+                    ..base_cfg()
+                };
+                let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
+                assert_eq!(
+                    r.global_measurements, want,
+                    "ranks={ranks} threads={threads_per_rank}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_multi_is_the_ordered_sum_of_a_serial_task_loop() {
+        let builder = small_builder();
+        let base = MultiConfig {
+            matrices: 5,
+            seed: 7,
+            ..base_cfg()
+        };
+        let want = serial_reference(&builder, &base);
+        for (ranks, threads_per_rank) in [(1usize, 1usize), (2, 1), (3, 2), (5, 1), (7, 1)] {
+            let cfg = MultiConfig {
+                ranks,
+                threads_per_rank,
+                ..base.clone()
+            };
+            let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
+            assert_eq!(
+                r.global_measurements, want,
+                "ranks={ranks} threads={threads_per_rank}"
+            );
+        }
     }
 
     #[test]
     fn rank_count_does_not_change_the_bits() {
         // The same seed and matrix count must give *bitwise* identical
         // reductions regardless of how many ranks share the work — the
-        // ordered reduction guarantees it.
+        // ordered reduction guarantees it. 8 ranks > 5 matrices: three
+        // deques start empty.
         let builder = small_builder();
         let base = MultiConfig {
             ranks: 1,
@@ -783,19 +534,16 @@ mod tests {
             ..base_cfg()
         };
         let r1 = run_multi(&builder, &base, &trace_measure).expect("healthy");
-        for ranks in [2usize, 5] {
-            for scheduling in [Scheduling::Static, Scheduling::WorkStealing] {
-                let cfg = MultiConfig {
-                    ranks,
-                    scheduling,
-                    ..base.clone()
-                };
-                let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
-                assert_eq!(
-                    r1.global_measurements, r.global_measurements,
-                    "ranks={ranks} {scheduling:?}"
-                );
-            }
+        for ranks in [2usize, 5, 8] {
+            let cfg = MultiConfig {
+                ranks,
+                ..base.clone()
+            };
+            let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
+            assert_eq!(
+                r1.global_measurements, r.global_measurements,
+                "ranks={ranks}"
+            );
         }
     }
 
@@ -809,7 +557,6 @@ mod tests {
             c: 4,
             pattern: Pattern::Columns,
             seed: 9,
-            scheduling: Scheduling::Static,
         };
         let cfg2 = MultiConfig {
             threads_per_rank: 2,
@@ -824,25 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn task_steps_advance_in_order() {
-        let builder = small_builder();
-        let l = builder.params().l;
-        let n = builder.lattice().n_sites();
-        let field = generate_fields(l, n, 1, 3).remove(0);
-        let mut task = MatrixTask::new(0, field, 4, Pattern::Diagonal, 3);
-        assert_eq!(task.step_now(), JobStep::Build);
-        let seq: Vec<JobStep> = (0..3)
-            .map(|_| {
-                task.step(Parallelism::Serial, &builder, &trace_measure)
-                    .expect("healthy")
-            })
-            .collect();
-        assert_eq!(seq, [JobStep::Invert, JobStep::Measure, JobStep::Done]);
-        assert!(task.is_done());
-        assert_eq!(task.quantities().unwrap().len(), 2);
-    }
-
-    #[test]
     fn degrade_halves_c_down_to_the_floor() {
         let builder = small_builder();
         let l = builder.params().l;
@@ -853,8 +581,6 @@ mod tests {
             .expect("healthy");
         assert!(task.degrade());
         assert_eq!(task.c(), 2);
-        assert_eq!(task.step_now(), JobStep::Build);
-        assert!(task.quantities().is_none());
         // The degraded task still completes (c=2 divides L=8).
         task.run(Parallelism::Serial, &builder, &trace_measure)
             .expect("healthy after degrade");
@@ -865,45 +591,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restores_done_and_mid_pipeline_tasks_bitwise() {
+    fn degraded_task_equals_a_fresh_task_at_the_smaller_c() {
         let builder = small_builder();
         let l = builder.params().l;
         let n = builder.lattice().n_sites();
-        let fields = generate_fields(l, n, 2, 21);
-
-        // Done task: quantities survive the snapshot verbatim.
-        let mut done = MatrixTask::new(0, fields[0].clone(), 4, Pattern::Diagonal, 21);
-        done.run(Parallelism::Serial, &builder, &trace_measure)
-            .expect("healthy");
-        let snap = done.snapshot();
-        assert_eq!(snap.step, JobStep::Done);
-        let mut w = CkptWriter::new();
-        snap.encode(&mut w);
-        let bytes = w.into_bytes();
-        let decoded = TaskSnapshot::decode(&mut CkptReader::new(&bytes)).expect("decodes");
-        assert_eq!(decoded, snap);
-        let restored = MatrixTask::restore(decoded, fields[0].clone(), Pattern::Diagonal, 21);
-        assert_eq!(restored.quantities(), done.quantities());
-
-        // Mid-pipeline (degraded, parked at Invert): coarsens to Build,
-        // and the resumed task reproduces the original result bitwise.
-        let mut mid = MatrixTask::new(1, fields[1].clone(), 4, Pattern::Diagonal, 21);
-        mid.degrade();
-        mid.step(Parallelism::Serial, &builder, &trace_measure)
-            .expect("healthy build");
-        assert_eq!(mid.step_now(), JobStep::Invert);
-        let snap = mid.snapshot();
-        assert_eq!(
-            (snap.step, snap.c, snap.degradations),
-            (JobStep::Build, 2, 1)
-        );
-        let mut resumed = MatrixTask::restore(snap, fields[1].clone(), Pattern::Diagonal, 21);
-        resumed
+        let field = generate_fields(l, n, 2, 21).remove(1);
+        let mut degraded = MatrixTask::new(1, field.clone(), 4, Pattern::Diagonal, 21);
+        assert!(degraded.degrade());
+        degraded
             .run(Parallelism::Serial, &builder, &trace_measure)
-            .expect("healthy resume");
-        mid.run(Parallelism::Serial, &builder, &trace_measure)
-            .expect("healthy original");
-        assert_eq!(resumed.quantities(), mid.quantities());
+            .expect("healthy degraded");
+        let mut fresh = MatrixTask::new(1, field, 2, Pattern::Diagonal, 21);
+        fresh
+            .run(Parallelism::Serial, &builder, &trace_measure)
+            .expect("healthy fresh");
+        assert_eq!(degraded.into_quantities(), fresh.into_quantities());
     }
 
     #[test]
@@ -962,16 +664,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn owner_covers_all_matrices() {
-        for total in [1usize, 7, 24] {
-            for ranks in [1usize, 3, 5] {
-                let mut counts = vec![0usize; ranks];
-                for m in 0..total {
-                    counts[owner_of(m, total, ranks)] += 1;
-                }
-                assert_eq!(counts.iter().sum::<usize>(), total);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// block_range partitions exactly and near-evenly for any (n, size).
+        #[test]
+        fn block_range_partitions(n in 0usize..1000, size in 1usize..17) {
+            let mut seen = 0usize;
+            let mut lens = Vec::new();
+            let mut next = 0usize;
+            for r in 0..size {
+                let range = block_range(n, size, r);
+                prop_assert_eq!(range.start, next);
+                next = range.end;
+                seen += range.len();
+                lens.push(range.len());
             }
+            prop_assert_eq!(seen, n);
+            let max = lens.iter().max().unwrap();
+            let min = lens.iter().min().unwrap();
+            prop_assert!(max - min <= 1);
         }
     }
 }

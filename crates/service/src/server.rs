@@ -711,7 +711,8 @@ fn checkpoint_job(inner: &Inner, job: &JobState) {
 }
 
 /// The body of one worker thread: acquire (own deque, then steal), run
-/// the sweep through the resumable task pipeline, account, repeat.
+/// the sweep as one `MatrixTask`, account, repeat — the same loop as a
+/// rank of `fsi_selinv::run_multi`, on queues that stay open.
 fn worker_loop(inner: &Inner, w: usize) {
     let pool = ThreadPool::new(inner.cfg.threads_per_worker);
     let par = if inner.cfg.threads_per_worker == 1 {

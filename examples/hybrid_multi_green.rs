@@ -1,7 +1,8 @@
 //! The hybrid ranks×threads application of FSI to many Green's functions
-//! (paper Alg. 3 / Fig. 9): scatter HS fields from the root rank, run FSI
-//! per matrix under each rank's thread pool, reduce measurement
-//! quantities — plus the Edison memory model that decides which
+//! (paper Alg. 3 / Fig. 9): deal the HS fields to the ranks' deques by the
+//! paper's block distribution, run FSI per matrix under each rank's thread
+//! pool (a rank that runs dry steals), reduce measurement quantities in
+//! matrix order — plus the Edison memory model that decides which
 //! configurations are feasible at paper scale.
 //!
 //! Run with: `cargo run --release --example hybrid_multi_green`
@@ -28,7 +29,6 @@ fn main() {
             c: 4,
             pattern: Pattern::Columns,
             seed: 99,
-            scheduling: fsi::selinv::Scheduling::WorkStealing,
         };
         let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
         println!(

@@ -6,9 +6,8 @@
 //!
 //! Re-exports the six member crates:
 //!
-//! * [`runtime`] — thread pool (OpenMP analog), in-process ranks with
-//!   collectives (MPI analog), flop accounting, timers, scheduling
-//!   simulator;
+//! * [`runtime`] — thread pool (OpenMP analog), per-rank work-stealing
+//!   deques (MPI analog), flop accounting, timers, scheduling simulator;
 //! * [`dense`] — from-scratch mini BLAS/LAPACK (GEMM, LU, Householder QR,
 //!   triangular kernels, matrix exponential);
 //! * [`pcyclic`] — block p-cyclic matrices, lattices, Hubbard-model block

@@ -52,7 +52,6 @@ fn multi_matrix_reduction_is_invariant_to_topology() {
         c: 4,
         pattern: Pattern::Rows,
         seed: 31,
-        scheduling: fsi::selinv::Scheduling::Static,
     };
     let reference = run_multi(&builder, &base, &trace_measure).expect("healthy");
     for (ranks, threads) in [(2usize, 1usize), (3, 2), (6, 1), (1, 4)] {

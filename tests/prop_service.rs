@@ -1,5 +1,5 @@
 //! Service-tier properties: work-stealing execution is bitwise-equal to
-//! the paper-literal static scatter, saturated-queue admission rejects
+//! a serial `MatrixTask` loop, saturated-queue admission rejects
 //! with a reason instead of deadlocking, and (under `fault-inject`) a
 //! fault-injected job degrades alone while its neighbors' outputs stay
 //! bitwise-identical.
@@ -7,7 +7,6 @@
 use fsi::pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
 use fsi::selinv::{
     generate_fields, run_multi, trace_measure, MatrixTask, MultiConfig, Parallelism, Pattern,
-    Scheduling,
 };
 use fsi::service::{AdmitError, JobSpec, Service, ServiceConfig};
 use proptest::prelude::*;
@@ -76,7 +75,6 @@ fn service_bins_match_static_scatter_bitwise() {
         c: C,
         pattern: Pattern::Diagonal,
         seed: job_spec.seed,
-        scheduling: Scheduling::Static,
     };
     let multi = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
     let mut summed = vec![0.0; multi.global_measurements.len()];
