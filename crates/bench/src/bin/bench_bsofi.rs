@@ -1,29 +1,31 @@
 //! BSOFI-stage performance run: times the dense reduced inverse
 //! (`bsofi`) against the pattern-aware selected assembly
-//! (`bsofi_selected`) and the serial structured-QR factor against its
-//! look-ahead pipelined schedule. Writes `results/BENCH_bsofi.json` so
-//! the BSOFI hot-path trajectory is recorded PR over PR, next to the
-//! kernel and sweep artifacts.
+//! (`bsofi_selected`), and the structured-QR factor on its own. Writes
+//! `results/BENCH_bsofi.json` so the BSOFI hot-path trajectory is recorded
+//! PR over PR, next to the kernel and sweep artifacts.
 //!
-//! Three properties are *asserted*, not just reported, because they are
-//! the acceptance criteria of the selected-assembly work:
+//! Two properties are *asserted*, not just reported, because they are the
+//! acceptance criteria of the selected-assembly work:
 //!
 //! * at the paper-scale shape (N = 64, L = 128, c = 8 → b = 16) the
 //!   diagonal selected assembly beats the dense `bsofi` wall time by
 //!   ≥ 1.5×;
-//! * the look-ahead factor is bitwise identical to the serial factor;
 //! * the traced flops of the selected path equal the kernel-exact model
 //!   `bsofi_selected_flops` (and the factor equals
 //!   `structured_qr_flops`) to the flop.
 //!
-//! Usage: `bench_bsofi [--label=NAME] [--out=PATH] [N=64] [L=128] [c=8]
-//! [threads=3]`
+//! The same operations are then timed (recorded, not judged) at the BSOFI
+//! shapes of the layered benchmark's workloads — N = 64, b = 8
+//! (`fsi_cols_n64`, dense) and N = 144, b = 16 (`fsi_diag_n144`,
+//! diagonals) — under `benchmark_shapes`.
+//!
+//! Usage: `bench_bsofi [--label=NAME] [--out=PATH] [N=64] [L=128] [c=8]`
 
 use std::time::SystemTime;
 
 use fsi_bench::Args;
 use fsi_runtime::trace::{self, Json};
-use fsi_runtime::{Par, Stopwatch, ThreadPool};
+use fsi_runtime::{Par, Stopwatch};
 use fsi_selinv::{
     bsofi, bsofi_selected, bsofi_selected_flops, cls, structured_qr_flops, SelectedPattern,
     StructuredQr,
@@ -110,6 +112,117 @@ fn print_record(r: &Record) {
     );
 }
 
+/// The BSOFI-stage operations at one `(N, L, c)`.
+struct ShapeRun {
+    n: usize,
+    l: usize,
+    c: usize,
+    /// `bsofi_full`, `bsofi_selected_diagonals`, `bsofi_selected_block`,
+    /// `factor`, in that order.
+    records: [Record; 4],
+    /// Dense wall / diagonal selected wall.
+    selected_speedup: f64,
+    /// Dense wall / single-block selected wall.
+    block_speedup: f64,
+}
+
+impl ShapeRun {
+    fn b(&self) -> usize {
+        self.l / self.c
+    }
+
+    fn shape_json(&self) -> Json {
+        Json::Obj(vec![
+            ("N".into(), Json::Int(self.n as u64)),
+            ("L".into(), Json::Int(self.l as u64)),
+            ("c".into(), Json::Int(self.c as u64)),
+            ("b".into(), Json::Int(self.b() as u64)),
+        ])
+    }
+
+    fn records_json(&self) -> Json {
+        Json::Arr(
+            self.records
+                .iter()
+                .map(|r| {
+                    Json::Obj(vec![
+                        ("name".into(), Json::Str(r.name.clone())),
+                        ("seconds".into(), Json::Num(r.seconds)),
+                        ("gflops".into(), Json::Num(r.gflops)),
+                        ("flops".into(), Json::Int(r.measured_flops)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Times and flop-checks the BSOFI stage at one shape: clusters a random
+/// L-slice chain down to the b-block reduced matrix (the honest pipeline),
+/// then measures only BSOFI on it. The traced charge of the selected and
+/// factor calls must equal the kernel-exact closed forms to the flop.
+fn bench_shape(n: usize, l: usize, c: usize) -> ShapeRun {
+    assert!(l.is_multiple_of(c), "cluster size must divide L");
+    let b = l / c;
+    let pc = fsi_pcyclic::random_pcyclic(n, l, 2016);
+    let clustered = cls(Par::Seq, Par::Seq, &pc, c, c / 2);
+    let reduced = &clustered.reduced;
+    println!("\nN = {n}, L = {l}, c = {c} (b = {b})");
+    println!(
+        "{:<26} {:>12} {:>10} {:>14}",
+        "bench", "best (s)", "Gflop/s", "flops"
+    );
+
+    // Dense inverse vs. pattern-aware selected assembly, timed interleaved
+    // so the speedup ratio is noise-robust.
+    let diags = SelectedPattern::Diagonals;
+    let block = SelectedPattern::DiagonalBlock(b / 2);
+    let full = || {
+        let _ = bsofi(Par::Seq, Par::Seq, reduced);
+    };
+    let selected = |pattern: &SelectedPattern| {
+        let _ = bsofi_selected(Par::Seq, Par::Seq, reduced, pattern).expect("healthy");
+    };
+    let factor = || {
+        let _ = StructuredQr::factor(Par::Seq, reduced);
+    };
+    let (t_full, t_diags) = time_best_pair(full, || selected(&diags));
+    let records = [
+        record("bsofi_full", t_full, full),
+        record("bsofi_selected_diagonals", t_diags, || selected(&diags)),
+        record(
+            "bsofi_selected_block",
+            time_best(|| selected(&block)),
+            || selected(&block),
+        ),
+        record("factor", time_best(factor), factor),
+    ];
+    records.iter().for_each(print_record);
+    for (r, want, what) in [
+        (&records[1], bsofi_selected_flops(n, b, &diags), "diagonals"),
+        (&records[2], bsofi_selected_flops(n, b, &block), "block"),
+        (&records[3], structured_qr_flops(n, b), "factor"),
+    ] {
+        assert_eq!(
+            r.measured_flops, want,
+            "{what} flops drifted from the model"
+        );
+    }
+    let selected_speedup = records[0].seconds / records[1].seconds;
+    let block_speedup = records[0].seconds / records[2].seconds;
+    println!(
+        "selected vs dense: diagonals {selected_speedup:.2}x, single block {block_speedup:.2}x"
+    );
+    ShapeRun {
+        n,
+        l,
+        c,
+        records,
+        selected_speedup,
+        block_speedup,
+    }
+}
+
 fn main() {
     let args = Args::parse();
     let kernel = fsi_dense::active_tier();
@@ -119,114 +232,27 @@ fn main() {
         .flag_value("out")
         .unwrap_or("results/BENCH_bsofi.json")
         .to_string();
-    let n = args.get_usize("N", 64);
-    let l = args.get_usize("L", 128);
-    let c = args.get_usize("c", 8);
-    let threads = args.get_usize("threads", 3);
-    assert!(l.is_multiple_of(c), "cluster size must divide L");
-    let b = l / c;
 
-    // The honest pipeline: cluster a random L-slice chain down to the
-    // b-block reduced matrix, then time only the BSOFI stage on it.
-    let pc = fsi_pcyclic::random_pcyclic(n, l, 2016);
-    let clustered = cls(Par::Seq, Par::Seq, &pc, c, c / 2);
-    let reduced = &clustered.reduced;
-    let pool = ThreadPool::new(threads.max(2));
-
-    println!(
-        "{:<26} {:>12} {:>10} {:>14}",
-        "bench", "best (s)", "Gflop/s", "flops"
+    let run = bench_shape(
+        args.get_usize("N", 64),
+        args.get_usize("L", 128),
+        args.get_usize("c", 8),
     );
-
-    // --- Dense inverse vs. pattern-aware selected assembly, timed
-    // interleaved so the speedup ratio is noise-robust.
-    let diags = SelectedPattern::Diagonals;
-    let (t_full, t_diags) = time_best_pair(
-        || {
-            let _ = bsofi(Par::Seq, Par::Seq, reduced);
-        },
-        || {
-            let _ = bsofi_selected(Par::Seq, Par::Seq, reduced, &diags).expect("healthy");
-        },
-    );
-    let r_full = record("bsofi_full", t_full, || {
-        let _ = bsofi(Par::Seq, Par::Seq, reduced);
-    });
-    let r_diags = record("bsofi_selected_diagonals", t_diags, || {
-        let _ = bsofi_selected(Par::Seq, Par::Seq, reduced, &diags).expect("healthy");
-    });
-    let block = SelectedPattern::DiagonalBlock(b / 2);
-    let t_block = time_best(|| {
-        let _ = bsofi_selected(Par::Seq, Par::Seq, reduced, &block).expect("healthy");
-    });
-    let r_block = record("bsofi_selected_block", t_block, || {
-        let _ = bsofi_selected(Par::Seq, Par::Seq, reduced, &block).expect("healthy");
-    });
-    for r in [&r_full, &r_diags, &r_block] {
-        print_record(r);
-    }
-    let selected_speedup = r_full.seconds / r_diags.seconds;
-    let block_speedup = r_full.seconds / r_block.seconds;
     assert!(
-        selected_speedup >= 1.5,
+        run.selected_speedup >= 1.5,
         "diagonal selected assembly must beat dense bsofi by >= 1.5x \
-         (got {selected_speedup:.2}x: dense {:.2e} s, selected {:.2e} s)",
-        r_full.seconds,
-        r_diags.seconds
+         (got {:.2}x: dense {:.2e} s, selected {:.2e} s)",
+        run.selected_speedup,
+        run.records[0].seconds,
+        run.records[1].seconds
     );
+    // The BSOFI shapes inside the layered benchmark's workloads.
+    let benchmark_shapes = [
+        ("fsi_cols_n64", bench_shape(64, 128, 16)),
+        ("fsi_diag_n144", bench_shape(144, 64, 4)),
+    ];
 
-    // --- Flop attribution is exact: the traced charge of one selected
-    // call equals the kernel-exact closed form to the flop.
-    assert_eq!(
-        r_diags.measured_flops,
-        bsofi_selected_flops(n, b, &diags),
-        "selected-diagonals flops drifted from the model"
-    );
-    assert_eq!(
-        r_block.measured_flops,
-        bsofi_selected_flops(n, b, &block),
-        "selected-block flops drifted from the model"
-    );
-
-    // --- Serial vs. look-ahead pipelined factor. Same kernel calls on
-    // the same inputs, so the results must be bitwise identical and the
-    // ratio is a pure pipelining measurement.
-    let (t_serial, t_look) = time_best_pair(
-        || {
-            let _ = StructuredQr::factor(Par::Seq, reduced);
-        },
-        || {
-            let _ = StructuredQr::factor_lookahead(Par::Pool(&pool), Par::Seq, reduced);
-        },
-    );
-    let r_serial = record("factor_serial", t_serial, || {
-        let _ = StructuredQr::factor(Par::Seq, reduced);
-    });
-    let r_look = record("factor_lookahead", t_look, || {
-        let _ = StructuredQr::factor_lookahead(Par::Pool(&pool), Par::Seq, reduced);
-    });
-    print_record(&r_serial);
-    print_record(&r_look);
-    let lookahead_speedup = r_serial.seconds / r_look.seconds;
-    let fs = StructuredQr::factor(Par::Seq, reduced);
-    let fl = StructuredQr::factor_lookahead(Par::Pool(&pool), Par::Seq, reduced);
-    assert_eq!(
-        fs.assemble_r().as_slice(),
-        fl.assemble_r().as_slice(),
-        "look-ahead factor must be bitwise identical to serial"
-    );
-    assert_eq!(
-        r_serial.measured_flops,
-        structured_qr_flops(n, b),
-        "factor flops drifted from the model"
-    );
-
-    println!(
-        "\nselected vs dense: diagonals {selected_speedup:.2}x, single block {block_speedup:.2}x"
-    );
-    println!("look-ahead factor speedup: {lookahead_speedup:.2}x");
-
-    let records = [r_full, r_diags, r_block, r_serial, r_look];
+    let (n, b) = (run.n, run.b());
     let json = Json::Obj(vec![
         ("label".into(), Json::Str(label)),
         (
@@ -239,50 +265,54 @@ fn main() {
             ),
         ),
         (
-            "shape".into(),
+            "host".into(),
             Json::Obj(vec![
-                ("N".into(), Json::Int(n as u64)),
-                ("L".into(), Json::Int(l as u64)),
-                ("c".into(), Json::Int(c as u64)),
-                ("b".into(), Json::Int(b as u64)),
-                ("threads".into(), Json::Int(threads as u64)),
+                (
+                    "nproc".into(),
+                    Json::Int(fsi_runtime::hardware_threads() as u64),
+                ),
+                // Every operation here runs on the calling thread.
+                ("threads".into(), Json::Int(1)),
+                ("kernel".into(), Json::Str(kernel.name().to_string())),
             ]),
         ),
+        ("shape".into(), run.shape_json()),
         (
             "summary".into(),
             Json::Obj(vec![
-                ("selected_speedup".into(), Json::Num(selected_speedup)),
-                ("block_speedup".into(), Json::Num(block_speedup)),
-                ("lookahead_speedup".into(), Json::Num(lookahead_speedup)),
+                ("selected_speedup".into(), Json::Num(run.selected_speedup)),
+                ("block_speedup".into(), Json::Num(run.block_speedup)),
                 (
                     "model_flops_full".into(),
                     Json::Int(fsi_selinv::bsofi::bsofi_flops(n, b)),
                 ),
+                // Measured = model, asserted in `bench_shape`.
                 (
                     "model_flops_diagonals".into(),
-                    Json::Int(bsofi_selected_flops(n, b, &diags)),
+                    Json::Int(run.records[1].measured_flops),
                 ),
                 (
                     "model_flops_block".into(),
-                    Json::Int(bsofi_selected_flops(n, b, &block)),
+                    Json::Int(run.records[2].measured_flops),
                 ),
                 (
                     "model_flops_factor".into(),
-                    Json::Int(structured_qr_flops(n, b)),
+                    Json::Int(run.records[3].measured_flops),
                 ),
             ]),
         ),
+        ("records".into(), run.records_json()),
         (
-            "records".into(),
+            "benchmark_shapes".into(),
             Json::Arr(
-                records
+                benchmark_shapes
                     .iter()
-                    .map(|r| {
+                    .map(|(workload, r)| {
                         Json::Obj(vec![
-                            ("name".into(), Json::Str(r.name.clone())),
-                            ("seconds".into(), Json::Num(r.seconds)),
-                            ("gflops".into(), Json::Num(r.gflops)),
-                            ("flops".into(), Json::Int(r.measured_flops)),
+                            ("workload".into(), Json::Str(workload.to_string())),
+                            ("shape".into(), r.shape_json()),
+                            ("selected_speedup".into(), Json::Num(r.selected_speedup)),
+                            ("records".into(), r.records_json()),
                         ])
                     })
                     .collect(),

@@ -79,6 +79,35 @@ fn time_best_pair(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
     (best_a, best_b)
 }
 
+/// Times BSOFI's two QR kernels at block size `n`: `geqrf` of a `2n × n`
+/// panel (the factorization and its compact-WY `T`; the clone of the input
+/// is inside the timed call) and `apply_qt_right` on an `8n × 2n` slab
+/// (stage C of a `b = 8` dense inverse). Rates use the kernels' own charges.
+fn bench_qr(n: usize) -> [Record; 2] {
+    let a = test_matrix(2 * n, n, 3);
+    let f = fsi_dense::geqrf(a.clone());
+    let mut slab = test_matrix(8 * n, 2 * n, 4);
+    let t_qr = time_best(|| {
+        std::hint::black_box(fsi_dense::geqrf(a.clone()));
+    });
+    let t_apply = time_best(|| f.apply_qt_right(fsi_runtime::Par::Seq, slab.as_mut()));
+    [
+        (
+            "geqrf",
+            t_qr,
+            counts::geqrf(2 * n, n) + counts::larft(2 * n, n),
+        ),
+        ("apply_qt_right", t_apply, counts::ormqr(2 * n, n, 8 * n)),
+    ]
+    .map(|(name, seconds, flops)| Record {
+        name: name.to_string(),
+        size: n,
+        seconds,
+        gflops: flops as f64 / seconds / 1e9,
+        measured_flops: flops,
+    })
+}
+
 /// One measured (n, batch) pair of the batched-vs-looped comparison.
 struct BatchedRecord {
     n: usize,
@@ -258,6 +287,17 @@ fn main() {
             r.name, r.size, r.seconds, r.gflops
         );
         records.push(r);
+    }
+
+    // BSOFI's QR kernels at the two block sizes the layered benchmark runs.
+    for n in [64, 144] {
+        for r in bench_qr(n) {
+            println!(
+                "{:<14} {:>4} {:>12.6} {:>10.3}",
+                r.name, r.size, r.seconds, r.gflops
+            );
+            records.push(r);
+        }
     }
 
     // Batched engine vs looped gemm at the CLS hot shapes. The (N, batch)

@@ -7,18 +7,31 @@
 
 use crate::matrix::{MatMut, MatRef};
 
-/// Dot product `xᵀy`.
+/// Dot product `xᵀy`, accumulated in eight independent lanes (element `i`
+/// into lane `i mod 8`, lanes summed pairwise at the end): a single running
+/// sum is one dependent add per element, which neither vectorizes nor
+/// pipelines, and the Householder panel kernels of [`crate::qr`] are made of
+/// these.
 ///
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
-    let mut s = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        s += a * b;
+    let mut lanes = [0.0f64; 8];
+    let (xc, yc) = (x.chunks_exact(8), y.chunks_exact(8));
+    let mut tail = 0.0;
+    for (a, b) in xc.remainder().iter().zip(yc.remainder()) {
+        tail += a * b;
     }
-    s
+    for (a, b) in xc.zip(yc) {
+        for l in 0..8 {
+            lanes[l] += a[l] * b[l];
+        }
+    }
+    ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
+        + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]))
+        + tail
 }
 
 /// `y += alpha·x`.
@@ -44,20 +57,24 @@ pub fn scal(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Euclidean norm with scaling to avoid overflow/underflow (LAPACK DNRM2
-/// style).
+/// Euclidean norm, safe against overflow and underflow of the squares.
+/// When the plain sum of squares lands far from both ends of the exponent
+/// range (always, for the matrices FSI factors) no square was lost and the
+/// one vectorized pass is the answer; a sum that is zero, non-finite or
+/// near a limit is redone by DNRM2's scaled recurrence, which also carries
+/// NaN and infinity through to the result.
 pub fn nrm2(x: &[f64]) -> f64 {
-    let mut scale = 0.0f64;
-    let mut ssq = 1.0f64;
-    for &xi in x {
-        if xi != 0.0 {
-            let a = xi.abs();
-            if scale < a {
-                ssq = 1.0 + ssq * (scale / a).powi(2);
-                scale = a;
-            } else {
-                ssq += (a / scale).powi(2);
-            }
+    let ssq = dot(x, x);
+    if (1e-280..1e280).contains(&ssq) {
+        return ssq.sqrt();
+    }
+    let (mut scale, mut ssq) = (0.0f64, 1.0f64);
+    for a in x.iter().map(|xi| xi.abs()).filter(|&a| a != 0.0) {
+        if scale < a {
+            ssq = 1.0 + ssq * (scale / a).powi(2);
+            scale = a;
+        } else {
+            ssq += (a / scale).powi(2);
         }
     }
     scale * ssq.sqrt()
@@ -106,8 +123,8 @@ pub fn gemv_t(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
     fsi_runtime::flops::add_flops(2 * a.rows() as u64 * a.cols() as u64);
 }
 
-/// [`gemv_t`] without the flop charge — for use inside kernels (GEQRF,
-/// ORMQR) that already charged their analytic total; charging the panel
+/// [`gemv_t`] without the flop charge — for use inside kernels (GEQRF)
+/// that already charged their analytic total; charging the panel
 /// products again would double-count.
 pub(crate) fn gemv_t_uncounted(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(a.rows(), x.len(), "gemv_t: A.rows != x.len");
@@ -168,6 +185,19 @@ mod tests {
         let tiny = 1e-200;
         let n = nrm2(&[tiny, tiny]);
         assert!((n - tiny * std::f64::consts::SQRT_2).abs() / n < 1e-15);
+        // Non-finite entries reach the result, alone or in company.
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for x in [
+            &[nan, nan][..],
+            &[0.0, nan],
+            &[nan, 1.0],
+            &[big, nan],
+            &[inf, nan],
+        ] {
+            assert!(nrm2(x).is_nan(), "{x:?}");
+        }
+        assert_eq!(nrm2(&[inf, 1.0]), inf);
+        assert_eq!(nrm2(&[0.0, -inf]), inf);
     }
 
     #[test]

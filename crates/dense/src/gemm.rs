@@ -130,7 +130,7 @@ pub fn gemm_op(
 }
 
 /// [`gemm_op`] without flop accounting or a kernel span: for kernels (QR's
-/// LARFB, the blocked TRTRI) that already charged their own analytic total
+/// compact-WY products, the blocked TRTRI) that already charged their own analytic total
 /// and use gemm as an internal detail — charging here too would
 /// double-count.
 #[allow(clippy::too_many_arguments)]

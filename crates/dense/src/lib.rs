@@ -20,16 +20,19 @@
 //! * [`lu`] — blocked LU with partial pivoting, solves (including the
 //!   right-inverse applications the wrapping stage needs), explicit
 //!   inversion and determinants;
-//! * [`qr`] — Householder QR with compact-WY blocked application of `Q`,
-//!   the engine of BSOFI;
+//! * [`qr`] — recursive-panel Householder QR that builds one compact-WY
+//!   pair `(V, T)` per factorization and applies `Q` as three GEMMs, the
+//!   engine of BSOFI;
 //! * [`tri`] — triangular solves and upper-triangular inversion;
 //! * [`expm`](mod@expm) — Padé-13 scaling-and-squaring matrix exponential for the
 //!   Hubbard hopping factor `e^{tΔτK}`;
 //! * [`norms`] — norms, relative-error metrics and a condition-number probe.
 //!
-//! Every kernel charges its textbook flop count to
-//! [`fsi_runtime::flops`], so harnesses report Gflop/s rates comparable in
-//! shape to the paper's MKL numbers.
+//! Every kernel charges an analytic flop count from
+//! [`fsi_runtime::flops::counts`] — the textbook one, except where the
+//! kernel deliberately runs dense GEMMs over triangular operands (the QR
+//! apply), which is charged as the GEMMs it runs — so harnesses report
+//! Gflop/s rates comparable in shape to the paper's MKL numbers.
 
 #![warn(missing_docs)]
 // index loops mirror the BLAS/LAPACK algorithms they implement.

@@ -3,7 +3,7 @@
 //! well-conditioned inputs.
 
 use fsi_dense::{expm, gemm_op, geqrf, getrf, mul, rel_error, solve, test_matrix, Matrix, Op};
-use fsi_runtime::Par;
+use fsi_runtime::{Par, ThreadPool};
 use proptest::prelude::*;
 
 /// Random well-conditioned square matrix (diagonally dominated).
@@ -13,8 +13,130 @@ fn well_conditioned(n: usize, seed: u64) -> Matrix {
     a
 }
 
+/// All four `apply_*` of the factorization of an `m × n` matrix against
+/// products with the explicit `Q` (built reflector by reflector from the
+/// columns of `V` and the `τ`s, not through `apply` or `T`), and each pool
+/// apply against its sequential twin bit for bit.
+fn check_applies(m: usize, n: usize, k: usize, seed: u64) {
+    let f = geqrf(test_matrix(m, n, seed));
+    let mut q = Matrix::identity(m);
+    for j in (0..n).rev() {
+        // q := H_j·q
+        let v = f.v().as_ref().col(j);
+        for c in 0..m {
+            let dot: f64 = (0..m).map(|i| v[i] * q[(i, c)]).sum();
+            for i in 0..m {
+                q[(i, c)] -= f.taus()[j] * v[i] * dot;
+            }
+        }
+    }
+    let pool = ThreadPool::new(3);
+    let tall = test_matrix(m, k, seed ^ 5);
+    let wide = test_matrix(k, m, seed ^ 6);
+    type Apply = fn(&fsi_dense::QrFactor, Par<'_>, fsi_dense::MatMut<'_>);
+    let cases: [(&str, Apply, &Matrix, bool, Op); 4] = [
+        (
+            "QᵀC",
+            |f, p, c| f.apply_qt_left(p, c),
+            &tall,
+            true,
+            Op::Trans,
+        ),
+        (
+            "QC",
+            |f, p, c| f.apply_q_left(p, c),
+            &tall,
+            true,
+            Op::NoTrans,
+        ),
+        (
+            "CQᵀ",
+            |f, p, c| f.apply_qt_right(p, c),
+            &wide,
+            false,
+            Op::Trans,
+        ),
+        (
+            "CQ",
+            |f, p, c| f.apply_q_right(p, c),
+            &wide,
+            false,
+            Op::NoTrans,
+        ),
+    ];
+    for (name, apply, c0, left, opq) in cases {
+        let mut got = c0.clone();
+        apply(&f, Par::Seq, got.as_mut());
+        let mut want = Matrix::zeros(c0.rows(), c0.cols());
+        let (nt, one) = (Op::NoTrans, 1.0);
+        if left {
+            gemm_op(
+                Par::Seq,
+                one,
+                opq,
+                q.as_ref(),
+                nt,
+                c0.as_ref(),
+                0.0,
+                want.as_mut(),
+            );
+        } else {
+            gemm_op(
+                Par::Seq,
+                one,
+                nt,
+                c0.as_ref(),
+                opq,
+                q.as_ref(),
+                0.0,
+                want.as_mut(),
+            );
+        }
+        let err = rel_error(&got, &want);
+        assert!(err < 1e-13, "{name} for {m}x{n}, k={k}: rel err {err}");
+        let mut par = c0.clone();
+        apply(&f, Par::Pool(&pool), par.as_mut());
+        assert_eq!(
+            par.as_slice(),
+            got.as_slice(),
+            "{name} for {m}x{n}, k={k}: pool vs seq"
+        );
+    }
+}
+
+#[test]
+fn applies_match_explicit_q_at_the_shapes_that_matter() {
+    // m == n (45 splits unevenly at every level of the recursion), a single
+    // reflector, widths off every power of two, and BSOFI's two benchmark
+    // panels.
+    for &(m, n) in &[
+        (1, 1),
+        (9, 1),
+        (40, 40),
+        (45, 45),
+        (45, 37),
+        (70, 33),
+        (128, 64),
+        (288, 144),
+    ] {
+        for k in [1usize, 17] {
+            check_applies(m, n, k, (m * n + k) as u64);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn applies_match_explicit_q(
+        n in 1usize..50,
+        extra in 0usize..30,
+        k in 1usize..24,
+        seed in any::<u64>(),
+    ) {
+        check_applies(n + extra, n, k, seed);
+    }
 
     #[test]
     fn lu_solve_residual_small(n in 1usize..40, nrhs in 1usize..6, seed in any::<u64>()) {
@@ -56,11 +178,7 @@ proptest! {
         prop_assert!(qtq.max_abs() < 1e-11 * (rows as f64 + 1.0));
         // Q·R = A (R embedded in rows × m).
         let mut r_full = Matrix::zeros(rows, m);
-        for i in 0..m {
-            for j in i..m {
-                r_full[(i, j)] = f.packed()[(i, j)];
-            }
-        }
+        r_full.set_block(0, 0, f.r().as_ref());
         let mut resid = mul(&q, &r_full);
         resid.sub_assign(&a);
         prop_assert!(resid.max_abs() < 1e-11 * (rows as f64 + 1.0));

@@ -55,11 +55,22 @@ pub mod counts {
         2 * n * n * m - 2 * n * n * n / 3
     }
 
-    /// Applying Qᵀ (from an m×n panel factorization) to an m×k matrix:
-    /// `4mnk − 2n²k` flops (ORMQR).
+    /// Building the `n × n` compact-WY factor `T` of an m×n panel's
+    /// reflectors (LARFT): `n²(m − n/3)` flops, half of [`geqrf`]. GEQRF
+    /// here always builds `T`, so one factorization charges the sum of
+    /// the two.
+    pub fn larft(m: usize, n: usize) -> u64 {
+        let (m, n) = (m as u64, n as u64);
+        n * n * m - n * n * n / 3
+    }
+
+    /// Applying `op(Q) = I − V·op(T)·Vᵀ` (from an m×n panel
+    /// factorization) to an m×k matrix as the three dense GEMMs the kernel
+    /// runs — `Vᵀ·C`, `op(T)·W`, `V·W` — `4mnk + 2n²k` flops. The
+    /// textbook ORMQR count `4mnk − 2n²k` skips the zero triangles of `V`
+    /// and `T`; the GEMMs do not, and the model charges what runs.
     pub fn ormqr(m: usize, n: usize, k: usize) -> u64 {
-        let (m, n, k) = (m as u64, n as u64, k as u64);
-        4 * m * n * k - 2 * n * n * k
+        2 * gemm(n, k, m) + gemm(n, k, n)
     }
 
     /// Triangular inversion of an n×n triangle (TRTRI): `n³/3`.
@@ -84,6 +95,7 @@ mod tests {
         assert_eq!(counts::getri(10), 4 * 1000 / 3);
         assert_eq!(counts::trtri(9), 729 / 3);
         assert_eq!(counts::trsm(10, 5), 500);
-        assert_eq!(counts::ormqr(20, 10, 5), 4 * 20 * 10 * 5 - 2 * 100 * 5);
+        assert_eq!(counts::ormqr(20, 10, 5), 4 * 20 * 10 * 5 + 2 * 100 * 5);
+        assert_eq!(2 * counts::larft(30, 12), counts::geqrf(30, 12));
     }
 }

@@ -58,7 +58,7 @@ pub mod workspace;
 
 pub use health::{FsiError, FsiResult, HealthEvent, Stage};
 pub use metrics::{Meter, MetricsSnapshot};
-pub use parallel::{join, parallel_for, parallel_map, pipeline, Schedule};
+pub use parallel::{join, parallel_for, parallel_map, Schedule};
 pub use pool::{Par, PoolStats, ScopeHandle, ThreadPool, WorkerStats};
 pub use steal::StealQueues;
 pub use timing::{Profile, Stopwatch};

@@ -165,39 +165,6 @@ where
     (ra, rb)
 }
 
-/// Two-stage look-ahead pipeline over `0..n`: `stage_a(i)` produces the
-/// item the critical chain depends on (e.g. a panel QR), `stage_b(i, &item)`
-/// performs its trailing update. On a pool, `stage_b(i)` overlaps
-/// `stage_a(i + 1)` — the classic look-ahead schedule of right-looking
-/// factorizations — with `stage_a` kept on the calling thread so the
-/// critical chain never waits behind queued trailing work.
-///
-/// Returns the `stage_a` items in index order. Both stages see indices in
-/// order (`stage_a`: `0, 1, …`; `stage_b(i)` only after `stage_a(i)`), so
-/// state carried inside either closure (`FnMut`) observes the same
-/// sequence as a serial run; with deterministic kernels the overlapped
-/// schedule is bitwise-identical to `Par::Seq`.
-pub fn pipeline<T, FA, FB>(par: Par<'_>, n: usize, mut stage_a: FA, mut stage_b: FB) -> Vec<T>
-where
-    T: Send + Sync,
-    FA: FnMut(usize) -> T + Send,
-    FB: FnMut(usize, &T) + Send,
-{
-    let mut out = Vec::with_capacity(n);
-    if n == 0 {
-        return out;
-    }
-    let mut cur = stage_a(0);
-    for i in 0..n - 1 {
-        // fb is spawned onto the pool, fa runs on the caller (see `join`).
-        let (next, ()) = join(par, || stage_a(i + 1), || stage_b(i, &cur));
-        out.push(std::mem::replace(&mut cur, next));
-    }
-    stage_b(n - 1, &cur);
-    out.push(cur);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,77 +284,5 @@ mod tests {
         let pool = ThreadPool::new(1);
         let (a, b) = join(Par::Pool(&pool), || 1, || 2);
         assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
-    fn pipeline_returns_items_in_order_and_runs_both_stages() {
-        let pool = ThreadPool::new(4);
-        for par in [Par::Seq, Par::Pool(&pool)] {
-            let b_sum = AtomicU64::new(0);
-            let items = pipeline(
-                par,
-                17,
-                |i| (i * i) as u64,
-                |i, item| {
-                    assert_eq!(*item, (i * i) as u64);
-                    b_sum.fetch_add(*item, Ordering::Relaxed);
-                },
-            );
-            assert_eq!(items, (0..17).map(|i| (i * i) as u64).collect::<Vec<_>>());
-            assert_eq!(
-                b_sum.into_inner(),
-                (0..17u64).map(|i| i * i).sum::<u64>(),
-                "stage_b must run once per item"
-            );
-        }
-    }
-
-    #[test]
-    fn pipeline_stage_state_sees_serial_order() {
-        // Both closures carry state across iterations; the pipeline must
-        // feed them indices in the same order as a serial loop would.
-        let pool = ThreadPool::new(3);
-        for par in [Par::Seq, Par::Pool(&pool)] {
-            let mut a_state = 0u64;
-            let mut b_trace = Vec::new();
-            let items = pipeline(
-                par,
-                9,
-                |i| {
-                    a_state += i as u64 + 1;
-                    a_state
-                },
-                |i, item| b_trace.push((i, *item)),
-            );
-            // a_state follows the serial recurrence: prefix sums of i+1.
-            let mut want = Vec::new();
-            let mut acc = 0u64;
-            for i in 0..9u64 {
-                acc += i + 1;
-                want.push(acc);
-            }
-            assert_eq!(items, want);
-            let want_trace: Vec<(usize, u64)> =
-                want.iter().enumerate().map(|(i, &v)| (i, v)).collect();
-            assert_eq!(b_trace, want_trace);
-        }
-    }
-
-    #[test]
-    fn pipeline_empty_and_singleton() {
-        let pool = ThreadPool::new(2);
-        let v: Vec<u32> = pipeline(Par::Pool(&pool), 0, |_| 1, |_, _| {});
-        assert!(v.is_empty());
-        let hits = AtomicU64::new(0);
-        let v = pipeline(
-            Par::Pool(&pool),
-            1,
-            |i| i + 40,
-            |_, _| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(v, vec![40]);
-        assert_eq!(hits.into_inner(), 1);
     }
 }

@@ -96,8 +96,8 @@ static ALLOCS: LazyCounter = LazyCounter::new("runtime.workspace.allocs");
 
 thread_local! {
     /// Per-thread stack of reusable buffers. Depth is bounded by the
-    /// deepest nesting of `with_scratch` calls (≤ 3 in this workspace:
-    /// B-pack > A-pack, or LARFB workspace > pack pair).
+    /// deepest nesting of `with_scratch` calls (≤ 4 in this workspace:
+    /// the QR apply's two intermediates > B-pack > A-pack).
     static SCRATCH: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
 }
 

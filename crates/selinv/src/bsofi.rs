@@ -21,14 +21,23 @@
 //!     |                 R__ |
 //! ```
 //!
-//! Each panel's work splits into a *critical chain* (the QR itself plus
-//! the superdiagonal column update that produces the next panel's `D`)
-//! and *trailing work* (the corner's last-column update). The factor
-//! routine runs them as a two-stage look-ahead pipeline
-//! ([`fsi_runtime::pipeline`]): on a pool, the trailing update of panel
-//! `i` overlaps the QR of panel `i+1`, with bitwise-identical output to
-//! the serial order (the kernels are deterministic and the overlapped
-//! calls see identical inputs).
+//! Every panel carries its transform in compact-WY form,
+//! `Q̃ᵢ = I − V·T·Vᵀ` with `V` (`2N × N`) and `T` (`N × N`) built once by
+//! [`fsi_dense::geqrf`], so applying `Q̃ᵢᵀ` is three GEMMs — and the
+//! right-hand sides stage A meets are so sparse that the first of the
+//! three costs nothing. Panel `i` must update block column `i+1`, which
+//! holds `[0; I]` in its two block rows, and the last block column, which
+//! holds `[corner; 0]`:
+//!
+//! ```text
+//! | E_i      C_i     |   | 0  corner |
+//! |                  | = |           | − V·Tᵀ·[ V₂ᵀ | V₁ᵀ·corner ]     V = [V₁; V₂]
+//! | D_{i+1}  corner' |   | I  0      |
+//! ```
+//!
+//! `Vᵀ·[0; I]` is the lower half of `V` read off, not computed; both
+//! updates go out as one `2N × 2N × N` product, the best GEMM shape the
+//! stage has.
 //!
 //! **Stage B — structured `R⁻¹`.** Because `R⁻¹`'s last block row is zero
 //! left of the diagonal, the back-substitution recurrences collapse to
@@ -37,8 +46,8 @@
 //! below) are independent → parallel.
 //!
 //! **Stage C — `Ḡ = X·Qᵀ`.** Right-apply the stored panel transforms in
-//! reverse; each `Q̃_iᵀ` touches a `2N`-wide column slab, applied with the
-//! compact-WY kernels so the stage is GEMM-rich.
+//! reverse; each `Q̃_iᵀ` touches a `2N`-wide column slab, three GEMMs
+//! over the slab per panel.
 //!
 //! Two assembly paths share the factorization:
 //!
@@ -53,14 +62,18 @@
 //!   because column `ℓ` of `Ḡ` is final once transforms `b−1, …, ℓ−1`
 //!   have been applied, a diagonal-only request replaces the in-place
 //!   slab applies of stage C with a *live-column chain*: materialize the
-//!   column half of each `Q̃ᵢᵀ` the request needs and advance the one
-//!   still-live column block with plain GEMMs (see
-//!   [`StructuredQr::selected`]). For the S1/S2 diagonal patterns this
-//!   drops the stage B+C constant from ≈`9b²N³` to ≈`3b²N³`, keeps the
-//!   work in clean tall GEMMs, and skips the dense materialization.
+//!   column half of each `Q̃ᵢᵀ` the request needs — columns `lo..hi` of
+//!   `I − V·Tᵀ·Vᵀ` are `E − V·(V[lo..hi, :]·T)ᵀ`, two GEMMs and no
+//!   identity right-hand side — and advance the one still-live column
+//!   block with plain GEMMs (see [`StructuredQr::selected`]). For the
+//!   S1/S2 diagonal patterns this drops the stage B+C constant from
+//!   ≈`12b²N³` (as charged: `V` and `T` go through GEMM with their zero
+//!   halves) to ≈`3b²N³`, keeps the work in clean tall GEMMs, and skips
+//!   the dense materialization.
 
+use fsi_dense::blas::axpy;
 use fsi_dense::tri::invert_upper;
-use fsi_dense::{gemm, geqrf, Matrix, QrFactor};
+use fsi_dense::{gemm, gemm_op, geqrf, MatMut, MatRef, Matrix, Op, QrFactor};
 use fsi_pcyclic::BlockPCyclic;
 use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
 use fsi_runtime::{trace, Par, Schedule};
@@ -69,10 +82,10 @@ use crate::patterns::{SelectedInverse, SelectedPattern};
 
 /// Computes the dense inverse `Ḡ = M̄⁻¹` (a `bN × bN` matrix).
 ///
-/// `par_cols` parallelizes the look-ahead pipeline of stage A and the
-/// independent block columns of stage B (FSI's OpenMP mode); `par_gemm`
-/// parallelizes inside the dense kernels (the "MKL-style" mode). The FSI
-/// drivers pass a pool to exactly one of the two.
+/// `par_cols` parallelizes the independent block columns of stage B and
+/// the row bands of stage C (FSI's OpenMP mode); `par_gemm` parallelizes
+/// inside the dense kernels of all three stages (the "MKL-style" mode).
+/// The FSI drivers pass a pool to exactly one of the two.
 ///
 /// ```
 /// use fsi_runtime::Par;
@@ -86,16 +99,7 @@ use crate::patterns::{SelectedInverse, SelectedPattern};
 pub fn bsofi(par_cols: Par<'_>, par_gemm: Par<'_>, pc: &BlockPCyclic) -> Matrix {
     let b = pc.l();
     if b == 1 {
-        // Degenerate single-block matrix: M̄ = I + b̄0; invert via QR to
-        // stay in the BSOFI (orthogonal) family.
-        let mut m = pc.block(0).clone();
-        m.add_diag(1.0);
-        let f = geqrf(m);
-        let mut x = f.r();
-        invert_upper(x.as_mut());
-        zero_strict_lower(&mut x);
-        f.apply_qt_right(par_gemm, x.as_mut());
-        return x;
+        return single_block_inverse(par_gemm, pc, |_| Ok(())).expect("nothing probed");
     }
 
     let factor = StructuredQr::factor_lookahead(par_cols, par_gemm, pc);
@@ -144,16 +148,10 @@ pub fn bsofi_selected(
     let b = pc.l();
     if b == 1 {
         let _ = pattern.rows(1); // bounds-check DiagonalBlock requests
-        let mut m = pc.block(0).clone();
-        m.add_diag(1.0);
-        let f = geqrf(m);
-        let mut x = f.r();
-        // Pivot probe before the triangular inversion divides by R_ii.
-        let diag: Vec<f64> = (0..x.rows()).map(|i| x[(i, i)]).collect();
-        health::check_pivots(Stage::Bsofi, 0, &diag)?;
-        invert_upper(x.as_mut());
-        zero_strict_lower(&mut x);
-        f.apply_qt_right(par_gemm, x.as_mut());
+        let x = single_block_inverse(par_gemm, pc, |r| {
+            let diag: Vec<f64> = (0..r.rows()).map(|i| r[(i, i)]).collect();
+            health::check_pivots(Stage::Bsofi, 0, &diag)
+        })?;
         let mut out = SelectedInverse::new();
         out.insert(0, 0, x);
         scan_selected(&mut out)?;
@@ -164,6 +162,25 @@ pub fn bsofi_selected(
     let mut out = factor.selected(par_cols, par_gemm, pattern);
     scan_selected(&mut out)?;
     Ok(out)
+}
+
+/// The degenerate single-block matrix `M̄ = I + b̄₀`, inverted as `R⁻¹·Qᵀ`
+/// to stay in the BSOFI (orthogonal) family. `probe` sees `R` before the
+/// triangular inversion divides by its diagonal.
+fn single_block_inverse(
+    par_gemm: Par<'_>,
+    pc: &BlockPCyclic,
+    probe: impl FnOnce(&Matrix) -> Result<(), HealthEvent>,
+) -> Result<Matrix, HealthEvent> {
+    let mut m = pc.block(0).clone();
+    m.add_diag(1.0);
+    let f = geqrf(m);
+    let mut x = f.r().clone();
+    probe(&x)?;
+    invert_upper(x.as_mut());
+    zero_strict_lower(&mut x);
+    f.apply_qt_right(par_gemm, x.as_mut());
+    Ok(x)
 }
 
 /// Output-boundary probe of an assembled selection: visits blocks in
@@ -192,109 +209,59 @@ pub struct StructuredQr {
     /// Last-column fill `C_i = R(i, b−1)` for `i = 0..b−3` (empty if
     /// `b < 3`).
     c: Vec<Matrix>,
-    /// Cached diagonal factors `R_jj` (extracted once at factor time so
-    /// the assembly inner loops never re-materialize them).
-    r_diags: Vec<Matrix>,
     n: usize,
     b: usize,
 }
 
 impl StructuredQr {
-    /// Runs stage A on the p-cyclic matrix, panels strictly in order (the
-    /// serial reference schedule; see [`Self::factor_lookahead`]).
+    /// Runs stage A on the p-cyclic matrix.
     ///
     /// # Panics
     /// Panics if `b < 2` (use [`bsofi`] which handles `b = 1`).
     pub fn factor(par_gemm: Par<'_>, pc: &BlockPCyclic) -> Self {
-        Self::factor_impl(Par::Seq, par_gemm, pc)
-    }
-
-    /// Stage A with look-ahead pipelining: on a pool, the trailing
-    /// last-column update of panel `i` overlaps the QR + superdiagonal
-    /// update of panel `i+1` (the critical chain stays on the calling
-    /// thread). Output is bitwise-identical to [`Self::factor`] — every
-    /// kernel call sees the same inputs in either schedule. Traced under
-    /// the `bsofi.lookahead` span.
-    ///
-    /// # Panics
-    /// Panics if `b < 2`.
-    pub fn factor_lookahead(par_pipeline: Par<'_>, par_gemm: Par<'_>, pc: &BlockPCyclic) -> Self {
-        let _span = trace::span("bsofi.lookahead");
-        Self::factor_impl(par_pipeline, par_gemm, pc)
-    }
-
-    fn factor_impl(par_pipe: Par<'_>, par_gemm: Par<'_>, pc: &BlockPCyclic) -> Self {
         let n = pc.n();
         let b = pc.l();
         assert!(b >= 2, "StructuredQr requires at least two block rows");
         static METER: fsi_runtime::metrics::Meter =
             fsi_runtime::metrics::Meter::new("selinv.bsofi.factor");
         let _meter = METER.start(crate::flops::structured_qr_flops(n, b));
+        let mut qrs = Vec::with_capacity(b);
         let mut e: Vec<Matrix> = Vec::with_capacity(b - 1);
-        let mut c: Vec<Matrix> = Vec::with_capacity(b.saturating_sub(2));
+        let mut c: Vec<Matrix> = Vec::with_capacity(b - 2);
         // Current diagonal block D_i (starts as the identity at row 0) and
         // the corner fill propagating down the last column.
         let mut d_cur = Matrix::identity(n);
         let mut corner = pc.block(0).clone();
-        // Panels 0..b−2 run as a two-stage pipeline: stage A carries the
-        // critical chain (QR of [D_i; −b̄_{i+1}], then the column-(i+1)
-        // update [0; I] → (E_i, D_{i+1})), stage B the trailing chain (the
-        // last-column update [corner; 0] → (C_i, corner')).
-        let mut qrs = {
-            let d_cur = &mut d_cur;
-            let e = &mut e;
-            let corner = &mut corner;
-            let c = &mut c;
-            fsi_runtime::pipeline(
-                par_pipe,
-                b - 2,
-                move |i| {
-                    let f = geqrf(panel(d_cur, pc.block(i + 1)));
-                    // Column i+1 currently holds [0; I] in rows (i, i+1).
-                    let mut col = stacked(n, None, true);
-                    f.apply_qt_left(par_gemm, col.as_mut());
-                    e.push(col.block(0, 0, n, n));
-                    *d_cur = col.block(n, 0, n, n);
-                    f
-                },
-                move |_i, f: &QrFactor| {
-                    // Last column currently holds [corner; 0].
-                    let mut last = stacked(n, Some(corner), false);
-                    f.apply_qt_left(par_gemm, last.as_mut());
-                    c.push(last.block(0, 0, n, n));
-                    *corner = last.block(n, 0, n, n);
-                },
-            )
-        };
-        // Panel b−2: column b−1 IS the last column, holding [corner; I] —
-        // the superdiagonal and corner fills merge, so the two pipeline
-        // chains converge and this panel runs after the pipeline drains.
-        {
-            let f = geqrf(panel(&d_cur, pc.block(b - 1)));
-            let mut last = stacked(n, Some(&corner), true);
-            f.apply_qt_left(par_gemm, last.as_mut());
-            e.push(last.block(0, 0, n, n));
-            d_cur = last.block(n, 0, n, n);
+        for i in 0..b - 1 {
+            let f = geqrf(panel(&d_cur, pc.block(i + 1)));
+            // Panel b−2: column b−1 IS the last column, so the
+            // superdiagonal and corner fills merge.
+            let merged = i == b - 2;
+            let updated = qt_stage_a_columns(par_gemm, &f, &corner, merged);
+            e.push(updated.block(0, 0, n, n));
+            d_cur = updated.block(n, 0, n, n);
+            if !merged {
+                c.push(updated.block(0, n, n, n));
+                corner = updated.block(n, n, n, n);
+            }
             qrs.push(f);
         }
         // Final N × N diagonal block.
         qrs.push(geqrf(d_cur));
-        let r_diags = qrs
-            .iter()
-            .map(|f| {
-                let mut r = Matrix::pooled(n, n);
-                f.write_r(r.as_mut());
-                r
-            })
-            .collect();
-        StructuredQr {
-            qrs,
-            e,
-            c,
-            r_diags,
-            n,
-            b,
-        }
+        StructuredQr { qrs, e, c, n, b }
+    }
+
+    /// [`Self::factor`] under the `bsofi.lookahead` trace span. Stage A has
+    /// no look-ahead schedule to run — its two column updates are one
+    /// product — so `par_pipeline` is not used; the name and the argument
+    /// stay because the layered benchmark (`benchmark/`) compiles against
+    /// them.
+    ///
+    /// # Panics
+    /// Panics if `b < 2`.
+    pub fn factor_lookahead(_par_pipeline: Par<'_>, par_gemm: Par<'_>, pc: &BlockPCyclic) -> Self {
+        let _span = trace::span("bsofi.lookahead");
+        Self::factor(par_gemm, pc)
     }
 
     /// Block size `N`.
@@ -308,16 +275,16 @@ impl StructuredQr {
     }
 
     /// The upper-triangular `N × N` diagonal factor `R_jj` (borrowed from
-    /// the cache built at factor time — no per-call allocation).
+    /// panel `j`'s factorization — no per-call allocation).
     pub fn r_diag(&self, j: usize) -> &Matrix {
-        &self.r_diags[j]
+        self.qrs[j].r()
     }
 
     /// Stage-boundary health probe on the factorization: checks the
     /// stacked `R_jj` diagonals (the pivots every stage B/C division goes
     /// through) for zeros, non-finite values, and a magnitude spread past
-    /// [`fsi_runtime::health::KAPPA_MAX`]. Essentially free — the
-    /// diagonals are cached at factor time and the scan is `O(bN)`.
+    /// [`fsi_runtime::health::KAPPA_MAX`]. Essentially free — the scan is
+    /// `O(bN)`.
     ///
     /// Reported column indices are global (block `j` contributes columns
     /// `jN..(j+1)N`).
@@ -400,12 +367,12 @@ impl StructuredQr {
         // Stage B: build X = R⁻¹ column by column (independent columns →
         // parallel_map), then write the blocks into the dense output:
         // the computed blocks on and above the diagonal, zeros below.
-        let columns: Vec<Vec<(usize, Matrix)>> =
+        let columns: Vec<Vec<Matrix>> =
             fsi_runtime::parallel_map(par_cols, b, Schedule::Dynamic(1), |j| {
-                self.rinv_column(par_gemm, &rinv, j)
+                self.rinv_column(par_gemm, &rinv, j, 0)
             });
         for (j, col) in columns.into_iter().enumerate() {
-            for (i, blk) in col {
+            for (i, blk) in col.iter().enumerate() {
                 g.set_block(i * n, j * n, blk.as_ref());
             }
             let below = (j + 1) * n;
@@ -447,7 +414,7 @@ impl StructuredQr {
         }
         // Shared last block column X_{i,b−1} for i ≥ kmin (the only column
         // whose recurrence needs the C fills).
-        let x_last = self.rinv_last_column_from(par_gemm, &rinv, kmin);
+        let x_last = self.rinv_column(par_gemm, &rinv, b - 1, kmin);
         // Stage B: the requested rows of X = R⁻¹, written straight into a
         // stacked buffer (band p ↔ block row rows[p]) — no per-row
         // temporaries or restacking copies. The buffer is pooled: left of
@@ -528,8 +495,8 @@ impl StructuredQr {
     /// `i−1`) and column `i+1` for row `i+1` (that row's final diagonal —
     /// its column-`i` input is `X(i+1, i) = 0`). So instead of in-place
     /// compact-WY slab applies, materialize the column half of `Q̃ᵢᵀ`
-    /// each group needs (one ORMQR on an `N`-wide identity block) and
-    /// advance the live block with plain GEMMs:
+    /// each group needs ([`qt_columns`]) and advance the live block with
+    /// plain GEMMs:
     ///
     /// ```text
     /// live ← X(:, b−1)·Q̃_{b−1}ᵀ
@@ -549,8 +516,8 @@ impl StructuredQr {
         let kmin = rows[0];
         let mut out = SelectedInverse::new();
         // live := X(:, b−1)·Q̃_{b−1}ᵀ (the final panel is N-wide).
-        let mut z_last = Matrix::identity(n);
-        self.qrs[b - 1].apply_qt_left(par_gemm, z_last.as_mut());
+        let mut z_last = Matrix::pooled(n, n);
+        qt_columns(par_gemm, &self.qrs[b - 1], 0, n, z_last.as_mut());
         let mut live = Matrix::pooled(r_cnt * n, n);
         gemm(
             par_gemm,
@@ -571,12 +538,17 @@ impl StructuredQr {
             }
             // Materialize only the column halves of Q̃ᵢᵀ this step reads
             // (columns 0..N feed the live advance, columns N..2N the
-            // finished diagonal); one apply on a shifted identity covers
-            // both, and the ORMQR charge is linear in the width either way.
+            // finished diagonal); one call covers both, at a cost linear
+            // in the width either way.
             let lo = if ga > 0 { 0 } else { n };
             let hi = if has_b { 2 * n } else { n };
-            fill_shifted_identity(&mut z, lo, hi - lo);
-            self.qrs[i].apply_qt_left(par_gemm, z.view_mut(0, 0, 2 * n, hi - lo));
+            qt_columns(
+                par_gemm,
+                &self.qrs[i],
+                lo,
+                hi,
+                z.view_mut(0, 0, 2 * n, hi - lo),
+            );
             if has_b {
                 let mut g = Matrix::pooled(n, n);
                 gemm(
@@ -665,70 +637,22 @@ impl StructuredQr {
         });
     }
 
-    /// Computes the nonzero blocks of column `j` of `X = R⁻¹`:
-    /// returns `(block_row, block)` pairs.
-    fn rinv_column(&self, par_gemm: Par<'_>, rinv: &[Matrix], j: usize) -> Vec<(usize, Matrix)> {
-        let n = self.n;
-        let b = self.b;
-        let mut out = Vec::with_capacity(j + 1);
-        out.push((j, rinv[j].clone()));
-        if j == 0 {
-            return out;
-        }
-        let last_col = j == b - 1;
-        // Walk upward: X_ij = −R_ii⁻¹·(E_i·X_{i+1,j} [+ C_i·X_{b−1,j}]).
-        let x_last = if last_col { Some(&rinv[b - 1]) } else { None };
-        let mut t = Matrix::pooled(n, n);
-        for i in (0..j).rev() {
-            let x_below = &out.last().expect("starts with the diagonal block").1;
-            gemm(
-                par_gemm,
-                -1.0,
-                self.e[i].as_ref(),
-                x_below.as_ref(),
-                0.0,
-                t.as_mut(),
-            );
-            if last_col && i <= b.saturating_sub(3) && i < self.c.len() {
-                if let Some(xl) = x_last {
-                    gemm(
-                        par_gemm,
-                        -1.0,
-                        self.c[i].as_ref(),
-                        xl.as_ref(),
-                        1.0,
-                        t.as_mut(),
-                    );
-                }
-            }
-            let mut xij = Matrix::pooled(n, n);
-            gemm(
-                par_gemm,
-                1.0,
-                rinv[i].as_ref(),
-                t.as_ref(),
-                0.0,
-                xij.as_mut(),
-            );
-            out.push((i, xij));
-        }
-        out
-    }
-
-    /// The last block column `X_{i,b−1}` of `X = R⁻¹` for `i ≥ stop`, via
-    /// the same upward recurrence as [`Self::rinv_column`] truncated at
-    /// `stop`. Entry `i` lands at index `i − stop`.
-    fn rinv_last_column_from(
+    /// The blocks `X_ij`, `stop ≤ i ≤ j`, of block column `j` of `X = R⁻¹`
+    /// (entry `i` lands at index `i − stop`), walking upward from the
+    /// diagonal: `X_ij = −R_ii⁻¹·(E_i·X_{i+1,j} [+ C_i·X_{b−1,j}])`, the `C`
+    /// term only in the last column.
+    fn rinv_column(
         &self,
         par_gemm: Par<'_>,
         rinv: &[Matrix],
+        j: usize,
         stop: usize,
     ) -> Vec<Matrix> {
-        let (n, b) = (self.n, self.b);
-        let mut out = vec![Matrix::zeros(0, 0); b - stop];
-        out[b - 1 - stop] = rinv[b - 1].clone();
+        let n = self.n;
+        let mut out = vec![Matrix::zeros(0, 0); j + 1 - stop];
+        out[j - stop] = rinv[j].clone();
         let mut t = Matrix::pooled(n, n);
-        for i in (stop..b - 1).rev() {
+        for i in (stop..j).rev() {
             gemm(
                 par_gemm,
                 -1.0,
@@ -737,12 +661,12 @@ impl StructuredQr {
                 0.0,
                 t.as_mut(),
             );
-            if i <= b.saturating_sub(3) && i < self.c.len() {
+            if j == self.b - 1 && i < self.c.len() {
                 gemm(
                     par_gemm,
                     -1.0,
                     self.c[i].as_ref(),
-                    out[b - 1 - stop].as_ref(),
+                    out[j - stop].as_ref(),
                     1.0,
                     t.as_mut(),
                 );
@@ -773,32 +697,66 @@ fn panel(d: &Matrix, b: &Matrix) -> Matrix {
     panel
 }
 
-/// A `2N × N` right-hand side `[top; bottom]` of stage A: `top` or zero
-/// above, the identity or zero below.
-fn stacked(n: usize, top: Option<&Matrix>, identity_below: bool) -> Matrix {
-    let mut m = Matrix::zeros(2 * n, n);
-    if let Some(t) = top {
-        m.set_block(0, 0, t.as_ref());
+/// What panel `f`'s transform does to the two block columns stage A still
+/// has to update, `Q̃ᵀ·rhs` with
+///
+/// ```text
+/// rhs = | 0  corner |  (block column i+1, last block column)    or, merged,   | corner |
+///       | I  0      |                                                         | I      |
+/// ```
+///
+/// without a product against the identity: `rhsᵀ·V` is `[V₂; cornerᵀ·V₁]`
+/// (merged: `V₂ + cornerᵀ·V₁`), one `N × N × N` GEMM and a copy.
+fn qt_stage_a_columns(par_gemm: Par<'_>, f: &QrFactor, corner: &Matrix, merged: bool) -> Matrix {
+    let n = f.n();
+    let v = f.v();
+    let (w, beta, corner_at) = if merged { (n, 1.0, 0) } else { (2 * n, 0.0, n) };
+    let mut rhs_t_v = Matrix::pooled(w, n);
+    rhs_t_v.view_mut(0, 0, n, n).copy_from(v.view(n, 0, n, n));
+    gemm_op(
+        par_gemm,
+        1.0,
+        Op::Trans,
+        corner.as_ref(),
+        Op::NoTrans,
+        v.view(0, 0, n, n),
+        beta,
+        rhs_t_v.view_mut(corner_at, 0, n, n),
+    );
+    let mut out = Matrix::pooled(2 * n, w);
+    qt_correction(par_gemm, f, rhs_t_v.as_ref(), out.as_mut());
+    // … + rhs.
+    let mut o = out.as_mut();
+    for j in 0..n {
+        *o.at_mut(n + j, j) += 1.0;
+        axpy(
+            1.0,
+            corner.as_ref().col(j),
+            &mut o.col_mut(corner_at + j)[..n],
+        );
     }
-    if identity_below {
-        for i in 0..n {
-            m[(n + i, i)] = 1.0;
-        }
-    }
-    m
+    out
 }
 
-/// Fills the first `cols` columns of `z` with an identity block whose
-/// top-left corner is at row `off`, zeros elsewhere — the right-hand side
-/// that materializes column `off..off+cols` of `Q̃ᵢᵀ` under
-/// [`QrFactor::apply_qt_left`].
-fn fill_shifted_identity(z: &mut Matrix, off: usize, cols: usize) {
-    let rows = z.rows();
-    for j in 0..cols {
-        for i in 0..rows {
-            z[(i, j)] = 0.0;
-        }
-        z[(off + j, j)] = 1.0;
+/// `C := −V·Tᵀ·(Vᵀ·rhs)` for a right-hand side whose product with `Vᵀ` the
+/// caller already has, transposed: `rhs_t_v = rhsᵀ·V` (`w × N`). Adding
+/// `rhs` to `C` completes `Q̃ᵀ·rhs = rhs − V·Tᵀ·Vᵀ·rhs`. Two GEMMs,
+/// `(rhsᵀ·V)·T` and `V·(…)ᵀ`, where the general apply runs three.
+fn qt_correction(par_gemm: Par<'_>, f: &QrFactor, rhs_t_v: MatRef<'_>, c: MatMut<'_>) {
+    let mut s = Matrix::pooled(rhs_t_v.rows(), f.n());
+    gemm(par_gemm, 1.0, rhs_t_v, f.t().as_ref(), 0.0, s.as_mut());
+    let (nt, tr) = (Op::NoTrans, Op::Trans);
+    gemm_op(par_gemm, -1.0, nt, f.v().as_ref(), tr, s.as_ref(), 0.0, c);
+}
+
+/// Columns `lo..hi` of `Q̃ᵀ = I − V·Tᵀ·Vᵀ` into `z`: the right-hand side is
+/// a slice of the identity, so `rhsᵀ·V` is rows `lo..hi` of `V` as they
+/// stand.
+fn qt_columns(par_gemm: Par<'_>, f: &QrFactor, lo: usize, hi: usize, mut z: MatMut<'_>) {
+    let v_rows = f.v().view(lo, 0, hi - lo, f.n());
+    qt_correction(par_gemm, f, v_rows, z.rb_mut());
+    for j in 0..hi - lo {
+        *z.at_mut(lo + j, j) += 1.0;
     }
 }
 
@@ -887,23 +845,86 @@ mod tests {
 
     #[test]
     fn lookahead_factor_is_bitwise_identical_to_serial() {
+        // `factor_lookahead` is `factor` under a span; a pool in either
+        // argument must not change a bit.
         let pool = ThreadPool::new(3);
-        for &(n, b) in &[(3usize, 2usize), (2, 3), (4, 5), (3, 8)] {
+        for &(n, b) in &[(3usize, 2usize), (2, 3), (4, 5), (3, 8), (20, 4)] {
             let pc = random_pcyclic(n, b, (17 * n + b) as u64);
             let serial = StructuredQr::factor(Par::Seq, &pc);
-            let look = StructuredQr::factor_lookahead(Par::Pool(&pool), Par::Seq, &pc);
-            assert_eq!(
-                serial.assemble_r().as_slice(),
-                look.assemble_r().as_slice(),
-                "(n={n}, b={b}) R factors differ"
-            );
             let gs = serial.inverse(Par::Seq, Par::Seq);
-            let gl = look.inverse(Par::Seq, Par::Seq);
-            assert_eq!(
-                gs.as_slice(),
-                gl.as_slice(),
-                "(n={n}, b={b}) inverses differ"
-            );
+            for (par_pipeline, par_gemm) in
+                [(Par::Pool(&pool), Par::Seq), (Par::Seq, Par::Pool(&pool))]
+            {
+                let look = StructuredQr::factor_lookahead(par_pipeline, par_gemm, &pc);
+                assert_eq!(
+                    serial.assemble_r().as_slice(),
+                    look.assemble_r().as_slice(),
+                    "(n={n}, b={b}) R factors differ"
+                );
+                let gl = look.inverse(Par::Seq, Par::Seq);
+                assert_eq!(
+                    gs.as_slice(),
+                    gl.as_slice(),
+                    "(n={n}, b={b}) inverses differ"
+                );
+            }
+        }
+    }
+
+    /// `‖a − b‖_max`.
+    fn max_diff(a: &Matrix, b: &Matrix) -> f64 {
+        let mut d = a.clone();
+        d.sub_assign(b);
+        d.max_abs()
+    }
+
+    #[test]
+    fn stage_a_shortcut_equals_the_general_apply() {
+        // Rectangular and remainder-heavy sizes on both sides of the QR's
+        // recursion base.
+        for n in [3usize, 9, 20, 33] {
+            let f = geqrf(fsi_dense::test_matrix(2 * n, n, n as u64));
+            let corner = fsi_dense::test_matrix(n, n, 50 + n as u64);
+            // Interior panel: [0 corner; I 0], i.e. [0; I] and [corner; 0].
+            let mut want = Matrix::zeros(2 * n, 2 * n);
+            want.set_block(n, 0, Matrix::identity(n).as_ref());
+            want.set_block(0, n, corner.as_ref());
+            f.apply_qt_left(Par::Seq, want.as_mut());
+            let got = qt_stage_a_columns(Par::Seq, &f, &corner, false);
+            assert!(max_diff(&got, &want) < 1e-14, "n={n} interior");
+            // Panel b−2: [corner; I].
+            let mut want = Matrix::zeros(2 * n, n);
+            want.set_block(0, 0, corner.as_ref());
+            want.set_block(n, 0, Matrix::identity(n).as_ref());
+            f.apply_qt_left(Par::Seq, want.as_mut());
+            let got = qt_stage_a_columns(Par::Seq, &f, &corner, true);
+            assert!(max_diff(&got, &want) < 1e-14, "n={n} merged");
+        }
+    }
+
+    #[test]
+    fn qt_columns_equals_the_general_apply_on_a_shifted_identity() {
+        for n in [3usize, 9, 20, 33] {
+            let f = geqrf(fsi_dense::test_matrix(2 * n, n, 7 + n as u64));
+            // Every (lo, hi) the live-column chain asks of a 2N × N panel…
+            let mut cases = vec![(&f, 0, n), (&f, n, 2 * n), (&f, 0, 2 * n)];
+            // …and the one it asks of the final N × N panel.
+            let last = geqrf(fsi_dense::test_matrix(n, n, 70 + n as u64));
+            cases.push((&last, 0, n));
+            for (f, lo, hi) in cases {
+                let mut want = Matrix::zeros(f.m(), hi - lo);
+                for j in 0..hi - lo {
+                    want[(lo + j, j)] = 1.0;
+                }
+                f.apply_qt_left(Par::Seq, want.as_mut());
+                let mut got = Matrix::pooled(f.m(), hi - lo);
+                qt_columns(Par::Seq, f, lo, hi, got.as_mut());
+                assert!(
+                    max_diff(&got, &want) < 1e-14,
+                    "n={n} m={} {lo}..{hi}",
+                    f.m()
+                );
+            }
         }
     }
 
@@ -1015,7 +1036,7 @@ mod tests {
     fn r_diag_is_borrowed_and_stable() {
         let pc = random_pcyclic(3, 4, 14);
         let f = StructuredQr::factor(Par::Seq, &pc);
-        // Two calls return the same cached storage, not fresh copies.
+        // Two calls return the same storage, not fresh copies.
         let a: *const Matrix = f.r_diag(2);
         let b: *const Matrix = f.r_diag(2);
         assert_eq!(a, b);

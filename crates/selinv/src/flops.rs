@@ -21,38 +21,53 @@ fn n3(n: usize) -> u64 {
     (n as u64).pow(3)
 }
 
+/// Flops of one panel QR as [`fsi_dense::geqrf`] charges it: the
+/// Householder factorization plus the compact-WY factor `T` it always
+/// builds.
+fn panel_qr(m: usize, n: usize) -> u64 {
+    counts::geqrf(m, n) + counts::larft(m, n)
+}
+
+/// Flops of materializing `w` columns of an `m`-row `Q̃ᵀ = I − V·Tᵀ·Vᵀ`
+/// (`bsofi::qt_columns`): `V[lo..hi, :]·T`, then `V·(…)ᵀ`.
+fn qt_columns(m: usize, n: usize, w: usize) -> u64 {
+    counts::gemm(w, n, n) + counts::gemm(m, w, n)
+}
+
 /// Exact flop count of [`crate::StructuredQr::factor`] /
 /// `factor_lookahead` (stage A of BSOFI), mirroring the kernel charge
-/// sequence call for call: `b−1` Householder QRs of `2N×N` panels,
-/// `2b−3` left-applies of panel transforms to `2N×N` column slabs (one
-/// superdiagonal + one last-column update per interior panel, merged for
-/// panel `b−2`), and the final `N×N` QR. The look-ahead schedule reorders
-/// but never changes these calls, so serial and pipelined factors charge
-/// identically.
+/// sequence call for call: `b−1` QRs of `2N×N` panels with their `T`; per
+/// interior panel `cornerᵀ·V₁` (`N×N×N`), `[V₂; cornerᵀ·V₁]·T`
+/// (`2N×N×N`) and the one `2N×2N×N` product that updates the
+/// superdiagonal and the last block column together (`14N³`); for panel
+/// `b−2`, where the two columns coincide, `cornerᵀ·V₁`, `(…)·T` and a
+/// `2N×N×N` update (`8N³`); and the final `N×N` QR.
 ///
 /// # Panics
 /// Panics if `b < 2` (the `b = 1` degenerate path is accounted inside
 /// [`bsofi_selected_flops`]).
 pub fn structured_qr_flops(n: usize, b: usize) -> u64 {
     assert!(b >= 2, "structured QR needs at least two block rows");
-    (b as u64 - 1) * counts::geqrf(2 * n, n)
-        + (2 * b as u64 - 3) * counts::ormqr(2 * n, n, n)
-        + counts::geqrf(n, n)
+    let interior =
+        counts::gemm(n, n, n) + counts::gemm(2 * n, n, n) + counts::gemm(2 * n, 2 * n, n);
+    let merged = 2 * counts::gemm(n, n, n) + counts::gemm(2 * n, n, n);
+    (b as u64 - 1) * panel_qr(2 * n, n) + (b as u64 - 2) * interior + merged + panel_qr(n, n)
 }
 
 /// Exact flop count of [`crate::bsofi_selected`] for a given request,
 /// mirroring the kernel charges of the selected assembly call for call:
 /// the structured QR, the `b` diagonal triangle inversions, the shared
 /// couplings `W_j` and last block column, the per-row recurrences, and
-/// the stage C path the pattern selects — the dense right-apply for
-/// [`SelectedPattern::Full`], the live-column chain (one ORMQR per needed
-/// half of `Q̃ᵢᵀ` plus plain GEMMs) for the diagonal requests. The
+/// the stage C path the pattern selects — the dense right-apply (three
+/// GEMMs per panel, [`counts::ormqr`]) for [`SelectedPattern::Full`], the
+/// live-column chain (two GEMMs per needed half of `Q̃ᵢᵀ` plus the plain
+/// GEMMs that advance the live block) for the diagonal requests. The
 /// `bsofi.selected` trace span measures exactly this value (asserted in
 /// the observability suite).
 pub fn bsofi_selected_flops(n: usize, b: usize, pattern: &SelectedPattern) -> u64 {
     if b == 1 {
         // Degenerate path: QR of M̄, triangle inversion, one right-apply.
-        return counts::geqrf(n, n) + 2 * counts::trtri(n) + counts::ormqr(n, n, n);
+        return panel_qr(n, n) + 2 * counts::trtri(n) + counts::ormqr(n, n, n);
     }
     let rows = pattern.rows(b);
     let kmin = rows[0];
@@ -80,19 +95,25 @@ pub fn bsofi_selected_flops(n: usize, b: usize, pattern: &SelectedPattern) -> u6
         }
         return total;
     }
-    // Diagonal requests: the live-column chain. The final panel's half is
-    // one N×N ORMQR plus the live-block init; each earlier transform
-    // materializes the half (or halves) of Q̃ᵢᵀ it needs — one ORMQR on an
-    // N-wide identity block each — and advances with plain GEMMs.
-    total += counts::ormqr(n, n, n);
+    // Diagonal requests: the live-column chain. The final panel's Q̃ᵀ is
+    // N×N and seeds the live block; each earlier transform materializes
+    // the half (or halves) of Q̃ᵢᵀ it needs in one call and advances with
+    // plain GEMMs.
+    total += qt_columns(n, n, n);
     total += counts::gemm(rows.len() * n, n, n);
     for i in kmin.saturating_sub(1)..b - 1 {
         let ga = rows.partition_point(|&k| k <= i);
-        if rows.get(ga) == Some(&(i + 1)) {
-            total += counts::ormqr(2 * n, n, n) + counts::gemm(n, n, n);
+        let has_b = rows.get(ga) == Some(&(i + 1));
+        if ga == 0 && !has_b {
+            continue;
+        }
+        let halves = usize::from(ga > 0) + usize::from(has_b);
+        total += qt_columns(2 * n, n, halves * n);
+        if has_b {
+            total += counts::gemm(n, n, n);
         }
         if ga > 0 {
-            total += counts::ormqr(2 * n, n, n) + 2 * counts::gemm(ga * n, n, n);
+            total += 2 * counts::gemm(ga * n, n, n);
         }
     }
     total
@@ -191,11 +212,17 @@ mod tests {
     #[test]
     fn structured_qr_count_is_exact_at_b2() {
         use fsi_runtime::flops::counts;
-        // b = 2: one 2N×N panel QR, one merged last-column apply, one N×N QR.
+        // b = 2: one 2N×N panel QR, the merged last-column update
+        // (cornerᵀ·V₁, ·T, V·(…)ᵀ), one N×N QR — each QR with its T.
         let n = 5;
         assert_eq!(
             structured_qr_flops(n, 2),
-            counts::geqrf(2 * n, n) + counts::ormqr(2 * n, n, n) + counts::geqrf(n, n)
+            counts::geqrf(2 * n, n)
+                + counts::larft(2 * n, n)
+                + 2 * counts::gemm(n, n, n)
+                + counts::gemm(2 * n, n, n)
+                + counts::geqrf(n, n)
+                + counts::larft(n, n)
         );
     }
 
@@ -219,7 +246,10 @@ mod tests {
     fn selected_flops_single_block_matrix() {
         use fsi_runtime::flops::counts;
         let n = 6;
-        let want = counts::geqrf(n, n) + 2 * counts::trtri(n) + counts::ormqr(n, n, n);
+        let want = counts::geqrf(n, n)
+            + counts::larft(n, n)
+            + 2 * counts::trtri(n)
+            + counts::ormqr(n, n, n);
         for pattern in [
             SelectedPattern::Diagonals,
             SelectedPattern::DiagonalBlock(0),

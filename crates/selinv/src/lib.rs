@@ -12,9 +12,10 @@
 //! * [`cache`] — incremental clustering: dirty-slice tracking reuses the
 //!   cluster products untouched since the previous refresh;
 //! * [`bsofi`](mod@bsofi) — inverse of the reduced matrix by the block structured
-//!   orthogonal factorization of Gogolenko–Bai–Scalettar, with a
-//!   look-ahead pipelined factor and a pattern-aware selected-assembly
-//!   path that skips the dense materialization for diagonal requests;
+//!   orthogonal factorization of Gogolenko–Bai–Scalettar, every panel
+//!   transform applied as compact-WY GEMMs, with a pattern-aware
+//!   selected-assembly path that skips the dense materialization for
+//!   diagonal requests;
 //! * [`wrap`](mod@wrap) — the reduced inverse's blocks are exact blocks of the
 //!   original Green's function (`Ḡ(k₀,ℓ₀) = G(ck₀+o, cℓ₀+o)`); the
 //!   adjacency relations (4)–(7) grow the selection from those seeds, a

@@ -77,14 +77,17 @@ fn stage_walls_sum_to_driver_and_stage_flops_match_model() {
         report.flops_of("fsi"),
         report.flops_of("cls") + report.flops_of("bsofi") + report.flops_of("wrap")
     );
-    // BSOFI's closed form is a leading-order approximation; the measured
-    // count must stay within bookkeeping tolerance, with a firm lower
-    // bound so unaccounted kernels are caught.
+    // BSOFI's closed form 7b²N³ is the paper's leading-order count with
+    // triangles multiplied as triangles; the kernels charge the dense GEMMs
+    // they run (V and T keep their zero halves — ≈ 12b²N³ + O(bN³), see
+    // DESIGN.md), so at b = 4 the measured count sits near twice the
+    // closed form. The exact kernel model of the selected path is asserted
+    // to the flop in the next test.
     let b = l / c;
     let bsofi_ratio =
         report.flops_of("bsofi") as f64 / fsi::selinv::bsofi::bsofi_flops(n, b) as f64;
     assert!(
-        (0.3..=2.0).contains(&bsofi_ratio),
+        (1.0..=2.5).contains(&bsofi_ratio),
         "bsofi ratio {bsofi_ratio}"
     );
     // WRP is one product per produced block and one GETRF + GETRI per
