@@ -72,7 +72,12 @@ if [[ $quick -eq 0 ]]; then
   # pooled buffer is NaN-filled when it changes hands, so
   # tests/steady_state_memory.rs and fsi-selinv's prop_pool (with its
   # fault-inject drill) catch an output block that is not fully
-  # overwritten.
+  # overwritten. --workspace takes in fsi-dqmc's unit tests, so the
+  # measurement kernels' oracle proptests (meas::tests::*_the_reference)
+  # run here with slice bounds and debug assertions live at the codegen
+  # the benchmark times; those kernels are plain safe Rust outside
+  # fsi-dense's tier dispatch, so the FSI_KERNEL=scalar lane above has
+  # nothing of theirs to pin.
   echo "== cargo test --profile checked (fault-inject) =="
   cargo test --offline --workspace -q --profile checked --features fault-inject
 

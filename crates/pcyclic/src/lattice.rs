@@ -11,14 +11,52 @@
 //! * the temporal distance map `T(k, ℓ)` between time-slice block indices
 //!   (implemented here too, as it is pure index arithmetic).
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use fsi_dense::Matrix;
 
 /// An `nx × ny` periodic rectangular lattice. Site `i` has coordinates
 /// `(i % nx, i / nx)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The lookup tables the measurements stream through
+/// ([`Self::dist_class_table`], [`Self::class_counts`],
+/// [`Self::neighbor_slice`]) are built once, on first use, and shared by
+/// every clone; a lattice that is never measured on builds none of them.
+/// Equality compares the extents only.
+#[derive(Clone)]
 pub struct SquareLattice {
     nx: usize,
     ny: usize,
+    geometry: Arc<OnceLock<Geometry>>,
+}
+
+/// The measurement lookup tables of one lattice.
+struct Geometry {
+    /// `D(i, j)` at index `i + j·N`.
+    class: Vec<u16>,
+    /// Site pairs per displacement class.
+    counts: Vec<usize>,
+    /// The neighbours of site `i` are `nbr[nbr_start[i]..nbr_start[i + 1]]`.
+    nbr: Vec<usize>,
+    nbr_start: Vec<usize>,
+}
+
+impl PartialEq for SquareLattice {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nx, self.ny) == (other.nx, other.ny)
+    }
+}
+
+impl Eq for SquareLattice {}
+
+impl fmt::Debug for SquareLattice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SquareLattice")
+            .field("nx", &self.nx)
+            .field("ny", &self.ny)
+            .finish()
+    }
 }
 
 impl SquareLattice {
@@ -28,7 +66,11 @@ impl SquareLattice {
     /// Panics if either side is zero.
     pub fn new(nx: usize, ny: usize) -> Self {
         assert!(nx > 0 && ny > 0, "lattice sides must be positive");
-        SquareLattice { nx, ny }
+        SquareLattice {
+            nx,
+            ny,
+            geometry: Arc::new(OnceLock::new()),
+        }
     }
 
     /// A square `l × l` lattice.
@@ -119,14 +161,54 @@ impl SquareLattice {
     /// Number of site pairs `(i, j)` in each displacement class (the
     /// normalization of space-resolved correlation functions).
     pub fn dist_class_counts(&self) -> Vec<usize> {
-        let n = self.n_sites();
-        let mut counts = vec![0usize; self.n_dist_classes()];
-        for i in 0..n {
+        self.class_counts().to_vec()
+    }
+
+    /// [`Self::dist_class_counts`] without the copy.
+    pub fn class_counts(&self) -> &[usize] {
+        &self.geometry().counts
+    }
+
+    /// The whole distance map as a table: `D(i, j)` at index `i + j·N`.
+    /// `D` is symmetric, so the table reads the same along rows and along
+    /// columns of a column-major `N × N` block.
+    pub fn dist_class_table(&self) -> &[u16] {
+        &self.geometry().class
+    }
+
+    /// [`Self::neighbors`] of site `i` as a slice of a table built once
+    /// (same sites, same order).
+    pub fn neighbor_slice(&self, i: usize) -> &[usize] {
+        let g = self.geometry();
+        &g.nbr[g.nbr_start[i]..g.nbr_start[i + 1]]
+    }
+
+    fn geometry(&self) -> &Geometry {
+        self.geometry.get_or_init(|| {
+            let n = self.n_sites();
+            let mut class = Vec::with_capacity(n * n);
+            let mut counts = vec![0usize; self.n_dist_classes()];
             for j in 0..n {
-                counts[self.dist_class(i, j)] += 1;
+                for i in 0..n {
+                    let d = self.dist_class(i, j);
+                    counts[d] += 1;
+                    class.push(u16::try_from(d).expect("more than 65536 displacement classes"));
+                }
             }
-        }
-        counts
+            let mut nbr = Vec::with_capacity(4 * n);
+            let mut nbr_start = Vec::with_capacity(n + 1);
+            for i in 0..n {
+                nbr_start.push(nbr.len());
+                nbr.extend(self.neighbors(i));
+            }
+            nbr_start.push(nbr.len());
+            Geometry {
+                class,
+                counts,
+                nbr,
+                nbr_start,
+            }
+        })
     }
 }
 
@@ -224,6 +306,43 @@ mod tests {
             assert!(cnt % lat.n_sites() == 0, "class {d}: {cnt}");
             assert!(cnt > 0, "class {d} must be populated");
         }
+    }
+
+    #[test]
+    fn cached_geometry_equals_the_uncached_functions() {
+        // Odd extents, degenerate neighbours and a rectangle among them.
+        for (nx, ny) in [(2, 2), (4, 2), (3, 5), (1, 4), (8, 8)] {
+            let lat = SquareLattice::new(nx, ny);
+            let n = lat.n_sites();
+            let table = lat.dist_class_table();
+            assert_eq!(table.len(), n * n);
+            let mut recount = vec![0usize; lat.n_dist_classes()];
+            for i in 0..n {
+                for j in 0..n {
+                    let d = lat.dist_class(i, j);
+                    // The mirror-pair trick of SPXX depends on D(i,j) = D(j,i).
+                    assert_eq!(d, lat.dist_class(j, i), "{nx}x{ny}: D({i},{j})");
+                    assert_eq!(usize::from(table[i + j * n]), d, "{nx}x{ny}: ({i},{j})");
+                    recount[d] += 1;
+                }
+                assert_eq!(lat.neighbor_slice(i), lat.neighbors(i), "{nx}x{ny}: {i}");
+            }
+            assert_eq!(lat.class_counts(), recount);
+            assert_eq!(lat.dist_class_counts(), recount);
+        }
+    }
+
+    #[test]
+    fn clones_share_one_geometry_and_compare_by_extents() {
+        let lat = SquareLattice::new(4, 3);
+        let copy = lat.clone();
+        assert!(lat.geometry.get().is_none(), "built lazily");
+        let table = copy.dist_class_table().as_ptr();
+        assert_eq!(lat.dist_class_table().as_ptr(), table);
+        // A lattice with its tables built equals a fresh one without.
+        assert_eq!(lat, SquareLattice::new(4, 3));
+        assert_ne!(lat, SquareLattice::new(3, 4));
+        assert_eq!(format!("{lat:?}"), "SquareLattice { nx: 4, ny: 3 }");
     }
 
     #[test]

@@ -2,9 +2,14 @@
 //! for arbitrary valid configurations, and the structural identities the
 //! algorithm rests on hold for random p-cyclic matrices.
 
-use fsi::pcyclic::random_pcyclic;
+use fsi::dqmc::spxx;
+use fsi::pcyclic::{
+    hubbard_pcyclic, random_pcyclic, temporal_distance, BlockBuilder, HsField, HubbardParams, Spin,
+    SquareLattice,
+};
 use fsi::runtime::Par;
 use fsi::selinv::baselines::{full_inverse_selected, max_block_error};
+use fsi::selinv::fsi::fsi_measurement_set;
 use fsi::selinv::{bsofi, cls, fsi_with_q, Parallelism, Pattern, Selection};
 use proptest::prelude::*;
 
@@ -105,5 +110,78 @@ proptest! {
         let sel = Selection::new(pattern, c, 0);
         let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
         prop_assert_eq!(out.selected.bytes(), pattern.n_blocks(l, c) * n * n * 8);
+    }
+}
+
+/// SPXX end to end at 8×8, L = 16 on the §V-C selection of a Hubbard
+/// matrix, against the definition in `fsi::dqmc::meas`'s docs written out
+/// element by element: entry `(τ, d)` sums, over the ordered block pairs
+/// `(k, ℓ)` at `T(k,ℓ) = τ` with all four blocks present and the site
+/// pairs of class `d`, `−G↑(ℓ,k)(j,i)·G↓(k,ℓ)(i,j) + (↑↔↓)` (at `τ = 0`
+/// with `δᵢⱼ − G` in place of `−G`), divided by `2·C(τ)·|class d|`.
+#[test]
+fn spxx_agrees_with_its_definition() {
+    use rand::SeedableRng;
+    let (l, c, q) = (16, 4, 1);
+    let lattice = SquareLattice::square(8);
+    let n = lattice.n_sites();
+    let builder = BlockBuilder::new(lattice.clone(), HubbardParams::paper_validation(l));
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
+    let field = HsField::random(l, n, &mut rng);
+    let [up, dn] = Spin::BOTH.map(|spin| {
+        let pc = hubbard_pcyclic(&builder, &field, spin);
+        fsi_measurement_set(Parallelism::Serial, &pc, c, q)
+            .expect("healthy")
+            .0
+    });
+
+    let dmax = lattice.n_dist_classes();
+    let mut want = vec![vec![0.0f64; dmax]; l];
+    let mut pairs = vec![0usize; l];
+    for k in 0..l {
+        for ell in 0..l {
+            let blocks = [
+                up.get(k, ell),
+                up.get(ell, k),
+                dn.get(k, ell),
+                dn.get(ell, k),
+            ];
+            let [Some(up_kl), Some(up_lk), Some(dn_kl), Some(dn_lk)] = blocks else {
+                continue;
+            };
+            let tau = temporal_distance(k, ell, l);
+            pairs[tau] += 1;
+            for i in 0..n {
+                for j in 0..n {
+                    let delta = if tau == 0 && i == j { 1.0 } else { 0.0 };
+                    want[tau][lattice.dist_class(i, j)] += (delta - up_lk[(j, i)]) * dn_kl[(i, j)]
+                        + (delta - dn_lk[(j, i)]) * up_kl[(i, j)];
+                }
+            }
+        }
+    }
+    let class_sizes = lattice.dist_class_counts();
+    for (row, &c) in want.iter_mut().zip(&pairs) {
+        for (x, &size) in row.iter_mut().zip(&class_sizes) {
+            *x /= 2.0 * c as f64 * size as f64;
+        }
+    }
+    let scale = want.iter().flatten().fold(0.0f64, |m, x| m.max(x.abs()));
+
+    let pool = fsi::runtime::ThreadPool::new(2);
+    for par in [Par::Seq, Par::Pool(&pool)] {
+        let table = spxx(par, &lattice, l, &up, &dn);
+        for tau in 0..l {
+            // b rows + b columns reach every τ, at least b times.
+            assert!(pairs[tau] >= l / c, "τ={tau}: {} pairs", pairs[tau]);
+            assert_eq!(table.count(tau), pairs[tau], "C({tau})");
+            for d in 0..dmax {
+                let (got, want) = (table.at(tau, d), want[tau][d]);
+                assert!(
+                    (got - want).abs() <= 1e-13 * scale,
+                    "({tau}, {d}): {got} vs {want}"
+                );
+            }
+        }
     }
 }
