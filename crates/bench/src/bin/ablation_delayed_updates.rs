@@ -50,7 +50,6 @@ fn main() {
             c,
             stabilize_every: c,
             delay,
-            ..SweepConfig::default()
         };
         let mut sweeper = Sweeper::new(&builder, field.clone(), cfg).expect("healthy");
         let mut rng = ChaCha8Rng::seed_from_u64(99);

@@ -20,8 +20,8 @@
 use std::time::SystemTime;
 
 use fsi_bench::{lattice_side_for, Args};
-use fsi_dqmc::{wrap_dense, wrap_factored, SweepConfig, Sweeper};
-use fsi_pcyclic::{BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
+use fsi_dqmc::{equal_time_green_stable, wrap_dense, wrap_factored, SweepConfig, Sweeper};
+use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
 use fsi_runtime::trace::{self, Json};
 use fsi_runtime::{Stopwatch, ThreadPool};
 use fsi_selinv::Parallelism;
@@ -173,27 +173,22 @@ fn main() {
         r_cb.seconds
     );
 
-    // --- Stabilization refresh: full rebuild vs. warm incremental. The
-    // warm path re-anchors on the same residue with no dirty slices — the
+    // --- Stabilization refresh: full rebuild (build every block, then
+    // CLS + BSOFI, per spin) vs. warm incremental. The warm path
+    // re-anchors on the same residue with no dirty slices — the
     // steady-state cost of a refresh inside a low-acceptance sweep.
-    let mut full = Sweeper::new(
-        &dense_builder,
-        field.clone(),
-        SweepConfig {
-            incremental: false,
-            ..cfg
-        },
-    )
-    .expect("healthy");
     let r_full = record("refresh_full", n, || {
-        full.refresh(0, Parallelism::Serial).expect("healthy");
+        for spin in Spin::BOTH {
+            let pc = hubbard_pcyclic(&dense_builder, &field, spin);
+            let seq = fsi_runtime::Par::Seq;
+            equal_time_green_stable(seq, seq, &pc, l - 1, c).expect("healthy");
+        }
     });
     let mut warm = Sweeper::new(&dense_builder, field.clone(), cfg).expect("healthy");
     let r_warm = record("refresh_warm", n, || {
         warm.refresh(0, Parallelism::Serial).expect("healthy");
     });
     let (warm_hits, warm_misses) = warm.cluster_cache_stats();
-    drop(full);
     drop(warm);
     print_record(&r_full);
     print_record(&r_warm);

@@ -58,8 +58,8 @@ struct Outcome {
     obs: f64,
     /// Health events the recovery ladder saw.
     events: usize,
-    /// Rung executions (invalidate, shrink, dense-wrap, from-scratch).
-    rungs: [u64; 4],
+    /// Rung executions (invalidate, shrink, from-scratch).
+    rungs: [u64; 3],
 }
 
 fn drill_builder() -> BlockBuilder {
@@ -98,7 +98,6 @@ fn run_workload() -> Result<Outcome, health::FsiError> {
     let rungs = [
         stats.cache_invalidations,
         stats.cluster_shrinks,
-        stats.dense_fallbacks,
         stats.from_scratch,
     ];
     let events = stats.events.len();
@@ -262,7 +261,7 @@ fn main() {
                 (o.obs - clean.obs).abs(),
                 o.rungs,
             ),
-            Err(_) => (true, false, false, f64::INFINITY, [0; 4]),
+            Err(_) => (true, false, false, f64::INFINITY, [0; 3]),
         };
         let ok = fired > 0 && detected && recovered && field_ok && obs_delta <= 1e-10;
         if !ok {
@@ -296,8 +295,8 @@ fn main() {
 
     // Sticky-fault ladder exercise: a budget-6 NaN keeps re-poisoning the
     // retries (each attempt consumes one fire per spin), forcing the
-    // ladder past cache invalidation and cluster shrinking before the
-    // dense-wrap rung finally runs on a clean rebuild.
+    // ladder past cache invalidation and cluster shrinking until the
+    // from-scratch rung runs on a clean rebuild.
     inject::arm_times(
         Site {
             stage: Stage::Cls,
@@ -308,11 +307,11 @@ fn main() {
     );
     let sticky = run_workload();
     let sticky_fired = inject::disarm();
-    let sticky_ok = matches!(&sticky, Ok(o) if o.rungs.iter().sum::<u64>() >= 3);
+    let sticky_ok = matches!(&sticky, Ok(o) if o.rungs[2] == 1);
     if !sticky_ok {
         failures += 1;
     }
-    let sticky_rungs = sticky.as_ref().map(|o| o.rungs).unwrap_or([0; 4]);
+    let sticky_rungs = sticky.as_ref().map(|o| o.rungs).unwrap_or([0; 3]);
     println!(
         "sticky cls/nan ×3: fired {sticky_fired}, rungs {sticky_rungs:?}{}",
         if sticky_ok { "" } else { "  <-- FAIL" }

@@ -184,9 +184,6 @@ pub fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> FsiTraces {
     let sw = Stopwatch::start();
     let g_reduced = factor.inverse(Par::Seq, Par::Seq);
     let bsofi_bc = sw.seconds();
-    // Stage B+C together measured as bsofi_bc; both parallelize over b (or
-    // more) independent chunks, so model them as b uniform tasks.
-    let bsofi_tasks = vec![bsofi_bc / b as f64; b];
 
     // --- WRP: time each seed walk. ---
     let mut wrap_tasks = Vec::with_capacity(b * b);
@@ -217,19 +214,42 @@ pub fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> FsiTraces {
         }
     }
     let seq_seconds = sw_total.seconds();
+    let (openmp, mkl) = schedule_traces(n, c, &cls_tasks, bsofi_serial, bsofi_bc, &wrap_tasks);
+    FsiTraces {
+        openmp,
+        mkl,
+        seq_seconds,
+    }
+}
+
+/// Builds the two scheduling traces of [`FsiTraces`] from per-task
+/// seconds: one per CLS cluster chain and per wrap seed, plus BSOFI's
+/// serial stage A and its stages B+C together.
+fn schedule_traces(
+    n: usize,
+    c: usize,
+    cls_tasks: &[f64],
+    bsofi_serial: f64,
+    bsofi_bc: f64,
+    wrap_tasks: &[f64],
+) -> (AlgorithmTrace, AlgorithmTrace) {
+    // Stage B+C both parallelize over b (or more) independent chunks, so
+    // model them as b uniform tasks.
+    let b = cls_tasks.len();
+    let bsofi_tasks = vec![bsofi_bc / b as f64; b];
 
     // OpenMP trace: three flat fork/join regions.
     let mut openmp = AlgorithmTrace::default();
-    openmp.push_region(cls_tasks.clone(), 0.0);
+    openmp.push_region(cls_tasks.to_vec(), 0.0);
     openmp.push_region(bsofi_tasks, bsofi_serial);
-    openmp.push_region(wrap_tasks.clone(), 0.0);
+    openmp.push_region(wrap_tasks.to_vec(), 0.0);
 
     // MKL-style trace: every dense kernel is its own fork/join region
     // whose tasks are column chunks (GEMM parallelism granularity:
     // 32-column panels), with factorization panels kept serial.
     let chunks = (n / 32).max(1);
     let mut mkl = AlgorithmTrace::default();
-    for t in &cls_tasks {
+    for t in cls_tasks {
         // A cluster chain is c−1 sequential gemms; each gemm forks.
         let per_gemm = t / (c - 1).max(1) as f64;
         for _ in 0..c - 1 {
@@ -241,19 +261,13 @@ pub fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> FsiTraces {
     mkl.push_region(Vec::new(), bsofi_serial * 0.7);
     let qr_parallel = bsofi_serial * 0.3;
     mkl.push_region(vec![qr_parallel / chunks as f64; chunks], 0.0);
-    let bc_chunked = bsofi_bc;
-    mkl.push_region(vec![bc_chunked / chunks as f64; chunks], 0.0);
-    for t in &wrap_tasks {
+    mkl.push_region(vec![bsofi_bc / chunks as f64; chunks], 0.0);
+    for t in wrap_tasks {
         // Each wrap step is one gemm or one solve; solves have a serial
         // triangular part.
         mkl.push_region(vec![0.7 * t / chunks as f64; chunks], 0.3 * t);
     }
-
-    FsiTraces {
-        openmp,
-        mkl,
-        seq_seconds,
-    }
+    (openmp, mkl)
 }
 
 /// Run-report wiring shared by the harness binaries.
@@ -391,21 +405,30 @@ mod tests {
 
     #[test]
     fn trace_fsi_produces_consistent_traces() {
+        // L = 12, c = 4: b = 3 clusters and 9 wrap seeds.
         let pc = hubbard_matrix(3, 12, 5, Spin::Up);
         let sel = Selection::new(Pattern::Columns, 4, 1);
         let t = trace_fsi(&pc, &sel);
-        assert_eq!(t.openmp.regions.len(), 3);
+        let tasks: Vec<usize> = t.openmp.regions.iter().map(|r| r.tasks.len()).collect();
+        assert_eq!(tasks, [3, 3, 9]);
+        // MKL style: c−1 GEMMs per cluster, three BSOFI regions, one
+        // region per wrap seed.
+        assert_eq!(t.mkl.regions.len(), 3 * 3 + 3 + 9);
         assert!(t.seq_seconds > 0.0);
-        // OpenMP trace scales better than the MKL trace at high thread
-        // counts (the Fig. 8-bottom contrast).
-        let omp12 = t.openmp.speedup(12);
-        let mkl12 = t.mkl.speedup(12);
+    }
+
+    #[test]
+    fn openmp_schedule_outscales_mkl_schedule() {
+        // Fixed task times at the N = 64, c = 4, b = 3 shape, so the
+        // Fig. 8-bottom contrast does not depend on a stopwatch.
+        let (openmp, mkl) = schedule_traces(64, 4, &[1e-3; 3], 2e-3, 3e-3, &[5e-4; 9]);
+        let (omp12, mkl12) = (openmp.speedup(12), mkl.speedup(12));
         assert!(
             omp12 > mkl12 * 0.8,
             "openmp {omp12} should rival/beat mkl {mkl12}"
         );
-        // Both are genuine speedups at 2 threads.
-        assert!(t.openmp.speedup(2) > 1.2);
+        // A genuine speedup at 2 threads.
+        assert!(openmp.speedup(2) > 1.2);
     }
 
     #[test]

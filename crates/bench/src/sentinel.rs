@@ -582,7 +582,7 @@ mod tests {
     fn fault_drill_detect_rate_and_ceilings() {
         let doc = parse(
             r#"{"sites":21,"passed":21,"probe_overhead_pct":-0.1,
-                "sticky_ladder_rungs":[1,1,1,0]}"#,
+                "sticky_ladder_rungs":[1,1,1]}"#,
         );
         let m = extract("fault_drill", &doc).unwrap();
         let rate = m.iter().find(|s| s.name == "detect_rate").unwrap();

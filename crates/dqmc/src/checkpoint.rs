@@ -11,8 +11,8 @@
 //!
 //! The argument for bitwise equality is structural. At a sweep boundary
 //! the sweep engine's state is fully determined by four things: the HS
-//! field configuration, the in-force [`SweepConfig`] (recovery rungs 2–4
-//! mutate it persistently, and `c`/wrap-strategy changes shift round-off),
+//! field configuration, the in-force [`SweepConfig`] (recovery rungs 2 and
+//! 3 shrink its `c` persistently, and a changed `c` shifts round-off),
 //! the accumulated Monte Carlo sign, and the RNG stream position. Every
 //! sweep begins with a from-scratch refresh, and warm caches are bitwise
 //! equal to cold rebuilds, so a fresh [`Sweeper`] built from the
@@ -21,10 +21,11 @@
 //!
 //! [`SweepCheckpoint`] rides the [`fsi_runtime::ckpt`] envelope:
 //! versioned, FNV-checksummed, written atomically (tmp + rename), and
-//! rotated through two generations. A torn or corrupt current file is
-//! detected on load and falls back to the previous generation (counted
-//! and noted on the flight recorder); when both generations are bad the
-//! caller starts from scratch.
+//! rotated through two generations. Payload version 2 stores the three
+//! [`SweepConfig`] values; the envelope refuses any other version. A
+//! torn or corrupt current file is detected on load and falls back to the
+//! previous generation (counted and noted on the flight recorder); when
+//! both generations are bad the caller starts from scratch.
 
 use std::path::Path;
 
@@ -35,10 +36,10 @@ use fsi_selinv::Parallelism;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::sweep::{SweepConfig, Sweeper, WrapStrategy};
+use crate::sweep::{SweepConfig, Sweeper};
 
 /// Payload version of [`SweepCheckpoint`]'s serialization.
-pub const SWEEP_CKPT_VERSION: u32 = 1;
+pub const SWEEP_CKPT_VERSION: u32 = 2;
 
 /// Everything needed to resume a sweep trajectory bitwise-exactly from a
 /// sweep boundary (see the module docs for why this set is sufficient).
@@ -57,26 +58,11 @@ pub struct SweepCheckpoint {
     pub rng_word_pos: u64,
     /// The accumulated Monte Carlo sign.
     pub sign: f64,
-    /// The sweep configuration *in force* — including any persistent
-    /// recovery-ladder mutations (shrunk `c`, dense-wrap fallback).
+    /// The sweep configuration *in force* — including a cluster size the
+    /// recovery ladder shrank.
     pub cfg: SweepConfig,
     /// Accumulated per-sweep measurement bins `(sweep, quantities)`.
     pub bins: Vec<(u64, Vec<f64>)>,
-}
-
-fn wrap_as_u32(w: WrapStrategy) -> u32 {
-    match w {
-        WrapStrategy::Dense => 0,
-        WrapStrategy::Factored => 1,
-    }
-}
-
-fn wrap_from_u32(v: u32) -> Result<WrapStrategy, CkptError> {
-    match v {
-        0 => Ok(WrapStrategy::Dense),
-        1 => Ok(WrapStrategy::Factored),
-        _ => Err(CkptError::Malformed("unknown wrap strategy")),
-    }
 }
 
 impl SweepCheckpoint {
@@ -92,9 +78,6 @@ impl SweepCheckpoint {
         w.put_u64(self.cfg.c as u64);
         w.put_u64(self.cfg.stabilize_every as u64);
         w.put_u64(self.cfg.delay as u64);
-        w.put_u32(wrap_as_u32(self.cfg.wrap));
-        w.put_u32(self.cfg.incremental as u32);
-        w.put_u32(self.cfg.track_drift as u32);
         w.put_u64(self.bins.len() as u64);
         for (sweep, quantities) in &self.bins {
             w.put_u64(*sweep);
@@ -130,9 +113,6 @@ impl SweepCheckpoint {
             c,
             stabilize_every: r.take_u64()? as usize,
             delay: r.take_u64()? as usize,
-            wrap: wrap_from_u32(r.take_u32()?)?,
-            incremental: r.take_u32()? != 0,
-            track_drift: r.take_u32()? != 0,
         };
         let n_bins = r.take_u64()? as usize;
         let mut bins = Vec::with_capacity(n_bins.min(1 << 20));
@@ -353,6 +333,28 @@ mod tests {
         let ck = d.checkpoint();
         let decoded = SweepCheckpoint::decode(&ck.encode()).expect("round trip");
         assert_eq!(decoded, ck);
+    }
+
+    #[test]
+    fn version_1_payload_is_refused() {
+        let dir = std::env::temp_dir().join(format!("fsi-dqmc-ckpt-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("run.ckpt");
+        let b = builder();
+        let d = DurableSweeper::new(&b, cfg(), 3).expect("healthy");
+        ckpt::store(&path, 1, &d.checkpoint().encode()).expect("store");
+        let err = SweepCheckpoint::load(&path).expect_err("v1 must not load");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            matches!(
+                err,
+                CkptError::BadVersion {
+                    found: 1,
+                    expected: SWEEP_CKPT_VERSION
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

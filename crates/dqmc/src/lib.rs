@@ -39,6 +39,4 @@ pub use meas::{
 };
 pub use sim::{run, DqmcConfig, DqmcResults};
 pub use stable::{equal_time_green_cached, equal_time_green_naive, equal_time_green_stable};
-pub use sweep::{
-    wrap_dense, wrap_factored, RecoveryStats, SweepConfig, SweepStats, Sweeper, WrapStrategy,
-};
+pub use sweep::{wrap_dense, wrap_factored, RecoveryStats, SweepConfig, SweepStats, Sweeper};

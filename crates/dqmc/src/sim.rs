@@ -143,7 +143,6 @@ pub fn run(cfg: &DqmcConfig, par: Parallelism<'_>) -> FsiResult<DqmcResults> {
         c: cfg.c,
         stabilize_every: cfg.stabilize_every,
         delay: cfg.delay,
-        ..SweepConfig::default()
     };
     let mut sweeper = Sweeper::new(&builder, field, sweep_cfg)?;
     let mut results = DqmcResults {

@@ -25,18 +25,20 @@
 //! from scratch through the CLS + BSOFI route of [`crate::stable`] — this
 //! is precisely where FSI accelerates the sweep phase.
 //!
-//! Three structure exploitations keep the hot path lean:
+//! Three structure exploitations keep this one stabilization path lean:
 //!
 //! * **Factored wraps** ([`wrap_factored`]): `B = e^{tΔτK}·D` with
 //!   `D = diag(e^{σνh})`, so the wrap is a diagonal similarity
 //!   (`Ĝ[i,j] ← Ĝ[i,j]·d_i/d_j`, two `exp` calls total since `h ∈ {±1}`)
 //!   followed by the kinetic conjugation — two scratch-buffered GEMMs, or
 //!   `O(N·bonds)` bond sweeps when the builder carries a
-//!   [`fsi_pcyclic::Checkerboard`]. No `B`/`B⁻¹` is materialized.
+//!   [`fsi_pcyclic::Checkerboard`]. No `B`/`B⁻¹` is materialized;
+//!   [`wrap_dense`] is kept only as the reference it is tested against.
 //! * **Incremental stabilization**: dense blocks and CLS cluster products
 //!   are cached per spin ([`fsi_pcyclic::BlockCache`],
 //!   [`fsi_selinv::ClusterCache`]) and only the slices flipped since the
-//!   previous refresh are recomputed (dirty-slice tracking).
+//!   previous refresh are recomputed (dirty-slice tracking). On
+//!   invalidated caches a refresh is a bitwise cold rebuild.
 //! * **Spin-parallel phases**: the up/down channels of refresh, wrap, and
 //!   delayed-update flush are independent and run as a two-way
 //!   [`fsi_runtime::join`] over the pool, nested with the per-spin
@@ -49,26 +51,13 @@ use fsi_runtime::{trace, workspace, Par};
 use fsi_selinv::{auto_cluster_size, ClusterCache, Parallelism};
 use rand::Rng;
 
-use crate::stable::{equal_time_green_cached, equal_time_green_stable};
+use crate::stable::equal_time_green_cached;
 
 /// Accuracy target handed to [`auto_cluster_size`] when the recovery
 /// ladder re-estimates the cluster size on suspect data — tighter than the
 /// usual 1e-8 so the shrunk `c` has margin against the very conditioning
 /// problem that tripped the probe.
 pub const RECOVERY_TOL: f64 = 1e-10;
-
-/// How the similarity wrap `Ĝ ← B·Ĝ·B⁻¹` applies the propagator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WrapStrategy {
-    /// Materialize `B` and `B⁻¹` and run two dense GEMMs (the baseline;
-    /// two fresh `N×N` allocations per slice per spin).
-    Dense,
-    /// Exploit `B = e^{tΔτK}·D`: diagonal similarity + kinetic
-    /// conjugation through preallocated scratch, with the checkerboard
-    /// bond sweep when the builder has one. Identical result up to
-    /// round-off-level reassociation.
-    Factored,
-}
 
 /// Tuning knobs of the sweep engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,16 +73,6 @@ pub struct SweepConfig {
     /// low-rank factors and flushed into `Ĝ` with one rank-`delay` GEMM
     /// (see [`crate::delayed`]). `1` = plain immediate rank-1 updates.
     pub delay: usize,
-    /// Wrap implementation; [`WrapStrategy::Factored`] by default.
-    pub wrap: WrapStrategy,
-    /// Reuse blocks/cluster products across stabilizations via
-    /// dirty-slice tracking (bitwise-identical to cold rebuilds; on by
-    /// default).
-    pub incremental: bool,
-    /// Measure `‖Ĝ_wrapped − Ĝ_fresh‖_max` at stabilization points into
-    /// [`SweepStats::max_drift`]. Off by default — the diagnostic keeps
-    /// the wrapped pair alive across the refresh.
-    pub track_drift: bool,
 }
 
 impl Default for SweepConfig {
@@ -102,9 +81,6 @@ impl Default for SweepConfig {
             c: 4,
             stabilize_every: 8,
             delay: 1,
-            wrap: WrapStrategy::Factored,
-            incremental: true,
-            track_drift: false,
         }
     }
 }
@@ -116,9 +92,6 @@ pub struct SweepStats {
     pub proposed: usize,
     /// Proposals accepted.
     pub accepted: usize,
-    /// Worst drift `‖Ĝ_wrapped − Ĝ_fresh‖_max` observed at stabilization
-    /// points (0 when no stabilization happened mid-sweep).
-    pub max_drift: f64,
 }
 
 impl SweepStats {
@@ -146,11 +119,8 @@ pub struct RecoveryStats {
     /// [`auto_cluster_size`] at [`RECOVERY_TOL`]) and retry
     /// (`recovery.shrink_cluster`).
     pub cluster_shrinks: u64,
-    /// Rung 3 executions: permanent fallback to [`WrapStrategy::Dense`]
-    /// (`recovery.dense_wrap`).
-    pub dense_fallbacks: u64,
-    /// Rung 4 executions: non-incremental, `c = 1` recomputation from
-    /// scratch (`recovery.from_scratch`).
+    /// Rung 3 executions: invalidate the caches again and recompute with
+    /// `c = 1`, no clustering at all (`recovery.from_scratch`).
     pub from_scratch: u64,
     /// Every error the driver saw, in arrival order (the first entry of
     /// each burst is the original fault; later ones are retry failures).
@@ -160,7 +130,7 @@ pub struct RecoveryStats {
 impl RecoveryStats {
     /// Total escalation rungs executed.
     pub fn escalations(&self) -> u64 {
-        self.cache_invalidations + self.cluster_shrinks + self.dense_fallbacks + self.from_scratch
+        self.cache_invalidations + self.cluster_shrinks + self.from_scratch
     }
 
     /// Whether any recovery happened at all.
@@ -198,7 +168,7 @@ impl<'a> Sweeper<'a> {
     ///
     /// # Errors
     /// The initial refresh runs through the same recovery ladder as
-    /// mid-sweep stabilizations; an error here means even the rung-4
+    /// mid-sweep stabilizations; an error here means even the rung-3
     /// from-scratch recomputation failed (genuinely unusable input data).
     pub fn new(builder: &'a BlockBuilder, field: HsField, cfg: SweepConfig) -> FsiResult<Self> {
         assert_eq!(
@@ -261,9 +231,9 @@ impl<'a> Sweeper<'a> {
     /// `Ĝ(slice) = G(slice − 1)`: the cyclic product ends with
     /// `B_slice` as its innermost factor.
     ///
-    /// The two spin channels run as a joined pair over the pool; with
-    /// `cfg.incremental` the block and cluster caches limit the rebuild
-    /// to slices flipped since the previous refresh.
+    /// The two spin channels run as a joined pair over the pool; the
+    /// block and cluster caches limit the rebuild to slices flipped since
+    /// the previous refresh.
     ///
     /// # Errors
     /// Returned only when every rung of the recovery ladder's escalation
@@ -290,34 +260,20 @@ impl<'a> Sweeper<'a> {
         let c = self.cfg.c;
         let builder = self.builder;
         let field = &self.field;
-        let (g_up, g_dn) = if self.cfg.incremental {
-            let dirty = &self.dirty;
-            let [bc_up, bc_dn] = &mut self.block_caches;
-            let [cc_up, cc_dn] = &mut self.cluster_caches;
-            spin_join(
-                par,
-                move || {
-                    bc_up.sync(builder, field, Spin::Up, dirty);
-                    equal_time_green_cached(outer, inner, bc_up.blocks(), dirty, cc_up, k, c)
-                },
-                move || {
-                    bc_dn.sync(builder, field, Spin::Down, dirty);
-                    equal_time_green_cached(outer, inner, bc_dn.blocks(), dirty, cc_dn, k, c)
-                },
-            )
-        } else {
-            spin_join(
-                par,
-                || {
-                    let pc = hubbard_pcyclic(builder, field, Spin::Up);
-                    equal_time_green_stable(outer, inner, &pc, k, c)
-                },
-                || {
-                    let pc = hubbard_pcyclic(builder, field, Spin::Down);
-                    equal_time_green_stable(outer, inner, &pc, k, c)
-                },
-            )
-        };
+        let dirty = &self.dirty;
+        let [bc_up, bc_dn] = &mut self.block_caches;
+        let [cc_up, cc_dn] = &mut self.cluster_caches;
+        let (g_up, g_dn) = spin_join(
+            par,
+            move || {
+                bc_up.sync(builder, field, Spin::Up, dirty);
+                equal_time_green_cached(outer, inner, bc_up.blocks(), dirty, cc_up, k, c)
+            },
+            move || {
+                bc_dn.sync(builder, field, Spin::Down, dirty);
+                equal_time_green_cached(outer, inner, bc_dn.blocks(), dirty, cc_dn, k, c)
+            },
+        );
         // Both spins completed (the join has no early exit); surface the
         // first failure only after both channels are accounted for.
         self.g = [g_up?, g_dn?];
@@ -337,14 +293,15 @@ impl<'a> Sweeper<'a> {
     ///    divisor of `L` at most `c/2`, capped by [`auto_cluster_size`]
     ///    with the tightened [`RECOVERY_TOL`]) — the paper-§II-C remedy
     ///    for `κ(B)^c` chain-conditioning blowup.
-    /// 3. `recovery.dense_wrap` — permanently fall back from the factored
-    ///    similarity wrap to [`WrapStrategy::Dense`].
-    /// 4. `recovery.from_scratch` — disable incremental reuse entirely and
-    ///    recompute with `c = 1` (no clustering at all).
+    /// 3. `recovery.from_scratch` — invalidate the caches again and
+    ///    recompute with `c = 1` (no clustering at all). If rung 2 already
+    ///    reached `c = 1`, this is a plain retry of rung 2's refresh.
     ///
-    /// Rungs 2–4 deliberately persist in the configuration: a matrix that
-    /// needed them once will need them again, and a deterministic ladder
-    /// must not oscillate.
+    /// Every rung retries the refresh, which replaces the wrapped `Ĝ`, so
+    /// a fault raised by a wrap is always healed at rung 1. Rungs 2 and 3
+    /// deliberately persist in the configuration: a matrix that needed
+    /// them once will need them again, and a deterministic ladder must not
+    /// oscillate.
     fn recover(&mut self, slice: usize, par: Parallelism<'_>, first: FsiError) -> FsiResult<()> {
         // Each rung is mirrored into the metrics registry and the flight
         // recorder; note_recovery also triggers an incident dump, so every
@@ -376,22 +333,11 @@ impl<'a> Sweeper<'a> {
             Err(e) => self.recovery.events.push(e),
         }
         {
-            let _s = trace::span("recovery.dense_wrap");
-            rung("dqmc.recovery.dense_wrap", first.stage());
-            self.recovery.dense_fallbacks += 1;
-            self.cfg.wrap = WrapStrategy::Dense;
-            self.invalidate_caches();
-        }
-        match self.refresh_once(slice, par) {
-            Ok(()) => return Ok(()),
-            Err(e) => self.recovery.events.push(e),
-        }
-        {
             let _s = trace::span("recovery.from_scratch");
             rung("dqmc.recovery.from_scratch", first.stage());
             self.recovery.from_scratch += 1;
-            self.cfg.incremental = false;
             self.cfg.c = 1;
+            self.invalidate_caches();
         }
         match self.refresh_once(slice, par) {
             Ok(()) => Ok(()),
@@ -439,8 +385,7 @@ impl<'a> Sweeper<'a> {
     }
 
     /// The sweep configuration as currently in force — recovery
-    /// escalations mutate it (shrunk `c`, dense wraps, disabled
-    /// incremental reuse), and harnesses read back what survived.
+    /// escalations shrink its `c`, and harnesses read back what survived.
     pub fn config(&self) -> &SweepConfig {
         &self.cfg
     }
@@ -504,12 +449,11 @@ impl<'a> Sweeper<'a> {
         let (_, inner) = par.split();
         let builder = self.builder;
         let field = &self.field;
-        let strategy = self.cfg.wrap;
         let [g_up, g_dn] = &mut self.g;
         spin_join(
             par,
-            || wrap_one(strategy, inner, builder, field, slice, Spin::Up, g_up),
-            || wrap_one(strategy, inner, builder, field, slice, Spin::Down, g_dn),
+            || wrap_factored(inner, builder, field, slice, Spin::Up, g_up),
+            || wrap_factored(inner, builder, field, slice, Spin::Down, g_dn),
         );
         self.wraps_since_stab += 1;
         let mut tripped = None;
@@ -592,26 +536,7 @@ impl<'a> Sweeper<'a> {
             if slice + 1 < l {
                 self.wrap_to_next(slice, par)?;
                 if self.wraps_since_stab >= self.cfg.stabilize_every {
-                    if self.cfg.track_drift {
-                        // Move the wrapped pair aside (no clone), refresh,
-                        // and fold the element-wise difference.
-                        let wrapped = std::mem::replace(
-                            &mut self.g,
-                            [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
-                        );
-                        self.refresh(slice + 1, par)?;
-                        for (w, fresh) in wrapped.iter().zip(&self.g) {
-                            let d = w
-                                .as_slice()
-                                .iter()
-                                .zip(fresh.as_slice())
-                                .map(|(a, b)| (a - b).abs())
-                                .fold(0.0f64, f64::max);
-                            stats.max_drift = stats.max_drift.max(d);
-                        }
-                    } else {
-                        self.refresh(slice + 1, par)?;
-                    }
+                    self.refresh(slice + 1, par)?;
                 }
             }
         }
@@ -621,14 +546,9 @@ impl<'a> Sweeper<'a> {
             fsi_runtime::metrics::LazyCounter::new("dqmc.sweep.accepted");
         static ACCEPTANCE: fsi_runtime::metrics::LazyGauge =
             fsi_runtime::metrics::LazyGauge::new("dqmc.sweep.acceptance");
-        static MAX_DRIFT: fsi_runtime::metrics::LazyGauge =
-            fsi_runtime::metrics::LazyGauge::new("dqmc.sweep.max_drift");
         PROPOSED.add(stats.proposed as u64);
         ACCEPTED.add(stats.accepted as u64);
         ACCEPTANCE.set(stats.acceptance());
-        if self.cfg.track_drift {
-            MAX_DRIFT.set_max(stats.max_drift);
-        }
         Ok(stats)
     }
 }
@@ -667,25 +587,10 @@ fn flush_both(
     spin_join(par, || a_up.flush(inner, g_up), || a_dn.flush(inner, g_dn));
 }
 
-fn wrap_one(
-    strategy: WrapStrategy,
-    par: Par<'_>,
-    builder: &BlockBuilder,
-    field: &HsField,
-    slice: usize,
-    spin: Spin,
-    g: &mut Matrix,
-) {
-    match strategy {
-        WrapStrategy::Dense => wrap_dense(par, builder, field, slice, spin, g),
-        WrapStrategy::Factored => wrap_factored(par, builder, field, slice, spin, g),
-    }
-}
-
 /// Dense similarity wrap `Ĝ ← B_slice·Ĝ·B_slice⁻¹` with materialized
 /// factors — two fresh `N×N` matrices and two out-of-place GEMMs per call.
-/// Kept as the baseline [`WrapStrategy::Dense`] and the equivalence oracle
-/// for [`wrap_factored`].
+/// The sweep never calls it: it is the reference [`wrap_factored`] is
+/// tested and benchmarked against.
 pub fn wrap_dense(
     par: Par<'_>,
     builder: &BlockBuilder,
@@ -870,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn factored_wrap_matches_dense_wrap() {
+    fn factored_wrap_matches_the_dense_reference() {
         let builder = small_builder(8);
         let mut rng = ChaCha8Rng::seed_from_u64(30);
         let field = HsField::random(8, 4, &mut rng);
@@ -889,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn checkerboard_factored_wrap_matches_its_dense_wrap() {
+    fn checkerboard_factored_wrap_matches_its_dense_reference() {
         // With a checkerboard builder, both strategies use the *same*
         // Trotterized propagator, so they still agree to round-off.
         let builder = BlockBuilder::with_checkerboard(
@@ -916,19 +821,19 @@ mod tests {
     }
 
     #[test]
-    fn incremental_sweep_matches_cold_sweep_exactly() {
+    fn cold_caches_before_every_sweep_follow_the_same_trajectory() {
         let builder = small_builder(8);
         let mut rng = ChaCha8Rng::seed_from_u64(32);
         let field = HsField::random(8, 4, &mut rng);
-        let run = |incremental: bool| {
-            let cfg = SweepConfig {
-                incremental,
-                ..SweepConfig::default()
-            };
-            let mut s = Sweeper::new(&builder, field.clone(), cfg).expect("healthy");
+        let run = |cold: bool| {
+            let mut s =
+                Sweeper::new(&builder, field.clone(), SweepConfig::default()).expect("healthy");
             let mut rng = ChaCha8Rng::seed_from_u64(777);
             let mut accepted = 0;
             for _ in 0..3 {
+                if cold {
+                    s.invalidate_caches();
+                }
                 accepted += s
                     .sweep(&mut rng, Parallelism::Serial)
                     .expect("healthy")
@@ -936,14 +841,14 @@ mod tests {
             }
             (accepted, s.field().to_flat(), s.green(Spin::Up).clone())
         };
-        let (acc_cold, field_cold, g_cold) = run(false);
-        let (acc_warm, field_warm, g_warm) = run(true);
+        let (acc_cold, field_cold, g_cold) = run(true);
+        let (acc_warm, field_warm, g_warm) = run(false);
         assert_eq!(acc_cold, acc_warm, "trajectory must be identical");
         assert_eq!(field_cold, field_warm);
         assert_eq!(
             g_cold.as_slice(),
             g_warm.as_slice(),
-            "incremental refresh must be bitwise"
+            "warm refresh must be bitwise"
         );
     }
 
@@ -1007,29 +912,32 @@ mod tests {
     }
 
     #[test]
-    fn stabilization_drift_is_small_for_short_chains() {
+    fn wrap_drift_over_a_whole_sweep_is_small() {
+        // stabilize_every = L: no refresh after the sweep-start one, so
+        // the final Ĝ(L−1) carries L−1 wraps and every rank-1 update.
         let builder = small_builder(8);
         let mut rng = ChaCha8Rng::seed_from_u64(15);
         let field = HsField::random(8, 4, &mut rng);
-        let mut sweeper = Sweeper::new(
-            &builder,
-            field,
-            SweepConfig {
-                c: 4,
-                stabilize_every: 2,
-                track_drift: true,
-                ..SweepConfig::default()
-            },
-        )
-        .expect("healthy");
-        let stats = sweeper
+        let cfg = SweepConfig {
+            c: 4,
+            stabilize_every: 8,
+            ..SweepConfig::default()
+        };
+        let mut sweeper = Sweeper::new(&builder, field, cfg).expect("healthy");
+        sweeper
             .sweep(&mut rng, Parallelism::Serial)
             .expect("healthy");
-        assert!(
-            stats.max_drift < 1e-8,
-            "wrap drift should be tiny at β=2: {}",
-            stats.max_drift
-        );
+        let wrapped = sweeper.g.clone();
+        sweeper.refresh(7, Parallelism::Serial).expect("healthy");
+        for (w, fresh) in wrapped.iter().zip(&sweeper.g) {
+            let drift = w
+                .as_slice()
+                .iter()
+                .zip(fresh.as_slice())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            assert!(drift < 1e-8, "wrap drift should be tiny at β=2: {drift}");
+        }
     }
 
     #[test]

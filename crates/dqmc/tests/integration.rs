@@ -141,6 +141,81 @@ fn wrap_around_the_torus_is_identity() {
     );
 }
 
+/// `to_bits` of every accumulator mean of a fixed `run`, followed by an
+/// FNV-1a digest of the SPXX table's entries and row counts.
+fn run_fingerprint() -> [u64; 9] {
+    // t = 1, U = 4, β = 2, c = stabilize_every = 4, delay 1 from `small`.
+    let cfg = DqmcConfig {
+        nx: 4,
+        ny: 4,
+        l: 16,
+        warmup: 1,
+        measurements: 2,
+        seed: 2016,
+        ..DqmcConfig::small()
+    };
+    let r = run(&cfg, Parallelism::Serial).expect("healthy");
+    let spxx = r.spxx.as_ref().expect("spxx accumulated");
+    let mut bytes = Vec::new();
+    for tau in 0..spxx.l() {
+        bytes.extend((spxx.count(tau) as u64).to_le_bytes());
+        for d in 0..spxx.dmax() {
+            bytes.extend(spxx.at(tau, d).to_bits().to_le_bytes());
+        }
+    }
+    [
+        r.density.mean().to_bits(),
+        r.double_occupancy.mean().to_bits(),
+        r.moment.mean().to_bits(),
+        r.kinetic.mean().to_bits(),
+        r.avg_sign.mean().to_bits(),
+        r.acceptance.mean().to_bits(),
+        r.structure_factor.mean().to_bits(),
+        r.susceptibility.mean().to_bits(),
+        fsi_runtime::ckpt::fnv1a(&bytes),
+    ]
+}
+
+/// The default sweep path is pinned bit for bit: every accumulator mean
+/// and the SPXX table of a 4×4, L = 16, c = 4 run, per kernel tier (the
+/// GEMM tiers round differently, so each has its own fingerprint).
+/// Measured with rustc 1.95.0 + glibc 2.36 (whose `exp` builds the
+/// propagators) on an AVX-512 Xeon; a toolchain or libm change moves them too.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn run_is_pinned_bitwise_per_kernel_tier() {
+    use fsi_dense::{available_tiers, with_tier, Tier};
+    const SCALAR: [u64; 9] = [
+        0x3ff0000000000002,
+        0x3fc06ea9f3bd49d8,
+        0x3fe7c8ab06215b18,
+        0xbff3e04026743fc2,
+        0x3ff0000000000000,
+        0x3fe5d55555555555,
+        0x3fdf0e6af408e8df,
+        0x3fd2f8caceb92a2a,
+        0xbb928d2dca8cd6f6,
+    ];
+    // AVX2 (via `with_tier` on that host) and AVX-512 agree bit for bit.
+    const SIMD: [u64; 9] = [
+        0x3ff0000000000001,
+        0x3fc06ea9f3bd49d6,
+        0x3fe7c8ab06215b16,
+        0xbff3e04026743fc4,
+        0x3ff0000000000000,
+        0x3fe5d55555555555,
+        0x3fdf0e6af408e8e7,
+        0x3fd2f8caceb92a26,
+        0x4f98a10d563c021a,
+    ];
+    for tier in available_tiers() {
+        let want = if tier == Tier::Scalar { SCALAR } else { SIMD };
+        let got = with_tier(tier, run_fingerprint);
+        let (name, why) = (tier.name(), "pinned with rustc 1.95.0, glibc 2.36");
+        assert_eq!(got, want, "tier {name} ({why}): {got:#018x?}");
+    }
+}
+
 /// Delayed updates at the simulation level reproduce the plain results.
 #[test]
 fn delayed_updates_do_not_change_the_simulation() {

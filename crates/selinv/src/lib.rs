@@ -29,10 +29,7 @@
 //!   unreduced BSOFI, for validation and the complexity table;
 //! * [`multi`] — the hybrid ranks×threads application to many Green's
 //!   functions (Alg. 3) plus the Edison node-memory model of Fig. 9;
-//! * [`flops`] — the closed-form complexity formulas of §II-C;
-//! * [`tridiag`] — the paper's stated future work: the FSI recipe
-//!   (structured factorization + seeds + wrapping recurrences) applied to
-//!   block tridiagonal matrices.
+//! * [`flops`] — the closed-form complexity formulas of §II-C.
 
 #![deny(missing_docs)]
 
@@ -45,7 +42,6 @@ pub mod fsi;
 pub mod multi;
 pub mod patterns;
 pub mod stability;
-pub mod tridiag;
 pub mod wrap;
 
 pub use bsofi::{bsofi, bsofi_selected, StructuredQr};
@@ -59,7 +55,6 @@ pub use multi::{
 };
 pub use patterns::{Pattern, SelectedInverse, SelectedPattern, Selection};
 pub use stability::{auto_cluster_size, growth_rate, max_stable_cluster};
-pub use tridiag::{random_tridiagonal, BlockTridiagonal, TridiagFactor};
 pub use wrap::{
     wrap, wrap_all_diagonals, wrap_all_diagonals_selected, wrap_selected, BlockFactors,
 };

@@ -1,49 +1,12 @@
-//! Property-based tests of the selected-inversion layer: the tridiagonal
-//! extension, BSOFI's factor structure, and the stability policy.
+//! Property-based tests of the selected-inversion layer: BSOFI's factor
+//! structure and the stability policy.
 
 use fsi_runtime::{Par, ThreadPool};
-use fsi_selinv::tridiag::{random_tridiagonal, TridiagFactor};
 use fsi_selinv::{bsofi, bsofi_selected, max_stable_cluster, SelectedPattern, StructuredQr};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// Tridiagonal selected columns equal the dense inverse for arbitrary
-    /// shapes.
-    #[test]
-    fn tridiag_columns_match_dense(n in 1usize..4, l in 1usize..7, seed in any::<u64>()) {
-        let t = random_tridiagonal(n, l, seed);
-        let f = TridiagFactor::factor(&t);
-        let col = seed as usize % l;
-        let sel = f.selected_columns(Par::Seq, &[col]);
-        let g_ref = t.reference_inverse(Par::Seq);
-        for i in 0..l {
-            let got = sel.get(i, col).expect("column block");
-            let want = t.dense_block(&g_ref, i, col);
-            prop_assert!(
-                fsi_dense::rel_error(got, &want) < 1e-7,
-                "({i},{col}) of (n={n}, l={l})"
-            );
-        }
-    }
-
-    /// Every tridiagonal diagonal block inverts correctly.
-    #[test]
-    fn tridiag_diagonals_match_dense(n in 1usize..4, l in 1usize..7, seed in any::<u64>()) {
-        let t = random_tridiagonal(n, l, seed);
-        let f = TridiagFactor::factor(&t);
-        let diags = f.all_diagonals(Par::Seq);
-        prop_assert_eq!(diags.len(), l);
-        let g_ref = t.reference_inverse(Par::Seq);
-        for j in 0..l {
-            let want = t.dense_block(&g_ref, j, j);
-            prop_assert!(
-                fsi_dense::rel_error(diags.get(j, j).expect("diag"), &want) < 1e-7,
-                "j={j}"
-            );
-        }
-    }
 
     /// BSOFI's structured QR really produces Qᵀ·M = R with the documented
     /// sparsity for arbitrary p-cyclic matrices.

@@ -4,7 +4,6 @@
 //! drained (or, under `fault-inject`, crash-killed) service resumes
 //! with bins bitwise-identical to an uninterrupted run.
 
-use fsi::dqmc::sweep::WrapStrategy;
 use fsi::dqmc::{DurableSweeper, SweepCheckpoint, SweepConfig};
 use fsi::pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
 use fsi::runtime::ckpt::{self, Generation};
@@ -29,7 +28,6 @@ fn arb_checkpoint() -> impl Strategy<Value = SweepCheckpoint> {
         (
             any::<u64>(),
             any::<u64>(),
-            any::<bool>(),
             prop::collection::vec((0u32..2).prop_map(|b| if b == 0 { -1i8 } else { 1i8 }), {
                 let spins = l * n;
                 spins..spins + 1
@@ -37,8 +35,8 @@ fn arb_checkpoint() -> impl Strategy<Value = SweepCheckpoint> {
             prop::collection::vec((0u64..64, prop::collection::vec(-1e3f64..1e3, 0..4)), 0..4),
             -1e6f64..1e6,
         )
-            .prop_map(move |(sweep, rng_word_pos, factored, field, bins, sign)| {
-                SweepCheckpoint {
+            .prop_map(
+                move |(sweep, rng_word_pos, field, bins, sign)| SweepCheckpoint {
                     sweep,
                     l,
                     n,
@@ -49,17 +47,10 @@ fn arb_checkpoint() -> impl Strategy<Value = SweepCheckpoint> {
                         c,
                         stabilize_every: c,
                         delay: 1,
-                        wrap: if factored {
-                            WrapStrategy::Factored
-                        } else {
-                            WrapStrategy::Dense
-                        },
-                        incremental: factored,
-                        track_drift: false,
                     },
                     bins,
-                }
-            })
+                },
+            )
     })
 }
 
