@@ -2,7 +2,7 @@
 //! simulation service at every protocol boundary and asserts 100%
 //! detect-and-resume with **bitwise-identical** fields, signs, Green's
 //! functions, and measurement bins, recording the verdicts to
-//! `results/BENCH_recovery.json` for the sentinel (`bench_report`).
+//! `results/BENCH_recovery.json` (schema in `results/schema.md`).
 //!
 //! Two tiers of kill sites:
 //!
@@ -24,9 +24,9 @@
 //!
 //! Usage: `bench_recovery [--smoke] [--label=NAME] [--out=PATH]`
 //!
-//! `ci/bench_smoke.sh` runs `--smoke` as a **gating** step: any site
-//! that fails to detect its crash or resume bitwise aborts the run, and
-//! the sentinel holds `detect_rate` at exactly 1.0 thereafter.
+//! `ci/check.sh` runs `--smoke` in a `fault-inject` build as a **gating**
+//! step: the run aborts unless exactly the six sites above were drilled
+//! and every one detected its crash and resumed bitwise.
 
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -487,6 +487,9 @@ fn main() {
         );
     }
     let passed = sites.iter().filter(|s| s.passed()).count();
+    // A site that silently drops out of the list must fail the drill,
+    // not shrink it.
+    let documented = if cfg!(feature = "fault-inject") { 6 } else { 2 };
 
     let unix_ms = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
@@ -521,6 +524,11 @@ fn main() {
     }
     fsi_bench::write_artifact(&out, &json.to_string()).expect("write bench json");
     println!("wrote {out} ({passed}/{} sites passed)", sites.len());
+    assert_eq!(
+        sites.len(),
+        documented,
+        "crash drill must run every documented kill site"
+    );
     assert_eq!(
         passed,
         sites.len(),

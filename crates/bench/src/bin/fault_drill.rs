@@ -23,8 +23,10 @@
 //!
 //! Usage: `fault_drill [--smoke] [--label=NAME] [--out=PATH]`
 //!
-//! `--smoke` drills a 3-site subset (one per probe family) for the CI
-//! smoke lane; the full grid is 21 sites.
+//! `--smoke` drills a 3-site subset (one per probe family); `ci/check.sh`
+//! runs it as a **gating** step. The full grid is 21 sites. Both also
+//! drive a sticky fault up the whole recovery ladder and assert that each
+//! of its three rungs ran exactly once.
 
 use std::time::SystemTime;
 
@@ -307,7 +309,7 @@ fn main() {
     );
     let sticky = run_workload();
     let sticky_fired = inject::disarm();
-    let sticky_ok = matches!(&sticky, Ok(o) if o.rungs[2] == 1);
+    let sticky_ok = matches!(&sticky, Ok(o) if o.rungs == [1, 1, 1]);
     if !sticky_ok {
         failures += 1;
     }
@@ -321,8 +323,7 @@ fn main() {
     // must leave an in-memory incident dump holding the most recent spans
     // (the ring is process-wide, so a preceding clean traced run
     // legitimately populates it) and naming the faulted stage in the
-    // health event line. This is the PR-6 acceptance criterion for the
-    // flight recorder.
+    // health event line.
     let prior = fsi_runtime::trace::level();
     fsi_runtime::trace::set_level(fsi_runtime::TraceLevel::Stages);
     fsi_runtime::trace::clear();

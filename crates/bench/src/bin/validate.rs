@@ -151,7 +151,7 @@ fn main() {
     let pass = mean < 1e-10 && cls_ok && bsofi_ok && wrap_ok;
     println!("\nvalidation: {}", if pass { "PASSED" } else { "FAILED" });
 
-    // Machine-readable artifact for the regression sentinel (schema in
+    // Machine-readable artifact (schema in
     // results/schema.md, "validate.json").
     let out_path = args.flag_value("out").unwrap_or("results/validate.json");
     let stages = ["cls", "bsofi", "wrap"]

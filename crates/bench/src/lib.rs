@@ -17,10 +17,11 @@
 //! `--paper-scale` plus `key=value` overrides (`N=`, `L=`, `c=`,
 //! `threads=`, …) to approach the paper's exact parameters.
 //!
-//! Criterion micro-benchmarks live in `benches/` (dense kernels, FSI
-//! stages, and the three ablations called out in DESIGN.md).
-
-pub mod sentinel;
+//! Two drills gate CI on structural properties, not timings:
+//! `fault_drill` (injected faults are detected and healed without
+//! perturbing the Monte Carlo trajectory) and `bench_recovery` (crashes at
+//! every durability boundary resume bitwise). Timing claims belong to the
+//! layered benchmark under `benchmark/`, not to this crate.
 
 use std::collections::HashMap;
 
@@ -70,14 +71,6 @@ impl Args {
         self.flags
             .iter()
             .find_map(|f| f.strip_prefix(name).and_then(|r| r.strip_prefix('=')))
-    }
-
-    /// Every value of a repeatable `--name=value` flag, in order.
-    pub fn flag_values(&self, name: &str) -> Vec<&str> {
-        self.flags
-            .iter()
-            .filter_map(|f| f.strip_prefix(name).and_then(|r| r.strip_prefix('=')))
-            .collect()
     }
 
     /// `key=value` as usize, with a default.
@@ -343,8 +336,8 @@ trace: wrote {} and {}",
 
 /// Writes a bench artifact (e.g. `results/BENCH_*.json`) atomically:
 /// the bytes land in a same-directory temp file that is renamed over
-/// `path`, so a crash mid-write can never leave a torn artifact for the
-/// sentinel (or a human) to misread. Creates parent directories.
+/// `path`, so a crash mid-write can never leave a torn artifact to
+/// misread. Creates parent directories.
 ///
 /// # Errors
 /// Filesystem errors from the temp write or the rename.

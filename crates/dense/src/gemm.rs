@@ -823,14 +823,50 @@ mod tests {
         use fsi_runtime::trace;
         let _lock = trace::test_lock();
         trace::set_level(fsi_runtime::TraceLevel::Kernels);
-        let span = trace::span("gemm-test");
-        let a = test_matrix(10, 20, 50);
-        let b = test_matrix(20, 30, 51);
-        let _ = mul(&a, &b);
+        // Every Op pair charges the analytic count to the enclosing span.
+        for (opa, opb) in ALL_OPS {
+            let (a, b) = operands(10, 20, 30, opa, opb, 50);
+            let mut c = Matrix::zeros(10, 30);
+            let span = trace::span("gemm-test");
+            gemm_op(
+                Par::Seq,
+                1.0,
+                opa,
+                a.as_ref(),
+                opb,
+                b.as_ref(),
+                0.0,
+                c.as_mut(),
+            );
+            let stats = span.finish();
+            assert_eq!(
+                stats.flops,
+                flops::counts::gemm(10, 30, 20),
+                "{opa:?}{opb:?}"
+            );
+        }
+        // A batch is charged once, for all of its products.
+        let n = 64;
+        let a: Vec<Matrix> = (0..3u64).map(|i| test_matrix(n, n, 60 + i)).collect();
+        let ar: Vec<_> = a.iter().map(Matrix::as_ref).collect();
+        let b = test_matrix(n, n, 59);
+        let mut out: Vec<Matrix> = (0..3).map(|_| Matrix::zeros(n, n)).collect();
+        let mut c: Vec<_> = out.iter_mut().map(Matrix::as_mut).collect();
+        let span = trace::span("gemm-batched-test");
+        crate::gemm_batched(
+            Par::Seq,
+            1.0,
+            Op::NoTrans,
+            crate::BatchOperand::Each(&ar),
+            Op::NoTrans,
+            crate::BatchOperand::Shared(b.as_ref()),
+            0.0,
+            &mut c,
+        );
         let stats = span.finish();
         trace::set_level(fsi_runtime::TraceLevel::Off);
         trace::clear();
-        assert_eq!(stats.flops, 2 * 10 * 20 * 30);
+        assert_eq!(stats.flops, 3 * flops::counts::gemm(n, n, n));
     }
 
     #[test]

@@ -391,8 +391,9 @@ impl<'a> Sweeper<'a> {
     }
 
     /// `(hits, misses)` summed over both spins' cluster caches since
-    /// construction — the counters the bench and the acceptance criterion
-    /// ("warm refresh recomputes strictly fewer products") read.
+    /// construction — what the benchmark's `selinv.cache_hit_frac` and the
+    /// warm-refresh test ("warm refresh recomputes strictly fewer
+    /// products") read.
     pub fn cluster_cache_stats(&self) -> (u64, u64) {
         (
             self.cluster_caches.iter().map(ClusterCache::hits).sum(),

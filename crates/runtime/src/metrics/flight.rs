@@ -18,17 +18,16 @@
 //! cannot fill a disk.
 //!
 //! Span closures are recorded only while tracing is on (spans are no-ops
-//! otherwise); health and recovery events are recorded whenever metrics
-//! are enabled. Ring pushes take an uncontended mutex — fine at stage
-//! granularity, and `FSI_TRACE=2` kernel storms degrade to contention,
-//! not data loss.
+//! otherwise); health and recovery events are always recorded. Ring
+//! pushes take an uncontended mutex — fine at stage granularity, and
+//! `FSI_TRACE=2` kernel storms degrade to contention, not data loss.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use super::registry::{enabled, LazyCounter};
+use super::registry::LazyCounter;
 
 /// Events retained in the ring. Must comfortably exceed the 32 recent
 /// spans an incident dump is required to carry.
@@ -121,9 +120,6 @@ fn push(event_of: impl FnOnce(u64) -> FlightEvent) {
 /// Records a closed span. Called from the trace layer on every span
 /// closure; cost is one short mutex push.
 pub(crate) fn record_span(name: &'static str, t_ns: u64, thread: u64, dur_ns: u64, flops: u64) {
-    if !enabled() {
-        return;
-    }
     push(|seq| FlightEvent {
         seq,
         t_ns,
@@ -137,9 +133,6 @@ pub(crate) fn record_span(name: &'static str, t_ns: u64, thread: u64, dur_ns: u6
 }
 
 fn record_mark(kind: FlightKind, name: &'static str, stage: &'static str) {
-    if !enabled() {
-        return;
-    }
     let t_ns = crate::trace::now_ns();
     let thread = crate::trace::thread_index();
     push(|seq| FlightEvent {
@@ -285,9 +278,6 @@ pub fn install_panic_hook() {
 /// yet hit) writes `flight-<n>-<reason>.ndjson`. Write errors are
 /// swallowed — the recorder must never turn an incident into a panic.
 pub fn incident(reason: &str) {
-    if !enabled() {
-        return;
-    }
     let text = render(reason);
     *LAST_DUMP.lock().unwrap_or_else(|e| e.into_inner()) = Some(text.clone());
     DUMPS.inc();

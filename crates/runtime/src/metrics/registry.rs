@@ -11,7 +11,7 @@
 //! snapshot will include exactly).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -40,24 +40,6 @@ fn shard_index() -> usize {
     SHARD.with(|&s| s)
 }
 
-/// Global metrics switch. On by default — the whole point of the registry
-/// is to be cheap enough to leave on in release builds; the switch exists
-/// so the paired-ratio overhead probe in `bench_sweep` can measure the
-/// cost of flipping it.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// True when metric updates are being applied (the default).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enables/disables metric updates. Handles stay valid either
-/// way; disabled updates are dropped at the increment site.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 /// A monotonically increasing event/quantity counter, sharded across
 /// [`SHARDS`] cache lines.
 #[derive(Default)]
@@ -72,13 +54,9 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `n` to the counter (relaxed; no-op while metrics are
-    /// disabled).
+    /// Adds `n` to the counter (relaxed).
     #[inline]
     pub fn add(&self, n: u64) {
-        if !enabled() {
-            return;
-        }
         self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -111,19 +89,16 @@ impl Gauge {
         }
     }
 
-    /// Sets the gauge (no-op while metrics are disabled).
+    /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        if !enabled() {
-            return;
-        }
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Raises the gauge to `v` if `v` is greater than the current value
     /// (high-water mark semantics; NaN is ignored).
     pub fn set_max(&self, v: f64) {
-        if !enabled() || v.is_nan() {
+        if v.is_nan() {
             return;
         }
         let mut cur = self.bits.load(Ordering::Relaxed);
@@ -180,13 +155,9 @@ impl HistogramMetric {
         Self::default()
     }
 
-    /// Records one observation (relaxed; no-op while metrics are
-    /// disabled).
+    /// Records one observation (relaxed).
     #[inline]
     pub fn record(&self, value: u64) {
-        if !enabled() {
-            return;
-        }
         let shard = &self.shards[shard_index() % HIST_SHARDS];
         shard.counts[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(value, Ordering::Relaxed);
@@ -431,48 +402,34 @@ impl Meter {
     /// operations.
     #[inline]
     pub fn observe(&self, flops: u64) {
-        if !enabled() {
-            return;
-        }
         let m = self.inner();
         m.calls.inc();
         m.flops.add(flops);
     }
 
     /// Opens a timed observation; the returned guard records duration,
-    /// latency bucket, and attained Gflop/s when dropped. Returns an
-    /// inert guard while metrics are disabled.
+    /// latency bucket, and attained Gflop/s when dropped.
     #[inline]
     pub fn start(&self, flops: u64) -> MeterGuard<'_> {
-        if !enabled() {
-            return MeterGuard {
-                meter: None,
-                flops: 0,
-                start: None,
-            };
-        }
         MeterGuard {
-            meter: Some(self),
+            meter: self,
             flops,
-            start: Some(Instant::now()),
+            start: Instant::now(),
         }
     }
 }
 
 /// RAII guard for a timed [`Meter`] observation.
 pub struct MeterGuard<'m> {
-    meter: Option<&'m Meter>,
+    meter: &'m Meter,
     flops: u64,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl Drop for MeterGuard<'_> {
     fn drop(&mut self) {
-        let (Some(meter), Some(start)) = (self.meter, self.start) else {
-            return;
-        };
-        let ns = start.elapsed().as_nanos() as u64;
-        let m = meter.inner();
+        let ns = self.start.elapsed().as_nanos() as u64;
+        let m = self.meter.inner();
         m.calls.inc();
         m.flops.add(self.flops);
         m.busy_ns.add(ns);
