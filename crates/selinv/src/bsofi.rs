@@ -54,22 +54,21 @@
 //! * [`bsofi`] materializes the full dense `bN × bN` inverse — what the
 //!   S3/S4 (rows/columns) wraps need, since every block of `Ḡ` seeds a
 //!   walk.
-//! * [`bsofi_selected`] assembles only the block rows a
-//!   [`SelectedPattern`] requests (PSelInv-style: restrict the inversion
-//!   to the sparsity pattern of the request). Row `k` of `X = R⁻¹` is the
-//!   chain `X_kk = R_kk⁻¹`, `X_kj = X_{k,j−1}·W_j` with the shared
-//!   couplings `W_j = −E_{j−1}·R_jj⁻¹`, plus the shared last column; and
-//!   because column `ℓ` of `Ḡ` is final once transforms `b−1, …, ℓ−1`
-//!   have been applied, a diagonal-only request replaces the in-place
-//!   slab applies of stage C with a *live-column chain*: materialize the
-//!   column half of each `Q̃ᵢᵀ` the request needs — columns `lo..hi` of
-//!   `I − V·Tᵀ·Vᵀ` are `E − V·(V[lo..hi, :]·T)ᵀ`, two GEMMs and no
-//!   identity right-hand side — and advance the one still-live column
-//!   block with plain GEMMs (see [`StructuredQr::selected`]). For the
-//!   S1/S2 diagonal patterns this drops the stage B+C constant from
-//!   ≈`12b²N³` (as charged: `V` and `T` go through GEMM with their zero
-//!   halves) to ≈`3b²N³`, keeps the work in clean tall GEMMs, and skips
-//!   the dense materialization.
+//! * [`bsofi_selected`] assembles only the blocks a [`SelectedPattern`]
+//!   requests (PSelInv-style: restrict the inversion to the sparsity
+//!   pattern of the request). Row `k` of `X = R⁻¹` is the chain
+//!   `X_kk = R_kk⁻¹`, `X_kj = X_{k,j−1}·W_j` with the shared couplings
+//!   `W_j = −E_{j−1}·R_jj⁻¹`, plus the shared last column. A diagonal
+//!   request never forms those rows: with the transforms applied
+//!   right-to-left, the one column block of `X·Qᵀ` still live at transform
+//!   `i` is, for every row `k ≤ i`, `X(k,i)·S_i + X(k,b−1)·T_i` — true at
+//!   `i = b−1` with `S = 0`, `T = Q̃_{b−1}ᵀ`, and carried down one level by
+//!   `X(k,i+1) = X(k,i)·W_{i+1}` — so two `N × N` carriers `S_i`, `T_i`
+//!   that belong to no row stand in for the rows (see
+//!   [`StructuredQr::selected`]). Stage B+C of the S1/S2 diagonal patterns
+//!   is then, per level, the columns of `Q̃ᵢᵀ` (`12N³`), six `N×N×N` GEMMs
+//!   (`12N³`), `W_j` and a step of the last column (`8N³`): `≈ 33bN³`,
+//!   linear in `b`, with nothing larger than `2N × 2N` allocated.
 
 use fsi_dense::blas::axpy;
 use fsi_dense::tri::invert_upper;
@@ -362,7 +361,7 @@ impl StructuredQr {
     pub fn inverse(&self, par_cols: Par<'_>, par_gemm: Par<'_>) -> Matrix {
         let (n, b) = (self.n, self.b);
         let dim = b * n;
-        let rinv = self.rinv_diagonals();
+        let rinv = self.rinv_diagonals(0);
         let mut g = Matrix::pooled(dim, dim);
         // Stage B: build X = R⁻¹ column by column (independent columns →
         // parallel_map), then write the blocks into the dense output:
@@ -387,6 +386,30 @@ impl StructuredQr {
     /// blocks of `Ḡ` (see [`bsofi_selected`]). `par_rows` parallelizes
     /// the stage C row bands of dense ([`SelectedPattern::Full`])
     /// requests; `par_gemm` parallelizes inside the kernels.
+    ///
+    /// Diagonal requests ([`SelectedPattern::Diagonals`],
+    /// [`SelectedPattern::DiagonalBlock`]) run one recursion over two
+    /// row-independent `N × N` carriers. With the panel transforms applied
+    /// right-to-left, column `i+1` of `Ḡ` is final after transform `i`, and
+    /// the column block still live at transform `i` is, for every row
+    /// `k ≤ i`, `live_k(i) = X(k,i)·S_i + X(k,b−1)·T_i`: at `i = b−1` it is
+    /// `X(k,b−1)·Q̃_{b−1}ᵀ`, and transform `i` maps `live_k(i+1)` to
+    /// `X(k,i)·Z'_top + live_k(i+1)·Z'_bot` with `Z' = Q̃ᵢᵀ·[I; 0]`, where
+    /// `X(k,i+1) = X(k,i)·W_{i+1}` folds the first carrier into `S_i`:
+    ///
+    /// ```text
+    /// S_{b−1} = 0,  T_{b−1} = Q̃_{b−1}ᵀ
+    /// for i = b−2, …:
+    ///   Ḡ(i+1, i+1) = (R_{i+1}⁻¹·S_{i+1} + X(i+1, b−1)·T_{i+1})·Z_bot
+    ///                                                    Z = Q̃ᵢᵀ·[0; I]
+    ///   S_i = Z'_top + W_{i+1}·(S_{i+1}·Z'_bot),  T_i = T_{i+1}·Z'_bot
+    /// Ḡ(0, 0) = R_00⁻¹·S_0 + X(0, b−1)·T_0
+    /// ```
+    ///
+    /// (row `i+1` has `X(i+1, i) = 0`, so its diagonal reads only the live
+    /// block). A level costs the columns of `Q̃ᵢᵀ` it reads (two GEMMs)
+    /// and at most six `N × N × N` GEMMs, whatever the number of requested
+    /// rows; no row of `X` beyond the shared last column is formed.
     pub fn selected(
         &self,
         par_rows: Par<'_>,
@@ -396,7 +419,8 @@ impl StructuredQr {
         let (n, b) = (self.n, self.b);
         let rows = pattern.rows(b);
         let kmin = rows[0];
-        let rinv = self.rinv_diagonals();
+        // No requested row is above kmin, so no R_jj⁻¹ with j < kmin is read.
+        let rinv = self.rinv_diagonals(kmin);
         // Shared interior couplings W_j = −E_{j−1}·R_jj⁻¹: every row whose
         // recurrence passes column j multiplies by the same W_j.
         let mut w: Vec<Option<Matrix>> = (0..b).map(|_| None).collect();
@@ -406,7 +430,7 @@ impl StructuredQr {
                 par_gemm,
                 -1.0,
                 self.e[j - 1].as_ref(),
-                rinv[j].as_ref(),
+                rinv[j - kmin].as_ref(),
                 0.0,
                 wj.as_mut(),
             );
@@ -415,133 +439,98 @@ impl StructuredQr {
         // Shared last block column X_{i,b−1} for i ≥ kmin (the only column
         // whose recurrence needs the C fills).
         let x_last = self.rinv_column(par_gemm, &rinv, b - 1, kmin);
-        // Stage B: the requested rows of X = R⁻¹, written straight into a
-        // stacked buffer (band p ↔ block row rows[p]) — no per-row
-        // temporaries or restacking copies. The buffer is pooled: left of
-        // its diagonal block a band holds whatever the last user left.
-        let mut buf = Matrix::pooled(rows.len() * n, b * n);
-        self.fill_x_rows(par_gemm, &rows, &rinv, &w, &x_last, kmin, &mut buf);
-        if matches!(pattern, SelectedPattern::Full) {
-            // Dense request: stage C degenerates to the full right-apply,
-            // which reads every band whole — X is zero left of its
-            // diagonal.
-            for (p, &k) in rows.iter().enumerate() {
-                buf.view_mut(p * n, 0, n, k * n).fill(0.0);
-            }
-            self.apply_qt_right_cols(par_rows, par_gemm, &mut buf);
-            let mut out = SelectedInverse::new();
-            for (p, &k) in rows.iter().enumerate() {
-                for l in pattern.cols_for_row(k, b) {
-                    out.insert(k, l, buf.block(p * n, l * n, n, n));
-                }
-            }
-            return out;
+        if !matches!(pattern, SelectedPattern::Full) {
+            return self.diagonal_recursion(par_gemm, &rows, &rinv, &w, &x_last);
         }
-        self.diagonal_chain(par_gemm, &rows, &buf)
+        // Dense request: every row of X = R⁻¹, stacked, then the full
+        // stage C right-apply, which reads every band whole — X is zero
+        // left of its diagonal, where the pooled buffer holds stale values.
+        let mut buf = Matrix::pooled(b * n, b * n);
+        self.fill_x_rows(par_gemm, &rinv, &w, &x_last, &mut buf);
+        for k in 0..b {
+            buf.view_mut(k * n, 0, n, k * n).fill(0.0);
+        }
+        self.apply_qt_right_cols(par_rows, par_gemm, &mut buf);
+        let mut out = SelectedInverse::new();
+        for k in 0..b {
+            for l in 0..b {
+                out.insert(k, l, buf.block(k * n, l * n, n, n));
+            }
+        }
+        out
     }
 
-    /// Writes the requested rows of `X = R⁻¹` into `buf` (band `p` ↔
-    /// block row `rows[p]`): the diagonal blocks `X_kk = R_kk⁻¹` and the
-    /// shared last column first, then the chain columns
-    /// `X_kj = X_{k,j−1}·W_j` — batched per column, since every requested
+    /// Writes every row of `X = R⁻¹` into `buf` (band `k` ↔ block row `k`)
+    /// on and right of its diagonal block: the diagonal blocks
+    /// `X_kk = R_kk⁻¹` and the shared last column first, then the chain
+    /// columns `X_kj = X_{k,j−1}·W_j` — batched per column, since every
     /// row `k < j` advances with the *same* `W_j`, into one tall
-    /// `(prefix·N) × N × N` GEMM. Same flops as per-row chains, far
-    /// better kernel shapes.
-    #[allow(clippy::too_many_arguments)]
+    /// `(j·N) × N × N` GEMM. Same flops as per-row chains, far better
+    /// kernel shapes.
     fn fill_x_rows(
         &self,
         par_gemm: Par<'_>,
-        rows: &[usize],
         rinv: &[Matrix],
         w: &[Option<Matrix>],
         x_last: &[Matrix],
-        kmin: usize,
         buf: &mut Matrix,
     ) {
         let (n, b) = (self.n, self.b);
-        for (p, &k) in rows.iter().enumerate() {
+        for k in 0..b {
             if k < b - 1 {
-                buf.set_block(p * n, k * n, rinv[k].as_ref());
+                buf.set_block(k * n, k * n, rinv[k].as_ref());
             }
-            buf.set_block(p * n, (b - 1) * n, x_last[k - kmin].as_ref());
+            buf.set_block(k * n, (b - 1) * n, x_last[k].as_ref());
         }
-        for (j, w_j) in w.iter().enumerate().take(b - 1).skip(kmin + 1) {
-            let prefix = rows.partition_point(|&k| k < j);
-            if prefix == 0 {
-                continue;
-            }
+        for (j, w_j) in w.iter().enumerate().take(b - 1).skip(1) {
             // Column j−1 of every chain row is complete (previous sweep
             // step, or the diagonal block for row j−1 itself).
-            let (src, dst) = buf
-                .view_mut(0, (j - 1) * n, prefix * n, 2 * n)
-                .split_at_col(n);
+            let (src, dst) = buf.view_mut(0, (j - 1) * n, j * n, 2 * n).split_at_col(n);
             gemm(
                 par_gemm,
                 1.0,
                 src.as_ref(),
-                w_j.as_ref().expect("W_j computed for j > kmin").as_ref(),
+                w_j.as_ref().expect("W_j computed for j ≥ 1").as_ref(),
                 0.0,
                 dst,
             );
         }
     }
 
-    /// Stage C for diagonal requests, as a live-column chain.
-    ///
-    /// With the panel transforms applied right-to-left, column `ℓ` of `Ḡ`
-    /// is final once transform `ℓ−1` has run, and at transform `i` only
-    /// two column blocks of the evolving product are ever read again:
-    /// column `i` for the requested rows `k ≤ i` (input to transform
-    /// `i−1`) and column `i+1` for row `i+1` (that row's final diagonal —
-    /// its column-`i` input is `X(i+1, i) = 0`). So instead of in-place
-    /// compact-WY slab applies, materialize the column half of `Q̃ᵢᵀ`
-    /// each group needs ([`qt_columns`]) and advance the live block with
-    /// plain GEMMs:
-    ///
-    /// ```text
-    /// live ← X(:, b−1)·Q̃_{b−1}ᵀ
-    /// for i = b−2, …:
-    ///   Ḡ(i+1, i+1) = live[i+1]·Z[N.., :]         Z = Q̃ᵢᵀ·[0; I]
-    ///   live[..gA]  = X(.., i)·Z'[..N, :]
-    ///               + live[..gA]·Z'[N.., :]       Z' = Q̃ᵢᵀ·[I; 0]
-    /// ```
-    ///
-    /// The GEMM shapes are tall and clean (`gA·N × N × N`), which is why
-    /// this path beats the dense inverse by more than its flop ratio.
-    /// It reads `buf` only on and right of each band's diagonal block, so
-    /// the pooled buffer's stale left part is never touched.
-    fn diagonal_chain(&self, par_gemm: Par<'_>, rows: &[usize], buf: &Matrix) -> SelectedInverse {
+    /// The diagonal blocks `Ḡ(k, k)`, `k ∈ rows`, by the `(S, T)`
+    /// recursion of [`Self::selected`]. `rinv[j − kmin]` is `R_jj⁻¹`,
+    /// `x_last[i − kmin]` is `X(i, b−1)` and `w[j]` is `W_j`, for
+    /// `j, i ≥ kmin = rows[0]`.
+    fn diagonal_recursion(
+        &self,
+        par_gemm: Par<'_>,
+        rows: &[usize],
+        rinv: &[Matrix],
+        w: &[Option<Matrix>],
+        x_last: &[Matrix],
+    ) -> SelectedInverse {
         let (n, b) = (self.n, self.b);
-        let r_cnt = rows.len();
         let kmin = rows[0];
-        let mut out = SelectedInverse::new();
-        // live := X(:, b−1)·Q̃_{b−1}ᵀ (the final panel is N-wide).
-        let mut z_last = Matrix::pooled(n, n);
-        qt_columns(par_gemm, &self.qrs[b - 1], 0, n, z_last.as_mut());
-        let mut live = Matrix::pooled(r_cnt * n, n);
-        gemm(
-            par_gemm,
-            1.0,
-            buf.view(0, (b - 1) * n, r_cnt * n, n),
-            z_last.as_ref(),
-            0.0,
-            live.as_mut(),
-        );
-        let mut scratch = Matrix::pooled(r_cnt * n, n);
+        let mut out = SelectedInverse::with_capacity(rows.len());
+        // T = T_{b−1} = Q̃_{b−1}ᵀ (the final panel is N-wide); S_{b−1} = 0
+        // is never formed: the products with S start at level b−3.
+        let mut t = Matrix::pooled(n, n);
+        qt_columns(par_gemm, &self.qrs[b - 1], 0, n, t.as_mut());
+        let mut s = Matrix::pooled(n, n);
+        let mut next = Matrix::pooled(n, n);
+        let mut tmp = Matrix::pooled(n, n);
         let mut z = Matrix::pooled(2 * n, 2 * n);
         for i in (kmin.saturating_sub(1)..b - 1).rev() {
-            // The gA requested rows `k ≤ i` precede row i+1 in the stack.
-            let ga = rows.partition_point(|&k| k <= i);
-            let has_b = rows.get(ga) == Some(&(i + 1));
-            if ga == 0 && !has_b {
-                continue;
-            }
-            // Materialize only the column halves of Q̃ᵢᵀ this step reads
-            // (columns 0..N feed the live advance, columns N..2N the
-            // finished diagonal); one call covers both, at a cost linear
+            // (s, t) hold (S_{i+1}, T_{i+1}); S_{i+1} is zero at i = b−2.
+            let s_live = i + 2 < b;
+            let advance = i >= kmin;
+            let emit = rows.binary_search(&(i + 1)).is_ok();
+            // Materialize only the column halves of Q̃ᵢᵀ this level reads
+            // (Z' = columns 0..N advance the carriers, Z = columns N..2N
+            // finish the diagonal); one call covers both, at a cost linear
             // in the width either way.
-            let lo = if ga > 0 { 0 } else { n };
-            let hi = if has_b { 2 * n } else { n };
+            let lo = if advance { 0 } else { n };
+            let hi = if emit { 2 * n } else { n };
             qt_columns(
                 par_gemm,
                 &self.qrs[i],
@@ -549,48 +538,62 @@ impl StructuredQr {
                 hi,
                 z.view_mut(0, 0, 2 * n, hi - lo),
             );
-            if has_b {
+            if emit {
+                let r = i + 1 - kmin;
+                live_block(
+                    par_gemm,
+                    &rinv[r],
+                    &x_last[r],
+                    s_live.then_some(&s),
+                    &t,
+                    &mut tmp,
+                );
                 let mut g = Matrix::pooled(n, n);
                 gemm(
                     par_gemm,
                     1.0,
-                    live.view(ga * n, 0, n, n),
+                    tmp.as_ref(),
                     z.view(n, n - lo, n, n),
                     0.0,
                     g.as_mut(),
                 );
                 out.insert(i + 1, i + 1, g);
             }
-            if ga > 0 {
-                gemm(
-                    par_gemm,
-                    1.0,
-                    buf.view(0, i * n, ga * n, n),
-                    z.view(0, 0, n, n),
-                    0.0,
-                    scratch.view_mut(0, 0, ga * n, n),
-                );
-                gemm(
-                    par_gemm,
-                    1.0,
-                    live.view(0, 0, ga * n, n),
-                    z.view(n, 0, n, n),
-                    1.0,
-                    scratch.view_mut(0, 0, ga * n, n),
-                );
-                std::mem::swap(&mut live, &mut scratch);
+            if advance {
+                let (z_top, z_bot) = (z.view(0, 0, n, n), z.view(n, 0, n, n));
+                // S_i = Z'_top + W_{i+1}·(S_{i+1}·Z'_bot).
+                next.as_mut().copy_from(z_top);
+                if s_live {
+                    gemm(par_gemm, 1.0, s.as_ref(), z_bot, 0.0, tmp.as_mut());
+                    let w_next = w[i + 1].as_ref().expect("W_j computed for kmin < j < b−1");
+                    gemm(
+                        par_gemm,
+                        1.0,
+                        w_next.as_ref(),
+                        tmp.as_ref(),
+                        1.0,
+                        next.as_mut(),
+                    );
+                }
+                std::mem::swap(&mut s, &mut next);
+                // T_i = T_{i+1}·Z'_bot.
+                gemm(par_gemm, 1.0, t.as_ref(), z_bot, 0.0, next.as_mut());
+                std::mem::swap(&mut t, &mut next);
             }
         }
         if kmin == 0 {
-            out.insert(0, 0, live.block(0, 0, n, n));
+            // Ḡ(0, 0) is the live block at level 0 itself.
+            let mut g = Matrix::pooled(n, n);
+            live_block(par_gemm, &rinv[0], &x_last[0], Some(&s), &t, &mut g);
+            out.insert(0, 0, g);
         }
         out
     }
 
-    /// The diagonal inverses `R_jj⁻¹` (independent; cheap: `b` triangles
-    /// of size `N`).
-    fn rinv_diagonals(&self) -> Vec<Matrix> {
-        (0..self.b)
+    /// The diagonal inverses `R_jj⁻¹` for `j ≥ from`, at index `j − from`
+    /// (independent; cheap: triangles of size `N`).
+    fn rinv_diagonals(&self, from: usize) -> Vec<Matrix> {
+        (from..self.b)
             .map(|j| {
                 let mut r = self.r_diag(j).clone();
                 invert_upper(r.as_mut());
@@ -638,9 +641,10 @@ impl StructuredQr {
     }
 
     /// The blocks `X_ij`, `stop ≤ i ≤ j`, of block column `j` of `X = R⁻¹`
-    /// (entry `i` lands at index `i − stop`), walking upward from the
-    /// diagonal: `X_ij = −R_ii⁻¹·(E_i·X_{i+1,j} [+ C_i·X_{b−1,j}])`, the `C`
-    /// term only in the last column.
+    /// (entry `i` lands at index `i − stop`; `rinv[i − stop]` is `R_ii⁻¹`),
+    /// walking upward from the diagonal:
+    /// `X_ij = −R_ii⁻¹·(E_i·X_{i+1,j} [+ C_i·X_{b−1,j}])`, the `C` term only
+    /// in the last column.
     fn rinv_column(
         &self,
         par_gemm: Par<'_>,
@@ -650,7 +654,7 @@ impl StructuredQr {
     ) -> Vec<Matrix> {
         let n = self.n;
         let mut out = vec![Matrix::zeros(0, 0); j + 1 - stop];
-        out[j - stop] = rinv[j].clone();
+        out[j - stop] = rinv[j - stop].clone();
         let mut t = Matrix::pooled(n, n);
         for i in (stop..j).rev() {
             gemm(
@@ -675,7 +679,7 @@ impl StructuredQr {
             gemm(
                 par_gemm,
                 1.0,
-                rinv[i].as_ref(),
+                rinv[i - stop].as_ref(),
                 t.as_ref(),
                 0.0,
                 xi.as_mut(),
@@ -683,6 +687,36 @@ impl StructuredQr {
             out[i - stop] = xi;
         }
         out
+    }
+}
+
+/// The live block of row `k` at its own level,
+/// `out = R_kk⁻¹·S_k + X(k, b−1)·T_k` (`s = None` stands for `S_k = 0`).
+fn live_block(
+    par_gemm: Par<'_>,
+    rinv_k: &Matrix,
+    x_last_k: &Matrix,
+    s: Option<&Matrix>,
+    t: &Matrix,
+    out: &mut Matrix,
+) {
+    gemm(
+        par_gemm,
+        1.0,
+        x_last_k.as_ref(),
+        t.as_ref(),
+        0.0,
+        out.as_mut(),
+    );
+    if let Some(s) = s {
+        gemm(
+            par_gemm,
+            1.0,
+            rinv_k.as_ref(),
+            s.as_ref(),
+            1.0,
+            out.as_mut(),
+        );
     }
 }
 
@@ -906,7 +940,7 @@ mod tests {
     fn qt_columns_equals_the_general_apply_on_a_shifted_identity() {
         for n in [3usize, 9, 20, 33] {
             let f = geqrf(fsi_dense::test_matrix(2 * n, n, 7 + n as u64));
-            // Every (lo, hi) the live-column chain asks of a 2N × N panel…
+            // Every (lo, hi) the diagonal recursion asks of a 2N × N panel…
             let mut cases = vec![(&f, 0, n), (&f, n, 2 * n), (&f, 0, 2 * n)];
             // …and the one it asks of the final N × N panel.
             let last = geqrf(fsi_dense::test_matrix(n, n, 70 + n as u64));

@@ -56,14 +56,17 @@ pub fn structured_qr_flops(n: usize, b: usize) -> u64 {
 
 /// Exact flop count of [`crate::bsofi_selected`] for a given request,
 /// mirroring the kernel charges of the selected assembly call for call:
-/// the structured QR, the `b` diagonal triangle inversions, the shared
-/// couplings `W_j` and last block column, the per-row recurrences, and
-/// the stage C path the pattern selects — the dense right-apply (three
-/// GEMMs per panel, [`counts::ormqr`]) for [`SelectedPattern::Full`], the
-/// live-column chain (two GEMMs per needed half of `Q̃ᵢᵀ` plus the plain
-/// GEMMs that advance the live block) for the diagonal requests. The
-/// `bsofi.selected` trace span measures exactly this value (asserted in
-/// the observability suite).
+/// the structured QR, the triangle inversions `R_jj⁻¹` for `j ≥ kmin` (the
+/// first requested row), the shared couplings `W_j` and last block column,
+/// and then the path the pattern selects. [`SelectedPattern::Full`] runs
+/// the per-row recurrences and the dense right-apply (three GEMMs per
+/// panel, [`counts::ormqr`]). The diagonal requests run the `(S, T)`
+/// recursion: `T_{b−1} = Q̃_{b−1}ᵀ`, then per level the columns of `Q̃ᵢᵀ`
+/// it reads, three GEMMs per finished diagonal block and three to advance
+/// the carriers (one of each fewer where `S_{i+1}` is still zero), and two
+/// for `Ḡ(0, 0)` — `≈ 33bN³` past the factorization for all `b` diagonals.
+/// The `bsofi.selected` trace span measures exactly this value (asserted
+/// in the observability suite).
 pub fn bsofi_selected_flops(n: usize, b: usize, pattern: &SelectedPattern) -> u64 {
     if b == 1 {
         // Degenerate path: QR of M̄, triangle inversion, one right-apply.
@@ -71,50 +74,48 @@ pub fn bsofi_selected_flops(n: usize, b: usize, pattern: &SelectedPattern) -> u6
     }
     let rows = pattern.rows(b);
     let kmin = rows[0];
+    let nnn = counts::gemm(n, n, n);
     let mut total = structured_qr_flops(n, b);
-    // R_jj⁻¹ for every diagonal block (invert_upper charges 2·trtri).
-    total += b as u64 * 2 * counts::trtri(n);
+    // R_jj⁻¹ for j ≥ kmin (invert_upper charges 2·trtri).
+    total += (b - kmin) as u64 * 2 * counts::trtri(n);
     // Shared couplings W_j = −E_{j−1}·R_jj⁻¹ for kmin < j < b−1.
-    total += ((b - 1).saturating_sub(kmin + 1)) as u64 * counts::gemm(n, n, n);
+    total += ((b - 1).saturating_sub(kmin + 1)) as u64 * nnn;
     // Shared last column X_{i,b−1}, i = b−2..kmin: two GEMMs per step plus
     // the C-fill term where it exists (i ≤ b−3, i.e. b ≥ 3).
     for i in kmin..b - 1 {
         let gemms = if b >= 3 && i <= b - 3 { 3 } else { 2 };
-        total += gemms * counts::gemm(n, n, n);
-    }
-    // Row recurrences: row k < b−1 chains through columns k+1..b−2.
-    for &k in &rows {
-        total += ((b - 1).saturating_sub(k + 1)) as u64 * counts::gemm(n, n, n);
+        total += gemms * nnn;
     }
     if matches!(pattern, SelectedPattern::Full) {
-        // Dense request: stage C is the full right-apply of every panel
-        // to the whole stacked buffer.
+        // Row recurrences: row k < b−1 chains through columns k+1..b−2.
+        for k in 0..b {
+            total += ((b - 1).saturating_sub(k + 1)) as u64 * nnn;
+        }
+        // Stage C: the full right-apply of every panel to the whole
+        // stacked buffer.
         for i in 0..b {
             let panel_m = if i == b - 1 { n } else { 2 * n };
-            total += counts::ormqr(panel_m, n, rows.len() * n);
+            total += counts::ormqr(panel_m, n, b * n);
         }
         return total;
     }
-    // Diagonal requests: the live-column chain. The final panel's Q̃ᵀ is
-    // N×N and seeds the live block; each earlier transform materializes
-    // the half (or halves) of Q̃ᵢᵀ it needs in one call and advances with
-    // plain GEMMs.
+    // Diagonal requests: the (S, T) recursion.
     total += qt_columns(n, n, n);
-    total += counts::gemm(rows.len() * n, n, n);
     for i in kmin.saturating_sub(1)..b - 1 {
-        let ga = rows.partition_point(|&k| k <= i);
-        let has_b = rows.get(ga) == Some(&(i + 1));
-        if ga == 0 && !has_b {
-            continue;
-        }
-        let halves = usize::from(ga > 0) + usize::from(has_b);
+        let s_live = u64::from(i + 2 < b);
+        let advance = i >= kmin;
+        let emit = rows.binary_search(&(i + 1)).is_ok();
+        let halves = usize::from(advance) + usize::from(emit);
         total += qt_columns(2 * n, n, halves * n);
-        if has_b {
-            total += counts::gemm(n, n, n);
+        if emit {
+            total += (2 + s_live) * nnn;
         }
-        if ga > 0 {
-            total += 2 * counts::gemm(ga * n, n, n);
+        if advance {
+            total += (1 + 2 * s_live) * nnn;
         }
+    }
+    if kmin == 0 {
+        total += 2 * nnn;
     }
     total
 }
@@ -240,6 +241,19 @@ mod tests {
         // A single block skips almost all of stage B/C beyond the factor.
         let factor = structured_qr_flops(n, b);
         assert!((single - factor) * 4 < full - factor);
+    }
+
+    #[test]
+    fn diagonal_assembly_is_linear_in_b() {
+        // Stages B + C of an all-diagonals request cost ≈ 33N³ per level
+        // however many levels there are: no b² term.
+        let n = 64;
+        for b in [8usize, 16, 64, 256, 1024] {
+            let assembly =
+                bsofi_selected_flops(n, b, &SelectedPattern::Diagonals) - structured_qr_flops(n, b);
+            let per_level = assembly as f64 / (b as u64 * n3(n)) as f64;
+            assert!((28.0..33.0).contains(&per_level), "b={b}: {per_level}");
+        }
     }
 
     #[test]
