@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Offline-friendly CI gate: formatting, lints, build, tests, drills.
+# Offline-friendly CI gate: formatting, lints, build, tests.
 #
 # Usage: ci/check.sh [--quick]
-#   --quick   skip the tests and drills (format + lint + build only)
+#   --quick   skip the tests (format + lint + build only)
 #
 # Everything runs with --offline so the gate works in sandboxes without
 # registry access (all third-party deps are vendored in vendor/).
@@ -34,9 +34,6 @@ if [[ $quick -eq 0 ]]; then
   echo "== cargo test --doc =="
   cargo test --offline --workspace --doc -q
 
-  echo "== cargo test --features fault-inject =="
-  cargo test --offline --workspace -q --features fault-inject
-
   # Metrics-enabled lane: the always-on registry and flight recorder are
   # exercised with stage tracing live and a real dump directory, so the
   # span→flight wiring and incident-dump file path run inside the test
@@ -57,29 +54,21 @@ if [[ $quick -eq 0 ]]; then
   echo "== cargo test (kernel lane: FSI_KERNEL=scalar) =="
   FSI_KERNEL=scalar cargo test --offline -q -p fsi-dense
 
-  # Kill-point lane: the durability property tests under simulated
-  # crashes — journal-append kill, drain/recover, torn-envelope
-  # rejection — must hold in isolation (the killpoint plan is global
-  # state, serialized by its test lock; single-test-binary scope keeps
-  # the lane's failure output attributable).
-  echo "== cargo test (kill-point lane: prop_recovery + fault-inject) =="
-  cargo test --offline -q --test prop_recovery --features fault-inject
-
   # The checked profile keeps release optimization but turns debug
   # assertions and overflow checks back on — numeric guardrail bugs that
   # only trip under assertions surface here. It is also the lane in which
   # the block pool's stale-data guard is armed at optimized codegen: every
   # pooled buffer is NaN-filled when it changes hands, so
   # tests/steady_state_memory.rs and fsi-selinv's prop_pool (with its
-  # fault-inject drill) catch an output block that is not fully
+  # poisoned-wrap case) catch an output block that is not fully
   # overwritten. --workspace takes in fsi-dqmc's unit tests, so the
   # measurement kernels' oracle proptests (meas::tests::*_the_reference)
   # run here with slice bounds and debug assertions live at the codegen
   # the benchmark times; those kernels are plain safe Rust outside
   # fsi-dense's tier dispatch, so the FSI_KERNEL=scalar lane above has
   # nothing of theirs to pin.
-  echo "== cargo test --profile checked (fault-inject) =="
-  cargo test --offline --workspace -q --profile checked --features fault-inject
+  echo "== cargo test --profile checked =="
+  cargo test --offline --workspace -q --profile checked
 
   # The layered benchmark is a package of its own (benchmark/): its tests
   # pin the staged composition it times to fsi_with_q / fsi_measurement_set
@@ -88,21 +77,6 @@ if [[ $quick -eq 0 ]]; then
   # allocations the optimiser may elide.
   echo "== cargo test (benchmark package) =="
   cargo test --offline -q --manifest-path benchmark/Cargo.toml
-
-  # Structural drills, both gating: fault_drill arms one injection site
-  # per probe family and asserts detection, healing and an unperturbed
-  # trajectory; bench_recovery kills the sweep engine and the service at
-  # all six durability boundaries and asserts bitwise resume. Their
-  # reports go to a temporary directory so CI leaves results/ alone.
-  # Timing claims are judged by the layered benchmark (ci/bench_pair.sh),
-  # not here.
-  echo "== drills (fault_drill --smoke, bench_recovery --smoke) =="
-  cargo build --offline --release -p fsi-bench --features fault-inject \
-    --bin fault_drill --bin bench_recovery
-  DRILL_DIR="$(mktemp -d)"
-  ./target/release/fault_drill --smoke --out="$DRILL_DIR/BENCH_fault_drill.json"
-  ./target/release/bench_recovery --smoke --out="$DRILL_DIR/BENCH_recovery.json"
-  rm -rf "$DRILL_DIR"
 fi
 
 echo "== all checks passed =="

@@ -17,11 +17,8 @@
 //! `--paper-scale` plus `key=value` overrides (`N=`, `L=`, `c=`,
 //! `threads=`, …) to approach the paper's exact parameters.
 //!
-//! Two drills gate CI on structural properties, not timings:
-//! `fault_drill` (injected faults are detected and healed without
-//! perturbing the Monte Carlo trajectory) and `bench_recovery` (crashes at
-//! every durability boundary resume bitwise). Timing claims belong to the
-//! layered benchmark under `benchmark/`, not to this crate.
+//! Timing claims belong to the layered benchmark under `benchmark/`, not
+//! to this crate.
 
 use std::collections::HashMap;
 
@@ -334,7 +331,7 @@ trace: wrote {} and {}",
     }
 }
 
-/// Writes a bench artifact (e.g. `results/BENCH_*.json`) atomically:
+/// Writes a bench artifact (e.g. `results/validate.json`) atomically:
 /// the bytes land in a same-directory temp file that is renamed over
 /// `path`, so a crash mid-write can never leave a torn artifact to
 /// misread. Creates parent directories.

@@ -161,8 +161,8 @@ impl SweepCheckpoint {
 /// A checkpointable DQMC sweep driver: the warmup/measurement loop of
 /// Alg. 4 reduced to its trajectory core (sweep + per-sweep bin), with
 /// [`DurableSweeper::checkpoint`]/[`DurableSweeper::resume`] as the
-/// crash-safety hooks. The service tier and the `bench_recovery` crash
-/// drill both drive this type.
+/// crash-safety hooks. The service tier and the crash-recovery tests in
+/// `tests/prop_recovery.rs` both drive this type.
 pub struct DurableSweeper<'a> {
     sweeper: Sweeper<'a>,
     rng: ChaCha8Rng,

@@ -116,9 +116,7 @@ pub fn equal_time_green_cached(
 
 /// Final output probe (plus injection hook) of an assembled equal-time
 /// Green's function: the last gate before the block reaches the sweep.
-#[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
 fn scan_green(k: usize, mut g: Matrix) -> FsiResult<Matrix> {
-    #[cfg(feature = "fault-inject")]
     health::inject::poison(Stage::Green, k, g.as_mut_slice());
     health::check_block(Stage::Green, k, g.as_slice())?;
     Ok(g)

@@ -459,7 +459,6 @@ impl<'a> Sweeper<'a> {
         self.wraps_since_stab += 1;
         let mut tripped = None;
         for g in &mut self.g {
-            #[cfg(feature = "fault-inject")]
             health::inject::poison(Stage::Wrap, slice, g.as_mut_slice());
             if let Err(e) = health::check_block(Stage::Wrap, slice, g.as_slice()) {
                 tripped = Some(e);

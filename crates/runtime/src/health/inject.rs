@@ -1,18 +1,20 @@
 //! Deterministic fault injection for drilling the health probes.
 //!
-//! Compiled only under the `fault-inject` feature, so production builds
-//! carry zero injection code. A *plan* is armed globally — one
-//! [`Site`] (stage + block + fault kind) with a fire budget — and the
-//! pipeline's injection hooks call [`poison`] at each stage boundary;
-//! when the site matches and the budget is not exhausted, the buffer is
-//! poisoned in place. Multi-fire plans keep poisoning retries, which is
-//! how the drill pushes the recovery ladder past its first rung.
+//! Compiled always and disarmed by default: a disarmed hook costs one
+//! atomic load. A *plan* is armed globally — one [`Site`] (stage, block
+//! and fault kind) with a fire budget — and the pipeline's injection
+//! hooks call [`poison`] at each stage boundary; when the site matches
+//! and the budget is not exhausted, the buffer is poisoned in place.
+//! Multi-fire plans keep poisoning retries, which is how the tests push
+//! the recovery ladder past its first rung. Arming is API-only: no option
+//! or environment variable reaches it.
 //!
-//! Everything is mutex-protected and seed-free: a given (plan, workload)
-//! pair fires at exactly the same program points every run, so recovery
-//! trajectories are reproducible and the proptests can assert
-//! determinism.
+//! The plan is mutex-protected (read only while armed) and seed-free: a
+//! given (plan, workload) pair fires at exactly the same program points
+//! every run, so recovery trajectories are reproducible and the
+//! proptests can assert determinism.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use super::Stage;
@@ -71,6 +73,12 @@ struct Plan {
 }
 
 static PLAN: Mutex<Option<Plan>> = Mutex::new(None);
+/// Whether a plan is armed: the one load a disarmed hook pays. Relaxed
+/// is enough because it publishes nothing: the plan is read under its
+/// mutex, and the hooks run on the arming thread or on threads it hands
+/// work to afterwards (spawn, channel, pool), which orders the store
+/// before their loads.
+static ARMED: AtomicBool = AtomicBool::new(false);
 
 fn plan() -> MutexGuard<'static, Option<Plan>> {
     PLAN.lock().unwrap_or_else(|e| e.into_inner())
@@ -89,10 +97,12 @@ pub fn arm_times(site: Site, fires: u32) {
         fires_left: fires,
         fired: 0,
     });
+    ARMED.store(true, Ordering::Relaxed);
 }
 
 /// Disarms the current plan and returns how many times it fired.
 pub fn disarm() -> u64 {
+    ARMED.store(false, Ordering::Relaxed);
     plan().take().map(|p| p.fired).unwrap_or(0)
 }
 
@@ -105,6 +115,9 @@ pub fn fired() -> u64 {
 /// the buffer that stage just produced (or is about to reuse). Poisons
 /// it in place when the armed site matches.
 pub fn poison(stage: Stage, block: usize, data: &mut [f64]) {
+    if !ARMED.load(Ordering::Relaxed) {
+        return;
+    }
     let mut guard = plan();
     let Some(p) = guard.as_mut() else { return };
     if p.fires_left == 0 || p.site.stage != stage {
@@ -132,7 +145,9 @@ fn apply(kind: FaultKind, data: &mut [f64]) {
     }
 }
 
-/// Serializes tests that arm the global plan (they would otherwise race).
+/// Serializes tests that arm the global plan. A test that runs the
+/// pipeline in the same binary as an arming test must hold it too, or it
+/// can take the armed fault.
 pub fn test_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())

@@ -1,5 +1,6 @@
 //! Numerical health guardrails: stage-boundary probes, structured
-//! health events, and (feature-gated) deterministic fault injection.
+//! health events, and deterministic fault injection (always compiled,
+//! disarmed unless a test arms it).
 //!
 //! The FSI pipeline caps the cluster size `c` *statically* because chain
 //! conditioning grows like `κ(B)^c` (paper §II-C), but a long Monte Carlo
@@ -24,13 +25,10 @@
 //! | `wrap`    | non-finite / magnitude scan of each wrapped `Ĝ`            |
 //! | `green`   | final scan of the assembled equal-time Green's function    |
 //!
-//! Probes are gated by a global [`set_probes_enabled`] switch (on by
-//! default) so harnesses can measure their clean-path overhead.
+//! The probes are always on; their cost is inside every benchmark number.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-#[cfg(feature = "fault-inject")]
 pub mod inject;
 
 /// Pipeline stage a health event or error is attributed to.
@@ -235,26 +233,10 @@ pub const KAPPA_MAX: f64 = 1e14;
 /// blown up even if no Inf has been produced yet.
 pub const MAGNITUDE_MAX: f64 = 1e100;
 
-static PROBES: AtomicBool = AtomicBool::new(true);
-
-/// Whether the stage-boundary probes are active (default: yes).
-pub fn probes_enabled() -> bool {
-    PROBES.load(Ordering::Relaxed)
-}
-
-/// Globally enables/disables the stage-boundary probes. Intended for
-/// harnesses measuring clean-path probe overhead; leave on in production.
-pub fn set_probes_enabled(on: bool) {
-    PROBES.store(on, Ordering::Relaxed);
-}
-
 /// Scans a stage-output buffer: raises [`HealthEvent::NonFinite`] on the
 /// first NaN/Inf and [`HealthEvent::IllConditioned`] when the magnitude
-/// exceeds [`MAGNITUDE_MAX`]. No-op while probes are disabled.
+/// exceeds [`MAGNITUDE_MAX`].
 pub fn check_block(stage: Stage, block: usize, data: &[f64]) -> Result<(), HealthEvent> {
-    if !probes_enabled() {
-        return Ok(());
-    }
     // Branchless unrolled scan that lowers to packed mul/add/max: the
     // poison lanes accumulate `x * 0.0` (±0.0 for finite `x`, NaN for
     // NaN/Inf, and NaN survives the sum); the magnitude lanes use select
@@ -303,9 +285,9 @@ pub fn check_block(stage: Stage, block: usize, data: &[f64]) -> Result<(), Healt
 /// [`KAPPA_MAX`] is [`HealthEvent::IllConditioned`] (the pivot ratio is a
 /// free lower bound on the factor's condition number). `offset` shifts
 /// the reported column index so block-local diagonals report global
-/// positions. No-op while probes are disabled.
+/// positions.
 pub fn check_pivots(stage: Stage, offset: usize, diag: &[f64]) -> Result<(), HealthEvent> {
-    if !probes_enabled() || diag.is_empty() {
+    if diag.is_empty() {
         return Ok(());
     }
     let mut min_abs = f64::INFINITY;
@@ -367,12 +349,6 @@ pub fn checksum(data: &[f64]) -> u64 {
 mod tests {
     use super::*;
 
-    /// Serializes tests that read or toggle the global probe switch.
-    fn probe_guard() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn clean_buffer_passes_all_probes() {
         let data = [1.0, -2.5, 1e10, 0.0];
@@ -382,7 +358,6 @@ mod tests {
 
     #[test]
     fn nan_and_inf_raise_non_finite() {
-        let _g = probe_guard();
         let got = check_block(Stage::Green, 3, &[1.0, f64::NAN]).unwrap_err();
         assert_eq!(
             got,
@@ -396,7 +371,6 @@ mod tests {
 
     #[test]
     fn huge_magnitude_raises_ill_conditioned() {
-        let _g = probe_guard();
         let err = check_block(Stage::Cls, 1, &[1.0, 1e200]).unwrap_err();
         match err {
             HealthEvent::IllConditioned { stage, kappa } => {
@@ -409,7 +383,6 @@ mod tests {
 
     #[test]
     fn pivot_probe_flags_zero_and_graded_diagonals() {
-        let _g = probe_guard();
         let err = check_pivots(Stage::Bsofi, 4, &[1.0, 0.0, 2.0]).unwrap_err();
         assert_eq!(
             err,
@@ -420,16 +393,6 @@ mod tests {
         );
         let err = check_pivots(Stage::Bsofi, 0, &[1.0, 1e-20]).unwrap_err();
         assert!(matches!(err, HealthEvent::IllConditioned { .. }));
-    }
-
-    #[test]
-    fn disabling_probes_short_circuits() {
-        let _g = probe_guard();
-        set_probes_enabled(false);
-        assert!(check_block(Stage::Cls, 0, &[f64::NAN]).is_ok());
-        assert!(check_pivots(Stage::Bsofi, 0, &[0.0]).is_ok());
-        set_probes_enabled(true);
-        assert!(check_block(Stage::Cls, 0, &[f64::NAN]).is_err());
     }
 
     #[test]

@@ -188,7 +188,6 @@ fn single_block_inverse(
 fn scan_selected(sel: &mut SelectedInverse) -> Result<(), HealthEvent> {
     for (k, l) in sel.sorted_coordinates() {
         let blk = sel.get_mut(k, l).expect("coordinate just listed");
-        #[cfg(feature = "fault-inject")]
         health::inject::poison(Stage::Bsofi, k, blk.as_mut_slice());
         health::check_block(Stage::Bsofi, k, blk.as_slice())?;
     }
@@ -288,9 +287,6 @@ impl StructuredQr {
     /// Reported column indices are global (block `j` contributes columns
     /// `jN..(j+1)N`).
     pub fn check_health(&self) -> Result<(), HealthEvent> {
-        if !health::probes_enabled() {
-            return Ok(());
-        }
         let mut diag = Vec::with_capacity(self.b * self.n);
         for j in 0..self.b {
             let r = self.r_diag(j);

@@ -40,8 +40,7 @@ type CacheKey = (usize, usize, usize, usize);
 /// Dirty-slice-tracking cache of the `b` CLS cluster products.
 ///
 /// Each stored product carries an FNV checksum recorded at computation
-/// time; a reuse re-verifies the checksum (when
-/// [`fsi_runtime::health::probes_enabled`]) and surfaces corruption as
+/// time; a reuse re-verifies the checksum and surfaces corruption as
 /// [`HealthEvent::CacheInconsistent`] instead of silently feeding a
 /// damaged product into BSOFI. Every error path [`Self::invalidate`]s
 /// first, so a failed call never leaves poisoned entries behind — the
@@ -153,11 +152,8 @@ impl ClusterCache {
                 stale_iter.next();
                 continue;
             }
-            #[cfg(feature = "fault-inject")]
             health::inject::poison(Stage::Cache, m, self.products[m].as_mut_slice());
-            if health::probes_enabled()
-                && health::checksum(self.products[m].as_slice()) != self.sums[m]
-            {
+            if health::checksum(self.products[m].as_slice()) != self.sums[m] {
                 let event = HealthEvent::CacheInconsistent {
                     stage: Stage::Cache,
                     block: m,
@@ -168,13 +164,11 @@ impl ClusterCache {
             }
             trace::span("cls.cache_hit").finish();
         }
-        #[allow(unused_mut)]
         let mut recomputed = parallel_map(par_clusters, stale.len(), Schedule::Static, |i| {
             let _s = trace::span("cls.cache_miss");
             cluster_product(par_gemm, blocks, c * stale[i] + o, c)
         });
         for (i, &m) in stale.iter().enumerate() {
-            #[cfg(feature = "fault-inject")]
             health::inject::poison(Stage::Cls, m, recomputed[i].as_mut_slice());
             if let Err(event) = health::check_block(Stage::Cls, m, recomputed[i].as_slice()) {
                 self.invalidate();

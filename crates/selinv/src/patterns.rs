@@ -137,20 +137,6 @@ impl SelectedPattern {
             .collect()
     }
 
-    /// How many of the assembled rows (a prefix of [`Self::rows`], stacked
-    /// top-down) panel transform `i` of stage C must touch: row `k`'s
-    /// wanted columns are final once transforms `b−1, …, min(ℓ)−1` have
-    /// been applied, so row `k` participates in transform `i` iff
-    /// `i + 1 ≥ min(cols_for_row(k))`. Zero means the transform is skipped
-    /// entirely — the flop saving of selected assembly.
-    pub fn active_rows(&self, i: usize, b: usize) -> usize {
-        match *self {
-            SelectedPattern::Full => b,
-            SelectedPattern::Diagonals => (i + 2).min(b),
-            SelectedPattern::DiagonalBlock(k) => usize::from(i + 1 >= k),
-        }
-    }
-
     /// Display label for benches and traces.
     pub fn label(&self) -> &'static str {
         match self {
@@ -414,16 +400,6 @@ mod tests {
         assert_eq!(SelectedPattern::Diagonals.rows(b), vec![0, 1, 2, 3, 4]);
         assert_eq!(SelectedPattern::DiagonalBlock(3).rows(b), vec![3]);
         assert_eq!(SelectedPattern::Full.coordinates(b).len(), b * b);
-        // Diagonals: transform i touches rows k ≤ i+1, capped at b.
-        assert_eq!(SelectedPattern::Diagonals.active_rows(0, b), 2);
-        assert_eq!(SelectedPattern::Diagonals.active_rows(3, b), 5);
-        assert_eq!(SelectedPattern::Diagonals.active_rows(4, b), 5);
-        // Single block k: only transforms i ≥ k−1 touch it.
-        assert_eq!(SelectedPattern::DiagonalBlock(3).active_rows(1, b), 0);
-        assert_eq!(SelectedPattern::DiagonalBlock(3).active_rows(2, b), 1);
-        assert_eq!(SelectedPattern::DiagonalBlock(0).active_rows(0, b), 1);
-        // Full: every transform touches every row.
-        assert_eq!(SelectedPattern::Full.active_rows(0, b), b);
     }
 
     #[test]

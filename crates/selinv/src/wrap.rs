@@ -347,12 +347,11 @@ pub fn wrap_selected(
     )
 }
 
-/// Wrap-stage boundary probe (plus injection hook under `fault-inject`),
+/// Wrap-stage boundary probe (plus the fault-injection hook),
 /// fused into block production so it runs while the freshly wrapped block
 /// is still cache-hot instead of as a cold post-pass over the selection.
 /// `k` is the block row the block belongs to.
 fn probe_wrapped(k: usize, blk: &mut Matrix) -> Result<(), HealthEvent> {
-    #[cfg(feature = "fault-inject")]
     health::inject::poison(Stage::Wrap, k, blk.as_mut_slice());
     health::check_block(Stage::Wrap, k, blk.as_slice())
 }

@@ -7,6 +7,8 @@
 //! so these tests also catch a block that is returned partly unwritten.
 
 use fsi_pcyclic::{random_pcyclic, BlockPCyclic};
+use fsi_runtime::health::inject::{self, FaultKind, Site};
+use fsi_runtime::health::Stage;
 use fsi_runtime::{workspace, ThreadPool};
 use fsi_selinv::fsi::fsi_measurement_set;
 use fsi_selinv::{
@@ -153,12 +155,8 @@ proptest! {
 
 /// A wrap that fails half-way hands its finished and its poisoned blocks
 /// back to the pool; the next call gets them and must not show it.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn a_poisoned_wrap_leaves_no_trace_in_the_next_call() {
-    use fsi_runtime::health::inject::{self, FaultKind, Site};
-    use fsi_runtime::health::Stage;
-
     let _guard = one_at_a_time();
     for pattern in [Pattern::Columns, Pattern::Rows, Pattern::SubDiagonal] {
         let call = Call {

@@ -206,12 +206,11 @@ impl Durability {
         }
     }
 
-    /// The `fault-inject` drill's torn write: rotates like a normal
+    /// The [`crate::killpoint`] torn write: rotates like a normal
     /// checkpoint, then leaves a *truncated* envelope in place of the
     /// current generation — the on-disk state of a crash that beat the
     /// filesystem to the full payload. Recovery must fall back to the
     /// previous generation.
-    #[cfg(feature = "fault-inject")]
     pub fn write_torn_checkpoint(&self, id: u64, state: &JobCheckpoint) {
         let path = self.ckpt_path(id);
         let sealed = ckpt::seal(JOB_CKPT_VERSION, &state.encode());

@@ -1,20 +1,21 @@
 //! Deterministic crash injection at the service's durability boundaries.
 //!
-//! Compiled only under the `fault-inject` feature — production builds
-//! carry zero injection code. The model mirrors
+//! Compiled always and disarmed by default: a disarmed hook costs one
+//! atomic load. Arming is API-only. The model mirrors
 //! `fsi_runtime::health::inject`: one global *plan* names a
 //! [`KillSite`] with a fire budget, and the durability layer calls
-//! [`fire`] at each boundary; when the site matches, the "crash" takes
-//! effect.
+//! `fire` at each boundary; when the site matches, the "crash" takes
+//! effect. The plan mutex is touched only while a plan is armed.
 //!
 //! A crash here is simulated, not literal: the process stays alive (so
-//! the drill can assert on it), but the service's **durable state is
+//! the test can assert on it), but the service's **durable state is
 //! frozen at the kill instant** — every journal append and checkpoint
 //! write after a kill point fires becomes a no-op, exactly the on-disk
-//! state a real `SIGKILL` at that instant would leave. The drill then
+//! state a real `SIGKILL` at that instant would leave. The test then
 //! discards the doomed service and recovers a fresh one from the state
 //! directory.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Where in the durability protocol the simulated crash lands.
@@ -43,6 +44,12 @@ struct Plan {
 }
 
 static PLAN: Mutex<Option<Plan>> = Mutex::new(None);
+/// Whether a plan is armed: the one load a disarmed hook pays. Relaxed
+/// is enough because it publishes nothing: the plan is read under its
+/// mutex, and the hooks run on the arming thread or on threads it hands
+/// work to afterwards (spawn, channel, pool), which orders the store
+/// before their loads.
+static ARMED: AtomicBool = AtomicBool::new(false);
 
 fn plan() -> MutexGuard<'static, Option<Plan>> {
     PLAN.lock().unwrap_or_else(|e| e.into_inner())
@@ -68,10 +75,12 @@ pub fn arm_skip(site: KillSite, skip: u32, fires: u32) {
         fires_left: fires,
         fired: 0,
     });
+    ARMED.store(true, Ordering::Relaxed);
 }
 
 /// Disarms the current plan and returns how many times it fired.
 pub fn disarm() -> u64 {
+    ARMED.store(false, Ordering::Relaxed);
     plan().take().map(|p| p.fired).unwrap_or(0)
 }
 
@@ -84,6 +93,9 @@ pub fn fired() -> u64 {
 /// has budget left (consuming one fire). The caller applies the crash
 /// effect — freezing durable state, tearing the in-flight write.
 pub(crate) fn fire(site: KillSite) -> bool {
+    if !ARMED.load(Ordering::Relaxed) {
+        return false;
+    }
     let mut guard = plan();
     let Some(p) = guard.as_mut() else {
         return false;
@@ -124,7 +136,9 @@ pub fn release_stall() {
     STALL_CV.notify_all();
 }
 
-/// Serializes tests/drills that arm the global plan.
+/// Serializes tests that arm the global plan. A test that starts a
+/// service in the same binary as an arming test must hold it too, or its
+/// submit can take the armed kill (or its worker park on an armed stall).
 pub fn test_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())

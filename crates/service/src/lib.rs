@@ -61,7 +61,6 @@
 mod admission;
 mod durability;
 mod job;
-#[cfg(feature = "fault-inject")]
 pub mod killpoint;
 mod server;
 

@@ -540,7 +540,6 @@ impl ServiceHandle {
         if let Some(d) = inner.durable() {
             d.record_submitted(id, &job.spec);
         }
-        #[cfg(feature = "fault-inject")]
         if crate::killpoint::fire(crate::killpoint::KillSite::AfterJournalAppend) {
             inner.crashed.store(true, Ordering::Release);
         }
@@ -701,7 +700,6 @@ fn checkpoint_job(inner: &Inner, job: &JobState) {
         retries: job.retries.load(Ordering::Acquire),
         bins,
     };
-    #[cfg(feature = "fault-inject")]
     if crate::killpoint::fire(crate::killpoint::KillSite::MidCheckpoint) {
         d.write_torn_checkpoint(job.id, &state);
         inner.crashed.store(true, Ordering::Release);
@@ -788,7 +786,6 @@ fn run_sweep(inner: &Inner, par: Parallelism<'_>, task: SweepTask) {
         }
     }
     job.inflight.lock().unwrap().insert(sweep, Instant::now());
-    #[cfg(feature = "fault-inject")]
     crate::killpoint::maybe_stall();
 
     let mut outcome: Option<Vec<f64>> = None;

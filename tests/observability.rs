@@ -1,16 +1,22 @@
 //! End-to-end tests of the structured tracing layer: span-tree
 //! determinism, wall-time accounting of the FSI stages, exact per-stage
-//! flop attribution, and NDJSON file round-tripping.
+//! flop attribution, NDJSON file round-tripping, and the health/recovery
+//! trail (exporter spans and the flight recorder's incident dump) of an
+//! injected fault.
 //!
 //! The trace collector and level are process-global, so every test here
 //! holds `trace::test_lock()` while tracing is enabled and restores the
-//! `Off` level before releasing it.
+//! `Off` level before releasing it. The fault is armed only under that
+//! lock, so no other test here runs the pipeline while it is armed.
 
 use fsi::dqmc::{SweepConfig, Sweeper};
 use fsi::pcyclic::{
     random_pcyclic, BlockBuilder, BlockPCyclic, HsField, HubbardParams, SquareLattice,
 };
 use fsi::runtime::flops::counts;
+use fsi::runtime::health::inject::{self, FaultKind, Site, ANY_BLOCK};
+use fsi::runtime::health::Stage;
+use fsi::runtime::metrics::flight;
 use fsi::runtime::trace;
 use fsi::runtime::{RunReport, TraceLevel};
 use fsi::selinv::{fsi_with_q, Parallelism, Pattern, Selection};
@@ -227,14 +233,13 @@ fn ndjson_report_round_trips_through_a_file() {
 /// An injected fault shows up in the exporter: the probe's `health.*`
 /// marker and every ladder rung's `recovery.*` span survive the NDJSON
 /// round trip, so a trace of a degraded run shows exactly what recovered.
-#[cfg(feature = "fault-inject")]
+/// The flight recorder's incident dump carries the same story: the most
+/// recent spans (a preceding clean traced run fills the process-wide
+/// ring), the health event at the faulted stage, and that stage's spans.
 #[test]
 fn health_and_recovery_spans_reach_the_ndjson_exporter() {
-    use fsi::runtime::health::inject::{self, FaultKind, Site, ANY_BLOCK};
-    use fsi::runtime::health::Stage;
-
     let _inject_lock = inject::test_lock();
-    let report = {
+    let (report, dump) = {
         let _lock = trace::test_lock();
         let builder = BlockBuilder::new(
             SquareLattice::square(2),
@@ -248,6 +253,10 @@ fn health_and_recovery_spans_reach_the_ndjson_exporter() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(33);
         let field = HsField::random(8, 4, &mut rng);
         trace::set_level(TraceLevel::Stages);
+        flight::clear();
+        Sweeper::new(&builder, field.clone(), SweepConfig::default())
+            .and_then(|mut clean| clean.sweep(&mut rng, Parallelism::Serial))
+            .expect("clean traced run is healthy");
         trace::clear();
         inject::arm(Site {
             stage: Stage::Cls,
@@ -257,11 +266,15 @@ fn health_and_recovery_spans_reach_the_ndjson_exporter() {
         let s = Sweeper::new(&builder, field, SweepConfig::default());
         let fired = inject::disarm();
         let report = RunReport::capture("recovery-observability");
+        let dump = flight::last_dump();
         trace::set_level(TraceLevel::Off);
         trace::clear();
         s.expect("rung 1 absorbs a one-shot fault");
         assert!(fired > 0, "fault never fired");
-        report
+        (
+            report,
+            dump.expect("a health event must trigger an incident dump"),
+        )
     };
     assert!(
         report.count_of("health.non_finite") > 0,
@@ -280,4 +293,21 @@ fn health_and_recovery_spans_reach_the_ndjson_exporter() {
     assert!(parsed.count_of("health.non_finite") > 0);
     assert!(parsed.count_of("recovery.invalidate_caches") > 0);
     let _ = std::fs::remove_dir_all(&dir);
+
+    let spans = dump
+        .lines()
+        .filter(|l| l.contains("\"type\":\"span\""))
+        .count();
+    assert!(spans >= 32, "incident dump holds {spans} spans, want >= 32");
+    assert!(
+        dump.lines().any(
+            |l| l.contains("\"name\":\"health.non_finite\"") && l.contains("\"stage\":\"cls\"")
+        ),
+        "incident dump must name the faulted stage's health event"
+    );
+    assert!(
+        dump.lines()
+            .any(|l| l.contains("\"type\":\"span\"") && l.contains("\"name\":\"cls")),
+        "incident dump must include spans of the faulted stage"
+    );
 }

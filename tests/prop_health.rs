@@ -4,10 +4,9 @@
 //! trajectory, escalation is deterministic, and error paths never leave a
 //! poisoned cache behind.
 //!
-//! Requires the `fault-inject` feature (`cargo test --features
-//! fault-inject`); the file compiles to nothing without it.
-
-#![cfg(feature = "fault-inject")]
+//! (a) and (b) drill every site of `sites()`, the full 21-site
+//! stage × fault grid. Every test holds `inject::test_lock()`, since the
+//! plan is process-wide.
 
 use std::sync::OnceLock;
 
@@ -21,9 +20,9 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Same cacheable-regime shape as the fault drill: `stabilize_every = c`
-/// anchors refreshes at a fixed slice residue, so the cluster cache scores
-/// reuse and `Stage::Cache` sites can fire.
+/// A cacheable-regime shape: `stabilize_every = c` anchors refreshes at a
+/// fixed slice residue, so the cluster cache scores reuse and
+/// `Stage::Cache` sites can fire.
 const L: usize = 16;
 const C: usize = 4;
 const SEED: u64 = 97;
@@ -119,52 +118,86 @@ fn site_strategy() -> impl Strategy<Value = Site> {
     (0..all.len()).prop_map(move |i| all[i])
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// (a) An armed fault is detected at the very stage boundary it
-    /// corrupts: the run still succeeds, the fault demonstrably fired, and
-    /// the first recorded health event is attributed to the armed stage.
-    #[test]
-    fn fault_is_detected_within_one_stage_boundary(site in site_strategy()) {
-        let _lock = inject::test_lock();
+/// (a) An armed fault is detected at the very stage boundary it
+/// corrupts, at every site: the run still succeeds, the fault
+/// demonstrably fired, and the first recorded health event is attributed
+/// to the armed stage.
+#[test]
+fn fault_is_detected_within_one_stage_boundary() {
+    let _lock = inject::test_lock();
+    let builder = builder();
+    for site in sites() {
         inject::arm(site);
-        let builder = builder();
         let s = run_workload(&builder);
         let fired = inject::disarm();
-        let s = s.expect("recovery absorbs the fault");
-        prop_assert!(fired > 0, "site never fired: {site:?}");
+        let s = s.unwrap_or_else(|e| panic!("recovery must absorb {site:?}: {e}"));
+        assert!(fired > 0, "site never fired: {site:?}");
         let events = &s.recovery_stats().events;
-        prop_assert!(!events.is_empty(), "fault slipped through unprobed: {site:?}");
-        prop_assert_eq!(
+        assert!(
+            !events.is_empty(),
+            "fault slipped through unprobed: {site:?}"
+        );
+        assert_eq!(
             events[0].stage(),
             site.stage,
             "detected at the wrong boundary: {:?}",
             events[0]
         );
     }
+}
 
-    /// (b) Post-recovery trajectory and observables match the clean run:
-    /// the field bitwise, the field-derived observable to 1e-10.
-    #[test]
-    fn recovered_run_matches_clean_observables(site in site_strategy()) {
-        let _lock = inject::test_lock();
-        let (clean_field, clean_obs) = clean_outcome().clone();
+/// (b) Post-recovery trajectory and observables match the clean run at
+/// every site: the field bitwise, the field-derived observable to 1e-10.
+#[test]
+fn recovered_run_matches_clean_observables() {
+    let _lock = inject::test_lock();
+    let (clean_field, clean_obs) = clean_outcome().clone();
+    let builder = builder();
+    for site in sites() {
         inject::arm(site);
-        let builder = builder();
         let s = run_workload(&builder);
         let fired = inject::disarm();
-        let s = s.expect("recovery absorbs the fault");
-        prop_assert!(fired > 0, "site never fired: {site:?}");
-        prop_assert_eq!(s.field().to_flat(), clean_field, "trajectory diverged: {:?}", site);
-        let obs = field_observable(s.field());
-        prop_assert!(
-            (obs - clean_obs).abs() <= 1e-10,
-            "observable drifted by {:e} for {:?}",
-            (obs - clean_obs).abs(),
-            site
+        let s = s.unwrap_or_else(|e| panic!("recovery must absorb {site:?}: {e}"));
+        assert!(fired > 0, "site never fired: {site:?}");
+        assert_eq!(
+            s.field().to_flat(),
+            clean_field,
+            "trajectory diverged: {site:?}"
+        );
+        let delta = (field_observable(s.field()) - clean_obs).abs();
+        assert!(
+            delta <= 1e-10,
+            "observable drifted by {delta:e} for {site:?}"
         );
     }
+}
+
+/// A sticky NaN at CLS with a budget of 6 re-poisons every retry (each
+/// attempt consumes one fire per spin), so the ladder climbs past cache
+/// invalidation and cluster shrinking to the from-scratch rung, and runs
+/// each rung exactly once.
+#[test]
+fn sticky_cls_fault_runs_each_ladder_rung_once() {
+    let _lock = inject::test_lock();
+    let site = Site {
+        stage: Stage::Cls,
+        block: ANY_BLOCK,
+        kind: FaultKind::Nan,
+    };
+    inject::arm_times(site, 6);
+    let builder = builder();
+    let s = run_workload(&builder);
+    inject::disarm();
+    let s = s.expect("the from-scratch rung absorbs the sticky fault");
+    let st = s.recovery_stats();
+    assert_eq!(
+        [st.cache_invalidations, st.cluster_shrinks, st.from_scratch],
+        [1, 1, 1]
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// (c) The escalation ladder is deterministic: re-running the same
     /// sticky fault under the same seed replays the exact rung sequence

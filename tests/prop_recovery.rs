@@ -1,14 +1,25 @@
 //! Durability properties: checkpoint envelopes round-trip bitwise,
 //! every single-byte corruption of a sealed envelope is rejected, a
-//! torn current generation falls back to the previous one, and a
-//! drained (or, under `fault-inject`, crash-killed) service resumes
-//! with bins bitwise-identical to an uninterrupted run.
+//! torn current generation falls back to the previous one, a DQMC
+//! trajectory resumes bitwise from every sweep boundary, and a service
+//! that is drained, crash-killed at each durability boundary, or wedged
+//! under its watchdog still delivers bins bitwise-identical to an
+//! uninterrupted run.
+//!
+//! The kill-point plan is process-wide: every test here that starts a
+//! service holds `killpoint::test_lock()`, so no submit or worker takes
+//! a kill armed by a neighbouring test.
+
+use std::path::Path;
+use std::time::Duration;
 
 use fsi::dqmc::{DurableSweeper, SweepCheckpoint, SweepConfig};
-use fsi::pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
+use fsi::pcyclic::{BlockBuilder, HubbardParams, Spin, SquareLattice};
 use fsi::runtime::ckpt::{self, Generation};
+use fsi::runtime::metrics;
 use fsi::selinv::Parallelism;
-use fsi::service::{JobSpec, Service, ServiceConfig};
+use fsi::service::killpoint::{self, KillSite};
+use fsi::service::{JobEvent, JobOutcome, JobSpec, Service, ServiceConfig};
 use proptest::prelude::*;
 
 /// A process-unique scratch path under the OS temp dir.
@@ -108,50 +119,172 @@ proptest! {
     }
 }
 
-/// A checkpoint written mid-trajectory resumes bitwise: same bins, same
-/// field, same sign bits, same Green's functions as never stopping.
-#[test]
-fn dqmc_resume_is_bitwise_equal_to_uninterrupted() {
-    let builder = BlockBuilder::new(SquareLattice::square(2), HubbardParams::paper_validation(8));
-    let cfg = SweepConfig {
+fn dqmc_builder() -> BlockBuilder {
+    BlockBuilder::new(SquareLattice::square(2), HubbardParams::paper_validation(8))
+}
+
+fn dqmc_config() -> SweepConfig {
+    SweepConfig {
         c: 4,
         stabilize_every: 4,
         ..SweepConfig::default()
-    };
+    }
+}
+
+fn remove_checkpoint(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(ckpt::prev_path(path));
+}
+
+/// Bit patterns, so `-0.0 ≠ 0.0` and NaN payloads count.
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Same bins, same field, same sign, same Green's functions, bit for bit.
+fn assert_same_trajectory(resumed: &DurableSweeper<'_>, reference: &DurableSweeper<'_>, at: &str) {
+    assert_eq!(resumed.bins().len(), reference.bins().len(), "{at}: bins");
+    for ((sweep_a, bin_a), (sweep_b, bin_b)) in resumed.bins().iter().zip(reference.bins()) {
+        assert_eq!(sweep_a, sweep_b, "{at}: bin order");
+        assert_eq!(bits(bin_a), bits(bin_b), "{at}: bin of sweep {sweep_a}");
+    }
+    assert_eq!(
+        resumed.sweeper().field(),
+        reference.sweeper().field(),
+        "{at}: field"
+    );
+    assert_eq!(
+        resumed.sweeper().sign().to_bits(),
+        reference.sweeper().sign().to_bits(),
+        "{at}: sign"
+    );
+    for spin in Spin::BOTH {
+        assert_eq!(
+            bits(resumed.sweeper().green(spin).as_slice()),
+            bits(reference.sweeper().green(spin).as_slice()),
+            "{at}: {spin:?} Green's function"
+        );
+    }
+}
+
+/// A checkpoint written at any sweep boundary of a trajectory resumes
+/// bitwise: the second leg ends exactly where never stopping ends.
+#[test]
+fn dqmc_resume_is_bitwise_equal_to_uninterrupted() {
+    let builder = dqmc_builder();
     let seed = 97;
     let total = 5;
-    let mut reference = DurableSweeper::new(&builder, cfg, seed).expect("reference");
+    let mut reference = DurableSweeper::new(&builder, dqmc_config(), seed).expect("reference");
     reference
         .run_to(total, Parallelism::Serial, None, 1)
         .expect("reference run");
 
     let path = scratch("dqmc");
-    let mut first = DurableSweeper::new(&builder, cfg, seed).expect("first leg");
+    for stop in 1..total {
+        remove_checkpoint(&path);
+        let mut first = DurableSweeper::new(&builder, dqmc_config(), seed).expect("first leg");
+        first
+            .run_to(stop, Parallelism::Serial, Some(&path), 1)
+            .expect("first leg run");
+        drop(first); // the "crash": only the checkpoint file survives
+        let (saved, generation) = SweepCheckpoint::load(&path).expect("checkpoint on disk");
+        assert_eq!(generation, Generation::Current, "stop {stop}");
+        assert_eq!(saved.sweep, stop, "stop {stop}: checkpointed sweep");
+        let mut resumed = DurableSweeper::resume(&builder, saved, seed).expect("resume");
+        resumed
+            .run_to(total, Parallelism::Serial, None, 1)
+            .expect("second leg");
+        assert_same_trajectory(&resumed, &reference, &format!("stop {stop}"));
+    }
+    remove_checkpoint(&path);
+}
+
+/// A torn current `SweepCheckpoint` is rejected, the previous generation
+/// is served instead, and the trajectory resumed from it is still bitwise
+/// the uninterrupted one.
+#[test]
+fn torn_sweep_checkpoint_resumes_bitwise_from_the_previous_generation() {
+    let builder = dqmc_builder();
+    let seed = 43;
+    let total = 4;
+    let mut reference = DurableSweeper::new(&builder, dqmc_config(), seed).expect("reference");
+    reference
+        .run_to(total, Parallelism::Serial, None, 1)
+        .expect("reference run");
+
+    let path = scratch("torn-sweep");
+    remove_checkpoint(&path);
+    let mut first = DurableSweeper::new(&builder, dqmc_config(), seed).expect("first leg");
+    // Two checkpoints: sweep 1 rotates to the previous generation when
+    // sweep 2 lands.
     first
-        .run_to(3, Parallelism::Serial, Some(&path), 1)
+        .run_to(2, Parallelism::Serial, Some(&path), 1)
         .expect("first leg run");
     drop(first);
-    let (saved, generation) = SweepCheckpoint::load(&path).expect("checkpoint on disk");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(ckpt::prev_path(&path));
-    assert_eq!(generation, Generation::Current);
+    let sealed = std::fs::read(&path).expect("read current generation");
+    std::fs::write(&path, &sealed[..sealed.len() / 2]).expect("tear current generation");
+
+    let (saved, generation) = SweepCheckpoint::load(&path).expect("previous generation survives");
+    remove_checkpoint(&path);
+    assert_eq!(generation, Generation::Previous);
+    assert_eq!(saved.sweep, 1);
     let mut resumed = DurableSweeper::resume(&builder, saved, seed).expect("resume");
     resumed
         .run_to(total, Parallelism::Serial, None, 1)
         .expect("second leg");
+    assert_same_trajectory(&resumed, &reference, "previous generation");
+}
 
-    assert_eq!(resumed.bins(), reference.bins());
-    assert_eq!(resumed.sweeper().field(), reference.sweeper().field());
-    assert_eq!(
-        resumed.sweeper().sign().to_bits(),
-        reference.sweeper().sign().to_bits()
-    );
-    for spin in fsi::pcyclic::Spin::BOTH {
+/// Bins of an uninterrupted run on a durability-free service.
+fn clean_outcome(spec: &JobSpec, workers: usize) -> JobOutcome {
+    let mut cfg = ServiceConfig::small(workers);
+    cfg.state_dir = None;
+    let clean = Service::start(cfg);
+    let outcome = clean
+        .handle()
+        .submit(spec.clone())
+        .expect("admitted")
+        .wait();
+    clean.shutdown();
+    assert!(!outcome.summary.failed);
+    outcome
+}
+
+fn assert_bins_bitwise(outcome: &JobOutcome, reference: &JobOutcome) {
+    assert!(!outcome.summary.failed);
+    assert_eq!(outcome.bins.len(), reference.bins.len());
+    for ((sweep_a, bin_a), (sweep_b, bin_b)) in outcome.bins.iter().zip(&reference.bins) {
+        assert_eq!(sweep_a, sweep_b);
         assert_eq!(
-            resumed.sweeper().green(spin).as_slice(),
-            reference.sweeper().green(spin).as_slice()
+            bits(bin_a),
+            bits(bin_b),
+            "sweep {sweep_a}: resume must be bitwise"
         );
     }
+}
+
+/// A durable configuration checkpointing after every bin, with the
+/// watchdog kept out of the way.
+fn durable_cfg(workers: usize, dir: &Path) -> ServiceConfig {
+    let mut c = ServiceConfig::small(workers);
+    c.state_dir = Some(dir.to_path_buf());
+    c.checkpoint_every = 1;
+    c.stall_timeout_ms = 60_000;
+    c
+}
+
+/// Recovers the state directory, expects exactly one re-admitted job and
+/// returns its outcome.
+fn recover_one(cfg: ServiceConfig) -> JobOutcome {
+    let (recovered, handles) = Service::recover(cfg).expect("recover");
+    assert_eq!(
+        handles.len(),
+        1,
+        "the interrupted job must survive the restart"
+    );
+    let outcome = handles.into_iter().next().unwrap().wait();
+    recovered.shutdown();
+    outcome
 }
 
 /// Service-tier resume: `drain()` checkpoints in-flight jobs, and a
@@ -160,30 +293,11 @@ fn dqmc_resume_is_bitwise_equal_to_uninterrupted() {
 /// needed — drain/recover is the graceful-restart path.
 #[test]
 fn drained_service_recovers_bitwise() {
+    let _guard = killpoint::test_lock();
     let dir = scratch("drain");
-    let _ = std::fs::remove_dir_all(&dir);
     let spec = JobSpec::new("drainee", 2, 8, 4, 16, 314);
+    let reference = clean_outcome(&spec, 1);
 
-    // Uninterrupted reference on an identical (durability-free) service.
-    let clean = Service::start({
-        let mut c = ServiceConfig::small(1);
-        c.state_dir = None;
-        c
-    });
-    let reference = clean
-        .handle()
-        .submit(spec.clone())
-        .expect("admitted")
-        .wait();
-    clean.shutdown();
-    assert!(!reference.summary.failed);
-
-    let cfg = || {
-        let mut c = ServiceConfig::small(1);
-        c.state_dir = Some(dir.clone());
-        c.checkpoint_every = 1;
-        c
-    };
     // Interrupted arm: drain as soon as the first bin lands, so later
     // sweeps are discarded unclaimed and must rerun after recovery. If
     // the worker outruns us and retires the whole job before the drain
@@ -194,18 +308,18 @@ fn drained_service_recovers_bitwise() {
     let (recovered, handles) = loop {
         attempt += 1;
         let _ = std::fs::remove_dir_all(&dir);
-        let service = Service::start(cfg());
+        let service = Service::start(durable_cfg(1, &dir));
         let handle = service.handle().submit(spec.clone()).expect("admitted");
         loop {
             match handle.events().recv() {
-                Ok(fsi::service::JobEvent::Bin { .. }) => break,
+                Ok(JobEvent::Bin { .. }) => break,
                 Ok(_) => {}
                 Err(_) => panic!("service closed before the first bin"),
             }
         }
         service.drain();
 
-        let (recovered, handles) = Service::recover(cfg()).expect("recover");
+        let (recovered, handles) = Service::recover(durable_cfg(1, &dir)).expect("recover");
         if !handles.is_empty() {
             break (recovered, handles);
         }
@@ -219,62 +333,135 @@ fn drained_service_recovers_bitwise() {
     let outcome = handles.into_iter().next().unwrap().wait();
     recovered.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-
-    assert!(!outcome.summary.failed);
-    assert_eq!(outcome.bins.len(), reference.bins.len());
-    for ((sweep_a, bin_a), (sweep_b, bin_b)) in outcome.bins.iter().zip(&reference.bins) {
-        assert_eq!(sweep_a, sweep_b);
-        assert_eq!(bin_a, bin_b, "sweep {sweep_a}: resume must be bitwise");
-    }
+    assert_bins_bitwise(&outcome, &reference);
 }
 
 /// Hard-crash resume: a kill right after the journal append leaves only
 /// the write-ahead record; recovery reruns the job from scratch and
 /// still matches bitwise.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn killed_service_recovers_bitwise() {
-    use fsi::service::killpoint::{self, KillSite};
-
     let _guard = killpoint::test_lock();
     let dir = scratch("kill");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = JobSpec::new("victim", 2, 8, 4, 3, 2718);
+    let reference = clean_outcome(&spec, 2);
 
-    let clean = Service::start({
-        let mut c = ServiceConfig::small(2);
-        c.state_dir = None;
-        c
-    });
-    let reference = clean
-        .handle()
-        .submit(spec.clone())
-        .expect("admitted")
-        .wait();
-    clean.shutdown();
-
-    let cfg = || {
-        let mut c = ServiceConfig::small(2);
-        c.state_dir = Some(dir.clone());
-        c
-    };
     killpoint::arm(KillSite::AfterJournalAppend);
-    let service = Service::start(cfg());
+    let service = Service::start(durable_cfg(2, &dir));
     let handle = service.handle().submit(spec).expect("admitted");
     let _ = handle.wait(); // in-memory completion; durable state froze
     assert_eq!(killpoint::disarm(), 1, "the kill point must fire");
     service.kill();
 
-    let (recovered, handles) = Service::recover(cfg()).expect("recover");
-    assert_eq!(handles.len(), 1, "journal replay must re-admit the job");
-    let outcome = handles.into_iter().next().unwrap().wait();
-    recovered.shutdown();
+    let outcome = recover_one(durable_cfg(2, &dir));
     let _ = std::fs::remove_dir_all(&dir);
+    assert_bins_bitwise(&outcome, &reference);
+}
 
-    assert!(!outcome.summary.failed);
-    assert_eq!(outcome.bins.len(), reference.bins.len());
-    for ((sweep_a, bin_a), (sweep_b, bin_b)) in outcome.bins.iter().zip(&reference.bins) {
-        assert_eq!(sweep_a, sweep_b);
-        assert_eq!(bin_a, bin_b, "sweep {sweep_a}: rerun must be bitwise");
+/// Crash mid-checkpoint: the second checkpoint write is torn in place,
+/// so recovery must fall back to the previous generation (one completed
+/// bin) and rerun only the rest — still bitwise.
+#[test]
+fn kill_mid_checkpoint_falls_back_and_recovers_bitwise() {
+    let _guard = killpoint::test_lock();
+    let dir = scratch("midckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = JobSpec::new("torn", 2, 8, 4, 4, 5002);
+    let reference = clean_outcome(&spec, 1);
+
+    // Let the first per-bin checkpoint land intact; tear the second.
+    killpoint::arm_skip(KillSite::MidCheckpoint, 1, 1);
+    let service = Service::start(durable_cfg(1, &dir));
+    let handle = service.handle().submit(spec).expect("admitted");
+    let _ = handle.wait();
+    assert_eq!(killpoint::disarm(), 1, "the kill point must fire");
+    service.kill();
+
+    let before = metrics::snapshot();
+    let outcome = recover_one(durable_cfg(1, &dir));
+    let fallbacks = metrics::snapshot()
+        .delta_since(&before)
+        .counters
+        .get("runtime.ckpt.fallbacks")
+        .copied()
+        .unwrap_or(0);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        fallbacks >= 1,
+        "recovery must fall back past the torn generation"
+    );
+    assert_bins_bitwise(&outcome, &reference);
+}
+
+/// Crash between checkpoints: the worker parks entering sweep 2 (after
+/// the sweep-1 checkpoint landed), the service is killed, and recovery
+/// resumes from the last intact checkpoint — bitwise.
+#[test]
+fn kill_between_checkpoints_recovers_bitwise() {
+    let _guard = killpoint::test_lock();
+    let dir = scratch("between");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = JobSpec::new("parked", 2, 8, 4, 4, 5003);
+    let reference = clean_outcome(&spec, 1);
+
+    // Sweeps 0 and 1 pass the stall gate; the worker parks entering
+    // sweep 2.
+    killpoint::arm_skip(KillSite::WorkerStall, 2, 1);
+    let service = Service::start(durable_cfg(1, &dir));
+    let handle = service.handle().submit(spec).expect("admitted");
+    let mut bins_seen = 0;
+    while bins_seen < 2 {
+        match handle.events().recv() {
+            Ok(JobEvent::Bin { .. }) => bins_seen += 1,
+            Ok(_) => {}
+            Err(_) => panic!("service closed before two bins"),
+        }
     }
+    // Give the worker time to park on the stall gate so the durable
+    // state is frozen at exactly two checkpointed bins.
+    std::thread::sleep(Duration::from_millis(100));
+    // kill() freezes durable state first, then joins the workers — the
+    // parked one must be released for the join to complete.
+    let killer = std::thread::spawn(move || service.kill());
+    while !killer.is_finished() {
+        killpoint::release_stall();
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    killer.join().expect("kill thread");
+    assert_eq!(killpoint::disarm(), 1, "the stall must fire");
+
+    let outcome = recover_one(durable_cfg(1, &dir));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_bins_bitwise(&outcome, &reference);
+}
+
+/// No restart at all: one worker wedges mid-sweep and the watchdog
+/// requeues its sweep to the healthy worker; the job's bins stay
+/// bitwise-identical.
+#[test]
+fn watchdog_requeues_a_stalled_sweep_bitwise() {
+    let _guard = killpoint::test_lock();
+    let spec = JobSpec::new("wedged", 2, 8, 4, 4, 5004);
+    let reference = clean_outcome(&spec, 2);
+
+    let mut cfg = ServiceConfig::small(2);
+    cfg.state_dir = None;
+    cfg.stall_timeout_ms = 150;
+    cfg.watchdog_poll_ms = 25;
+    killpoint::arm(KillSite::WorkerStall);
+    let before = metrics::snapshot();
+    let service = Service::start(cfg);
+    let outcome = service.handle().submit(spec).expect("admitted").wait();
+    let stalls = metrics::snapshot()
+        .delta_since(&before)
+        .counters
+        .get("service.watchdog.stalls")
+        .copied()
+        .unwrap_or(0);
+    killpoint::release_stall();
+    service.shutdown();
+    assert_eq!(killpoint::disarm(), 1, "the stall must fire");
+    assert!(stalls >= 1, "the watchdog must requeue the stalled sweep");
+    assert_bins_bitwise(&outcome, &reference);
 }

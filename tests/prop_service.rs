@@ -1,10 +1,15 @@
 //! Service-tier properties: work-stealing execution is bitwise-equal to
 //! a serial `MatrixTask` loop, saturated-queue admission rejects
-//! with a reason instead of deadlocking, and (under `fault-inject`) a
-//! fault-injected job degrades alone while its neighbors' outputs stay
-//! bitwise-identical.
+//! with a reason instead of deadlocking, and a job hit by an injected fault
+//! degrades alone while its neighbors' outputs stay bitwise-identical.
+//!
+//! The injection plan is process-wide: every test here that starts a
+//! service or runs the pipeline holds `inject::test_lock()`, so none of
+//! them takes the fault armed for the degradation test.
 
 use fsi::pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
+use fsi::runtime::health::inject::{self, FaultKind, Site, ANY_BLOCK};
+use fsi::runtime::health::Stage;
 use fsi::selinv::{
     generate_fields, run_multi, trace_measure, MatrixTask, MultiConfig, Parallelism, Pattern,
 };
@@ -40,6 +45,7 @@ fn reference_bins(spec: &JobSpec) -> Vec<Vec<f64>> {
 
 #[test]
 fn service_bins_match_static_scatter_bitwise() {
+    let _guard = inject::test_lock();
     let job_spec = spec("bitwise", 6, 4242);
     let reference = reference_bins(&job_spec);
 
@@ -88,6 +94,7 @@ fn service_bins_match_static_scatter_bitwise() {
 
 #[test]
 fn saturated_queue_rejects_instead_of_deadlocking() {
+    let _guard = inject::test_lock();
     // A single slow worker: the measure hook parks each sweep long
     // enough that queued work cannot drain under the test's feet.
     let mut cfg = ServiceConfig::small(1);
@@ -127,6 +134,7 @@ fn saturated_queue_rejects_instead_of_deadlocking() {
 
 #[test]
 fn memory_budget_rejects_oversized_shapes() {
+    let _guard = inject::test_lock();
     // Edison model, 24 workers: the paper's N = 576 pure-MPI OOM case
     // must be refused at the door.
     let mut cfg = ServiceConfig::small(24);
@@ -163,67 +171,60 @@ proptest! {
 }
 
 /// Fault-injected degradation stays scoped to the sick job.
-#[cfg(feature = "fault-inject")]
-mod fault_isolation {
-    use super::*;
-    use fsi::runtime::health::inject::{self, FaultKind, Site, ANY_BLOCK};
-    use fsi::runtime::health::Stage;
+#[test]
+fn faulted_job_degrades_alone_neighbors_bitwise_clean() {
+    let _guard = inject::test_lock();
+    let specs: Vec<JobSpec> = (0..4)
+        .map(|i| spec(&format!("tenant-{i}"), 4, 1000 + i as u64))
+        .collect();
+    let references: Vec<Vec<Vec<f64>>> = specs.iter().map(reference_bins).collect();
 
-    #[test]
-    fn faulted_job_degrades_alone_neighbors_bitwise_clean() {
-        let _guard = inject::test_lock();
-        let specs: Vec<JobSpec> = (0..4)
-            .map(|i| spec(&format!("tenant-{i}"), 4, 1000 + i as u64))
-            .collect();
-        let references: Vec<Vec<Vec<f64>>> = specs.iter().map(reference_bins).collect();
+    // One NaN, once, at the wrap output boundary of whichever sweep
+    // reaches it first.
+    inject::arm_times(
+        Site {
+            stage: Stage::Wrap,
+            block: ANY_BLOCK,
+            kind: FaultKind::Nan,
+        },
+        1,
+    );
+    let service = Service::start(ServiceConfig::small(2));
+    let handle = service.handle();
+    let handles: Vec<_> = specs
+        .iter()
+        .map(|s| handle.submit(s.clone()).expect("admitted"))
+        .collect();
+    let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    service.shutdown();
+    assert_eq!(inject::disarm(), 1, "the fault fired exactly once");
 
-        // One NaN, once, at the wrap output boundary of whichever sweep
-        // reaches it first.
-        inject::arm_times(
-            Site {
-                stage: Stage::Wrap,
-                block: ANY_BLOCK,
-                kind: FaultKind::Nan,
-            },
-            1,
-        );
-        let service = Service::start(ServiceConfig::small(2));
-        let handle = service.handle();
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|s| handle.submit(s.clone()).expect("admitted"))
-            .collect();
-        let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
-        service.shutdown();
-        assert_eq!(inject::disarm(), 1, "the fault fired exactly once");
+    // Exactly one job descended one ladder rung; every job finished.
+    let degraded: Vec<usize> = outcomes
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| o.summary.degradations > 0)
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(degraded.len(), 1, "one fault ⇒ one degraded job");
+    let sick = degraded[0];
+    assert_eq!(outcomes[sick].summary.degradations, 1);
+    assert_eq!(outcomes[sick].summary.c_final, C / 2);
+    for (i, outcome) in outcomes.iter().enumerate() {
+        assert!(!outcome.summary.failed, "job {i} must recover, not fail");
+        assert_eq!(outcome.bins.len(), specs[i].sweeps, "job {i} lost bins");
+    }
 
-        // Exactly one job descended one ladder rung; every job finished.
-        let degraded: Vec<usize> = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.summary.degradations > 0)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(degraded.len(), 1, "one fault ⇒ one degraded job");
-        let sick = degraded[0];
-        assert_eq!(outcomes[sick].summary.degradations, 1);
-        assert_eq!(outcomes[sick].summary.c_final, C / 2);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            assert!(!outcome.summary.failed, "job {i} must recover, not fail");
-            assert_eq!(outcome.bins.len(), specs[i].sweeps, "job {i} lost bins");
+    // Neighbors are bitwise-identical to the clean reference.
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if i == sick {
+            continue;
         }
-
-        // Neighbors are bitwise-identical to the clean reference.
-        for (i, outcome) in outcomes.iter().enumerate() {
-            if i == sick {
-                continue;
-            }
-            for (sweep, quantities) in &outcome.bins {
-                assert_eq!(
-                    quantities, &references[i][*sweep],
-                    "job {i} sweep {sweep}: neighbor of a faulted job must be unperturbed"
-                );
-            }
+        for (sweep, quantities) in &outcome.bins {
+            assert_eq!(
+                quantities, &references[i][*sweep],
+                "job {i} sweep {sweep}: neighbor of a faulted job must be unperturbed"
+            );
         }
     }
 }
