@@ -27,6 +27,20 @@
 //!
 //! Three structure exploitations keep this one stabilization path lean:
 //!
+//! * **One spin at half filling**: when the model is particle–hole
+//!   symmetric ([`BlockBuilder::particle_hole_symmetric`]: no chemical
+//!   potential, both lattice extents even), `Ĝ↓ = Π(I − Ĝ↑)ᵀΠ` with
+//!   `Π = diag((−1)^{x+y})` holds for every field. Then
+//!   `Ĝ↓[i,i] = 1 − Ĝ↑[i,i]`, so
+//!
+//!   ```text
+//!   R_↓ = 1 + γ_↓·Ĝ↑[i,i] = e^{2νh(ℓ,i)}·R_↑,     r = e^{2νh(ℓ,i)}·R_↑² ≥ 0
+//!   ```
+//!
+//!   and the sign stays +1. The sweeper keeps only `Ĝ↑` (one channel):
+//!   the spin-down refresh, wraps and rank-1 updates are not done at all,
+//!   and [`Sweeper::green`] derives `Ĝ↓` on demand. Any other model keeps
+//!   both channels and runs them one after the other.
 //! * **Factored wraps** ([`wrap_factored`]): `B = e^{tΔτK}·D` with
 //!   `D = diag(e^{σνh})`, so the wrap is a diagonal similarity
 //!   (`Ĝ[i,j] ← Ĝ[i,j]·d_i/d_j`, two `exp` calls total since `h ∈ {±1}`)
@@ -35,22 +49,19 @@
 //!   [`fsi_pcyclic::Checkerboard`]. No `B`/`B⁻¹` is materialized;
 //!   [`wrap_dense`] is kept only as the reference it is tested against.
 //! * **Incremental stabilization**: dense blocks and CLS cluster products
-//!   are cached per spin ([`fsi_pcyclic::BlockCache`],
+//!   are cached per channel ([`fsi_pcyclic::BlockCache`],
 //!   [`fsi_selinv::ClusterCache`]) and only the slices flipped since the
 //!   previous refresh are recomputed (dirty-slice tracking). On
 //!   invalidated caches a refresh is a bitwise cold rebuild.
-//! * **Spin-parallel phases**: the up/down channels of refresh, wrap, and
-//!   delayed-update flush are independent and run as a two-way
-//!   [`fsi_runtime::join`] over the pool, nested with the per-spin
-//!   outer/inner parallelism.
 
 use fsi_dense::{blas, gemm_op, MatMut, MatRef, Matrix, Op};
-use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, BlockCache, HsField, Spin};
+use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, BlockCache, HsField, Spin, SquareLattice};
 use fsi_runtime::health::{self, FsiError, FsiResult, Stage};
 use fsi_runtime::{trace, workspace, Par};
 use fsi_selinv::{auto_cluster_size, ClusterCache, Parallelism};
 use rand::Rng;
 
+use crate::delayed::DelayedUpdates;
 use crate::stable::equal_time_green_cached;
 
 /// Accuracy target handed to [`auto_cluster_size`] when the recovery
@@ -112,8 +123,8 @@ impl SweepStats {
 /// deterministic: a given fault history produces exactly this sequence.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryStats {
-    /// Rung 1 executions: invalidate both spins' block and cluster caches
-    /// and retry (`recovery.invalidate_caches`).
+    /// Rung 1 executions: invalidate every channel's block and cluster
+    /// caches and retry (`recovery.invalidate_caches`).
     pub cache_invalidations: u64,
     /// Rung 2 executions: shrink the cluster size `c` (halved, capped by
     /// [`auto_cluster_size`] at [`RECOVERY_TOL`]) and retry
@@ -139,25 +150,46 @@ impl RecoveryStats {
     }
 }
 
-/// The sweep engine: owns the HS field and the per-spin equal-time
-/// Green's functions of the current slice frame.
+/// One spin's share of the sweep state: its `Ĝ_σ` for the slice currently
+/// being updated, and the caches its refreshes reuse.
+struct Channel {
+    spin: Spin,
+    g: Matrix,
+    /// Dense blocks `B_ℓ^σ`.
+    blocks: BlockCache,
+    /// CLS cluster products.
+    clusters: ClusterCache,
+}
+
+impl Channel {
+    fn new(spin: Spin, n: usize) -> Self {
+        Channel {
+            spin,
+            g: Matrix::zeros(n, n),
+            blocks: BlockCache::new(),
+            clusters: ClusterCache::new(),
+        }
+    }
+}
+
+/// The sweep engine: owns the HS field and the equal-time Green's
+/// functions of the current slice frame.
+///
+/// It keeps one channel (spin up) when the model is particle–hole
+/// symmetric and derives spin down from it; otherwise it keeps both.
 pub struct Sweeper<'a> {
     builder: &'a BlockBuilder,
     field: HsField,
     cfg: SweepConfig,
-    /// `Ĝ_σ` for the slice currently being updated; index 0 = up.
-    g: [Matrix; 2],
+    /// `[↑]` on a particle–hole symmetric model, `[↑, ↓]` otherwise.
+    channels: Vec<Channel>,
     /// Monte Carlo weight sign tracked across accepted flips.
     sign: f64,
     wraps_since_stab: usize,
     /// Slices with at least one accepted flip since the last refresh;
-    /// read by both spins' caches during the joined refresh, cleared
+    /// read by every channel's caches during the refresh, cleared
     /// afterwards.
     dirty: Vec<bool>,
-    /// Per-spin dense-block caches (`[up, down]`).
-    block_caches: [BlockCache; 2],
-    /// Per-spin cluster-product caches (`[up, down]`).
-    cluster_caches: [ClusterCache; 2],
     /// Escalation-ladder bookkeeping.
     recovery: RecoveryStats,
 }
@@ -183,16 +215,19 @@ impl<'a> Sweeper<'a> {
         );
         let n = field.sites();
         let l = field.slices();
+        let spins: &[Spin] = if builder.particle_hole_symmetric() {
+            &[Spin::Up]
+        } else {
+            &Spin::BOTH
+        };
         let mut s = Sweeper {
             builder,
             field,
             cfg,
-            g: [Matrix::zeros(n, n), Matrix::zeros(n, n)],
+            channels: spins.iter().map(|&spin| Channel::new(spin, n)).collect(),
             sign: 1.0,
             wraps_since_stab: 0,
             dirty: vec![false; l],
-            block_caches: [BlockCache::new(), BlockCache::new()],
-            cluster_caches: [ClusterCache::new(), ClusterCache::new()],
             recovery: RecoveryStats::default(),
         };
         s.refresh(0, Parallelism::Serial)?;
@@ -220,20 +255,24 @@ impl<'a> Sweeper<'a> {
     }
 
     /// The `Ĝ_σ` of the current frame (tests / measurements at slice
-    /// boundaries).
-    pub fn green(&self, spin: Spin) -> &Matrix {
-        &self.g[spin_idx(spin)]
+    /// boundaries). A spin without a channel of its own is derived as
+    /// `Ĝ↓ = Π(I − Ĝ↑)ᵀΠ` on each call.
+    pub fn green(&self, spin: Spin) -> Matrix {
+        match self.channels.iter().find(|ch| ch.spin == spin) {
+            Some(ch) => ch.g.clone(),
+            None => particle_hole_partner(self.builder.lattice(), &self.channels[0].g),
+        }
     }
 
-    /// Recomputes both spins' `Ĝ` from scratch for updating `slice`,
+    /// Recomputes every channel's `Ĝ` from scratch for updating `slice`,
     /// running the self-healing recovery ladder on failure.
     ///
     /// `Ĝ(slice) = G(slice − 1)`: the cyclic product ends with
     /// `B_slice` as its innermost factor.
     ///
-    /// The two spin channels run as a joined pair over the pool; the
-    /// block and cluster caches limit the rebuild to slices flipped since
-    /// the previous refresh.
+    /// The channels run one after the other, each with the full
+    /// outer/inner parallelism; the block and cluster caches limit the
+    /// rebuild to slices flipped since the previous refresh.
     ///
     /// # Errors
     /// Returned only when every rung of the recovery ladder's escalation
@@ -258,25 +297,29 @@ impl<'a> Sweeper<'a> {
         let k = (slice + l - 1) % l;
         let (outer, inner) = par.split();
         let c = self.cfg.c;
-        let builder = self.builder;
-        let field = &self.field;
-        let dirty = &self.dirty;
-        let [bc_up, bc_dn] = &mut self.block_caches;
-        let [cc_up, cc_dn] = &mut self.cluster_caches;
-        let (g_up, g_dn) = spin_join(
-            par,
-            move || {
-                bc_up.sync(builder, field, Spin::Up, dirty);
-                equal_time_green_cached(outer, inner, bc_up.blocks(), dirty, cc_up, k, c)
-            },
-            move || {
-                bc_dn.sync(builder, field, Spin::Down, dirty);
-                equal_time_green_cached(outer, inner, bc_dn.blocks(), dirty, cc_dn, k, c)
-            },
-        );
-        // Both spins completed (the join has no early exit); surface the
-        // first failure only after both channels are accounted for.
-        self.g = [g_up?, g_dn?];
+        let (builder, field, dirty) = (self.builder, &self.field, &self.dirty);
+        let fresh: Vec<FsiResult<Matrix>> = self
+            .channels
+            .iter_mut()
+            .map(|ch| {
+                ch.blocks.sync(builder, field, ch.spin, dirty);
+                equal_time_green_cached(
+                    outer,
+                    inner,
+                    ch.blocks.blocks(),
+                    dirty,
+                    &mut ch.clusters,
+                    k,
+                    c,
+                )
+            })
+            .collect();
+        // Every channel ran, so an attempt costs the same whichever channel
+        // failed; surface the first failure only now.
+        let fresh = fresh.into_iter().collect::<FsiResult<Vec<_>>>()?;
+        for (ch, g) in self.channels.iter_mut().zip(fresh) {
+            ch.g = g;
+        }
         self.dirty.iter_mut().for_each(|d| *d = false);
         self.wraps_since_stab = 0;
         Ok(())
@@ -286,7 +329,7 @@ impl<'a> Sweeper<'a> {
     /// layer). Each rung emits a `recovery.*` trace span, applies a
     /// progressively blunter remedy, and retries the refresh:
     ///
-    /// 1. `recovery.invalidate_caches` — drop both spins' block and
+    /// 1. `recovery.invalidate_caches` — drop every channel's block and
     ///    cluster caches (heals any corrupted cached state; retry is a
     ///    cold, bitwise-clean rebuild).
     /// 2. `recovery.shrink_cluster` — halve the cluster size (largest
@@ -351,14 +394,12 @@ impl<'a> Sweeper<'a> {
         }
     }
 
-    /// Drops all cached per-spin state (dense blocks and cluster
+    /// Drops every channel's cached state (dense blocks and cluster
     /// products); the next refresh is a full cold rebuild.
     fn invalidate_caches(&mut self) {
-        for bc in &mut self.block_caches {
-            bc.invalidate();
-        }
-        for cc in &mut self.cluster_caches {
-            cc.invalidate();
+        for ch in &mut self.channels {
+            ch.blocks.invalidate();
+            ch.clusters.invalidate();
         }
     }
 
@@ -390,40 +431,39 @@ impl<'a> Sweeper<'a> {
         &self.cfg
     }
 
-    /// `(hits, misses)` summed over both spins' cluster caches since
+    /// `(hits, misses)` summed over every channel's cluster cache since
     /// construction — what the benchmark's `selinv.cache_hit_frac` and the
     /// warm-refresh test ("warm refresh recomputes strictly fewer
     /// products") read.
     pub fn cluster_cache_stats(&self) -> (u64, u64) {
-        (
-            self.cluster_caches.iter().map(ClusterCache::hits).sum(),
-            self.cluster_caches.iter().map(ClusterCache::misses).sum(),
-        )
+        self.channels.iter().fold((0, 0), |(h, m), ch| {
+            (h + ch.clusters.hits(), m + ch.clusters.misses())
+        })
     }
 
     /// The Metropolis ratio factors `(R_↑, R_↓)` for flipping
     /// `h(slice, i)` in the current frame.
     pub fn ratio(&self, slice: usize, i: usize) -> (f64, f64) {
-        let nu = self.builder.nu();
-        let h = self.field.get(slice, i);
-        let mut r = [0.0f64; 2];
-        for spin in Spin::BOTH {
-            let gamma = (-2.0 * spin.sign() * nu * h).exp() - 1.0;
-            let gii = self.g[spin_idx(spin)][(i, i)];
-            r[spin_idx(spin)] = 1.0 + gamma * (1.0 - gii);
-        }
-        (r[0], r[1])
+        let diag = |ch: &Channel| ch.g[(i, i)];
+        metropolis_factors(
+            self.builder.nu(),
+            self.field.get(slice, i),
+            diag(&self.channels[0]),
+            self.channels.get(1).map(diag),
+        )
     }
 
     /// Applies the accepted flip at `(slice, i)`: Sherman–Morrison update
-    /// of both `Ĝ_σ`, field flip, dirty-slice marking, sign bookkeeping.
+    /// of every channel's `Ĝ_σ`, field flip, dirty-slice marking, sign
+    /// bookkeeping.
     fn apply_flip(&mut self, slice: usize, i: usize, r_up: f64, r_dn: f64) {
         let nu = self.builder.nu();
         let h = self.field.get(slice, i);
         let n = self.field.sites();
-        for (spin, r) in Spin::BOTH.into_iter().zip([r_up, r_dn]) {
-            let gamma = (-2.0 * spin.sign() * nu * h).exp() - 1.0;
-            let g = &mut self.g[spin_idx(spin)];
+        for ch in &mut self.channels {
+            let gamma = hs_gamma(ch.spin, nu, h);
+            let r = if ch.spin == Spin::Up { r_up } else { r_dn };
+            let g = &mut ch.g;
             // u = e_i − G e_i (column), v = eᵢᵀ G (row).
             workspace::with_scratch2(n, n, |u, v| {
                 for j in 0..n {
@@ -439,32 +479,23 @@ impl<'a> Sweeper<'a> {
         self.sign *= (r_up * r_dn).signum();
     }
 
-    /// Wraps both `Ĝ_σ` from the slice-`slice` frame to slice `slice+1`:
-    /// `Ĝ ← B_slice·Ĝ·B_slice⁻¹` with the current (post-update) field,
-    /// spins joined over the pool.
+    /// Wraps every channel's `Ĝ_σ` from the slice-`slice` frame to slice
+    /// `slice+1`: `Ĝ ← B_slice·Ĝ·B_slice⁻¹` with the current (post-update)
+    /// field.
     ///
     /// A wrap whose output fails the [`Stage::Wrap`] probe is repaired by
     /// recomputing `Ĝ(slice+1)` from scratch through the recovery ladder —
     /// the wrapped pair is disposable, so stabilization *is* the remedy.
     fn wrap_to_next(&mut self, slice: usize, par: Parallelism<'_>) -> FsiResult<()> {
         let (_, inner) = par.split();
-        let builder = self.builder;
-        let field = &self.field;
-        let [g_up, g_dn] = &mut self.g;
-        spin_join(
-            par,
-            || wrap_factored(inner, builder, field, slice, Spin::Up, g_up),
-            || wrap_factored(inner, builder, field, slice, Spin::Down, g_dn),
-        );
-        self.wraps_since_stab += 1;
-        let mut tripped = None;
-        for g in &mut self.g {
-            health::inject::poison(Stage::Wrap, slice, g.as_mut_slice());
-            if let Err(e) = health::check_block(Stage::Wrap, slice, g.as_slice()) {
-                tripped = Some(e);
-                break;
-            }
+        for ch in &mut self.channels {
+            wrap_factored(inner, self.builder, &self.field, slice, ch.spin, &mut ch.g);
         }
+        self.wraps_since_stab += 1;
+        let tripped = self.channels.iter_mut().find_map(|ch| {
+            health::inject::poison(Stage::Wrap, slice, ch.g.as_mut_slice());
+            health::check_block(Stage::Wrap, slice, ch.g.as_slice()).err()
+        });
         if let Some(e) = tripped {
             self.recover(slice + 1, par, e.into())?;
         }
@@ -493,35 +524,37 @@ impl<'a> Sweeper<'a> {
         let nu = self.builder.nu();
         let (_, inner) = par.split();
         let mut stats = SweepStats::default();
+        // One delayed-update accumulator per channel, empty between slices
+        // (unused at delay = 1).
+        let delay = self.cfg.delay;
+        let mut accs: Vec<DelayedUpdates> = (0..self.channels.len())
+            .map(|_| DelayedUpdates::new(n, delay))
+            .collect();
         self.refresh(0, par)?;
         for slice in 0..l {
-            if self.cfg.delay > 1 {
-                // Delayed path: one accumulator per spin.
-                let mut accs = [
-                    crate::delayed::DelayedUpdates::new(n, self.cfg.delay),
-                    crate::delayed::DelayedUpdates::new(n, self.cfg.delay),
-                ];
+            if delay > 1 {
                 for i in 0..n {
                     let h = self.field.get(slice, i);
-                    let gamma_up = (-2.0 * nu * h).exp() - 1.0;
-                    let gamma_dn = (2.0 * nu * h).exp() - 1.0;
-                    let r_up = 1.0 + gamma_up * (1.0 - accs[0].diag(&self.g[0], i));
-                    let r_dn = 1.0 + gamma_dn * (1.0 - accs[1].diag(&self.g[1], i));
+                    let diag = |c: usize| accs[c].diag(&self.channels[c].g, i);
+                    let (r_up, r_dn) =
+                        metropolis_factors(nu, h, diag(0), (accs.len() > 1).then(|| diag(1)));
                     let p = r_up * r_dn;
                     stats.proposed += 1;
                     if rng.gen::<f64>() < p.abs().min(1.0) {
                         if accs[0].is_full() {
-                            flush_both(par, inner, &mut accs, &mut self.g);
+                            self.flush(inner, &mut accs);
                         }
-                        accs[0].push(&self.g[0], i, gamma_up, r_up);
-                        accs[1].push(&self.g[1], i, gamma_dn, r_dn);
+                        for (acc, ch) in accs.iter_mut().zip(&self.channels) {
+                            let r = if ch.spin == Spin::Up { r_up } else { r_dn };
+                            acc.push(&ch.g, i, hs_gamma(ch.spin, nu, h), r);
+                        }
                         self.field.flip(slice, i);
                         self.dirty[slice] = true;
                         self.sign *= p.signum();
                         stats.accepted += 1;
                     }
                 }
-                flush_both(par, inner, &mut accs, &mut self.g);
+                self.flush(inner, &mut accs);
             } else {
                 for i in 0..n {
                     let (r_up, r_dn) = self.ratio(slice, i);
@@ -551,40 +584,54 @@ impl<'a> Sweeper<'a> {
         ACCEPTANCE.set(stats.acceptance());
         Ok(stats)
     }
-}
 
-fn spin_idx(spin: Spin) -> usize {
-    match spin {
-        Spin::Up => 0,
-        Spin::Down => 1,
+    /// Materializes each channel's pending delayed updates into its `Ĝ`.
+    fn flush(&mut self, inner: Par<'_>, accs: &mut [DelayedUpdates]) {
+        for (acc, ch) in accs.iter_mut().zip(&mut self.channels) {
+            acc.flush(inner, &mut ch.g);
+        }
     }
 }
 
-/// Two-way fork of the up/down channels over the pool (the `sweep.spin_par`
-/// trace span wraps the pair; flops charged inside count inclusively).
-fn spin_join<RA, RB>(
-    par: Parallelism<'_>,
-    up: impl FnOnce() -> RA + Send,
-    down: impl FnOnce() -> RB + Send,
-) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    let _s = trace::span("sweep.spin_par");
-    fsi_runtime::join(par.any_pool(), up, down)
+/// The HS coefficient `γ_σ = e^{−2σνh} − 1` of flipping a site whose
+/// field is `h`.
+fn hs_gamma(spin: Spin, nu: f64, h: f64) -> f64 {
+    (-2.0 * spin.sign() * nu * h).exp() - 1.0
 }
 
-/// Joined flush of both spins' delayed-update accumulators.
-fn flush_both(
-    par: Parallelism<'_>,
-    inner: Par<'_>,
-    accs: &mut [crate::delayed::DelayedUpdates; 2],
-    g: &mut [Matrix; 2],
-) {
-    let [a_up, a_dn] = accs;
-    let [g_up, g_dn] = g;
-    spin_join(par, || a_up.flush(inner, g_up), || a_dn.flush(inner, g_dn));
+/// The Metropolis factors `(R_↑, R_↓)` of flipping a site whose field is
+/// `h`, from `Ĝ↑[i,i]` and, when spin down has a channel of its own,
+/// `Ĝ↓[i,i]`. Without one, `Ĝ↓[i,i] = 1 − Ĝ↑[i,i]` gives
+/// `R_↓ = 1 + γ_↓·Ĝ↑[i,i] = e^{2νh}·R_↑`; the second form keeps
+/// `R_↑·R_↓ ≥ 0` exact in floating point, so the sign stays +1.
+fn metropolis_factors(nu: f64, h: f64, g_up: f64, g_dn: Option<f64>) -> (f64, f64) {
+    let r_up = 1.0 + hs_gamma(Spin::Up, nu, h) * (1.0 - g_up);
+    let r_dn = match g_dn {
+        Some(g_dn) => 1.0 + hs_gamma(Spin::Down, nu, h) * (1.0 - g_dn),
+        None => (2.0 * nu * h).exp() * r_up,
+    };
+    (r_up, r_dn)
+}
+
+/// The spin-down equal-time Green's function of a particle–hole symmetric
+/// model, `Ĝ↓ = Π(I − Ĝ↑)ᵀΠ` with `Π = diag((−1)^{x+y})`.
+fn particle_hole_partner(lattice: &SquareLattice, g_up: &Matrix) -> Matrix {
+    let n = g_up.rows();
+    let odd: Vec<bool> = (0..n)
+        .map(|i| {
+            let (x, y) = lattice.coords(i);
+            (x + y) % 2 == 1
+        })
+        .collect();
+    let mut g_dn = Matrix::zeros(n, n);
+    for j in 0..n {
+        for i in 0..n {
+            let delta = if i == j { 1.0 } else { 0.0 };
+            let v = delta - g_up[(j, i)];
+            g_dn[(i, j)] = if odd[i] == odd[j] { v } else { -v };
+        }
+    }
+    g_dn
 }
 
 /// Dense similarity wrap `Ĝ ← B_slice·Ĝ·B_slice⁻¹` with materialized
@@ -686,8 +733,12 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn small_builder(l: usize) -> BlockBuilder {
+        builder_on(SquareLattice::square(2), l)
+    }
+
+    fn builder_on(lattice: SquareLattice, l: usize) -> BlockBuilder {
         BlockBuilder::new(
-            SquareLattice::square(2),
+            lattice,
             HubbardParams {
                 t: 1.0,
                 u: 4.0,
@@ -697,6 +748,11 @@ mod tests {
         )
     }
 
+    /// `[Ĝ↑, Ĝ↓]` of the current frame, stored or derived.
+    fn greens(s: &Sweeper<'_>) -> [Matrix; 2] {
+        Spin::BOTH.map(|spin| s.green(spin))
+    }
+
     /// Brute-force determinant of `W(k) = I + P(k)` for the current field.
     fn log_det_w(builder: &BlockBuilder, field: &HsField, spin: Spin, k: usize) -> (f64, f64) {
         let pc = hubbard_pcyclic(builder, field, spin);
@@ -704,33 +760,40 @@ mod tests {
         getrf(w).expect("nonsingular").sign_log_det()
     }
 
+    /// On 2×2 the one-channel path derives `R↓` from `Ĝ↑`; on 3×2 both
+    /// spins are channels of their own. Both meet the brute-force ratio.
     #[test]
     fn metropolis_ratio_matches_brute_force_determinants() {
-        let builder = small_builder(8);
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let field = HsField::random(8, 4, &mut rng);
-        for slice in [0usize, 2, 7] {
-            let sweeper = {
-                let mut s =
-                    Sweeper::new(&builder, field.clone(), SweepConfig::default()).expect("healthy");
-                s.refresh(slice, Parallelism::Serial).expect("healthy");
-                s
-            };
-            for i in 0..4 {
-                let (r_up, r_dn) = sweeper.ratio(slice, i);
-                // Brute force: det W'(k) / det W(k) at k = slice − 1,
-                // with the flipped field.
-                let k = (slice + 8 - 1) % 8;
-                let mut flipped = field.clone();
-                flipped.flip(slice, i);
-                for (spin, r) in Spin::BOTH.into_iter().zip([r_up, r_dn]) {
-                    let (s0, ld0) = log_det_w(&builder, &field, spin, k);
-                    let (s1, ld1) = log_det_w(&builder, &flipped, spin, k);
-                    let want = s1 * s0 * (ld1 - ld0).exp();
-                    assert!(
-                        (r - want).abs() < 1e-8 * want.abs().max(1.0),
-                        "slice {slice} site {i} {spin:?}: formula {r} vs brute {want}"
-                    );
+        for (lattice, channels) in [(SquareLattice::square(2), 1), (SquareLattice::new(3, 2), 2)] {
+            let n = lattice.n_sites();
+            let builder = builder_on(lattice, 8);
+            let mut rng = ChaCha8Rng::seed_from_u64(10);
+            let field = HsField::random(8, n, &mut rng);
+            for slice in [0usize, 2, 7] {
+                let sweeper = {
+                    let mut s = Sweeper::new(&builder, field.clone(), SweepConfig::default())
+                        .expect("healthy");
+                    s.refresh(slice, Parallelism::Serial).expect("healthy");
+                    s
+                };
+                assert_eq!(sweeper.channels.len(), channels);
+                for i in 0..n {
+                    let (r_up, r_dn) = sweeper.ratio(slice, i);
+                    // Brute force: det W'(k) / det W(k) at k = slice − 1,
+                    // with the flipped field.
+                    let k = (slice + 8 - 1) % 8;
+                    let mut flipped = field.clone();
+                    flipped.flip(slice, i);
+                    for (spin, r) in Spin::BOTH.into_iter().zip([r_up, r_dn]) {
+                        let (s0, ld0) = log_det_w(&builder, &field, spin, k);
+                        let (s1, ld1) = log_det_w(&builder, &flipped, spin, k);
+                        let want = s1 * s0 * (ld1 - ld0).exp();
+                        assert!(
+                            (r - want).abs() < 1e-8 * want.abs().max(1.0),
+                            "{n} sites, slice {slice} site {i} {spin:?}: \
+                             formula {r} vs brute {want}"
+                        );
+                    }
                 }
             }
         }
@@ -748,11 +811,11 @@ mod tests {
             let (r_up, r_dn) = sweeper.ratio(0, i);
             sweeper.apply_flip(0, i, r_up, r_dn);
         }
-        let updated = sweeper.g.clone();
+        let updated = greens(&sweeper);
         sweeper.refresh(0, Parallelism::Serial).expect("healthy");
-        for idx in 0..2 {
-            let err = rel_error(&updated[idx], &sweeper.g[idx]);
-            assert!(err < 1e-9, "spin {idx}: SM drift {err}");
+        for (spin, (u, fresh)) in Spin::BOTH.iter().zip(updated.iter().zip(greens(&sweeper))) {
+            let err = rel_error(u, &fresh);
+            assert!(err < 1e-9, "{spin:?}: SM drift {err}");
         }
     }
 
@@ -766,11 +829,11 @@ mod tests {
         sweeper
             .wrap_to_next(0, Parallelism::Serial)
             .expect("healthy");
-        let wrapped = sweeper.g.clone();
+        let wrapped = greens(&sweeper);
         sweeper.refresh(1, Parallelism::Serial).expect("healthy");
-        for idx in 0..2 {
-            let err = rel_error(&wrapped[idx], &sweeper.g[idx]);
-            assert!(err < 1e-9, "spin {idx}: wrap err {err}");
+        for (spin, (w, fresh)) in Spin::BOTH.iter().zip(wrapped.iter().zip(greens(&sweeper))) {
+            let err = rel_error(w, &fresh);
+            assert!(err < 1e-9, "{spin:?}: wrap err {err}");
         }
     }
 
@@ -783,9 +846,9 @@ mod tests {
             Sweeper::new(&builder, field.clone(), SweepConfig::default()).expect("healthy");
         for spin in Spin::BOTH {
             for slice in [0usize, 3, 7] {
-                let mut dense = sweeper.green(spin).clone();
+                let mut dense = sweeper.green(spin);
                 wrap_dense(Par::Seq, &builder, &field, slice, spin, &mut dense);
-                let mut factored = sweeper.green(spin).clone();
+                let mut factored = sweeper.green(spin);
                 wrap_factored(Par::Seq, &builder, &field, slice, spin, &mut factored);
                 let err = rel_error(&factored, &dense);
                 assert!(err < 1e-12, "{spin:?} slice {slice}: {err}");
@@ -811,9 +874,9 @@ mod tests {
         let sweeper =
             Sweeper::new(&builder, field.clone(), SweepConfig::default()).expect("healthy");
         for spin in Spin::BOTH {
-            let mut dense = sweeper.green(spin).clone();
+            let mut dense = sweeper.green(spin);
             wrap_dense(Par::Seq, &builder, &field, 2, spin, &mut dense);
-            let mut factored = sweeper.green(spin).clone();
+            let mut factored = sweeper.green(spin);
             wrap_factored(Par::Seq, &builder, &field, 2, spin, &mut factored);
             let err = rel_error(&factored, &dense);
             assert!(err < 1e-12, "{spin:?}: {err}");
@@ -839,7 +902,7 @@ mod tests {
                     .expect("healthy")
                     .accepted;
             }
-            (accepted, s.field().to_flat(), s.green(Spin::Up).clone())
+            (accepted, s.field().to_flat(), s.green(Spin::Up))
         };
         let (acc_cold, field_cold, g_cold) = run(true);
         let (acc_warm, field_warm, g_warm) = run(false);
@@ -860,16 +923,23 @@ mod tests {
         // stabilize_every = 8 = L keeps refreshes anchored at slice 0
         // (k = 7, same residue mod c = 4 every time).
         let mut s = Sweeper::new(&builder, field, SweepConfig::default()).expect("healthy");
+        // 2×2 is particle–hole symmetric: spin up is the only channel.
+        let channels = s.channels.len() as u64;
+        assert_eq!(channels, 1);
         let (h0, m0) = s.cluster_cache_stats();
         assert_eq!(h0, 0, "cold build has no hits");
-        assert_eq!(m0, 2 * 2, "cold build recomputes b = L/c = 2 per spin");
+        assert_eq!(
+            m0,
+            2 * channels,
+            "cold build recomputes b = L/c = 2 per channel"
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(888);
         s.sweep(&mut rng, Parallelism::Serial).expect("healthy");
         let (h1, m1) = s.cluster_cache_stats();
         assert!(h1 > h0, "sweep-start refresh must reuse clean clusters");
         // A warm refresh recomputes strictly fewer products than cold.
         assert!(
-            m1 - m0 < 2 * 2 || h1 > 0,
+            m1 - m0 < 2 * channels || h1 > 0,
             "warm refresh should not be a full rebuild"
         );
     }
@@ -927,9 +997,9 @@ mod tests {
         sweeper
             .sweep(&mut rng, Parallelism::Serial)
             .expect("healthy");
-        let wrapped = sweeper.g.clone();
+        let wrapped = greens(&sweeper);
         sweeper.refresh(7, Parallelism::Serial).expect("healthy");
-        for (w, fresh) in wrapped.iter().zip(&sweeper.g) {
+        for (w, fresh) in wrapped.iter().zip(&greens(&sweeper)) {
             let drift = w
                 .as_slice()
                 .iter()
@@ -940,35 +1010,37 @@ mod tests {
         }
     }
 
+    /// On one even (one-channel) and one odd (two-channel) lattice.
     #[test]
     fn delayed_sweep_matches_immediate_sweep() {
-        let builder = small_builder(8);
-        let mut rng = ChaCha8Rng::seed_from_u64(16);
-        let field = HsField::random(8, 4, &mut rng);
-        let run = |delay: usize| {
-            let cfg = SweepConfig {
-                delay,
-                ..SweepConfig::default()
+        for lattice in [SquareLattice::square(2), SquareLattice::new(3, 2)] {
+            let n = lattice.n_sites();
+            let builder = builder_on(lattice, 8);
+            let mut rng = ChaCha8Rng::seed_from_u64(16);
+            let field = HsField::random(8, n, &mut rng);
+            let run = |delay: usize| {
+                let cfg = SweepConfig {
+                    delay,
+                    ..SweepConfig::default()
+                };
+                let mut s = Sweeper::new(&builder, field.clone(), cfg).expect("healthy");
+                let mut rng = ChaCha8Rng::seed_from_u64(500);
+                let stats = s.sweep(&mut rng, Parallelism::Serial).expect("healthy");
+                (stats.accepted, s.field().to_flat(), greens(&s))
             };
-            let mut s = Sweeper::new(&builder, field.clone(), cfg).expect("healthy");
-            let mut rng = ChaCha8Rng::seed_from_u64(500);
-            let stats = s.sweep(&mut rng, Parallelism::Serial).expect("healthy");
-            (
-                stats.accepted,
-                s.field().to_flat(),
-                s.green(Spin::Up).clone(),
-            )
-        };
-        let (acc1, field1, g1) = run(1);
-        for delay in [2usize, 4, 16] {
-            let (acc_d, field_d, g_d) = run(delay);
-            assert_eq!(acc1, acc_d, "delay={delay}: acceptance count");
-            assert_eq!(field1, field_d, "delay={delay}: trajectory");
-            assert!(
-                rel_error(&g1, &g_d) < 1e-9,
-                "delay={delay}: G drift {}",
-                rel_error(&g1, &g_d)
-            );
+            let (acc1, field1, g1) = run(1);
+            for delay in [2usize, 4, 16] {
+                let (acc_d, field_d, g_d) = run(delay);
+                assert_eq!(acc1, acc_d, "{n} sites, delay={delay}: acceptance count");
+                assert_eq!(field1, field_d, "{n} sites, delay={delay}: trajectory");
+                for (spin, (a, b)) in Spin::BOTH.iter().zip(g1.iter().zip(&g_d)) {
+                    let err = rel_error(a, b);
+                    assert!(
+                        err < 1e-9,
+                        "{n} sites, delay={delay}, {spin:?}: G drift {err}"
+                    );
+                }
+            }
         }
     }
 

@@ -126,14 +126,14 @@ fn wrap_around_the_torus_is_identity() {
         ..SweepConfig::default()
     };
     let mut sweeper = Sweeper::new(&builder, field, cfg).expect("healthy");
-    let g0 = sweeper.green(Spin::Up).clone();
+    let g0 = sweeper.green(Spin::Up);
     // Refresh at each slice in turn and come back to 0.
     for slice in [1usize, 2, 3, 4, 5, 0] {
         sweeper
             .refresh(slice, Parallelism::Serial)
             .expect("healthy");
     }
-    let g_back = sweeper.green(Spin::Up).clone();
+    let g_back = sweeper.green(Spin::Up);
     assert!(
         fsi_dense::rel_error(&g_back, &g0) < 1e-9,
         "torus roundtrip drift {}",
@@ -216,33 +216,36 @@ fn run_is_pinned_bitwise_per_kernel_tier() {
     }
 }
 
-/// Delayed updates at the simulation level reproduce the plain results.
+/// Delayed updates at the simulation level reproduce the plain results,
+/// on the one-channel path (2×2) and the two-channel path (3×2).
 #[test]
 fn delayed_updates_do_not_change_the_simulation() {
-    let base = DqmcConfig {
-        nx: 2,
-        ny: 2,
-        t: 1.0,
-        u: 4.0,
-        beta: 2.0,
-        l: 8,
-        c: 4,
-        warmup: 1,
-        measurements: 3,
-        stabilize_every: 4,
-        delay: 1,
-        seed: 21,
-    };
-    let plain = run(&base, Parallelism::Serial).expect("healthy");
-    let delayed = run(
-        &DqmcConfig {
-            delay: 8,
-            ..base.clone()
-        },
-        Parallelism::Serial,
-    )
-    .expect("healthy");
-    assert!((plain.density.mean() - delayed.density.mean()).abs() < 1e-9);
-    assert!((plain.moment.mean() - delayed.moment.mean()).abs() < 1e-9);
-    assert!((plain.kinetic.mean() - delayed.kinetic.mean()).abs() < 1e-9);
+    for nx in [2, 3] {
+        let base = DqmcConfig {
+            nx,
+            ny: 2,
+            t: 1.0,
+            u: 4.0,
+            beta: 2.0,
+            l: 8,
+            c: 4,
+            warmup: 1,
+            measurements: 3,
+            stabilize_every: 4,
+            delay: 1,
+            seed: 21,
+        };
+        let plain = run(&base, Parallelism::Serial).expect("healthy");
+        let delayed = run(
+            &DqmcConfig {
+                delay: 8,
+                ..base.clone()
+            },
+            Parallelism::Serial,
+        )
+        .expect("healthy");
+        assert!((plain.density.mean() - delayed.density.mean()).abs() < 1e-9);
+        assert!((plain.moment.mean() - delayed.moment.mean()).abs() < 1e-9);
+        assert!((plain.kinetic.mean() - delayed.kinetic.mean()).abs() < 1e-9);
+    }
 }

@@ -240,6 +240,16 @@ impl BlockBuilder {
         &self.params
     }
 
+    /// Whether the model is particle–hole symmetric: with no chemical
+    /// potential and sublattice signs `Π = diag((−1)^{x+y})`, every field
+    /// gives `Π·B↓·Π = (B↑)⁻ᵀ` slice by slice, so `G↓ = Π(I − G↑)ᵀΠ` at
+    /// equal time. Holds for the dense and the checkerboard propagator
+    /// exactly when both extents are even (the periodic lattice is then
+    /// bipartite).
+    pub fn particle_hole_symmetric(&self) -> bool {
+        self.lattice.nx().is_multiple_of(2) && self.lattice.ny().is_multiple_of(2)
+    }
+
     /// The HS coupling ν.
     pub fn nu(&self) -> f64 {
         self.nu

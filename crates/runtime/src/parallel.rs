@@ -6,6 +6,11 @@
 //! [`parallel_for`] / [`parallel_map`] with either static (contiguous chunk
 //! per thread, OpenMP `schedule(static)`) or dynamic (atomic work counter,
 //! OpenMP `schedule(dynamic,chunk)`) scheduling.
+//!
+//! These loops are the whole surface; there is no two-way fork. The DQMC
+//! sweep, the one phase that once forked its two spin channels, keeps a
+//! single channel at half filling and runs two one after the other
+//! otherwise, each channel using the loops above.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -124,47 +129,6 @@ where
         .collect()
 }
 
-/// Runs two closures, in parallel when `par` carries a multi-thread pool,
-/// and returns both results — the structured two-way fork the spin-parallel
-/// DQMC sweep phases use (`!$omp sections` with two sections).
-///
-/// `fb` is spawned onto the pool while `fa` runs on the calling thread; the
-/// scope's help-while-waiting protocol makes nesting further pool work
-/// inside either closure deadlock-free.
-pub fn join<RA, RB, FA, FB>(par: Par<'_>, fa: FA, fb: FB) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    FA: FnOnce() -> RA + Send,
-    FB: FnOnce() -> RB + Send,
-{
-    let Some(pool) = par.pool() else {
-        let ra = fa();
-        let rb = fb();
-        return (ra, rb);
-    };
-    if pool.size() <= 1 {
-        let ra = fa();
-        let rb = fb();
-        return (ra, rb);
-    }
-    let rb_slot: Mutex<Option<RB>> = Mutex::new(None);
-    let mut ra_slot: Option<RA> = None;
-    pool.scope(|s| {
-        let rb_ref = &rb_slot;
-        s.spawn(move || {
-            *rb_ref.lock().expect("join slot poisoned") = Some(fb());
-        });
-        ra_slot = Some(fa());
-    });
-    let ra = ra_slot.expect("join: fa did not run");
-    let rb = rb_slot
-        .into_inner()
-        .expect("join slot poisoned")
-        .expect("join: fb did not run");
-    (ra, rb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,53 +200,5 @@ mod tests {
         let pool = ThreadPool::new(8);
         let v = parallel_map(Par::Pool(&pool), 3, Schedule::Static, |i| i);
         assert_eq!(v, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn join_returns_both_results_sequentially() {
-        let (a, b) = join(Par::Seq, || 2 + 2, || "spin down");
-        assert_eq!(a, 4);
-        assert_eq!(b, "spin down");
-    }
-
-    #[test]
-    fn join_returns_both_results_on_pool() {
-        let pool = ThreadPool::new(4);
-        let (a, b) = join(Par::Pool(&pool), || vec![1, 2, 3], || 7u64);
-        assert_eq!(a, vec![1, 2, 3]);
-        assert_eq!(b, 7);
-    }
-
-    #[test]
-    fn join_nests_with_inner_parallel_loops() {
-        // Each arm runs a parallel_for over the same pool — the scope's
-        // help-while-waiting protocol must keep this deadlock-free.
-        let pool = ThreadPool::new(4);
-        let par = Par::Pool(&pool);
-        let (a, b) = join(
-            par,
-            || {
-                let hits = AtomicU64::new(0);
-                parallel_for(par, 50, Schedule::dynamic(), |_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-                hits.into_inner()
-            },
-            || {
-                let hits = AtomicU64::new(0);
-                parallel_for(par, 70, Schedule::Static, |_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-                hits.into_inner()
-            },
-        );
-        assert_eq!((a, b), (50, 70));
-    }
-
-    #[test]
-    fn join_on_size_one_pool_runs_inline() {
-        let pool = ThreadPool::new(1);
-        let (a, b) = join(Par::Pool(&pool), || 1, || 2);
-        assert_eq!((a, b), (1, 2));
     }
 }

@@ -62,17 +62,6 @@ impl<'p> Parallelism<'p> {
             Parallelism::OpenMp(p) | Parallelism::MklStyle(p) => p.size(),
         }
     }
-
-    /// The pool-backed selector regardless of style — for phase-level
-    /// two-way forks (the DQMC spin join) that sit *above* the
-    /// outer/inner split. The pool's help-while-waiting scope makes
-    /// nesting this with either split side deadlock-free.
-    pub fn any_pool(&self) -> Par<'p> {
-        match self {
-            Parallelism::Serial => Par::Seq,
-            Parallelism::OpenMp(p) | Parallelism::MklStyle(p) => Par::Pool(p),
-        }
-    }
 }
 
 /// The reduced inverse `Ḡ = M̄⁻¹` in whichever representation the BSOFI

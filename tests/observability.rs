@@ -163,22 +163,30 @@ fn sweep_spans_fire_and_cache_flops_match_the_incremental_model() {
     trace::set_level(TraceLevel::Off);
     trace::clear();
 
-    // The hot-path spans all fire: factored wraps, spin-joined phases, and
-    // the per-cluster cache verdict counters.
+    // The hot-path spans all fire: factored wraps and the per-cluster
+    // cache verdict counters.
     assert!(report.count_of("wrap.factored") > 0, "no factored wraps");
-    assert!(report.count_of("sweep.spin_par") > 0, "no spin joins");
     let hits = report.count_of("cls.cache_hit");
     let misses = report.count_of("cls.cache_miss");
     assert!(hits > 0, "warm refresh scored no cache hits");
-    // Every refresh touches 2·b products (both spins); strictly fewer than
+    // 2×2 is particle–hole symmetric, so the sweeper keeps spin up alone.
+    let channels = if builder.particle_hole_symmetric() {
+        1
+    } else {
+        2
+    };
+    assert_eq!(channels, 1);
+    // Every refresh touches b products per channel; strictly fewer than
     // that many misses per refresh means the warm pass reused clusters.
-    let per_refresh = 2 * (l / c);
+    let per_refresh = (l / c) * channels;
     let refreshes = (hits + misses) / per_refresh;
     assert_eq!(hits + misses, refreshes * per_refresh, "partial refresh?");
     assert!(
         misses < refreshes * per_refresh,
         "warm refreshes must rebuild strictly fewer products than cold"
     );
+    // Each refresh assembles its diagonal block once per channel.
+    assert_eq!(report.count_of("bsofi.selected"), refreshes * channels);
 
     // Flop attribution: each cache miss recomputes one (c-1)-GEMM cluster
     // chain, so the cache_miss spans' inclusive flops must equal the
@@ -254,9 +262,15 @@ fn health_and_recovery_spans_reach_the_ndjson_exporter() {
         let field = HsField::random(8, 4, &mut rng);
         trace::set_level(TraceLevel::Stages);
         flight::clear();
-        Sweeper::new(&builder, field.clone(), SweepConfig::default())
-            .and_then(|mut clean| clean.sweep(&mut rng, Parallelism::Serial))
+        // Three sweeps: with spin up as the only channel (2×2 is
+        // particle–hole symmetric) one sweep leaves fewer than 32 spans.
+        let mut clean = Sweeper::new(&builder, field.clone(), SweepConfig::default())
             .expect("clean traced run is healthy");
+        for _ in 0..3 {
+            clean
+                .sweep(&mut rng, Parallelism::Serial)
+                .expect("clean traced run is healthy");
+        }
         trace::clear();
         inject::arm(Site {
             stage: Stage::Cls,

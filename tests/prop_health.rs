@@ -28,7 +28,21 @@ const C: usize = 4;
 const SEED: u64 = 97;
 
 fn builder() -> BlockBuilder {
-    BlockBuilder::new(SquareLattice::square(2), HubbardParams::paper_validation(L))
+    builder_on(SquareLattice::square(2))
+}
+
+fn builder_on(lattice: SquareLattice) -> BlockBuilder {
+    BlockBuilder::new(lattice, HubbardParams::paper_validation(L))
+}
+
+/// Spin channels the sweeper keeps: spin down is derived from spin up on a
+/// particle–hole symmetric model, so a refresh attempt runs once per channel.
+fn channels(builder: &BlockBuilder) -> u32 {
+    if builder.particle_hole_symmetric() {
+        1
+    } else {
+        2
+    }
 }
 
 fn sweep_config() -> SweepConfig {
@@ -42,7 +56,7 @@ fn sweep_config() -> SweepConfig {
 /// One sweep of the fixed workload; returns the sweeper for inspection.
 fn run_workload(builder: &BlockBuilder) -> Result<Sweeper<'_>, fsi::runtime::health::FsiError> {
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    let field = HsField::random(L, 4, &mut rng);
+    let field = HsField::random(L, builder.lattice().n_sites(), &mut rng);
     let mut s = Sweeper::new(builder, field, sweep_config())?;
     s.sweep(&mut rng, Parallelism::Serial)?;
     Ok(s)
@@ -172,10 +186,11 @@ fn recovered_run_matches_clean_observables() {
     }
 }
 
-/// A sticky NaN at CLS with a budget of 6 re-poisons every retry (each
-/// attempt consumes one fire per spin), so the ladder climbs past cache
-/// invalidation and cluster shrinking to the from-scratch rung, and runs
-/// each rung exactly once.
+/// A sticky NaN at CLS with a budget of 3 attempts × channels re-poisons
+/// every retry (each attempt consumes one fire per channel), so the ladder
+/// climbs past cache invalidation and cluster shrinking to the
+/// from-scratch rung, and runs each rung exactly once: 3 fires on 2×2
+/// (spin up alone), 6 on 3×2 (both spins).
 #[test]
 fn sticky_cls_fault_runs_each_ladder_rung_once() {
     let _lock = inject::test_lock();
@@ -184,16 +199,21 @@ fn sticky_cls_fault_runs_each_ladder_rung_once() {
         block: ANY_BLOCK,
         kind: FaultKind::Nan,
     };
-    inject::arm_times(site, 6);
-    let builder = builder();
-    let s = run_workload(&builder);
-    inject::disarm();
-    let s = s.expect("the from-scratch rung absorbs the sticky fault");
-    let st = s.recovery_stats();
-    assert_eq!(
-        [st.cache_invalidations, st.cluster_shrinks, st.from_scratch],
-        [1, 1, 1]
-    );
+    for (lattice, fires) in [(SquareLattice::square(2), 3), (SquareLattice::new(3, 2), 6)] {
+        let builder = builder_on(lattice);
+        assert_eq!(fires, 3 * channels(&builder));
+        inject::arm_times(site, fires);
+        let s = run_workload(&builder);
+        let fired = inject::disarm();
+        let s = s.expect("the from-scratch rung absorbs the sticky fault");
+        assert_eq!(fired, u64::from(fires));
+        let st = s.recovery_stats();
+        assert_eq!(
+            [st.cache_invalidations, st.cluster_shrinks, st.from_scratch],
+            [1, 1, 1],
+            "budget {fires}"
+        );
+    }
 }
 
 proptest! {
@@ -203,10 +223,11 @@ proptest! {
     /// sticky fault under the same seed replays the exact rung sequence
     /// and event log.
     #[test]
-    fn recovery_ladder_is_deterministic(fires in 1u32..=6) {
+    fn recovery_ladder_is_deterministic(fires in 1u32..=3 * channels(&builder())) {
         let _lock = inject::test_lock();
         // A sticky NaN at CLS re-poisons retries; each retry consumes one
-        // fire per spin, so a budget of 6 reaches the from-scratch rung.
+        // fire per channel, so a budget of 3 × channels reaches the
+        // from-scratch rung.
         let site = Site { stage: Stage::Cls, block: ANY_BLOCK, kind: FaultKind::Nan };
         let run_once = || {
             inject::arm_times(site, fires);
@@ -263,9 +284,11 @@ proptest! {
         warm.refresh(anchor, Parallelism::Serial).expect("healthy");
         cold.refresh(anchor, Parallelism::Serial).expect("healthy");
         for spin in Spin::BOTH {
-            let gw = warm.green(spin).as_slice();
-            let gc = cold.green(spin).as_slice();
-            prop_assert!(gw == gc, "warm refresh differs from cold after {site:?}");
+            let (gw, gc) = (warm.green(spin), cold.green(spin));
+            prop_assert!(
+                gw.as_slice() == gc.as_slice(),
+                "warm refresh differs from cold after {site:?}"
+            );
         }
     }
 }

@@ -2,7 +2,7 @@
 //! factored (and checkerboard) similarity wraps agree with the dense-GEMM
 //! baseline for arbitrary fields and Green's functions, the incremental
 //! cluster cache is bitwise-invisible under random flip trajectories, and
-//! the spin-joined sweep is deterministic against its serial baseline.
+//! a sweep over a pool is deterministic against its serial baseline.
 
 use fsi::dense::{rel_error, test_matrix};
 use fsi::dqmc::{
@@ -120,9 +120,9 @@ proptest! {
         }
     }
 
-    /// Spin-joined sweeps over a pool reproduce the serial trajectory
-    /// bit-for-bit under a fixed RNG seed: identical acceptance counts,
-    /// field, and Green's functions.
+    /// Sweeps over a pool reproduce the serial trajectory bit-for-bit
+    /// under a fixed RNG seed: identical acceptance counts, field, and
+    /// Green's functions of both spins.
     #[test]
     fn spin_parallel_sweep_is_deterministic(seed in any::<u64>()) {
         let l = 8;
@@ -136,7 +136,7 @@ proptest! {
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD5);
             let stats = s.sweep(&mut rng, par).expect("healthy");
             (stats.accepted, s.field().to_flat(),
-             s.green(Spin::Up).clone(), s.green(Spin::Down).clone())
+             s.green(Spin::Up), s.green(Spin::Down))
         };
         let (acc_s, field_s, gu_s, gd_s) = run(Parallelism::Serial);
         let pool = ThreadPool::new(3);
