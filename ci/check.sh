@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline-friendly CI gate: formatting, lints, build, tests.
+# Offline-friendly CI gate: formatting, lints, build, tests, and every
+# paper figure at its smoke shape.
 #
 # Usage: ci/check.sh [--quick]
 #   --quick   skip the tests (format + lint + build only)
@@ -33,6 +34,17 @@ if [[ $quick -eq 0 ]]; then
 
   echo "== cargo test --doc =="
   cargo test --offline --workspace --doc -q
+
+  # Every table and figure end to end at its smoke shape, on the release
+  # build above; `reproduce` exits 1 when a paper-shape verdict fails. It
+  # runs in a scratch directory because `validate` writes
+  # results/validate.json under the working directory. Smoke `all` starts
+  # at most 12 pool threads at once (the Fig. 8 bottom / Fig. 10 / Fig. 11
+  # pools, one after another).
+  echo "== reproduce all (smoke shapes) =="
+  REPRO_DIR="$(mktemp -d)"
+  (cd "$REPRO_DIR" && "$OLDPWD/target/release/reproduce" all)
+  rm -rf "$REPRO_DIR"
 
   # Metrics-enabled lane: the always-on registry and flight recorder are
   # exercised with stage tracing live and a real dump directory, so the

@@ -1,173 +1,249 @@
-//! # fsi-bench — harnesses regenerating every table and figure of the paper
+//! # fsi-bench — the paper's tables and figures on today's engine
 //!
-//! One binary per experiment (see DESIGN.md §4 for the full index):
+//! One binary, `reproduce <name>|all [--paper-scale]`, runs the figures
+//! of [`FIGURES`] (DESIGN.md §4 maps them to the paper):
 //!
-//! | binary             | reproduces                                     |
-//! |--------------------|------------------------------------------------|
-//! | `validate`         | §V-A correctness validation                    |
-//! | `table_patterns`   | §II-B selected-block counts & memory reduction |
-//! | `table_complexity` | §II-C flop-complexity table (formula vs measured) |
-//! | `fig8_top`         | FSI per-stage Gflop/s vs block size N          |
-//! | `fig8_bottom`      | thread scalability, FSI-OpenMP vs MKL-style    |
-//! | `fig9`             | hybrid ranks×threads sweep + memory model      |
-//! | `fig10`            | Green's-function vs measurement runtime profile |
-//! | `fig11`            | full DQMC runtime vs threads                   |
+//! | name                       | reproduces                                        |
+//! |----------------------------|---------------------------------------------------|
+//! | `validate`                 | §V-A correctness validation                       |
+//! | `table_patterns`           | §II-B selected-block counts & memory reduction    |
+//! | `table_complexity`         | §II-C flop-complexity table (formula vs measured) |
+//! | `ablation_cluster_size`    | §II-C: cluster size `c` vs speed and accuracy     |
+//! | `ablation_wrap_split`      | Alg. 2's split walk vs a one-directional walk     |
+//! | `ablation_schedule`        | static vs dynamic parallel-for scheduling         |
+//! | `ablation_delayed_updates` | delayed vs immediate Metropolis updates           |
+//! | `fig8_top`                 | FSI per-stage Gflop/s vs block size N             |
+//! | `fig8_bottom`              | thread scalability, FSI-OpenMP vs MKL-style       |
+//! | `fig9`                     | hybrid ranks×threads sweep + memory model         |
+//! | `fig10`                    | Green's-function vs measurement runtime profile   |
+//! | `fig11`                    | full DQMC runtime vs threads                      |
 //!
-//! Every binary runs a scaled-down default in seconds and accepts
-//! `--paper-scale` plus `key=value` overrides (`N=`, `L=`, `c=`,
-//! `threads=`, …) to approach the paper's exact parameters.
+//! Each figure is a module whose `run(Scale)` returns a typed table;
+//! printing the table gives the figure's text. A figure whose paper claim
+//! is a shape that does not depend on timing — exact counts, who wins,
+//! what is monotone, where a frontier falls — also has a `verdict(&table)`,
+//! and `tests/paper_shapes.rs` asserts it at smoke scale.
 //!
 //! Timing claims belong to the layered benchmark under `benchmark/`, not
 //! to this crate.
 
-use std::collections::HashMap;
+use std::fmt::Display;
 
 use fsi_pcyclic::BlockPCyclic;
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
-use fsi_runtime::sim::AlgorithmTrace;
-use fsi_runtime::{Par, Stopwatch};
+use fsi_runtime::trace::{self, RunReport};
+use fsi_runtime::{Par, Stopwatch, ThreadPool, TraceLevel};
 use fsi_selinv::{Selection, StructuredQr};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use sim::AlgorithmTrace;
 
-/// Minimal `key=value` / `--flag` argument parser shared by the harness
-/// binaries.
-pub struct Args {
-    kv: HashMap<String, String>,
-    flags: Vec<String>,
+pub mod ablation_cluster_size;
+pub mod ablation_delayed_updates;
+pub mod ablation_schedule;
+pub mod ablation_wrap_split;
+pub mod fig10;
+pub mod fig11;
+pub mod fig8_bottom;
+pub mod fig8_top;
+pub mod fig9;
+pub mod table_complexity;
+pub mod table_patterns;
+pub mod validate;
+
+mod sim;
+
+/// The shape a figure runs at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// The scaled-down shape: every figure, in seconds.
+    Smoke,
+    /// The paper's own parameters, for the figures that have them.
+    Paper,
 }
 
-impl Args {
-    /// Parses `std::env::args()`.
-    pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument list (tests).
-    #[allow(clippy::should_implement_trait)] // not a collection; `FromIterator` would mislead
-    pub fn from_iter<I: IntoIterator<Item = String>>(items: I) -> Self {
-        let mut kv = HashMap::new();
-        let mut flags = Vec::new();
-        for a in items {
-            if let Some(flag) = a.strip_prefix("--") {
-                flags.push(flag.to_string());
-            } else if let Some((k, v)) = a.split_once('=') {
-                kv.insert(k.to_string(), v.to_string());
-            }
+impl Scale {
+    /// `smoke` if `self` is [`Scale::Smoke`], else `paper`.
+    pub fn pick<T>(self, smoke: T, paper: T) -> T {
+        match self {
+            Scale::Smoke => smoke,
+            Scale::Paper => paper,
         }
-        Args { kv, flags }
     }
 
-    /// Whether `--name` was passed.
-    pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+    /// The `[N, L, c]` shape of this scale.
+    pub fn shape(self, smoke: [usize; 3], paper: [usize; 3]) -> Shape {
+        let [n, l, c] = self.pick(smoke, paper);
+        Shape { n, l, c }
     }
+}
 
-    /// The value of a `--name=value` flag, if passed.
-    pub fn flag_value(&self, name: &str) -> Option<&str> {
-        self.flags
+/// A figure's block size, block count and cluster size; prints as
+/// `(N, L, c) = (n, l, c)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Shape {
+    pub n: usize,
+    pub l: usize,
+    pub c: usize,
+}
+
+impl Shape {
+    /// The side of the square lattice with `n` sites (every figure's `N`
+    /// is a perfect square).
+    pub fn side(&self) -> usize {
+        lattice_side_for(self.n)
+    }
+}
+
+impl Display for Shape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "(N, L, c) = ({}, {}, {})", self.n, self.l, self.c)
+    }
+}
+
+/// Outcome of a figure's paper-shape verdict: `Err` names the broken claim.
+pub type Verdict = Result<(), String>;
+
+/// One entry of `reproduce`'s menu.
+pub struct Figure {
+    /// The name `reproduce` takes, and the stem of the trace files.
+    pub name: &'static str,
+    /// Whether the figure runs at [`Scale::Paper`].
+    pub paper_shape: bool,
+    /// Runs the figure, prints its table and returns its verdict (`Ok`
+    /// for the figures without one).
+    pub run: fn(Scale) -> Verdict,
+}
+
+/// Prints `table` and checks it.
+fn show<T: Display>(table: T, verdict: fn(&T) -> Verdict) -> Verdict {
+    print!("{table}");
+    verdict(&table)
+}
+
+/// The verdict of a figure whose shape claim is about timing: its printed
+/// shape line is the whole check.
+fn printed_only<T>(_: &T) -> Verdict {
+    Ok(())
+}
+
+/// The [`Figure`] of module `$m`, checked by `$verdict`.
+macro_rules! figure {
+    ($m:ident, $paper:expr, $verdict:expr) => {
+        Figure {
+            name: stringify!($m),
+            paper_shape: $paper,
+            run: |s| show($m::run(s), $verdict),
+        }
+    };
+}
+
+/// Every figure, in `reproduce all` order.
+pub static FIGURES: [Figure; 12] = [
+    figure!(validate, true, validate::verdict),
+    figure!(table_patterns, true, table_patterns::verdict),
+    figure!(table_complexity, true, table_complexity::verdict),
+    figure!(ablation_cluster_size, false, ablation_cluster_size::verdict),
+    figure!(ablation_wrap_split, false, ablation_wrap_split::verdict),
+    figure!(ablation_schedule, false, printed_only),
+    figure!(ablation_delayed_updates, true, printed_only),
+    figure!(fig8_top, true, printed_only),
+    figure!(fig8_bottom, true, printed_only),
+    figure!(fig9, true, fig9::verdict),
+    figure!(fig10, true, printed_only),
+    figure!(fig11, true, printed_only),
+];
+
+/// The figures `reproduce <name>` runs at `scale` (`name` may be `all`),
+/// and the ones `all` skips at [`Scale::Paper`] for want of a paper shape.
+///
+/// # Errors
+/// An unknown name, or a figure without a paper shape at [`Scale::Paper`].
+pub fn select(
+    name: &str,
+    scale: Scale,
+) -> Result<(Vec<&'static Figure>, Vec<&'static str>), String> {
+    if name == "all" {
+        let (run, skip): (Vec<_>, Vec<_>) = FIGURES
             .iter()
-            .find_map(|f| f.strip_prefix(name).and_then(|r| r.strip_prefix('=')))
+            .partition(|f| scale == Scale::Smoke || f.paper_shape);
+        return Ok((run, skip.iter().map(|f| f.name).collect()));
     }
-
-    /// `key=value` as usize, with a default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.kv
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad {key}={v}")))
-            .unwrap_or(default)
-    }
-
-    /// `key=value` as f64, with a default.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.kv
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad {key}={v}")))
-            .unwrap_or(default)
-    }
-
-    /// `key=a,b,c` as a usize list, with a default.
-    pub fn get_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        self.kv
-            .get(key)
-            .map(|v| {
-                v.split(',')
-                    .map(|x| x.parse().unwrap_or_else(|_| panic!("bad {key}={v}")))
-                    .collect()
-            })
-            .unwrap_or_else(|| default.to_vec())
-    }
-
-    /// Shorthand for the ubiquitous `--paper-scale` switch.
-    pub fn paper_scale(&self) -> bool {
-        self.flag("paper-scale")
+    match FIGURES.iter().find(|f| f.name == name) {
+        None => Err(format!("unknown name `{name}`")),
+        Some(f) if scale == Scale::Paper && !f.paper_shape => {
+            Err(format!("{name} has no paper shape"))
+        }
+        Some(f) => Ok((vec![f], vec![])),
     }
 }
 
 /// Builds a Hubbard p-cyclic matrix for an `nx × nx` lattice (the paper's
 /// benchmark family, `(t, β, U) = (1, 1, 2)`).
-pub fn hubbard_matrix(nx: usize, l: usize, seed: u64, spin: Spin) -> BlockPCyclic {
-    let lattice = SquareLattice::square(nx);
-    let n = lattice.n_sites();
-    let builder = BlockBuilder::new(lattice, HubbardParams::paper_validation(l));
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let field = HsField::random(l, n, &mut rng);
-    hubbard_pcyclic(&builder, &field, spin)
+fn hubbard_matrix(nx: usize, l: usize, seed: u64, spin: Spin) -> BlockPCyclic {
+    hubbard_matrix_at(nx, HubbardParams::paper_validation(l), seed, spin)
+}
+
+/// A Hubbard p-cyclic matrix of the 2×2 lattice at low temperature
+/// (`t = 1`, `U = 4`, inverse temperature `beta`), whose wildly scaled `B`
+/// products make round-off visible at laptop scale.
+fn low_temperature_matrix(l: usize, beta: f64, seed: u64, spin: Spin) -> BlockPCyclic {
+    hubbard_matrix_at(
+        2,
+        HubbardParams {
+            t: 1.0,
+            u: 4.0,
+            beta,
+            l,
+        },
+        seed,
+        spin,
+    )
+}
+
+fn hubbard_matrix_at(nx: usize, params: HubbardParams, seed: u64, spin: Spin) -> BlockPCyclic {
+    let field = HsField::random(params.l, nx * nx, &mut ChaCha8Rng::seed_from_u64(seed));
+    hubbard_pcyclic(
+        &BlockBuilder::new(SquareLattice::square(nx), params),
+        &field,
+        spin,
+    )
 }
 
 /// Returns the side of the smallest square lattice with at least `n`
-/// sites (the harness maps the paper's `N` values — all perfect squares —
+/// sites (the paper's `N` values are all perfect squares, so they map
 /// exactly).
-pub fn lattice_side_for(n: usize) -> usize {
-    let mut s = 1usize;
-    while s * s < n {
-        s += 1;
-    }
-    s
-}
-
-/// Measured per-task traces of one FSI run, for the scheduling simulator
-/// (used by `fig8_bottom`/`fig11` when the host has fewer cores than the
-/// paper's socket; see DESIGN.md substitutions).
-pub struct FsiTraces {
-    /// Coarse-grained trace: CLS clusters, BSOFI columns, wrap seeds as
-    /// independent tasks (the OpenMP mode's schedule).
-    pub openmp: AlgorithmTrace,
-    /// Fine-grained trace: each dense kernel split into its column-chunk
-    /// tasks with the serial glue between kernels kept serial (the
-    /// MKL-style mode's schedule).
-    pub mkl: AlgorithmTrace,
-    /// Total sequential seconds.
-    pub seq_seconds: f64,
+fn lattice_side_for(n: usize) -> usize {
+    (1..)
+        .find(|s| s * s >= n)
+        .expect("some side is large enough")
 }
 
 /// Runs FSI sequentially on `pc`, timing every independent task of every
-/// stage, and builds the two scheduling traces.
-pub fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> FsiTraces {
-    let c = selection.c;
-    let q = selection.q;
-    let n = pc.n();
-    let b = pc.l() / c;
+/// stage, and builds the two scheduling traces of [`schedule_traces`] for
+/// the simulator (used by `fig8_bottom` and `ablation_schedule` when the
+/// host has fewer cores than the paper's socket; see DESIGN.md
+/// substitutions).
+fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> (AlgorithmTrace, AlgorithmTrace) {
+    let (c, q, l) = (selection.c, selection.q, pc.l());
+    let b = l / c;
     // --- CLS: time each cluster chain. ---
-    let mut cls_tasks = Vec::with_capacity(b);
-    let o = c - 1 - q;
-    let sw_total = Stopwatch::start();
-    let mut reduced_blocks = Vec::with_capacity(b);
-    for m in 0..b {
-        let sw = Stopwatch::start();
-        let mut idx = (c * m + o) % pc.l();
-        let mut acc = pc.block(idx).clone();
-        for _ in 1..c {
-            idx = pc.up(idx);
-            acc = fsi_dense::mul(&acc, pc.block(idx));
-        }
-        cls_tasks.push(sw.seconds());
-        reduced_blocks.push(acc);
-    }
+    let cls_tasks: Vec<f64> = (0..b)
+        .map(|m| {
+            let sw = Stopwatch::start();
+            let mut idx = (c * m + c - 1 - q) % l;
+            let mut acc = pc.block(idx).clone();
+            for _ in 1..c {
+                idx = pc.up(idx);
+                acc = fsi_dense::mul(&acc, pc.block(idx));
+            }
+            std::hint::black_box(acc);
+            sw.seconds()
+        })
+        .collect();
     let clustered = fsi_selinv::cls::cls(Par::Seq, Par::Seq, pc, c, q);
 
-    // --- BSOFI: stage A serial, stage B per-column tasks, stage C
-    //     row-band parallel. ---
+    // --- BSOFI: stage A serial, stages B + C parallel. ---
     let sw = Stopwatch::start();
     let factor = StructuredQr::factor(Par::Seq, &clustered.reduced);
     let bsofi_serial = sw.seconds();
@@ -176,45 +252,36 @@ pub fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> FsiTraces {
     let bsofi_bc = sw.seconds();
 
     // --- WRP: time each seed walk. ---
-    let mut wrap_tasks = Vec::with_capacity(b * b);
-    {
-        let factors = fsi_selinv::BlockFactors::new(pc);
-        let up_steps = c / 2;
-        let down_steps = (c - 1) - up_steps;
-        for s in 0..b * b {
+    let factors = fsi_selinv::BlockFactors::new(pc);
+    let wrap_tasks: Vec<f64> = (0..b * b)
+        .map(|s| {
             let (k0, l0) = (s / b, s % b);
-            let k = clustered.to_original(k0);
-            let l = clustered.to_original(l0);
+            let (k, col) = (clustered.to_original(k0), clustered.to_original(l0));
             let sw = Stopwatch::start();
             let g_seed = clustered.reduced.dense_block(&g_reduced, k0, l0);
-            let mut cur = g_seed.clone();
-            let mut row = k;
-            for _ in 0..up_steps {
-                cur = fsi_selinv::wrap::step_up(pc, &factors, &cur, row, l)
+            let (mut cur, mut row) = (g_seed.clone(), k);
+            for _ in 0..c / 2 {
+                cur = fsi_selinv::wrap::step_up(pc, &factors, &cur, row, col)
                     .expect("Hubbard B blocks are invertible");
                 row = pc.up(row);
             }
-            let mut cur = g_seed;
-            let mut row = k;
-            for _ in 0..down_steps {
-                cur = fsi_selinv::wrap::step_down(pc, &cur, row, l);
+            let (mut cur, mut row) = (g_seed, k);
+            for _ in 0..(c - 1) - c / 2 {
+                cur = fsi_selinv::wrap::step_down(pc, &cur, row, col);
                 row = pc.down(row);
             }
-            wrap_tasks.push(sw.seconds());
-        }
-    }
-    let seq_seconds = sw_total.seconds();
-    let (openmp, mkl) = schedule_traces(n, c, &cls_tasks, bsofi_serial, bsofi_bc, &wrap_tasks);
-    FsiTraces {
-        openmp,
-        mkl,
-        seq_seconds,
-    }
+            sw.seconds()
+        })
+        .collect();
+    schedule_traces(pc.n(), c, &cls_tasks, bsofi_serial, bsofi_bc, &wrap_tasks)
 }
 
-/// Builds the two scheduling traces of [`FsiTraces`] from per-task
-/// seconds: one per CLS cluster chain and per wrap seed, plus BSOFI's
-/// serial stage A and its stages B+C together.
+/// Builds the two scheduling traces from per-task seconds (one per CLS
+/// cluster chain and per wrap seed, plus BSOFI's serial stage A and its
+/// stages B+C together): the OpenMP mode's coarse-grained trace of
+/// independent tasks, and the MKL-style mode's fine-grained one, each
+/// dense kernel split into column-chunk tasks with the serial glue
+/// between kernels kept serial.
 fn schedule_traces(
     n: usize,
     c: usize,
@@ -260,70 +327,54 @@ fn schedule_traces(
     (openmp, mkl)
 }
 
-/// Run-report wiring shared by the harness binaries.
-///
-/// [`init_trace`] turns on stage-level span collection so every harness
-/// can report per-stage flop rates from the structured collector (the
-/// `FSI_TRACE=2` environment setting upgrades to kernel-level spans), and
-/// remembers whether the user asked for trace files. [`TraceExport::finish`]
-/// captures the [`fsi_runtime::RunReport`] and, when export was requested
-/// with `FSI_TRACE=…` or `--trace-out=PATH`, writes the NDJSON run report
-/// (see `results/schema.md`) plus a Chrome `trace_event` view next to it.
-pub struct TraceExport {
-    command: String,
-    out: Option<std::path::PathBuf>,
-}
-
-/// Initializes tracing for a harness binary named `command`.
-///
-/// Export defaults to `results/<command>.trace.ndjson` when `FSI_TRACE`
-/// is set (and nonzero); `--trace-out=PATH` overrides the path and forces
-/// export even without the environment variable.
-pub fn init_trace(command: &str, args: &Args) -> TraceExport {
-    use fsi_runtime::trace;
-    // A harness that panics mid-run dumps the flight-recorder ring
-    // (NDJSON under FSI_FLIGHT_DIR) so the crash is diagnosable.
-    fsi_runtime::metrics::flight::install_panic_hook();
-    if trace::level() == fsi_runtime::TraceLevel::Off {
-        trace::set_level(fsi_runtime::TraceLevel::Stages);
-    }
-    trace::clear();
-    let out = args
-        .flag_value("trace-out")
-        .map(std::path::PathBuf::from)
-        .or_else(|| {
-            std::env::var("FSI_TRACE")
-                .ok()
-                .filter(|v| !v.is_empty() && v != "0")
-                .map(|_| std::path::PathBuf::from(format!("results/{command}.trace.ndjson")))
-        });
-    TraceExport {
-        command: command.to_string(),
-        out,
+/// The note the scaling figures print when the host has fewer cores than
+/// the largest pool they time (empty otherwise).
+fn few_cores_note(threads: usize) -> String {
+    match fsi_runtime::hardware_threads() {
+        cores if cores < threads => format!(
+            "NOTE: host has {cores} core(s); measured columns are flat, simulated columns carry the shape.\n"
+        ),
+        _ => String::new(),
     }
 }
 
-impl TraceExport {
-    /// Captures the run report accumulated since [`init_trace`] (or the
-    /// last `finish`), attaches pool utilization when a pool is given,
-    /// and writes the requested trace files.
-    pub fn finish(&self, pool: Option<&fsi_runtime::ThreadPool>) -> fsi_runtime::RunReport {
-        let mut report = fsi_runtime::trace::RunReport::capture(&self.command);
-        if let Some(p) = pool {
-            report = report.with_pool(p);
+/// Run-report wiring of one figure.
+///
+/// [`Trace::start`] turns on stage-level span collection so a figure can
+/// read per-stage flops and rates from the structured collector (the
+/// `FSI_TRACE=2` environment setting upgrades to kernel-level spans).
+/// [`Trace::finish`] captures the [`fsi_runtime::RunReport`] and, when
+/// `FSI_TRACE` is set (and nonzero), writes it as NDJSON to
+/// `results/<name>.trace.ndjson` (see `results/schema.md`) plus a Chrome
+/// `trace_event` view next to it.
+struct Trace(&'static str);
+
+impl Trace {
+    fn start(name: &'static str) -> Self {
+        if trace::level() == TraceLevel::Off {
+            trace::set_level(TraceLevel::Stages);
         }
-        if let Some(path) = &self.out {
+        trace::clear();
+        Trace(name)
+    }
+
+    /// Captures the run report accumulated since [`Trace::start`], with
+    /// `pool`'s utilization when given, and writes the trace files when
+    /// `FSI_TRACE` asks for them.
+    fn finish(self, pool: Option<&ThreadPool>) -> RunReport {
+        let report = RunReport::capture(self.0);
+        let report = match pool {
+            Some(p) => report.with_pool(p),
+            None => report,
+        };
+        if std::env::var("FSI_TRACE").is_ok_and(|v| !v.is_empty() && v != "0") {
+            let path = std::path::PathBuf::from(format!("results/{}.trace.ndjson", self.0));
             let chrome = path.with_extension("json");
             match report
-                .write_ndjson(path)
+                .write_ndjson(&path)
                 .and_then(|()| report.write_chrome_trace(&chrome))
             {
-                Ok(()) => println!(
-                    "
-trace: wrote {} and {}",
-                    path.display(),
-                    chrome.display()
-                ),
+                Ok(()) => eprintln!("trace: wrote {} and {}", path.display(), chrome.display()),
                 Err(e) => eprintln!("trace: export failed: {e}"),
             }
         }
@@ -331,19 +382,8 @@ trace: wrote {} and {}",
     }
 }
 
-/// Writes a bench artifact (e.g. `results/validate.json`) atomically:
-/// the bytes land in a same-directory temp file that is renamed over
-/// `path`, so a crash mid-write can never leave a torn artifact to
-/// misread. Creates parent directories.
-///
-/// # Errors
-/// Filesystem errors from the temp write or the rename.
-pub fn write_artifact(path: impl AsRef<std::path::Path>, contents: &str) -> std::io::Result<()> {
-    fsi_runtime::ckpt::write_atomic(path.as_ref(), contents.as_bytes())
-}
-
-/// Formats a Gflop/s value from flops and seconds.
-pub fn gflops(flops: u64, seconds: f64) -> f64 {
+/// Gflop/s from flops and seconds (0 for a zero-length interval).
+fn gflops(flops: u64, seconds: f64) -> f64 {
     if seconds <= 0.0 {
         0.0
     } else {
@@ -351,37 +391,10 @@ pub fn gflops(flops: u64, seconds: f64) -> f64 {
     }
 }
 
-/// Prints the standard harness banner.
-pub fn banner(title: &str, paper_scale: bool) {
-    println!("== {title} ==");
-    if paper_scale {
-        println!("   (paper-scale parameters)");
-    } else {
-        println!("   (scaled-down defaults; pass --paper-scale and key=value overrides for paper parameters)");
-    }
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fsi_selinv::Pattern;
-
-    #[test]
-    fn args_parse_kv_flags_and_lists() {
-        let a = Args::from_iter(
-            ["N=64", "--paper-scale", "c=10", "list=1,2,3", "x=1.5"]
-                .into_iter()
-                .map(String::from),
-        );
-        assert_eq!(a.get_usize("N", 0), 64);
-        assert_eq!(a.get_usize("missing", 7), 7);
-        assert!(a.paper_scale());
-        assert!(!a.flag("other"));
-        assert_eq!(a.get_list("list", &[9]), vec![1, 2, 3]);
-        assert_eq!(a.get_list("none", &[9]), vec![9]);
-        assert!((a.get_f64("x", 0.0) - 1.5).abs() < 1e-15);
-    }
 
     #[test]
     fn lattice_side_covers_paper_sizes() {
@@ -398,13 +411,13 @@ mod tests {
         // L = 12, c = 4: b = 3 clusters and 9 wrap seeds.
         let pc = hubbard_matrix(3, 12, 5, Spin::Up);
         let sel = Selection::new(Pattern::Columns, 4, 1);
-        let t = trace_fsi(&pc, &sel);
-        let tasks: Vec<usize> = t.openmp.regions.iter().map(|r| r.tasks.len()).collect();
+        let (openmp, mkl) = trace_fsi(&pc, &sel);
+        let tasks: Vec<usize> = openmp.regions.iter().map(|r| r.tasks.len()).collect();
         assert_eq!(tasks, [3, 3, 9]);
         // MKL style: c−1 GEMMs per cluster, three BSOFI regions, one
         // region per wrap seed.
-        assert_eq!(t.mkl.regions.len(), 3 * 3 + 3 + 9);
-        assert!(t.seq_seconds > 0.0);
+        assert_eq!(mkl.regions.len(), 3 * 3 + 3 + 9);
+        assert!(openmp.sequential() > 0.0);
     }
 
     #[test]
@@ -419,6 +432,25 @@ mod tests {
         );
         // A genuine speedup at 2 threads.
         assert!(openmp.speedup(2) > 1.2);
+    }
+
+    #[test]
+    fn paper_scale_all_skips_exactly_the_figures_without_a_paper_shape() {
+        let (run, skipped) = select("all", Scale::Paper).unwrap();
+        assert_eq!(run.len(), 9);
+        assert_eq!(
+            skipped,
+            [
+                "ablation_cluster_size",
+                "ablation_wrap_split",
+                "ablation_schedule"
+            ]
+        );
+        assert_eq!(select("all", Scale::Smoke).unwrap().0.len(), FIGURES.len());
+        assert!(select("table_patterns", Scale::Paper).is_ok());
+        assert!(select("ablation_schedule", Scale::Paper).is_err());
+        assert!(select("ablation_schedule", Scale::Smoke).is_ok());
+        assert!(select("fig12", Scale::Smoke).is_err());
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl AlgorithmTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn makespan_single_worker_is_sum() {
@@ -175,5 +176,25 @@ mod tests {
         }
         let s12 = mkl.speedup(12);
         assert!(s12 < 1.5, "serial-dominated trace must not scale: {s12}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Makespan respects the two classical lower bounds and the
+        /// one-worker upper bound.
+        #[test]
+        fn makespan_bounds(tasks in prop::collection::vec(0.001f64..1.0, 0..40), workers in 1usize..16) {
+            let total: f64 = tasks.iter().sum();
+            let longest = tasks.iter().cloned().fold(0.0, f64::max);
+            let m = makespan(&tasks, workers);
+            prop_assert!(m >= longest - 1e-12, "below longest task");
+            prop_assert!(m >= total / workers as f64 - 1e-9, "below mean load");
+            prop_assert!(m <= total + 1e-12, "above serial time");
+            // Greedy list scheduling is a 2-approximation of the optimum,
+            // which is itself ≥ max(longest, total/workers).
+            let lower = longest.max(total / workers as f64);
+            prop_assert!(m <= 2.0 * lower + 1e-9, "worse than 2x optimum bound");
+        }
     }
 }

@@ -823,10 +823,14 @@ mod tests {
         use fsi_runtime::trace;
         let _lock = trace::test_lock();
         trace::set_level(fsi_runtime::TraceLevel::Kernels);
-        // Every Op pair charges the analytic count to the enclosing span.
-        for (opa, opb) in ALL_OPS {
-            let (a, b) = operands(10, 20, 30, opa, opb, 50);
-            let mut c = Matrix::zeros(10, 30);
+        // Every Op pair charges the analytic count to the enclosing span,
+        // partial MR/NR tiles included (odd, remainder-heavy shapes).
+        for ((m, k, n), (opa, opb)) in [(10, 20, 30), (37, 29, 41)]
+            .into_iter()
+            .flat_map(|mkn| ALL_OPS.map(|ops| (mkn, ops)))
+        {
+            let (a, b) = operands(m, k, n, opa, opb, 50);
+            let mut c = Matrix::zeros(m, n);
             let span = trace::span("gemm-test");
             gemm_op(
                 Par::Seq,
@@ -841,8 +845,8 @@ mod tests {
             let stats = span.finish();
             assert_eq!(
                 stats.flops,
-                flops::counts::gemm(10, 30, 20),
-                "{opa:?}{opb:?}"
+                flops::counts::gemm(m, n, k),
+                "{m}x{k}x{n} {opa:?}{opb:?}"
             );
         }
         // A batch is charged once, for all of its products.

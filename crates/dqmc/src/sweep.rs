@@ -75,10 +75,12 @@ pub const RECOVERY_TOL: f64 = 1e-10;
 pub struct SweepConfig {
     /// Cluster size for the stabilized recomputation (`c ≈ √L`).
     pub c: usize,
-    /// Recompute `Ĝ` from scratch after this many wraps (QUEST-style
-    /// `nwrap`; sweeps always refresh at their start as well). Keep it a
-    /// multiple of `c` — the incremental cluster cache only scores hits
-    /// when consecutive refreshes anchor on the same `k mod c` residue.
+    /// Recompute `Ĝ` from scratch every this many slice moves: a refresh
+    /// replaces the move that would be the `stabilize_every`-th wrap
+    /// (QUEST-style `nwrap`; sweeps always refresh at their start as
+    /// well). Keep it a multiple of `c` — the incremental cluster cache
+    /// only scores hits when consecutive refreshes anchor on the same
+    /// `k mod c` residue.
     pub stabilize_every: usize,
     /// Delayed-update batch size: accepted flips are accumulated as
     /// low-rank factors and flushed into `Ĝ` with one rank-`delay` GEMM
@@ -503,8 +505,9 @@ impl<'a> Sweeper<'a> {
     }
 
     /// Runs one full sweep over all `(ℓ, i)` (paper Alg. 4's "DQMC
-    /// sweep"), refreshing the state at the start and stabilizing every
-    /// `stabilize_every` wraps. Returns acceptance statistics.
+    /// sweep"), refreshing the state at the start and every
+    /// `stabilize_every` slice moves (`stabilize_every − 1` wraps, then a
+    /// refresh in place of the next wrap). Returns acceptance statistics.
     ///
     /// With `cfg.delay > 1`, accepted flips within a slice are batched
     /// through [`crate::delayed::DelayedUpdates`] and applied as rank-`k`
@@ -567,9 +570,12 @@ impl<'a> Sweeper<'a> {
                 }
             }
             if slice + 1 < l {
-                self.wrap_to_next(slice, par)?;
-                if self.wraps_since_stab >= self.cfg.stabilize_every {
+                // The wrap that would reach `stabilize_every` is skipped:
+                // the refresh recomputes Ĝ(slice + 1) without reading it.
+                if self.wraps_since_stab + 1 >= self.cfg.stabilize_every {
                     self.refresh(slice + 1, par)?;
+                } else {
+                    self.wrap_to_next(slice, par)?;
                 }
             }
         }

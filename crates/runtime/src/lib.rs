@@ -50,7 +50,6 @@ pub mod health;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;
-pub mod sim;
 pub mod steal;
 pub mod timing;
 pub mod trace;

@@ -147,10 +147,7 @@ pub fn bsofi_selected(
     let b = pc.l();
     if b == 1 {
         let _ = pattern.rows(1); // bounds-check DiagonalBlock requests
-        let x = single_block_inverse(par_gemm, pc, |r| {
-            let diag: Vec<f64> = (0..r.rows()).map(|i| r[(i, i)]).collect();
-            health::check_pivots(Stage::Bsofi, 0, &diag)
-        })?;
+        let x = single_block_inverse(par_gemm, pc, check_r_diagonal)?;
         let mut out = SelectedInverse::new();
         out.insert(0, 0, x);
         scan_selected(&mut out)?;
@@ -163,10 +160,17 @@ pub fn bsofi_selected(
     Ok(out)
 }
 
+/// The pivot probe of a single-block `R` ([`StructuredQr::check_health`]
+/// for `b = 1`).
+pub(crate) fn check_r_diagonal(r: &Matrix) -> Result<(), HealthEvent> {
+    let diag: Vec<f64> = (0..r.rows()).map(|i| r[(i, i)]).collect();
+    health::check_pivots(Stage::Bsofi, 0, &diag)
+}
+
 /// The degenerate single-block matrix `M̄ = I + b̄₀`, inverted as `R⁻¹·Qᵀ`
 /// to stay in the BSOFI (orthogonal) family. `probe` sees `R` before the
 /// triangular inversion divides by its diagonal.
-fn single_block_inverse(
+pub(crate) fn single_block_inverse(
     par_gemm: Par<'_>,
     pc: &BlockPCyclic,
     probe: impl FnOnce(&Matrix) -> Result<(), HealthEvent>,

@@ -27,7 +27,7 @@ use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
 use fsi_runtime::{Par, Profile, ThreadPool};
 use rand::Rng;
 
-use crate::bsofi::{bsofi, bsofi_selected, StructuredQr};
+use crate::bsofi::{bsofi_selected, check_r_diagonal, single_block_inverse, StructuredQr};
 use crate::cls::{cls, Clustered};
 use crate::patterns::{SelectedInverse, SelectedPattern, Selection};
 use crate::wrap::{wrap_all_diagonals_with, wrap_with, BlockFactors, Seeds};
@@ -69,7 +69,7 @@ impl<'p> Parallelism<'p> {
 /// sparse (S1/S2, which need only the diagonal seeds and skip the
 /// `(bN)²` materialization entirely).
 pub enum ReducedInverse {
-    /// The full `bN × bN` inverse from [`bsofi`].
+    /// The full `bN × bN` inverse from [`bsofi`](crate::bsofi::bsofi).
     Dense(Matrix),
     /// Only the requested blocks, from [`bsofi_selected`].
     Selected(SelectedInverse),
@@ -131,7 +131,8 @@ pub struct FsiOutput {
 /// The BSOFI stage is pattern-aware: diagonal and sub-diagonal selections
 /// request only the diagonal seed blocks via [`bsofi_selected`]
 /// (truncated assembly, no dense `Ḡ`), while row/column selections — whose
-/// wraps walk from every block — take the dense [`bsofi`] path.
+/// wraps walk from every block — take the dense
+/// [`bsofi`](crate::bsofi::bsofi) path.
 ///
 /// # Errors
 /// Each stage boundary is guarded by the [`fsi_runtime::health`] probes:
@@ -167,7 +168,7 @@ fn fsi_with_factors(
         match SelectedPattern::for_wrap(selection.pattern) {
             SelectedPattern::Full => {
                 let g = if clustered.reduced.l() == 1 {
-                    bsofi(outer, inner, &clustered.reduced)
+                    single_block_inverse(inner, &clustered.reduced, check_r_diagonal)?
                 } else {
                     let factor = StructuredQr::factor_lookahead(outer, inner, &clustered.reduced);
                     factor.check_health()?;

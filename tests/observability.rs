@@ -155,7 +155,12 @@ fn sweep_spans_fire_and_cache_flops_match_the_incremental_model() {
     trace::set_level(TraceLevel::Stages);
     trace::clear();
     // Cold build (traced) + one sweep whose start-of-sweep refresh is warm.
-    let mut s = Sweeper::new(&builder, field, SweepConfig::default()).expect("healthy");
+    // stabilize_every = 4 < L: one mid-sweep refresh replaces a wrap.
+    let cfg = SweepConfig {
+        stabilize_every: 4,
+        ..SweepConfig::default()
+    };
+    let mut s = Sweeper::new(&builder, field, cfg).expect("healthy");
     let mut sweep_rng = rand_chacha::ChaCha8Rng::seed_from_u64(22);
     s.sweep(&mut sweep_rng, Parallelism::Serial)
         .expect("healthy");
@@ -165,7 +170,12 @@ fn sweep_spans_fire_and_cache_flops_match_the_incremental_model() {
 
     // The hot-path spans all fire: factored wraps and the per-cluster
     // cache verdict counters.
-    assert!(report.count_of("wrap.factored") > 0, "no factored wraps");
+    // Each of the L − 1 slice moves is a wrap, except the one in every
+    // `stabilize_every` that a refresh replaces.
+    assert_eq!(
+        report.count_of("wrap.factored"),
+        (l - 1) - (l - 1) / cfg.stabilize_every
+    );
     let hits = report.count_of("cls.cache_hit");
     let misses = report.count_of("cls.cache_miss");
     assert!(hits > 0, "warm refresh scored no cache hits");
