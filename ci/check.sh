@@ -35,17 +35,6 @@ if [[ $quick -eq 0 ]]; then
   echo "== cargo test --doc =="
   cargo test --offline --workspace --doc -q
 
-  # Every table and figure end to end at its smoke shape, on the release
-  # build above; `reproduce` exits 1 when a paper-shape verdict fails. It
-  # runs in a scratch directory because `validate` writes
-  # results/validate.json under the working directory. Smoke `all` starts
-  # at most 12 pool threads at once (the Fig. 8 bottom / Fig. 10 / Fig. 11
-  # pools, one after another).
-  echo "== reproduce all (smoke shapes) =="
-  REPRO_DIR="$(mktemp -d)"
-  (cd "$REPRO_DIR" && "$OLDPWD/target/release/reproduce" all)
-  rm -rf "$REPRO_DIR"
-
   # Metrics-enabled lane: the always-on registry and flight recorder are
   # exercised with stage tracing live and a real dump directory, so the
   # span→flight wiring and incident-dump file path run inside the test
@@ -89,6 +78,18 @@ if [[ $quick -eq 0 ]]; then
   # allocations the optimiser may elide.
   echo "== cargo test (benchmark package) =="
   cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+  # Every table and figure end to end at its smoke shape, on the release
+  # build above; `reproduce` exits 1 when a paper-shape verdict fails.
+  # It runs last so that a failed verdict cannot hide the lanes above. It
+  # runs in a scratch directory, removed on exit, because `validate`
+  # writes results/validate.json under the working directory. Smoke `all`
+  # starts at most 12 pool threads at once (the Fig. 8 bottom / Fig. 10 /
+  # Fig. 11 pools, one after another).
+  echo "== reproduce all (smoke shapes) =="
+  REPRO_DIR="$(mktemp -d)"
+  trap 'rm -rf "$REPRO_DIR"' EXIT
+  (cd "$REPRO_DIR" && "$OLDPWD/target/release/reproduce" all)
 fi
 
 echo "== all checks passed =="

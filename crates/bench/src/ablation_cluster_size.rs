@@ -14,8 +14,6 @@
 //! generated at low temperature (β = 12 → wildly scaled `B` products) on
 //! the 2×2 lattice. There is no paper shape.
 
-use std::fmt;
-
 use fsi_pcyclic::Spin;
 use fsi_runtime::{trace, Par, Stopwatch};
 use fsi_selinv::baselines::{full_inverse_selected, max_block_error};
@@ -33,64 +31,72 @@ shape check (paper): flops fall as c grows (greater reduction) while the
 round-off error climbs with the chain length; c ~ sqrt(L) balances the two.
 ";
 
-/// One cluster size.
+/// One cluster size: `c`, the flops charged to the FSI run's span, and
+/// the max relative block error or why FSI refused the matrix.
 pub struct Row {
     pub c: usize,
-    pub seconds: f64,
-    /// Flops charged to the FSI run's span.
     pub flops: u64,
-    /// Max relative block error, or why FSI refused the matrix.
     pub error: Result<f64, String>,
 }
 
-impl Row {
-    /// The error, with a refused run counting as infinite.
-    fn error_or_inf(&self) -> f64 {
-        *self.error.as_ref().unwrap_or(&f64::INFINITY)
-    }
-}
-
-/// The cluster-size sweep: one row per divisor of `L`, ascending.
-pub struct Table {
-    pub rows: Vec<Row>,
-}
-
-/// Runs FSI (columns pattern, `q = c/2`) at every divisor `c` of `L`.
-pub fn run(_: Scale) -> Table {
+/// Runs FSI (columns pattern, `q = c/2`) at every divisor `c` of `L`,
+/// ascending.
+pub fn run(_: Scale) -> Vec<Row> {
     let tracer = Trace::start("ablation_cluster_size");
     let pc = low_temperature_matrix(L, 12.0, 123, Spin::Up);
-    let rows = (1..=L).filter(|c| L.is_multiple_of(*c)).map(|c| {
-        let sel = Selection::new(Pattern::Columns, c, c / 2);
-        let span = trace::span("fsi-run");
-        let sw = Stopwatch::start();
-        let out = fsi_with_q(Parallelism::Serial, &pc, &sel);
-        let (seconds, flops) = (sw.seconds(), span.finish().flops);
-        let reference = || full_inverse_selected(Par::Seq, &pc, &sel);
-        let error = out.map(|out| max_block_error(&out.selected, &reference()));
-        Row {
-            c,
-            seconds,
-            flops,
-            error: error.map_err(|e| e.to_string()),
+    print!("{HEADER}");
+    let rows: Vec<Row> = (1..=L)
+        .filter(|c| L.is_multiple_of(*c))
+        .map(|c| {
+            let sel = Selection::new(Pattern::Columns, c, c / 2);
+            let span = trace::span("fsi-run");
+            let sw = Stopwatch::start();
+            let out = fsi_with_q(Parallelism::Serial, &pc, &sel);
+            let (seconds, flops) = (sw.seconds(), span.finish().flops);
+            let reference = || full_inverse_selected(Par::Seq, &pc, &sel);
+            let error = out.map(|out| max_block_error(&out.selected, &reference()));
+            let err = error
+                .as_ref()
+                .map_or("failed".into(), |e| format!("{e:.3e}"));
+            let near_sqrt_l = (c as f64 - (L as f64).sqrt()).abs() <= 2.0;
+            let note = if near_sqrt_l {
+                "<- c ~ sqrt(L), the paper's choice"
+            } else {
+                ""
+            };
+            let gflop = flops as f64 / 1e9;
+            println!(
+                "{c:>4} {:>6} {seconds:>12.4} {gflop:>12.3} {flops:>12} {err:>14}   {note}",
+                L / c
+            );
+            Row {
+                c,
+                flops,
+                error: error.map_err(|e| e.to_string()),
+            }
+        })
+        .collect();
+    for Row { c, error, .. } in &rows {
+        if let Err(e) = error {
+            println!("c = {c}: FSI refused the matrix: {e}");
         }
-    });
-    let table = Table {
-        rows: rows.collect(),
-    };
+    }
+    print!("{SHAPE}");
     tracer.finish(None);
-    table
+    rows
 }
 
 /// §II-C: from one divisor of `L` to the next, the flops fall strictly
-/// (greater reduction) and the max error rises strictly (the stability
-/// limit).
-pub fn verdict(t: &Table) -> Verdict {
-    for w in t.rows.windows(2) {
+/// (greater reduction) and the max error, a refused run counting as
+/// infinite, rises strictly (the stability limit).
+pub fn verdict(rows: &[Row]) -> Verdict {
+    let error = |r: &Row| *r.error.as_ref().unwrap_or(&f64::INFINITY);
+    for w in rows.windows(2) {
         let (a, b) = (&w[0], &w[1]);
         if b.flops >= a.flops {
             return Err(format!("flops do not fall from c = {} to c = {}", a.c, b.c));
         }
-        let (ea, eb) = (a.error_or_inf(), b.error_or_inf());
+        let (ea, eb) = (error(a), error(b));
         if eb <= ea {
             let (ca, cb) = (a.c, b.c);
             return Err(format!(
@@ -99,39 +105,4 @@ pub fn verdict(t: &Table) -> Verdict {
         }
     }
     Ok(())
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(HEADER)?;
-        for Row {
-            c,
-            seconds,
-            flops,
-            error,
-        } in &self.rows
-        {
-            let near_sqrt_l = (*c as f64 - (L as f64).sqrt()).abs() <= 2.0;
-            let note = if near_sqrt_l {
-                "<- c ~ sqrt(L), the paper's choice"
-            } else {
-                ""
-            };
-            let err = error
-                .as_ref()
-                .map_or("failed".into(), |e| format!("{e:.3e}"));
-            let gflop = *flops as f64 / 1e9;
-            writeln!(
-                f,
-                "{c:>4} {:>6} {seconds:>12.4} {gflop:>12.3} {flops:>12} {err:>14}   {note}",
-                L / c
-            )?;
-        }
-        for Row { c, error, .. } in &self.rows {
-            if let Err(e) = error {
-                writeln!(f, "c = {c}: FSI refused the matrix: {e}")?;
-            }
-        }
-        f.write_str(SHAPE)
-    }
 }

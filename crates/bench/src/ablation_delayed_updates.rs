@@ -9,8 +9,6 @@
 //! pure kernel-shape effect. Smoke shape `(N, L, c) = (64, 24, 6)`, paper
 //! shape `(400, 100, 10)`; 3 sweeps each.
 
-use std::fmt;
-
 use fsi_dqmc::{SweepConfig, Sweeper};
 use fsi_pcyclic::{BlockBuilder, HsField, HubbardParams, SquareLattice};
 use fsi_runtime::Stopwatch;
@@ -28,21 +26,13 @@ flushes; the Monte Carlo trajectory is bitwise-identical across batch sizes
 up to round-off (asserted above).
 ";
 
-/// The delayed-update ablation.
-pub struct Table {
-    pub shape: Shape,
-    /// Per batch size: seconds of the sweeps and accepted flips.
-    pub rows: Vec<(usize, f64, usize)>,
-}
-
 /// Sweeps the same field from the same seed at each batch size.
 ///
 /// # Panics
 /// If a batch size changes the trajectory.
-pub fn run(scale: Scale) -> Table {
+pub fn run(scale: Scale) {
     let tracer = Trace::start("ablation_delayed_updates");
     let shape = scale.shape([64, 24, 6], [400, 100, 10]);
-    let nx = shape.side();
     let Shape { n, l, c } = shape;
     let params = HubbardParams {
         t: 1.0,
@@ -50,10 +40,11 @@ pub fn run(scale: Scale) -> Table {
         beta: 2.0,
         l,
     };
-    let builder = BlockBuilder::new(SquareLattice::square(nx), params);
+    let builder = BlockBuilder::new(SquareLattice::square(shape.side()), params);
     let field = HsField::random(l, n, &mut ChaCha8Rng::seed_from_u64(1));
+    print!("{shape}, {SWEEPS} sweeps per configuration\n\n{HEADER}");
     let mut reference = None;
-    let rows = [1, 4, 8, 16, 32].map(|delay| {
+    for delay in [1, 4, 8, 16, 32] {
         let cfg = SweepConfig {
             c,
             stabilize_every: c,
@@ -67,28 +58,18 @@ pub fn run(scale: Scale) -> Table {
                 .sweep(&mut rng, Parallelism::Serial)
                 .expect("healthy")
         };
-        let accepted = (0..SWEEPS).map(sweep).map(|s| s.accepted).sum();
+        let accepted: usize = (0..SWEEPS).map(sweep).map(|s| s.accepted).sum();
         let seconds = sw.seconds();
         let trajectory = sweeper.field().to_flat();
+        let same = if reference.is_none() {
+            "reference"
+        } else {
+            "identical"
+        };
         let want = reference.get_or_insert_with(|| trajectory.clone());
         assert_eq!(want, &trajectory, "delay={delay} changed the physics!");
-        (delay, seconds, accepted)
-    });
+        println!("{delay:>8} {seconds:>12.3} {accepted:>12} {same:>14}");
+    }
+    print!("{SHAPE}");
     tracer.finish(None);
-    Table {
-        shape,
-        rows: rows.into(),
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}, {SWEEPS} sweeps per configuration\n", self.shape)?;
-        f.write_str(HEADER)?;
-        for (i, (delay, seconds, accepted)) in self.rows.iter().enumerate() {
-            let same = if i == 0 { "reference" } else { "identical" };
-            writeln!(f, "{delay:>8} {seconds:>12.3} {accepted:>12} {same:>14}")?;
-        }
-        f.write_str(SHAPE)
-    }
 }

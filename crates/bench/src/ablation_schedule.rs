@@ -9,8 +9,6 @@
 //! scheduling simulator, which exposes the imbalance on any host.
 //! Shape `(N, L, c) = (36, 60, 6)` on 4 threads; there is no paper shape.
 
-use std::fmt;
-
 use fsi_pcyclic::Spin;
 use fsi_runtime::{parallel_for, Par, Schedule, Stopwatch, ThreadPool};
 use fsi_selinv::{Pattern, Selection};
@@ -28,50 +26,43 @@ shape check: dynamic never loses much and wins when task costs vary
 (wrap seeds mix GEMM and solve steps); CLS is uniform, so static suffices.
 ";
 
-/// The scheduling ablation.
-pub struct Table {
-    /// For the `cls` and `wrap` loops: task count, the coefficient of
-    /// variation of their durations, and the simulated makespans of
-    /// contiguous static chunks and of dynamic assignment.
-    pub simulated: [(usize, f64, f64, f64); 2],
-    /// Wall seconds of a wrap-shaped loop on a real pool, static then
-    /// dynamic.
-    pub measured: [f64; 2],
-}
-
-/// Times the FSI tasks, replays them, and runs a wrap-shaped loop on a
-/// real pool under both schedules.
-pub fn run(_: Scale) -> Table {
+/// Times the FSI tasks and replays them under contiguous static chunks
+/// and dynamic assignment, then runs a wrap-shaped loop on a real pool
+/// under both schedules.
+pub fn run(_: Scale) {
     let tracer = Trace::start("ablation_schedule");
     let pc = hubbard_matrix(6, 60, 9, Spin::Up);
     let (openmp, _) = trace_fsi(&pc, &Selection::new(Pattern::Columns, 6, 3));
     let [cls, _, wrap] = [0, 1, 2].map(|r| &openmp.regions[r].tasks);
-    let simulated = [cls, wrap].map(|tasks| {
+    print!("{HEADER}");
+    for (name, tasks) in [("cls", cls), ("wrap", wrap)] {
         let chunks = tasks.chunks(tasks.len().div_ceil(THREADS));
-        let static_span = chunks.map(|c| c.iter().sum::<f64>()).fold(0.0, f64::max);
-        (
-            tasks.len(),
-            cv(tasks),
-            static_span,
-            makespan(tasks, THREADS),
-        )
-    });
+        let s = chunks.map(|c| c.iter().sum::<f64>()).fold(0.0, f64::max);
+        let d = makespan(tasks, THREADS);
+        let spans = format!(
+            "static {s:.5}s vs dynamic {d:.5}s ({:+.1}%)",
+            (s / d - 1.0) * 100.0
+        );
+        let (n, cv) = (tasks.len(), cv(tasks));
+        println!("  {name:<5} tasks = {n:>4}, cv = {cv:>5.3}: {spans}");
+    }
     // A representative parallel loop shape: b² tasks of wrap-like work
     // (N×N multiply per task).
+    println!("\nmeasured wall time of the wrap loop under each schedule:");
     let pool = ThreadPool::new(THREADS);
     let a = fsi_dense::test_matrix(pc.n(), pc.n(), 1);
-    let measured = [Schedule::Static, Schedule::dynamic()].map(|schedule| {
+    for (name, schedule) in [
+        ("static", Schedule::Static),
+        ("dynamic", Schedule::dynamic()),
+    ] {
         let sw = Stopwatch::start();
         parallel_for(Par::Pool(&pool), wrap.len(), schedule, |_| {
             drop(fsi_dense::mul(&a, &a))
         });
-        sw.seconds()
-    });
-    tracer.finish(Some(&pool));
-    Table {
-        simulated,
-        measured,
+        println!("  {name:<8} {:.4}s", sw.seconds());
     }
+    print!("{SHAPE}");
+    tracer.finish(Some(&pool));
 }
 
 /// Coefficient of variation of `xs`.
@@ -83,25 +74,4 @@ fn cv(xs: &[f64]) -> f64 {
     }
     let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
     var.sqrt() / mean
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(HEADER)?;
-        for (name, (tasks, cv, s, d)) in ["cls", "wrap"].iter().zip(self.simulated) {
-            let spans = format!(
-                "static {s:.5}s vs dynamic {d:.5}s ({:+.1}%)",
-                (s / d - 1.0) * 100.0
-            );
-            writeln!(f, "  {name:<5} tasks = {tasks:>4}, cv = {cv:>5.3}: {spans}")?;
-        }
-        writeln!(
-            f,
-            "\nmeasured wall time of the wrap loop under each schedule:"
-        )?;
-        for (name, secs) in ["static", "dynamic"].iter().zip(self.measured) {
-            writeln!(f, "  {name:<8} {secs:.4}s")?;
-        }
-        f.write_str(SHAPE)
-    }
 }

@@ -9,8 +9,6 @@
 //! block error of each against the dense LU reference, per distance from
 //! the seed. There is no paper shape.
 
-use std::fmt;
-
 use fsi_dense::{rel_error, Matrix};
 use fsi_pcyclic::Spin;
 use fsi_runtime::Par;
@@ -92,8 +90,18 @@ pub fn run(_: Scale) -> Table {
             worst(slot, &cur, row, col);
         }
     }
+    print!("{HEADER}");
+    for (d, (split, down)) in (1..).zip(split.iter().zip(&down_only)) {
+        // "-": the split walk never goes this far.
+        let s = split.map_or("-".to_string(), |e| format!("{e:.3e}"));
+        println!("{d:>6} {s:>16} {down:>16.3e}");
+    }
+    let table = Table { split, down_only };
+    let (split, down) = table.worst();
+    println!("\nworst error: split {split:.3e} vs one-way (down-only) {down:.3e}");
+    print!("{FINDING}");
     tracer.finish(None);
-    Table { split, down_only }
+    table
 }
 
 /// The reproduction's finding (EXPERIMENTS.md): the down-only walk is no
@@ -104,22 +112,5 @@ pub fn verdict(t: &Table) -> Verdict {
         (split, down) => Err(format!(
             "worst down-only error {down:.3e} exceeds split {split:.3e}"
         )),
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(HEADER)?;
-        for (d, (split, down)) in (1..).zip(self.split.iter().zip(&self.down_only)) {
-            // "-": the split walk never goes this far.
-            let s = split.map_or("-".to_string(), |e| format!("{e:.3e}"));
-            writeln!(f, "{d:>6} {s:>16} {down:>16.3e}")?;
-        }
-        let (split, down) = self.worst();
-        writeln!(
-            f,
-            "\nworst error: split {split:.3e} vs one-way (down-only) {down:.3e}"
-        )?;
-        f.write_str(FINDING)
     }
 }

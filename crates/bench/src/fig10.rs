@@ -10,8 +10,6 @@
 //! multithreaded BLAS cannot touch), while FSI+OpenMP cuts both phases —
 //! the paper reports 87% less total CPU time.
 
-use std::fmt;
-
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
 use fsi_runtime::{Stopwatch, ThreadPool};
 use fsi_selinv::fsi::fsi_measurement_set;
@@ -23,7 +21,6 @@ use crate::{few_cores_note, Scale, Shape, Trace};
 
 /// The pool size of the parallel modes.
 const THREADS: usize = 12;
-const MODES: [&str; 3] = ["Serial", "MKL-style", "FSI+OpenMP"];
 const HEADER: &str =
     "mode            green [s]    measure [s]    total [s] |    green sim    measure sim\n";
 const SHAPE: &str = "
@@ -31,32 +28,23 @@ shape check (paper): MKL-style helps only the Green's phase; FSI+OpenMP cuts bot
 (~87% total reduction at 12 threads on the paper's socket).
 ";
 
-/// Fig. 10.
-pub struct Table {
-    pub shape: Shape,
-    /// Per mode (Serial, MKL-style, FSI+OpenMP): measured seconds of the
-    /// Green's-function and measurement phases, then their simulated
-    /// seconds on 12 threads.
-    pub rows: [[f64; 4]; 3],
-}
-
 /// Computes both spins' measurement sets and the measurements in each
-/// mode.
-pub fn run(scale: Scale) -> Table {
+/// mode, and prints each phase's measured and simulated seconds.
+pub fn run(scale: Scale) {
     let tracer = Trace::start("fig10");
     let shape = scale.shape([36, 40, 8], [400, 100, 10]);
-    let nx = shape.side();
     let Shape { n, l, c } = shape;
-    let lattice = SquareLattice::square(nx);
+    let lattice = SquareLattice::square(shape.side());
     let builder = BlockBuilder::new(lattice.clone(), HubbardParams::paper_validation(l));
     let field = HsField::random(l, n, &mut rand_chacha::ChaCha8Rng::seed_from_u64(10));
     let pool = ThreadPool::new(THREADS);
+    print!("{shape}; both spins; all diagonals + b rows + b cols\n\n{HEADER}");
     let modes = [
-        Parallelism::Serial,
-        Parallelism::MklStyle(&pool),
-        Parallelism::OpenMp(&pool),
+        ("Serial", Parallelism::Serial),
+        ("MKL-style", Parallelism::MklStyle(&pool)),
+        ("FSI+OpenMP", Parallelism::OpenMp(&pool)),
     ];
-    let rows = modes.map(|par| {
+    for (mode, par) in modes {
         // --- Green's functions for both spins. ---
         let sw = Stopwatch::start();
         let [up, down] = Spin::BOTH.map(|spin| {
@@ -83,46 +71,29 @@ pub fn run(scale: Scale) -> Table {
         // runs: one per τ ∈ 0..=L/2, as long as the block pairs it reads
         // (C(τ) of them; at τ = L/2 each stands for two).
         let b = l / c;
-        match par {
-            Parallelism::Serial => [green, measure, green, measure],
+        let (green_sim, measure_sim) = match par {
+            Parallelism::Serial => (green, measure),
             // Element-wise measurement loops do not parallelize.
-            Parallelism::MklStyle(_) => {
-                [green, measure, amdahl(green, 0.6, THREADS, n / 32), measure]
-            }
+            Parallelism::MklStyle(_) => (amdahl(green, 0.6, THREADS, n / 32), measure),
             Parallelism::OpenMp(_) => {
                 let pairs = (0..=l / 2)
                     .map(|tau| table.count(tau) / if tau > 0 && 2 * tau == l { 2 } else { 1 });
                 let pairs: Vec<usize> = pairs.collect();
                 let per_pair = spxx / pairs.iter().sum::<usize>().max(1) as f64;
                 let tau_tasks: Vec<f64> = pairs.iter().map(|&p| p as f64 * per_pair).collect();
-                let green_sim = makespan(&vec![green / (b * b) as f64; b * b], THREADS);
-                [
-                    green,
-                    measure,
-                    green_sim,
+                (
+                    makespan(&vec![green / (b * b) as f64; b * b], THREADS),
                     measure - spxx + makespan(&tau_tasks, THREADS),
-                ]
+                )
             }
-        }
-    });
-    tracer.finish(Some(&pool));
-    Table { shape, rows }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let shape = self.shape;
-        writeln!(f, "{shape}; both spins; all diagonals + b rows + b cols\n")?;
-        f.write_str(HEADER)?;
-        for (mode, [green, measure, green_sim, measure_sim]) in MODES.iter().zip(self.rows) {
-            let total = green + measure;
-            let sim = format!("{green_sim:>12.4} {measure_sim:>14.4}");
-            writeln!(
-                f,
-                "{mode:<12} {green:>12.4} {measure:>14.4} {total:>12.4} | {sim}"
-            )?;
-        }
-        f.write_str(SHAPE)?;
-        f.write_str(&few_cores_note(THREADS))
+        };
+        let (total, sim) = (
+            green + measure,
+            format!("{green_sim:>12.4} {measure_sim:>14.4}"),
+        );
+        println!("{mode:<12} {green:>12.4} {measure:>14.4} {total:>12.4} | {sim}");
     }
+    print!("{SHAPE}");
+    few_cores_note(THREADS);
+    tracer.finish(Some(&pool));
 }

@@ -13,14 +13,12 @@
 //! (near-ideal), the sweep's rank-1 updates are serial while its
 //! stabilizations fork.
 
-use std::fmt;
-
 use fsi_dqmc::{run as run_dqmc, DqmcConfig};
 use fsi_runtime::ThreadPool;
 use fsi_selinv::Parallelism;
 
 use crate::sim::amdahl;
-use crate::{few_cores_note, Scale, Shape, Trace};
+use crate::{few_cores_note, Scale, Trace};
 
 /// The pool sizes.
 const THREADS: [usize; 3] = [1, 6, 12];
@@ -30,34 +28,19 @@ shape check (paper): OpenMP gains ≈6.9x at 12 threads, MKL-style only ≈1.3x;
 at paper scale that is 3.5 h → 40 min for the full simulation.
 ";
 
-/// Fig. 11.
-pub struct Table {
-    pub shape: Shape,
-    /// Warm-up and measurement sweeps.
-    pub w_m: (usize, usize),
-    /// Serial seconds of the sweep, green and measurement phases.
-    pub phases: [f64; 3],
-    /// Per pool size (1, 6, 12 threads): measured seconds of the OpenMP and
-    /// MKL-style runs, then their simulated speedups.
-    pub rows: [[f64; 4]; 3],
-    /// Mean density of the serial run.
-    pub density: f64,
-}
-
 /// Runs the simulation serially for its phase profile, then in both
 /// parallel modes at each pool size.
-pub fn run(scale: Scale) -> Table {
+pub fn run(scale: Scale) {
     let tracer = Trace::start("fig11");
     let shape = scale.shape([16, 16, 4], [400, 100, 10]);
-    let nx = shape.side();
-    let (l, c, w_m) = (shape.l, shape.c, scale.pick((3, 6), (100, 200)));
-    let (t, u, beta, (warmup, measurements)) = (1.0, 4.0, 2.0, w_m);
+    let (l, c) = (shape.l, shape.c);
+    let (warmup, measurements) = scale.pick((3, 6), (100, 200));
     let cfg = DqmcConfig {
-        nx,
-        ny: nx,
-        t,
-        u,
-        beta,
+        nx: shape.side(),
+        ny: shape.side(),
+        t: 1.0,
+        u: 4.0,
+        beta: 2.0,
         l,
         c,
         warmup,
@@ -67,10 +50,13 @@ pub fn run(scale: Scale) -> Table {
         seed: 11,
     };
     let serial = run_dqmc(&cfg, Parallelism::Serial).expect("healthy");
-    let phases = ["sweep", "green", "measurement"].map(|p| serial.profile.seconds(p));
-    let [sweep_s, green_s, meas_s] = phases;
+    let [sweep_s, green_s, meas_s] =
+        ["sweep", "green", "measurement"].map(|p| serial.profile.seconds(p));
+    println!("{shape}, (w, m) = ({warmup}, {measurements})\n");
+    let profile = format!("sweep {sweep_s:.3}s, green {green_s:.3}s, measurement {meas_s:.3}s");
+    print!("serial phase profile: {profile}\n\n{HEADER}");
     let b = (l / c) as f64;
-    let rows = THREADS.map(|t| {
+    for t in THREADS {
         let pool = ThreadPool::new(t);
         let seconds = |par| {
             run_dqmc(&cfg, par)
@@ -98,43 +84,15 @@ pub fn run(scale: Scale) -> Table {
             amdahl(green_s, 0.6, t, usize::MAX) + amdahl(sweep_parallel, 0.6, t, usize::MAX);
         let total_s = sweep_s + green_s + meas_s;
         let omp_sim = total_s / (green_sim + meas_sim + sweep_sim);
-        [
-            omp,
-            mkl,
-            omp_sim,
-            total_s / (forked + meas_s + sweep_serial),
-        ]
-    });
+        let mkl_sim = total_s / (forked + meas_s + sweep_serial);
+        println!("{t:>8} {omp:>14.3} {mkl:>14.3} {omp_sim:>14.2} {mkl_sim:>14.2}");
+    }
+    print!("{SHAPE}");
+    few_cores_note(THREADS[2]);
+    // Keep physics honest across modes.
+    println!(
+        "\nphysics cross-check: serial density = {:.6}",
+        serial.density.mean()
+    );
     tracer.finish(None);
-    Table {
-        shape,
-        w_m,
-        phases,
-        rows,
-        density: serial.density.mean(),
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ((w, m), [sweep, green, meas]) = (self.w_m, self.phases);
-        writeln!(f, "{}, (w, m) = ({w}, {m})\n", self.shape)?;
-        let profile = format!("sweep {sweep:.3}s, green {green:.3}s, measurement {meas:.3}s");
-        writeln!(f, "serial phase profile: {profile}\n")?;
-        f.write_str(HEADER)?;
-        for (t, [omp, mkl, omp_sim, mkl_sim]) in THREADS.iter().zip(self.rows) {
-            writeln!(
-                f,
-                "{t:>8} {omp:>14.3} {mkl:>14.3} {omp_sim:>14.2} {mkl_sim:>14.2}"
-            )?;
-        }
-        f.write_str(SHAPE)?;
-        f.write_str(&few_cores_note(THREADS[2]))?;
-        // Keep physics honest across modes.
-        writeln!(
-            f,
-            "\nphysics cross-check: serial density = {:.6}",
-            self.density
-        )
-    }
 }

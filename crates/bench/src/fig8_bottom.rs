@@ -14,36 +14,26 @@
 //!   shape: OpenMP tracks the ideal line closely; MKL-style saturates
 //!   early (Amdahl on the serial glue between kernels).
 
-use std::fmt;
-
 use fsi_pcyclic::Spin;
 use fsi_runtime::{hardware_threads, Stopwatch, ThreadPool};
 use fsi_selinv::{fsi_with_q, Parallelism, Pattern, Selection};
 
-use crate::{few_cores_note, hubbard_matrix, trace_fsi, Scale, Shape, Trace};
+use crate::{few_cores_note, hubbard_matrix, trace_fsi, Scale, Trace};
 
+/// The largest pool.
+const THREADS: usize = 12;
 const HEADER: &str = " threads   OpenMP [s]      MKL [s]   OpenMP sim x      MKL sim x  ideal x\n";
-
-/// Fig. 8 (bottom).
-pub struct Table {
-    pub shape: Shape,
-    /// Per pool size 1..=12: measured seconds of the OpenMP and MKL-style
-    /// modes, then their simulated speedups.
-    pub rows: Vec<[f64; 4]>,
-    /// Sequential FSI seconds of the traced run.
-    pub sequential: f64,
-}
 
 /// Traces one sequential run for the simulator, then times both modes on
 /// pools of 1..=12 threads, one pool at a time.
-pub fn run(scale: Scale) -> Table {
+pub fn run(scale: Scale) {
     let tracer = Trace::start("fig8_bottom");
     let shape = scale.shape([64, 60, 6], [576, 100, 10]);
-    let nx = shape.side();
-    let pc = hubbard_matrix(nx, shape.l, 11, Spin::Up);
+    let pc = hubbard_matrix(shape.side(), shape.l, 11, Spin::Up);
     let sel = Selection::new(Pattern::Columns, shape.c, shape.c / 2);
     let (openmp, mkl) = trace_fsi(&pc, &sel);
-    let rows = (1..=12).map(|t| {
+    print!("{shape}; host cores = {}\n\n{HEADER}", hardware_threads());
+    for t in 1..=THREADS {
         let pool = ThreadPool::new(t);
         let time = |par| {
             let sw = Stopwatch::start();
@@ -51,34 +41,12 @@ pub fn run(scale: Scale) -> Table {
             sw.seconds()
         };
         let omp = time(Parallelism::OpenMp(&pool));
-        [
-            omp,
-            time(Parallelism::MklStyle(&pool)),
-            openmp.speedup(t),
-            mkl.speedup(t),
-        ]
-    });
-    let rows = rows.collect();
+        let mkl_s = time(Parallelism::MklStyle(&pool));
+        let sim = format!("{:>14.2} {:>14.2}", openmp.speedup(t), mkl.speedup(t));
+        println!("{t:>8} {omp:>12.3} {mkl_s:>12.3} {sim} {t:>8}");
+    }
+    println!("\nsequential FSI time: {:.3}s", openmp.sequential());
+    println!("shape check (paper): OpenMP-simulated tracks ideal; MKL-style saturates early.");
+    few_cores_note(THREADS);
     tracer.finish(None);
-    Table {
-        shape,
-        rows,
-        sequential: openmp.sequential(),
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}; host cores = {}\n", self.shape, hardware_threads())?;
-        f.write_str(HEADER)?;
-        for (t, [omp, mkl, omp_sim, mkl_sim]) in (1..).zip(&self.rows) {
-            let sim = format!("{omp_sim:>14.2} {mkl_sim:>14.2}");
-            writeln!(f, "{t:>8} {omp:>12.3} {mkl:>12.3} {sim} {t:>8}")?;
-        }
-        writeln!(f, "\nsequential FSI time: {:.3}s", self.sequential)?;
-        f.write_str(
-            "shape check (paper): OpenMP-simulated tracks ideal; MKL-style saturates early.\n",
-        )?;
-        f.write_str(&few_cores_note(self.rows.len()))
-    }
 }

@@ -9,8 +9,6 @@
 //! compensated by DGEMM-rich clustering and wrapping". Smoke shape:
 //! `N ∈ {36, 64, 100, 144}` at `(L, c) = (60, 6)`.
 
-use std::fmt;
-
 use fsi_pcyclic::Spin;
 use fsi_runtime::{trace, Par};
 use fsi_selinv::{cls, fsi_with_q, Parallelism, Pattern, Selection};
@@ -21,13 +19,6 @@ const HEADER: &str = "     N        CLS      BSOFI        WRP        FSI      DG
           Gflop/s    Gflop/s    Gflop/s    Gflop/s    Gflop/s
 ";
 
-/// Fig. 8 (top): per `N`, the Gflop/s of CLS, BSOFI, WRP, the whole FSI
-/// call, and DGEMM, at `(L, c)`.
-pub struct Table {
-    pub l_c: (usize, usize),
-    pub rows: Vec<(usize, [f64; 5])>,
-}
-
 /// Runs `f` under a span named `name` and returns its Gflop/s.
 fn rate<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, f64) {
     let span = trace::span(name);
@@ -35,13 +26,19 @@ fn rate<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, f64) {
     (out, span.finish().gflops())
 }
 
-/// Times each stage, the whole pipeline and a DGEMM at every `N`.
-pub fn run(scale: Scale) -> Table {
+/// Prints, per `N`, the Gflop/s of CLS, BSOFI, WRP, the whole FSI call,
+/// and DGEMM.
+pub fn run(scale: Scale) {
     let tracer = Trace::start("fig8_top");
     let sizes: &[usize] = scale.pick(&[36, 64, 100, 144], &[256, 400, 576, 784, 1024]);
     let (l, c) = (scale.pick(60, 100), scale.pick(6, 10));
     let sel = Selection::new(Pattern::Columns, c, c / 2);
-    let rows = sizes.iter().map(|&n| {
+    println!(
+        "(L, c) = ({l}, {c}), b = {} block columns selected\n",
+        l / c
+    );
+    print!("{HEADER}");
+    for &n in sizes {
         let nx = lattice_side_for(n);
         let n = nx * nx;
         let pc = hubbard_matrix(nx, l, n as u64, Spin::Up);
@@ -54,7 +51,7 @@ pub fn run(scale: Scale) -> Table {
             fsi_selinv::wrap(Par::Seq, &pc, &reduced, &g_red, &sel)
         });
         let (_, fsi) = rate("fsi-total", || {
-            fsi_with_q(Parallelism::Serial, &pc, &sel).unwrap()
+            fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy")
         });
         // DGEMM reference: N×N product repeated to ≥ the FSI volume.
         let a = fsi_dense::test_matrix(n, n, 1);
@@ -62,26 +59,9 @@ pub fn run(scale: Scale) -> Table {
         let (_, dgemm) = rate("dgemm", || {
             (0..8).for_each(|_| drop(fsi_dense::mul(&a, &b)))
         });
-        (n, [cls, bsofi, wrap, fsi, dgemm])
-    });
-    let rows = rows.collect();
-    tracer.finish(None);
-    Table { l_c: (l, c), rows }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (l, c) = self.l_c;
-        writeln!(
-            f,
-            "(L, c) = ({l}, {c}), b = {} block columns selected\n",
-            l / c
-        )?;
-        f.write_str(HEADER)?;
-        for (n, [cls, bsofi, wrap, fsi, dgemm]) in &self.rows {
-            let rates = format!("{cls:>10.2} {bsofi:>10.2} {wrap:>10.2} {fsi:>10.2}");
-            writeln!(f, "{n:>6} {rates} {dgemm:>10.2}")?;
-        }
-        f.write_str("\nshape check (paper): BSOFI < CLS ≈ WRP ≈ FSI ≲ DGEMM\n")
+        let rates = format!("{cls:>10.2} {bsofi:>10.2} {wrap:>10.2} {fsi:>10.2}");
+        println!("{n:>6} {rates} {dgemm:>10.2}");
     }
+    println!("\nshape check (paper): BSOFI < CLS ≈ WRP ≈ FSI ≲ DGEMM");
+    tracer.finish(None);
 }

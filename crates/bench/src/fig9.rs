@@ -16,58 +16,50 @@
 //! `(400, 100, 10)` over 24 — and print the paper-scale feasibility matrix
 //! from the Edison memory model.
 
-use std::fmt;
-
 use fsi_pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
 use fsi_selinv::multi::{per_rank_bytes, trace_measure, MultiConfig};
 use fsi_selinv::{run_multi, MemoryModel, Pattern};
 
-use crate::{Scale, Shape, Trace, Verdict};
+use crate::{Scale, Trace, Verdict};
 
 const HEADER: &str = "   ranks    threads      seconds      Gflop/s    sum tr G(k,k)\n";
 
-/// One ranks × threads split of the local sweep.
+/// One ranks × threads split of the local sweep, and the physics it
+/// computed: `Σ_k tr G(k, k)` over all matrices.
 pub struct Split {
     pub ranks: usize,
     pub threads: usize,
-    pub seconds: f64,
-    pub gflops: f64,
-    /// The physics: `Σ_k tr G(k, k)` over all matrices.
     pub trace_sum: f64,
 }
 
 /// Fig. 9.
 pub struct Table {
-    pub matrices: usize,
-    pub shape: Shape,
-    pub cores: usize,
     pub splits: Vec<Split>,
     /// Per-node (ranks, threads) configurations of the Edison model.
     pub configurations: Vec<(usize, usize)>,
-    /// Per paper `N`: bytes per rank and feasibility per configuration.
-    pub frontier: Vec<(usize, u64, Vec<bool>)>,
+    /// Per paper `N`: feasibility per configuration.
+    pub frontier: Vec<(usize, Vec<bool>)>,
 }
 
 /// Runs every ranks × threads split of the core budget and evaluates the
 /// Edison model at the paper's block sizes.
 pub fn run(scale: Scale) -> Table {
     let tracer = Trace::start("fig9");
-    let cores: usize = scale.pick(8, 24);
+    let (cores, matrices): (usize, usize) = scale.pick((8, 16), (24, 96));
     let shape = scale.shape([16, 20, 5], [400, 100, 10]);
-    let nx = shape.side();
     let params = HubbardParams::paper_validation(shape.l);
-    let builder = BlockBuilder::new(SquareLattice::square(nx), params);
+    let builder = BlockBuilder::new(SquareLattice::square(shape.side()), params);
+    print!("{matrices} matrices, {shape}, budget = {cores} 'cores'\n\n{HEADER}");
     let splits = (1..=cores)
         .filter(|t| cores.is_multiple_of(*t))
         .map(|threads| {
-            let (ranks, matrices, c) = (cores / threads, scale.pick(16, 96), shape.c);
-            let pattern = Pattern::Columns;
+            let ranks = cores / threads;
             let cfg = MultiConfig {
                 ranks,
                 threads_per_rank: threads,
                 matrices,
-                c,
-                pattern,
+                c: shape.c,
+                pattern: Pattern::Columns,
                 seed: 2400,
             };
             // The span context propagates into the rank threads, so the
@@ -76,11 +68,11 @@ pub fn run(scale: Scale) -> Table {
             let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
             let gflops = span.finish().flops as f64 / r.seconds / 1e9;
             let trace_sum = r.global_measurements[0];
+            let cols = format!("{:>12.3} {gflops:>12.2} {trace_sum:>16.6}", r.seconds);
+            println!("{ranks:>8} {threads:>10} {cols}");
             Split {
                 ranks,
                 threads,
-                seconds: r.seconds,
-                gflops,
                 trace_sum,
             }
         });
@@ -89,23 +81,28 @@ pub fn run(scale: Scale) -> Table {
 
     // Paper-scale feasibility from the Edison node-memory model: which
     // point of Fig. 9's x-axis exists at all, per N.
+    println!("\nEdison memory model, (L, c) = (100, 10), columns pattern");
+    println!("(per-node configs; Fig. 9 runs 100 such nodes):");
     let model = MemoryModel::edison();
     let configurations = model.configurations();
+    print!("{:>6} {:>10}", "N", "GB/rank");
+    for (r, t) in &configurations {
+        print!(" {:>7}", format!("{r}x{t}"));
+    }
     let frontier = [400, 576, 784, 1024].map(|n| {
         let bytes = per_rank_bytes(n, 100, 10, Pattern::Columns);
-        (
-            n,
-            bytes,
-            configurations
-                .iter()
-                .map(|&(r, _)| model.feasible(r, bytes))
-                .collect(),
-        )
+        print!("\n{n:>6} {:>10.2}", bytes as f64 / (1u64 << 30) as f64);
+        let feasible = configurations
+            .iter()
+            .map(|&(r, _)| model.feasible(r, bytes));
+        let feasible: Vec<bool> = feasible.collect();
+        for &ok in &feasible {
+            print!(" {:>7}", if ok { "ok" } else { "OOM" });
+        }
+        (n, feasible)
     });
+    println!();
     Table {
-        matrices: scale.pick(16, 96),
-        shape,
-        cores,
         splits,
         configurations,
         frontier: frontier.into(),
@@ -131,45 +128,9 @@ pub fn verdict(t: &Table) -> Verdict {
     match t
         .frontier
         .iter()
-        .find(|(n, _, ok)| ok[pure_mpi] != (*n == 400))
+        .find(|(n, ok)| ok[pure_mpi] != (*n == 400))
     {
-        Some((n, ..)) => Err(format!("pure MPI fits at N = {n} only if N = 400 (paper)")),
+        Some((n, _)) => Err(format!("pure MPI fits at N = {n} only if N = 400 (paper)")),
         None => Ok(()),
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (m, shape) = (self.matrices, self.shape);
-        writeln!(
-            f,
-            "{m} matrices, {shape}, budget = {} 'cores'\n",
-            self.cores
-        )?;
-        f.write_str(HEADER)?;
-        for Split {
-            ranks,
-            threads,
-            seconds,
-            gflops,
-            trace_sum,
-        } in &self.splits
-        {
-            let cols = format!("{seconds:>12.3} {gflops:>12.2} {trace_sum:>16.6}");
-            writeln!(f, "{ranks:>8} {threads:>10} {cols}")?;
-        }
-        f.write_str("\nEdison memory model, (L, c) = (100, 10), columns pattern\n")?;
-        f.write_str("(per-node configs; Fig. 9 runs 100 such nodes):\n")?;
-        write!(f, "{:>6} {:>10}", "N", "GB/rank")?;
-        for (r, t) in &self.configurations {
-            write!(f, " {:>7}", format!("{r}x{t}"))?;
-        }
-        for (n, bytes, feasible) in &self.frontier {
-            write!(f, "\n{n:>6} {:>10.2}", *bytes as f64 / (1u64 << 30) as f64)?;
-            for &ok in feasible {
-                write!(f, " {:>7}", if ok { "ok" } else { "OOM" })?;
-            }
-        }
-        writeln!(f)
     }
 }

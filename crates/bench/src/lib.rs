@@ -18,11 +18,11 @@
 //! | `fig10`                    | Green's-function vs measurement runtime profile   |
 //! | `fig11`                    | full DQMC runtime vs threads                      |
 //!
-//! Each figure is a module whose `run(Scale)` returns a typed table;
-//! printing the table gives the figure's text. A figure whose paper claim
-//! is a shape that does not depend on timing — exact counts, who wins,
-//! what is monotone, where a frontier falls — also has a `verdict(&table)`,
-//! and `tests/paper_shapes.rs` asserts it at smoke scale.
+//! Each figure is a module whose `run(Scale)` prints the figure. A figure
+//! whose paper claim is a shape that does not depend on timing — exact
+//! counts, who wins, what is monotone, where a frontier falls — returns
+//! the table of that claim, and its `verdict(&table)` checks it;
+//! `tests/paper_shapes.rs` asserts every verdict at smoke scale.
 //!
 //! Timing claims belong to the layered benchmark under `benchmark/`, not
 //! to this crate.
@@ -110,48 +110,47 @@ pub struct Figure {
     pub name: &'static str,
     /// Whether the figure runs at [`Scale::Paper`].
     pub paper_shape: bool,
-    /// Runs the figure, prints its table and returns its verdict (`Ok`
-    /// for the figures without one).
+    /// Runs the figure, printing its table, and returns its verdict.
     pub run: fn(Scale) -> Verdict,
 }
 
-/// Prints `table` and checks it.
-fn show<T: Display>(table: T, verdict: fn(&T) -> Verdict) -> Verdict {
-    print!("{table}");
-    verdict(&table)
-}
-
-/// The verdict of a figure whose shape claim is about timing: its printed
-/// shape line is the whole check.
-fn printed_only<T>(_: &T) -> Verdict {
-    Ok(())
-}
-
-/// The [`Figure`] of module `$m`, checked by `$verdict`.
+/// The [`Figure`] of module `$m`. With `verdict`, `$m::run` returns the
+/// table `$m::verdict` checks; without, the figure's shape claim is about
+/// timing and its printed shape line is the whole check.
 macro_rules! figure {
-    ($m:ident, $paper:expr, $verdict:expr) => {
+    ($m:ident, $paper:expr) => {
         Figure {
             name: stringify!($m),
             paper_shape: $paper,
-            run: |s| show($m::run(s), $verdict),
+            run: |s| {
+                $m::run(s);
+                Ok(())
+            },
+        }
+    };
+    ($m:ident, $paper:expr, verdict) => {
+        Figure {
+            name: stringify!($m),
+            paper_shape: $paper,
+            run: |s| $m::verdict(&$m::run(s)),
         }
     };
 }
 
 /// Every figure, in `reproduce all` order.
 pub static FIGURES: [Figure; 12] = [
-    figure!(validate, true, validate::verdict),
-    figure!(table_patterns, true, table_patterns::verdict),
-    figure!(table_complexity, true, table_complexity::verdict),
-    figure!(ablation_cluster_size, false, ablation_cluster_size::verdict),
-    figure!(ablation_wrap_split, false, ablation_wrap_split::verdict),
-    figure!(ablation_schedule, false, printed_only),
-    figure!(ablation_delayed_updates, true, printed_only),
-    figure!(fig8_top, true, printed_only),
-    figure!(fig8_bottom, true, printed_only),
-    figure!(fig9, true, fig9::verdict),
-    figure!(fig10, true, printed_only),
-    figure!(fig11, true, printed_only),
+    figure!(validate, true, verdict),
+    figure!(table_patterns, true, verdict),
+    figure!(table_complexity, true, verdict),
+    figure!(ablation_cluster_size, false, verdict),
+    figure!(ablation_wrap_split, false, verdict),
+    figure!(ablation_schedule, false),
+    figure!(ablation_delayed_updates, true),
+    figure!(fig8_top, true),
+    figure!(fig8_bottom, true),
+    figure!(fig9, true, verdict),
+    figure!(fig10, true),
+    figure!(fig11, true),
 ];
 
 /// The figures `reproduce <name>` runs at `scale` (`name` may be `all`),
@@ -327,14 +326,12 @@ fn schedule_traces(
     (openmp, mkl)
 }
 
-/// The note the scaling figures print when the host has fewer cores than
-/// the largest pool they time (empty otherwise).
-fn few_cores_note(threads: usize) -> String {
-    match fsi_runtime::hardware_threads() {
-        cores if cores < threads => format!(
-            "NOTE: host has {cores} core(s); measured columns are flat, simulated columns carry the shape.\n"
-        ),
-        _ => String::new(),
+/// Prints the note of a scaling figure whose largest pool has more
+/// threads than the host has cores.
+fn few_cores_note(threads: usize) {
+    let cores = fsi_runtime::hardware_threads();
+    if cores < threads {
+        println!("NOTE: host has {cores} core(s); measured columns are flat, simulated columns carry the shape.");
     }
 }
 

@@ -4,8 +4,6 @@
 //!
 //! Smoke shape `(N, L, c) = (25, 24, 6)`; paper shape `(100, 100, 10)`.
 
-use std::fmt;
-
 use fsi_pcyclic::Spin;
 use fsi_runtime::{trace, Par};
 use fsi_selinv::baselines::explicit_selected;
@@ -27,54 +25,44 @@ const NOTE: &str = "
  the closed form charges each block its full chain — same convention as the paper.)
 ";
 
-/// One pattern's flops.
-pub struct Row {
-    pub pattern: Pattern,
-    /// Closed forms of the explicit form and of FSI in units of `N³`, and
-    /// the speedup they predict.
-    pub closed: (u64, u64, f64),
-    /// Flops charged by real runs of the explicit form and of FSI.
-    pub measured: (u64, u64),
-}
-
-/// The §II-C table.
+/// The §II-C table: per pattern, in [`Pattern::ALL`] order, the closed
+/// form's predicted speedup, and the flops charged by real runs of the
+/// explicit form and of FSI.
 pub struct Table {
     pub shape: Shape,
-    pub rows: Vec<Row>,
+    pub rows: [(Pattern, f64, (u64, u64)); 4],
 }
 
-/// Runs the explicit form and FSI for each pattern and counts their flops.
+/// Prints the closed forms, then runs the explicit form and FSI for each
+/// pattern and counts their flops.
 pub fn run(scale: Scale) -> Table {
     let tracer = Trace::start("table_complexity");
     let shape = scale.shape([25, 24, 6], [100, 100, 10]);
-    let nx = shape.side();
     let Shape { n, l, c } = shape;
-    let pc = hubbard_matrix(nx, l, 7, Spin::Down);
-    let rows = Pattern::ALL.map(|pattern| {
-        let sel = Selection::new(pattern, c, 1);
+    print!("{shape}, b = {}\n\n{CLOSED}", l / c);
+    for p in Pattern::ALL {
+        let (explicit, fsi) = (explicit_flops(p, 1, l, c), fsi_flops(p, 1, l, c));
+        let speedup = predicted_speedup(p, n, l, c);
+        println!("{:<20} {explicit:>14} {fsi:>14} {speedup:>9.1}x", p.label());
+    }
+    print!("{MEASURED}");
+    let pc = hubbard_matrix(shape.side(), l, 7, Spin::Down);
+    let rows = Pattern::ALL.map(|p| {
+        let sel = Selection::new(p, c, 1);
         let span = trace::span("explicit");
         let _ = explicit_selected(Par::Seq, &pc, &sel);
         let explicit = span.finish().flops;
         let span = trace::span("fsi-run");
         fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
-        let measured = (explicit, span.finish().flops);
-        let speedup = predicted_speedup(pattern, n, l, c);
-        let closed = (
-            explicit_flops(pattern, 1, l, c),
-            fsi_flops(pattern, 1, l, c),
-            speedup,
-        );
-        Row {
-            pattern,
-            closed,
-            measured,
-        }
+        let fsi = span.finish().flops;
+        let (expl_formula, fsi_exact) = (explicit_flops(p, n, l, c), fsi_flops_exact(p, n, l, c));
+        let label = p.label();
+        println!("{label:<20} {explicit:>14} {expl_formula:>14} {fsi:>14} {fsi_exact:>14}");
+        (p, predicted_speedup(p, n, l, c), (explicit, fsi))
     });
+    print!("{NOTE}");
     tracer.finish(None);
-    Table {
-        shape,
-        rows: rows.into(),
-    }
+    Table { shape, rows }
 }
 
 /// §II-C: the closed-form speedup of S3 and S4 is exactly `bc/3`, and the
@@ -82,14 +70,9 @@ pub fn run(scale: Scale) -> Table {
 /// pattern.
 pub fn verdict(t: &Table) -> Verdict {
     let bc = (t.shape.l / t.shape.c * t.shape.c) as f64;
-    for Row {
-        pattern,
-        closed: (.., speedup),
-        measured: (explicit, fsi),
-    } in &t.rows
-    {
-        let label = pattern.label();
-        if matches!(pattern, Pattern::Columns | Pattern::Rows) && *speedup != bc / 3.0 {
+    for &(p, speedup, (explicit, fsi)) in &t.rows {
+        let label = p.label();
+        if matches!(p, Pattern::Columns | Pattern::Rows) && speedup != bc / 3.0 {
             return Err(format!(
                 "{label}: closed-form speedup {speedup} is not bc/3"
             ));
@@ -101,39 +84,4 @@ pub fn verdict(t: &Table) -> Verdict {
         }
     }
     Ok(())
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Shape { n, l, c } = self.shape;
-        writeln!(f, "{}, b = {}\n", self.shape, l / c)?;
-        f.write_str(CLOSED)?;
-        for Row {
-            pattern,
-            closed: (explicit, fsi, speedup),
-            ..
-        } in &self.rows
-        {
-            writeln!(
-                f,
-                "{:<20} {explicit:>14} {fsi:>14} {speedup:>9.1}x",
-                pattern.label()
-            )?;
-        }
-        f.write_str(MEASURED)?;
-        for Row {
-            pattern: p,
-            measured: (explicit, fsi),
-            ..
-        } in &self.rows
-        {
-            let formulas = (explicit_flops(*p, n, l, c), fsi_flops_exact(*p, n, l, c));
-            let (label, expl_formula, fsi_exact) = (p.label(), formulas.0, formulas.1);
-            writeln!(
-                f,
-                "{label:<20} {explicit:>14} {expl_formula:>14} {fsi:>14} {fsi_exact:>14}"
-            )?;
-        }
-        f.write_str(NOTE)
-    }
 }

@@ -5,8 +5,6 @@
 //! The table's shape is the paper's own `(L, c) = (100, 10)` at either
 //! scale; the measured storage runs at `(N, L, c) = (16, 24, 6)`.
 
-use std::fmt;
-
 use fsi_pcyclic::Spin;
 use fsi_selinv::{fsi_with_q, Parallelism, Pattern, Selection};
 
@@ -14,35 +12,56 @@ use crate::{hubbard_matrix, Scale, Shape, Trace, Verdict};
 
 const HEADER: &str = "pattern                  # blocks      paper formula   reduction factor\n";
 
+/// The table's `(L, c)`.
+const L_C: (usize, usize) = (100, 10);
 /// The shape of the measured selections.
 pub const MEASURED: Shape = Shape { n: 16, l: 24, c: 6 };
 
-/// The §II-B table.
+/// The §II-B table, in [`Pattern::ALL`] order.
 pub struct Table {
-    pub l_c: (usize, usize),
-    /// Per pattern: selected blocks, and full-inverse blocks over them.
-    pub rows: Vec<(Pattern, usize, usize)>,
+    /// Per pattern: selected blocks, and full-inverse blocks over them,
+    /// at `(L, c) = (100, 10)`.
+    pub rows: [(Pattern, usize, usize); 4],
     /// Per pattern: bytes of a real selection at [`MEASURED`].
-    pub measured: Vec<(Pattern, usize)>,
+    pub measured: [(Pattern, usize); 4],
 }
 
 /// Counts the four patterns at `(L, c) = (100, 10)` and measures their
 /// storage on a small matrix. Both scales run the same shape.
 pub fn run(_: Scale) -> Table {
     let tracer = Trace::start("table_patterns");
-    let (l, c) = (100, 10);
+    let (l, c) = L_C;
+    print!("L = {l}, c = {c}, b = L/c = {}\n\n{HEADER}", l / c);
     let rows = Pattern::ALL.map(|p| (p, p.n_blocks(l, c), p.reduction_factor(l, c)));
-    let pc = hubbard_matrix(4, MEASURED.l, 3, Spin::Up);
+    for (p, blocks, reduction) in rows {
+        let formula = match p {
+            Pattern::Diagonal => "b",
+            Pattern::SubDiagonal => "b or b-1",
+            Pattern::Columns | Pattern::Rows => "bL",
+        };
+        println!(
+            "{:<20} {blocks:>12} {formula:>18} {reduction:>15}x",
+            p.label()
+        );
+    }
+    let Shape { n, l, c } = MEASURED;
+    let full = (n * l * n * l * 8) as f64;
+    println!(
+        "\nmeasured storage, {MEASURED}; full inverse = {:.2} KiB:",
+        full / 1024.0
+    );
+    let pc = hubbard_matrix(4, l, 3, Spin::Up);
     let measured = Pattern::ALL.map(|p| {
-        let out = fsi_with_q(Parallelism::Serial, &pc, &Selection::new(p, MEASURED.c, 1));
-        (p, out.expect("healthy").selected.bytes())
+        let out = fsi_with_q(Parallelism::Serial, &pc, &Selection::new(p, c, 1));
+        let bytes = out.expect("healthy").selected.bytes();
+        let (kib, reduction) = (bytes as f64 / 1024.0, full / bytes as f64);
+        let measured = format!("{kib:>10.2} KiB   measured reduction {reduction:>8.1}x");
+        let formula = p.reduction_factor(l, c);
+        println!("  {:<20} {measured}  (formula {formula}x)", p.label());
+        (p, bytes)
     });
     tracer.finish(None);
-    Table {
-        l_c: (l, c),
-        rows: rows.into(),
-        measured: measured.into(),
-    }
+    Table { rows, measured }
 }
 
 /// The paper's counts: `b` blocks (reduction `cL`) for S1 and S2, `bL`
@@ -58,7 +77,7 @@ fn paper_counts(p: Pattern, l: usize, c: usize) -> (usize, usize) {
 /// formula, and every measured selection stores exactly its formula's
 /// blocks of `N²` doubles.
 pub fn verdict(t: &Table) -> Verdict {
-    let (l, c) = t.l_c;
+    let (l, c) = L_C;
     if let Some((p, ..)) = t
         .rows
         .iter()
@@ -80,39 +99,5 @@ pub fn verdict(t: &Table) -> Verdict {
             p.label()
         )),
         None => Ok(()),
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (l, c) = self.l_c;
-        writeln!(f, "L = {l}, c = {c}, b = L/c = {}\n", l / c)?;
-        f.write_str(HEADER)?;
-        for (p, blocks, reduction) in &self.rows {
-            let formula = match p {
-                Pattern::Diagonal => "b",
-                Pattern::SubDiagonal => "b or b-1",
-                Pattern::Columns | Pattern::Rows => "bL",
-            };
-            writeln!(
-                f,
-                "{:<20} {blocks:>12} {formula:>18} {reduction:>15}x",
-                p.label()
-            )?;
-        }
-        let Shape { n, l, c } = MEASURED;
-        let full = (n * l * n * l * 8) as f64;
-        let kib = full / 1024.0;
-        writeln!(
-            f,
-            "\nmeasured storage, {MEASURED}; full inverse = {kib:.2} KiB:"
-        )?;
-        for (p, bytes) in &self.measured {
-            let (kib, reduction) = (*bytes as f64 / 1024.0, full / *bytes as f64);
-            let measured = format!("{kib:>10.2} KiB   measured reduction {reduction:>8.1}x");
-            let formula = p.reduction_factor(l, c);
-            writeln!(f, "  {:<20} {measured}  (formula {formula}x)", p.label())?;
-        }
-        Ok(())
     }
 }

@@ -21,8 +21,6 @@
 //! (10×10 lattice), `L = 64`, `c = 8`, where the dense reference
 //! inversion of the 6400² matrix is the slow part.
 
-use std::fmt;
-
 use fsi_pcyclic::Spin;
 use fsi_runtime::trace::Json;
 use fsi_runtime::{Par, Stopwatch};
@@ -41,9 +39,8 @@ const Q: usize = 5;
 pub struct FlopCheck {
     /// Span name: `cls`, `bsofi` or `wrap`.
     pub stage: &'static str,
-    /// Flops the stage's span was charged, and its wall seconds.
+    /// Flops the stage's span was charged.
     pub measured: u64,
-    pub seconds: f64,
     /// The analytic model.
     pub analytic: u64,
     /// Accepted `measured / analytic` range (`None`: must be equal).
@@ -64,17 +61,12 @@ impl FlopCheck {
     }
 }
 
-/// The validation run.
+/// The validation run: the mean relative block error against the dense
+/// reference, and the flop accounting of the `cls`, `bsofi` and `wrap`
+/// stages.
 pub struct Table {
-    pub shape: Shape,
-    /// Selected blocks, FSI seconds and dense-LU reference seconds.
-    pub run: (usize, f64, f64),
-    /// Mean and max relative block error against the reference.
-    pub errors: (f64, f64),
-    /// The span collector's per-stage table.
-    pub stage_table: String,
-    /// Flop accounting of the `cls`, `bsofi` and `wrap` stages.
-    pub flops: Vec<FlopCheck>,
+    pub mean_error: f64,
+    pub flops: [FlopCheck; 3],
 }
 
 /// Runs FSI on the validation matrix, checks it against the dense
@@ -82,22 +74,30 @@ pub struct Table {
 pub fn run(scale: Scale) -> Table {
     let tracer = Trace::start("validate");
     let shape = scale.shape([36, 32, 8], [100, 64, 8]);
-    let nx = shape.side();
     let Shape { n, l, c } = shape;
-    let pc = hubbard_matrix(nx, l, 2016, Spin::Up);
+    let pc = hubbard_matrix(shape.side(), l, 2016, Spin::Up);
     let sel = Selection::new(Pattern::Columns, c, Q);
     let sw = Stopwatch::start();
     let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
     let fsi_seconds = sw.seconds();
     let sw = Stopwatch::start();
     let reference = full_inverse_selected(Par::Seq, &pc, &sel);
-    let run = (out.selected.len(), fsi_seconds, sw.seconds());
-    let errors = (
-        mean_block_error(&out.selected, &reference),
-        max_block_error(&out.selected, &reference),
-    );
-
+    let reference_seconds = sw.seconds();
+    let mean = mean_block_error(&out.selected, &reference);
+    let max = max_block_error(&out.selected, &reference);
     let report = tracer.finish(None);
+
+    let params = format!("dim {}, (t, beta, U) = (1, 1, 2), c = {c}, q = {Q}", n * l);
+    println!("Hubbard matrix: (N, L) = ({n}, {l}), {params}");
+    println!("FSI: {} blocks in {fsi_seconds:.3}s", out.selected.len());
+    println!("dense LU reference (DGETRF+DGETRI equivalent): {reference_seconds:.3}s");
+    println!("\nmean relative block error : {mean:.3e}   (paper threshold: < 1e-10)");
+    println!("max  relative block error : {max:.3e}");
+    println!(
+        "\nper-stage rates (span collector):\n{}",
+        report.stage_table()
+    );
+    println!("flop accounting vs analytic model (fsi_selinv::flops):");
     // BSOFI's closed form 7b²N³ is the paper's leading-order estimate:
     // at the smoke b = L/c = 4 the QR and TRTRI lower-order terms are not
     // negligible. Allow that slack but keep a lower bound so a silently
@@ -108,33 +108,74 @@ pub fn run(scale: Scale) -> Table {
         ("wrap", wrap_flops(n, l, c), Some((0.5, 1.5))),
     ];
     let flops = models.map(|(stage, analytic, band)| {
-        let (measured, seconds) = (report.flops_of(stage), report.seconds_of(stage));
-        FlopCheck {
+        let measured = report.flops_of(stage);
+        let check = FlopCheck {
             stage,
             measured,
-            seconds,
             analytic,
             band,
-        }
+        };
+        let verdict = match (band, check.ok()) {
+            (None, ok) => (if ok { "exact" } else { "MISMATCH" }).to_string(),
+            (_, ok) => format!(
+                "ratio {:.4}  {}",
+                check.ratio(),
+                if ok { "ok" } else { "OUT OF TOLERANCE" }
+            ),
+        };
+        println!("  {stage:<6} measured {measured:>14}  analytic {analytic:>14}  {verdict}");
+        check
     });
-    let stage_table = report.stage_table();
     let table = Table {
-        shape,
-        run,
-        errors,
-        stage_table,
-        flops: flops.into(),
+        mean_error: mean,
+        flops,
     };
-    let json = table.to_json().to_string();
+    let passed = verdict(&table).is_ok();
+    println!("\nvalidation: {}", if passed { "PASSED" } else { "FAILED" });
+
+    // results/validate.json, schema 1 (results/schema.md).
+    let obj = |fields: Vec<(&str, Json)>| {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    };
+    let stages = table.flops.iter().map(|f| {
+        let seconds = report.seconds_of(f.stage);
+        obj(vec![
+            ("name", Json::Str(f.stage.into())),
+            ("seconds", Json::Num(seconds)),
+            ("gflops", Json::Num(gflops(f.measured, seconds))),
+            ("flops", Json::Int(f.measured)),
+        ])
+    });
+    let since_epoch = std::time::UNIX_EPOCH
+        .elapsed()
+        .map(|d| d.as_millis() as u64);
+    let shape = [("N", n), ("L", l), ("c", c), ("q", Q)].map(|(k, v)| (k, Json::Int(v as u64)));
+    let summary = vec![
+        ("mean_error", Json::Num(mean)),
+        ("max_error", Json::Num(max)),
+        ("passed", Json::Bool(passed)),
+        ("cls_flops_exact", Json::Bool(table.flops[0].ok())),
+    ];
+    let json = obj(vec![
+        ("kind", Json::Str("validate".into())),
+        ("schema", Json::Int(1)),
+        ("label", Json::Str("current".into())),
+        ("unix_ms", Json::Int(since_epoch.unwrap_or(0))),
+        ("shape", obj(shape.into())),
+        ("summary", obj(summary)),
+        ("stages", Json::Arr(stages.collect())),
+    ]);
     let path = std::path::Path::new("results/validate.json");
-    fsi_runtime::ckpt::write_atomic(path, json.as_bytes()).expect("write results/validate.json");
+    fsi_runtime::ckpt::write_atomic(path, json.to_string().as_bytes())
+        .expect("write results/validate.json");
+    println!("wrote results/validate.json");
     table
 }
 
 /// §V-A: the mean error is below the paper's threshold, and every stage's
 /// measured flops pass their analytic model.
 pub fn verdict(t: &Table) -> Verdict {
-    let mean = t.errors.0;
+    let mean = t.mean_error;
     if mean.is_nan() || mean >= MAX_MEAN_ERROR {
         return Err(format!(
             "mean relative block error {mean:.3e} is not below 1e-10"
@@ -146,90 +187,5 @@ pub fn verdict(t: &Table) -> Verdict {
             f.stage, f.measured, f.analytic
         )),
         None => Ok(()),
-    }
-}
-
-impl Table {
-    /// The `results/validate.json` document (schema 1).
-    fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-        };
-        let stages = self.flops.iter().map(|f| {
-            let rate = Json::Num(gflops(f.measured, f.seconds));
-            let secs = Json::Num(f.seconds);
-            obj(vec![
-                ("name", Json::Str(f.stage.into())),
-                ("seconds", secs),
-                ("gflops", rate),
-                ("flops", Json::Int(f.measured)),
-            ])
-        });
-        let since_epoch = std::time::UNIX_EPOCH
-            .elapsed()
-            .map(|d| d.as_millis() as u64);
-        let Shape { n, l, c } = self.shape;
-        let shape = [("N", n), ("L", l), ("c", c), ("q", Q)].map(|(k, v)| (k, Json::Int(v as u64)));
-        let summary = vec![
-            ("mean_error", Json::Num(self.errors.0)),
-            ("max_error", Json::Num(self.errors.1)),
-            ("passed", Json::Bool(verdict(self).is_ok())),
-            ("cls_flops_exact", Json::Bool(self.flops[0].ok())),
-        ];
-        obj(vec![
-            ("kind", Json::Str("validate".into())),
-            ("schema", Json::Int(1)),
-            ("label", Json::Str("current".into())),
-            ("unix_ms", Json::Int(since_epoch.unwrap_or(0))),
-            ("shape", obj(shape.into())),
-            ("summary", obj(summary)),
-            ("stages", Json::Arr(stages.collect())),
-        ])
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (Shape { n, l, c }, (blocks, fsi, reference)) = (self.shape, self.run);
-        let params = format!("dim {}, (t, beta, U) = (1, 1, 2), c = {c}, q = {Q}", n * l);
-        writeln!(f, "Hubbard matrix: (N, L) = ({n}, {l}), {params}")?;
-        writeln!(f, "FSI: {blocks} blocks in {fsi:.3}s")?;
-        writeln!(
-            f,
-            "dense LU reference (DGETRF+DGETRI equivalent): {reference:.3}s"
-        )?;
-        let (mean, max) = self.errors;
-        writeln!(
-            f,
-            "\nmean relative block error : {mean:.3e}   (paper threshold: < 1e-10)"
-        )?;
-        writeln!(f, "max  relative block error : {max:.3e}")?;
-        writeln!(
-            f,
-            "\nper-stage rates (span collector):\n{}",
-            self.stage_table
-        )?;
-        writeln!(f, "flop accounting vs analytic model (fsi_selinv::flops):")?;
-        for check in &self.flops {
-            let (stage, measured, analytic) = (check.stage, check.measured, check.analytic);
-            let verdict = match (check.band, check.ok()) {
-                (None, ok) => (if ok { "exact" } else { "MISMATCH" }).to_string(),
-                (_, ok) => format!(
-                    "ratio {:.4}  {}",
-                    check.ratio(),
-                    if ok { "ok" } else { "OUT OF TOLERANCE" }
-                ),
-            };
-            writeln!(
-                f,
-                "  {stage:<6} measured {measured:>14}  analytic {analytic:>14}  {verdict}"
-            )?;
-        }
-        let pass = if verdict(self).is_ok() {
-            "PASSED"
-        } else {
-            "FAILED"
-        };
-        writeln!(f, "\nvalidation: {pass}\nwrote results/validate.json")
     }
 }

@@ -86,6 +86,11 @@ use crate::patterns::{SelectedInverse, SelectedPattern};
 /// inside the dense kernels of all three stages (the "MKL-style" mode).
 /// The FSI drivers pass a pool to exactly one of the two.
 ///
+/// # Panics
+/// At `b = 1`, when `R`'s diagonal fails the pivot probe (a zero,
+/// non-finite or wildly graded pivot); [`bsofi_selected`] returns the
+/// same event as an `Err`.
+///
 /// ```
 /// use fsi_runtime::Par;
 /// let m = fsi_pcyclic::random_pcyclic(3, 4, 7);
@@ -98,7 +103,7 @@ use crate::patterns::{SelectedInverse, SelectedPattern};
 pub fn bsofi(par_cols: Par<'_>, par_gemm: Par<'_>, pc: &BlockPCyclic) -> Matrix {
     let b = pc.l();
     if b == 1 {
-        return single_block_inverse(par_gemm, pc, |_| Ok(())).expect("nothing probed");
+        return single_block_inverse(par_gemm, pc).expect("a usable R diagonal");
     }
 
     let factor = StructuredQr::factor_lookahead(par_cols, par_gemm, pc);
@@ -147,7 +152,7 @@ pub fn bsofi_selected(
     let b = pc.l();
     if b == 1 {
         let _ = pattern.rows(1); // bounds-check DiagonalBlock requests
-        let x = single_block_inverse(par_gemm, pc, check_r_diagonal)?;
+        let x = single_block_inverse(par_gemm, pc)?;
         let mut out = SelectedInverse::new();
         out.insert(0, 0, x);
         scan_selected(&mut out)?;
@@ -160,26 +165,20 @@ pub fn bsofi_selected(
     Ok(out)
 }
 
-/// The pivot probe of a single-block `R` ([`StructuredQr::check_health`]
-/// for `b = 1`).
-pub(crate) fn check_r_diagonal(r: &Matrix) -> Result<(), HealthEvent> {
-    let diag: Vec<f64> = (0..r.rows()).map(|i| r[(i, i)]).collect();
-    health::check_pivots(Stage::Bsofi, 0, &diag)
-}
-
 /// The degenerate single-block matrix `M̄ = I + b̄₀`, inverted as `R⁻¹·Qᵀ`
-/// to stay in the BSOFI (orthogonal) family. `probe` sees `R` before the
-/// triangular inversion divides by its diagonal.
+/// to stay in the BSOFI (orthogonal) family. `R`'s diagonal is probed
+/// ([`StructuredQr::check_health`] for `b = 1`) before the triangular
+/// inversion divides by it.
 pub(crate) fn single_block_inverse(
     par_gemm: Par<'_>,
     pc: &BlockPCyclic,
-    probe: impl FnOnce(&Matrix) -> Result<(), HealthEvent>,
 ) -> Result<Matrix, HealthEvent> {
     let mut m = pc.block(0).clone();
     m.add_diag(1.0);
     let f = geqrf(m);
     let mut x = f.r().clone();
-    probe(&x)?;
+    let diag: Vec<f64> = (0..x.rows()).map(|i| x[(i, i)]).collect();
+    health::check_pivots(Stage::Bsofi, 0, &diag)?;
     invert_upper(x.as_mut());
     zero_strict_lower(&mut x);
     f.apply_qt_right(par_gemm, x.as_mut());

@@ -27,7 +27,7 @@ use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
 use fsi_runtime::{Par, Profile, ThreadPool};
 use rand::Rng;
 
-use crate::bsofi::{bsofi_selected, check_r_diagonal, single_block_inverse, StructuredQr};
+use crate::bsofi::{bsofi_selected, single_block_inverse, StructuredQr};
 use crate::cls::{cls, Clustered};
 use crate::patterns::{SelectedInverse, SelectedPattern, Selection};
 use crate::wrap::{wrap_all_diagonals_with, wrap_with, BlockFactors, Seeds};
@@ -168,7 +168,7 @@ fn fsi_with_factors(
         match SelectedPattern::for_wrap(selection.pattern) {
             SelectedPattern::Full => {
                 let g = if clustered.reduced.l() == 1 {
-                    single_block_inverse(inner, &clustered.reduced, check_r_diagonal)?
+                    single_block_inverse(inner, &clustered.reduced)?
                 } else {
                     let factor = StructuredQr::factor_lookahead(outer, inner, &clustered.reduced);
                     factor.check_health()?;
