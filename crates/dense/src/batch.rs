@@ -36,7 +36,7 @@
 use crate::gemm::{gemm_count, gemm_op_uncounted, pack_a, pack_b, Op, KC, MC};
 use crate::kernel::{self, KernelTier};
 use crate::matrix::{MatMut, MatRef, Matrix};
-use fsi_runtime::{flops, workspace, Par};
+use fsi_runtime::{flops, trace, workspace, Par};
 
 /// One side of a batched product: either a single factor shared by every
 /// product in the batch, or a per-product slice of factors.
@@ -165,7 +165,7 @@ pub fn gemm_batched(
         fsi_runtime::metrics::LazyHistogram::new("dense.gemm_batched.batch");
     let _kernel = fsi_runtime::trace::kernel_span("gemm_batched");
     let total = flops::counts::gemm(m, n, k) * batch as u64;
-    flops::add_flops(total);
+    trace::charge_flops(total);
     fsi_runtime::trace::charge_bytes(8 * ((m * k + k * n + 2 * m * n) * batch) as u64);
     BATCH_HIST.record(batch as u64);
     let _meter = if total >= crate::gemm::TIMED_METER_MIN {

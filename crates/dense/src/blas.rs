@@ -16,7 +16,7 @@ use crate::matrix::{MatMut, MatRef};
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
     let mut lanes = [0.0f64; 8];
     let (xc, yc) = (x.chunks_exact(8), y.chunks_exact(8));
@@ -51,7 +51,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 
 /// `x *= alpha`.
 #[inline]
-pub fn scal(alpha: f64, x: &mut [f64]) {
+pub(crate) fn scal(alpha: f64, x: &mut [f64]) {
     for xi in x {
         *xi *= alpha;
     }
@@ -63,7 +63,7 @@ pub fn scal(alpha: f64, x: &mut [f64]) {
 /// one vectorized pass is the answer; a sum that is zero, non-finite or
 /// near a limit is redone by DNRM2's scaled recurrence, which also carries
 /// NaN and infinity through to the result.
-pub fn nrm2(x: &[f64]) -> f64 {
+pub(crate) fn nrm2(x: &[f64]) -> f64 {
     let ssq = dot(x, x);
     if (1e-280..1e280).contains(&ssq) {
         return ssq.sqrt();
@@ -82,7 +82,7 @@ pub fn nrm2(x: &[f64]) -> f64 {
 
 /// Index of the element with maximum absolute value (0 for empty input).
 #[inline]
-pub fn iamax(x: &[f64]) -> usize {
+pub(crate) fn iamax(x: &[f64]) -> usize {
     let mut best = 0;
     let mut bv = 0.0f64;
     for (i, &xi) in x.iter().enumerate() {
@@ -95,37 +95,12 @@ pub fn iamax(x: &[f64]) -> usize {
     best
 }
 
-/// Matrix-vector product `y := alpha·A·x + beta·y`.
+/// Transposed matrix-vector product `y := alpha·Aᵀ·x + beta·y`, without a
+/// flop charge: its caller, GEQRF, charges its analytic total, and charging
+/// the panel products again would double-count.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn gemv(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(a.cols(), x.len(), "gemv: A.cols != x.len");
-    assert_eq!(a.rows(), y.len(), "gemv: A.rows != y.len");
-    if beta == 0.0 {
-        y.fill(0.0);
-    } else if beta != 1.0 {
-        scal(beta, y);
-    }
-    // Column-major: accumulate alpha·x_j times column j (axpy per column).
-    for j in 0..a.cols() {
-        axpy(alpha * x[j], a.col(j), y);
-    }
-    fsi_runtime::flops::add_flops(2 * a.rows() as u64 * a.cols() as u64);
-}
-
-/// Transposed matrix-vector product `y := alpha·Aᵀ·x + beta·y`.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn gemv_t(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
-    gemv_t_uncounted(alpha, a, x, beta, y);
-    fsi_runtime::flops::add_flops(2 * a.rows() as u64 * a.cols() as u64);
-}
-
-/// [`gemv_t`] without the flop charge — for use inside kernels (GEQRF)
-/// that already charged their analytic total; charging the panel
-/// products again would double-count.
 pub(crate) fn gemv_t_uncounted(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(a.rows(), x.len(), "gemv_t: A.rows != x.len");
     assert_eq!(a.cols(), y.len(), "gemv_t: A.cols != y.len");
@@ -142,7 +117,7 @@ pub(crate) fn gemv_t_uncounted(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, 
 pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: MatMut<'_>) {
     let flops = 2 * x.len() as u64 * y.len() as u64;
     ger_uncounted(alpha, x, y, a);
-    fsi_runtime::flops::add_flops(flops);
+    fsi_runtime::trace::charge_flops(flops);
 }
 
 /// [`ger`] without the flop charge (see [`gemv_t_uncounted`]).
@@ -208,26 +183,14 @@ mod tests {
     }
 
     #[test]
-    fn gemv_matches_manual() {
-        let a = Matrix::from_fn(2, 3, |i, j| (i * 3 + j + 1) as f64); // [[1,2,3],[4,5,6]]
-        let x = [1.0, 0.0, -1.0];
-        let mut y = [10.0, 20.0];
-        gemv(1.0, a.as_ref(), &x, 0.0, &mut y);
-        assert_eq!(y, [-2.0, -2.0]);
-        gemv(2.0, a.as_ref(), &x, 1.0, &mut y);
-        assert_eq!(y, [-6.0, -6.0]);
-    }
-
-    #[test]
     fn gemv_t_matches_transpose() {
-        let a = Matrix::from_fn(3, 2, |i, j| (i + 2 * j) as f64);
+        let a = Matrix::from_fn(3, 2, |i, j| (i + 2 * j) as f64); // [[0,2],[1,3],[2,4]]
         let x = [1.0, 2.0, 3.0];
-        let mut y1 = [0.0, 0.0];
-        gemv_t(1.0, a.as_ref(), &x, 0.0, &mut y1);
-        let at = a.transpose();
-        let mut y2 = [0.0, 0.0];
-        gemv(1.0, at.as_ref(), &x, 0.0, &mut y2);
-        assert_eq!(y1, y2);
+        let mut y = [10.0, 20.0];
+        gemv_t_uncounted(1.0, a.as_ref(), &x, 0.0, &mut y);
+        assert_eq!(y, [8.0, 20.0]);
+        gemv_t_uncounted(2.0, a.as_ref(), &x, 1.0, &mut y);
+        assert_eq!(y, [24.0, 60.0]);
     }
 
     #[test]

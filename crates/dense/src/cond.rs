@@ -18,37 +18,21 @@ use crate::matrix::Matrix;
 
 /// Iteration cap of the Hager estimator (convergence is almost always in
 /// ≤ 5 steps; the cap guards pathological cycling).
-pub const MAX_ITERS: usize = 8;
+pub(crate) const MAX_ITERS: usize = 8;
 
 /// Outcome of one Hager estimation run: the estimate plus convergence
 /// diagnostics, so callers (the health layer in particular) can distrust
 /// a value produced by hitting the iteration cap instead of the
 /// sign-vector fixed point.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Norm1Estimate {
+pub(crate) struct Norm1Estimate {
     /// The `‖A⁻¹‖₁` lower-bound estimate.
     pub est: f64,
     /// Power-iteration steps actually performed.
     pub iterations: usize,
     /// Whether the iteration reached its fixed point (`false` means the
-    /// [`MAX_ITERS`] cap fired and the estimate may be loose).
+    /// iteration cap fired and the estimate may be loose).
     pub converged: bool,
-}
-
-impl Norm1Estimate {
-    /// The estimate as a [`crate::error::Result`]: a capped run surfaces
-    /// [`DenseError::NoConvergence`](crate::DenseError::NoConvergence)
-    /// with the iteration count instead of silently returning the best
-    /// value seen.
-    pub fn checked(&self) -> crate::error::Result<f64> {
-        if self.converged {
-            Ok(self.est)
-        } else {
-            Err(crate::DenseError::NoConvergence {
-                iterations: self.iterations,
-            })
-        }
-    }
 }
 
 /// Estimates `‖A⁻¹‖₁` from an LU factorization, without forming the
@@ -58,14 +42,14 @@ impl Norm1Estimate {
 /// Convenience wrapper over [`norm1_inv_estimate_detailed`] that keeps
 /// the historical `f64` signature (capped runs still return the best
 /// estimate seen).
-pub fn norm1_inv_estimate(f: &LuFactor) -> f64 {
+pub(crate) fn norm1_inv_estimate(f: &LuFactor) -> f64 {
     norm1_inv_estimate_detailed(f).est
 }
 
 /// [`norm1_inv_estimate`] with convergence diagnostics: reports how many
 /// power-iteration steps ran and whether the sign-vector fixed point was
 /// reached before the [`MAX_ITERS`] cap.
-pub fn norm1_inv_estimate_detailed(f: &LuFactor) -> Norm1Estimate {
+pub(crate) fn norm1_inv_estimate_detailed(f: &LuFactor) -> Norm1Estimate {
     let n = f.n();
     if n == 0 {
         return Norm1Estimate {
@@ -179,19 +163,6 @@ mod tests {
             d.est,
             norm1_inv_estimate(&f),
             "wrapper forwards the estimate"
-        );
-        assert_eq!(d.checked(), Ok(d.est));
-        // A capped (synthetic) run surfaces NoConvergence.
-        let capped = Norm1Estimate {
-            est: 1.0,
-            iterations: MAX_ITERS,
-            converged: false,
-        };
-        assert_eq!(
-            capped.checked(),
-            Err(crate::DenseError::NoConvergence {
-                iterations: MAX_ITERS
-            })
         );
     }
 

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use fsi_runtime::health::{FsiError, HealthEvent, Stage};
-
 /// Result alias for dense operations.
 pub type Result<T> = std::result::Result<T, DenseError>;
 
@@ -20,31 +18,6 @@ pub enum DenseError {
         /// Column index of the failed pivot.
         column: usize,
     },
-    /// An iterative routine did not converge within its budget.
-    NoConvergence {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-    },
-}
-
-impl DenseError {
-    /// Lifts a dense failure into the pipeline-level [`FsiError`],
-    /// attributing it to the stage whose kernel call failed. Singular
-    /// pivots become [`HealthEvent::SingularPivot`] (recorded as a
-    /// `health.*` trace span); iteration-cap failures map to
-    /// [`FsiError::NoConvergence`].
-    pub fn at(self, stage: Stage) -> FsiError {
-        match self {
-            DenseError::Singular { column } => {
-                let event = HealthEvent::SingularPivot { stage, column };
-                event.record();
-                FsiError::Health(event)
-            }
-            DenseError::NoConvergence { iterations } => {
-                FsiError::NoConvergence { stage, iterations }
-            }
-        }
-    }
 }
 
 impl fmt::Display for DenseError {
@@ -52,9 +25,6 @@ impl fmt::Display for DenseError {
         match self {
             DenseError::Singular { column } => {
                 write!(f, "matrix is singular (zero pivot at column {column})")
-            }
-            DenseError::NoConvergence { iterations } => {
-                write!(f, "no convergence after {iterations} iterations")
             }
         }
     }
@@ -70,7 +40,5 @@ mod tests {
     fn display_messages() {
         let e = DenseError::Singular { column: 3 };
         assert!(e.to_string().contains("column 3"));
-        let e = DenseError::NoConvergence { iterations: 9 };
-        assert!(e.to_string().contains("9 iterations"));
     }
 }

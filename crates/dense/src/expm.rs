@@ -13,11 +13,10 @@
 //! stress-test inputs.
 
 use crate::error::Result;
-use crate::gemm::mul_par;
+use crate::gemm::mul;
 use crate::lu::getrf;
 use crate::matrix::Matrix;
 use crate::norms::norm1;
-use fsi_runtime::Par;
 
 /// Padé-13 numerator coefficients (Higham 2005, Table 2.3).
 const B13: [f64; 14] = [
@@ -47,11 +46,6 @@ const THETA13: f64 = 5.371920351148152;
 /// case where the Padé denominator is numerically singular (it is provably
 /// nonsingular for `‖A/2^s‖₁ ≤ θ₁₃`, so this indicates NaN/Inf input).
 pub fn expm(a: &Matrix) -> Result<Matrix> {
-    expm_par(Par::Seq, a)
-}
-
-/// [`expm`] with parallel internal products.
-pub fn expm_par(par: Par<'_>, a: &Matrix) -> Result<Matrix> {
     assert!(a.is_square(), "expm requires a square matrix");
     let n = a.rows();
     if n == 0 {
@@ -68,20 +62,20 @@ pub fn expm_par(par: Par<'_>, a: &Matrix) -> Result<Matrix> {
         a_scaled.scale(0.5f64.powi(s as i32));
     }
 
-    let a2 = mul_par(par, &a_scaled, &a_scaled);
-    let a4 = mul_par(par, &a2, &a2);
-    let a6 = mul_par(par, &a2, &a4);
+    let a2 = mul(&a_scaled, &a_scaled);
+    let a4 = mul(&a2, &a2);
+    let a6 = mul(&a2, &a4);
 
     // U = A·(A6·(b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I)
     let mut inner = lincomb(n, &[(B13[13], &a6), (B13[11], &a4), (B13[9], &a2)]);
-    let mut u_poly = mul_par(par, &a6, &inner);
+    let mut u_poly = mul(&a6, &inner);
     accumulate(&mut u_poly, &[(B13[7], &a6), (B13[5], &a4), (B13[3], &a2)]);
     u_poly.add_diag(B13[1]);
-    let u = mul_par(par, &a_scaled, &u_poly);
+    let u = mul(&a_scaled, &u_poly);
 
     // V = A6·(b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I
     inner = lincomb(n, &[(B13[12], &a6), (B13[10], &a4), (B13[8], &a2)]);
-    let mut v = mul_par(par, &a6, &inner);
+    let mut v = mul(&a6, &inner);
     accumulate(&mut v, &[(B13[6], &a6), (B13[4], &a4), (B13[2], &a2)]);
     v.add_diag(B13[0]);
 
@@ -95,7 +89,7 @@ pub fn expm_par(par: Par<'_>, a: &Matrix) -> Result<Matrix> {
 
     // Undo the scaling by repeated squaring.
     for _ in 0..s {
-        x = mul_par(par, &x, &x);
+        x = mul(&x, &x);
     }
     Ok(x)
 }
@@ -115,13 +109,6 @@ fn accumulate(out: &mut Matrix, terms: &[(f64, &Matrix)]) {
             *o += c * x;
         }
     }
-}
-
-/// Computes `e^{αD}` for a diagonal matrix given by its entries — the
-/// `e^{σν V_ℓ(h)}` factor of a Hubbard block, which is exact and O(n).
-pub fn expm_diag(alpha: f64, d: &[f64]) -> Matrix {
-    let exps: Vec<f64> = d.iter().map(|&x| (alpha * x).exp()).collect();
-    Matrix::diag(&exps)
 }
 
 /// Scales the columns of `A` in place by `e^{αdⱼ}` — i.e. `A := A·e^{αD}` —
@@ -237,7 +224,7 @@ mod tests {
     #[test]
     fn diag_exponential_helpers() {
         let d = [1.0, -1.0, 0.0];
-        let e = expm_diag(0.5, &d);
+        let e = Matrix::diag(&d.map(|x: f64| (0.5 * x).exp()));
         assert!((e[(0, 0)] - 0.5f64.exp()).abs() < 1e-15);
         assert!((e[(2, 2)] - 1.0).abs() < 1e-15);
         // scale_cols_exp equals a right-multiply by the diagonal exp.

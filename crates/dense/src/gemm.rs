@@ -60,8 +60,8 @@
 //! run, so parallel results are bitwise equal to sequential ones.
 
 use crate::matrix::{MatMut, MatRef, Matrix};
-use fsi_runtime::flops;
-use fsi_runtime::{parallel_for, workspace, Par, Schedule};
+use fsi_runtime::{flops, trace};
+use fsi_runtime::{workspace, Par};
 
 /// Transposition selector for [`gemm_op`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,7 +238,7 @@ pub(crate) fn gemm_count(m: usize, n: usize, k: usize) -> GemmCount {
     // guard is a no-op below FSI_TRACE=2).
     let kernel = fsi_runtime::trace::kernel_span("gemm");
     let f = flops::counts::gemm(m, n, k);
-    flops::add_flops(f);
+    trace::charge_flops(f);
     fsi_runtime::trace::charge_bytes(8 * (m * k + k * n + 2 * m * n) as u64);
     let meter = if f >= TIMED_METER_MIN {
         Some(GEMM_METER.start(f))
@@ -461,11 +461,10 @@ pub fn mul_par(par: Par<'_>, a: &Matrix, b: &Matrix) -> Matrix {
 /// one per factor.
 ///
 /// Small sequential chains (every shape within the small-N fast-path
-/// bounds) route through [`crate::batch`]'s no-pack direct kernel, which
+/// bounds) route through the batched engine's no-pack direct kernel, which
 /// skips per-product packing, C fill passes, and workspace borrows —
-/// bitwise identical to the general path (see [`crate::kernel`]'s
-/// accumulation-order contract), with identical per-product flop
-/// attribution.
+/// bitwise identical to the general path (the micro-kernels share one
+/// accumulation order), with identical per-product flop attribution.
 ///
 /// # Panics
 /// Panics if the chain is empty or shapes are incompatible.
@@ -503,17 +502,6 @@ pub fn test_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
     };
     Matrix::from_fn(rows, cols, |_, _| next())
-}
-
-/// Schedule used when callers parallelize *over* many independent gemms
-/// instead of inside one: re-exported for symmetry in the FSI drivers.
-pub const OUTER_SCHEDULE: Schedule = Schedule::Dynamic(1);
-
-/// Runs `n_tasks` independent closures, each performing its own sequential
-/// gemms — the "parallel outside, sequential inside" pattern of the FSI
-/// OpenMP mode.
-pub fn parallel_tasks<F: Fn(usize) + Sync>(par: Par<'_>, n_tasks: usize, f: F) {
-    parallel_for(par, n_tasks, OUTER_SCHEDULE, f);
 }
 
 #[cfg(test)]

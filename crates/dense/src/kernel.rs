@@ -116,7 +116,7 @@ impl Tier {
     }
 
     /// Parses a tier name as accepted by `FSI_KERNEL`.
-    pub fn parse(s: &str) -> Option<Tier> {
+    pub(crate) fn parse(s: &str) -> Option<Tier> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" | "portable" => Some(Tier::Scalar),
             "avx2" => Some(Tier::Avx2),
@@ -126,7 +126,7 @@ impl Tier {
     }
 
     /// Whether the running CPU can execute this tier.
-    pub fn is_available(self) -> bool {
+    pub(crate) fn is_available(self) -> bool {
         match self {
             Tier::Scalar => true,
             #[cfg(target_arch = "x86_64")]
@@ -213,7 +213,7 @@ thread_local! {
 ///
 /// # Panics
 /// Panics when the CPU cannot execute `tier`; gate calls on
-/// [`Tier::is_available`].
+/// [`available_tiers`].
 pub fn with_tier<R>(tier: Tier, f: impl FnOnce() -> R) -> R {
     assert!(
         tier.is_available(),

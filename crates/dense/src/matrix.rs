@@ -44,8 +44,8 @@ const POOL_FLOOR: usize = 128;
 /// back when dropped, so the blocks of one selected inversion — and the
 /// temporaries of one DQMC sweep — become those of the next without a
 /// trip through the allocator or a page fault. Every constructor but
-/// [`Matrix::from_col_major`], which adopts the caller's vector as is,
-/// builds on such a buffer; [`Matrix::pooled`] alone leaves its contents
+/// `from_col_major`, which adopts the caller's vector as is, builds on
+/// such a buffer; [`Matrix::pooled`] alone leaves its contents
 /// unspecified.
 ///
 /// The first element of a pooled matrix sits on a cache line: the buffer
@@ -125,7 +125,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics unless `data.len() == rows * cols`.
-    pub fn from_col_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub(crate) fn from_col_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "column-major length mismatch");
         Matrix {
             buf: data,
@@ -160,7 +160,7 @@ impl Matrix {
 
     /// `true` when the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -268,20 +268,8 @@ impl Matrix {
     }
 
     /// Fills the matrix with zeros without reallocating.
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.as_mut_slice().fill(0.0);
-    }
-
-    /// Overwrites with the identity (square matrices only).
-    ///
-    /// # Panics
-    /// Panics if not square.
-    pub fn set_identity(&mut self) {
-        assert!(self.is_square(), "identity requires a square matrix");
-        self.fill_zero();
-        for i in 0..self.rows {
-            self[(i, i)] = 1.0;
-        }
     }
 
     /// Maximum absolute entry (`max |a_ij|`), 0 for empty matrices.
@@ -395,40 +383,30 @@ impl<'a> MatRef<'a> {
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Leading dimension (stride between consecutive columns).
     #[inline]
-    pub fn ld(&self) -> usize {
+    pub(crate) fn ld(&self) -> usize {
         self.ld
     }
 
     /// Element access.
     #[inline]
-    pub fn at(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.rows && j < self.cols, "MatRef index out of range");
         // SAFETY: bounds just checked; the constructor guaranteed the
         // addressed region lies inside the backing allocation.
         unsafe { *self.ptr.add(i + j * self.ld) }
     }
 
-    /// Unchecked element access for inner kernels.
-    ///
-    /// # Safety
-    /// `i < rows` and `j < cols` must hold.
-    #[inline]
-    pub unsafe fn at_unchecked(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        *self.ptr.add(i + j * self.ld)
-    }
-
     /// Raw base pointer of the view (element `(i, j)` lives at
     /// `ptr + i + j·ld`). For the no-pack small-N GEMM kernels, which read
     /// operand columns straight from the source through raw pointers.
     #[inline]
-    pub fn as_ptr(&self) -> *const f64 {
+    pub(crate) fn as_ptr(&self) -> *const f64 {
         self.ptr
     }
 
@@ -441,7 +419,7 @@ impl<'a> MatRef<'a> {
     }
 
     /// Sub-view starting at `(i, j)` with shape `nr × nc`.
-    pub fn submatrix(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatRef<'a> {
+    pub(crate) fn submatrix(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatRef<'a> {
         assert!(
             i + nr <= self.rows && j + nc <= self.cols,
             "submatrix out of range"
@@ -464,7 +442,7 @@ impl<'a> MatRef<'a> {
     }
 
     /// Frobenius norm of the viewed block.
-    pub fn frobenius_norm(&self) -> f64 {
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         let mut s = 0.0;
         for j in 0..self.cols {
             for &x in self.col(j) {
@@ -472,17 +450,6 @@ impl<'a> MatRef<'a> {
             }
         }
         s.sqrt()
-    }
-
-    /// Maximum absolute entry of the viewed block.
-    pub fn max_abs(&self) -> f64 {
-        let mut m = 0.0f64;
-        for j in 0..self.cols {
-            for &x in self.col(j) {
-                m = m.max(x.abs());
-            }
-        }
-        m
     }
 }
 
@@ -531,13 +498,13 @@ impl<'a> MatMut<'a> {
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Leading dimension.
     #[inline]
-    pub fn ld(&self) -> usize {
+    pub(crate) fn ld(&self) -> usize {
         self.ld
     }
 
@@ -568,13 +535,13 @@ impl<'a> MatMut<'a> {
 
     /// Element read.
     #[inline]
-    pub fn at(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
         self.as_ref().at(i, j)
     }
 
     /// Element write.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         assert!(i < self.rows && j < self.cols, "MatMut index out of range");
         // SAFETY: bounds checked; exclusivity is a type invariant.
         unsafe { *self.ptr.add(i + j * self.ld) = v }
@@ -592,7 +559,7 @@ impl<'a> MatMut<'a> {
     /// `ptr + i + j·ld`). For the packed GEMM micro-kernel, which writes
     /// an `MR × NR` register tile through raw pointers.
     #[inline]
-    pub fn as_mut_ptr(&mut self) -> *mut f64 {
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut f64 {
         self.ptr
     }
 
@@ -673,7 +640,7 @@ impl<'a> MatMut<'a> {
 
     /// Splits into `n` column panels of width `chunk` (last may be short),
     /// for distributing to pool workers.
-    pub fn split_cols_chunks(self, chunk: usize) -> Vec<MatMut<'a>> {
+    pub(crate) fn split_cols_chunks(self, chunk: usize) -> Vec<MatMut<'a>> {
         assert!(chunk > 0);
         let mut out = Vec::with_capacity(self.cols.div_ceil(chunk));
         let mut rest = self;
@@ -691,7 +658,7 @@ impl<'a> MatMut<'a> {
     /// The row-split counterpart of [`MatMut::split_cols_chunks`]: the
     /// parallel GEMM driver tiles C over an M×N thread grid so tall-skinny
     /// outputs (BSOFI's 2N×N panels) still use every pool thread.
-    pub fn split_rows_chunks(self, chunk: usize) -> Vec<MatMut<'a>> {
+    pub(crate) fn split_rows_chunks(self, chunk: usize) -> Vec<MatMut<'a>> {
         assert!(chunk > 0);
         let mut out = Vec::with_capacity(self.rows.div_ceil(chunk));
         let mut rest = self;
@@ -911,8 +878,6 @@ mod tests {
         assert_eq!(a[(0, 1)], 2.0);
         a.add_diag(1.0);
         assert_eq!(a[(0, 0)], 1.0);
-        a.set_identity();
-        assert_eq!(a, Matrix::identity(2));
         a.fill_zero();
         assert_eq!(a.max_abs(), 0.0);
     }
@@ -952,7 +917,6 @@ mod tests {
     fn frobenius_and_max_abs_on_views() {
         let m = Matrix::from_fn(3, 3, |i, j| if i == j { -2.0 } else { 0.0 });
         assert!((m.as_ref().frobenius_norm() - (12.0f64).sqrt()).abs() < 1e-15);
-        assert_eq!(m.as_ref().max_abs(), 2.0);
         assert_eq!(m.max_abs(), 2.0);
     }
 

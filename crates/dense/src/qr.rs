@@ -34,7 +34,7 @@
 use crate::blas::{gemv_t_uncounted, ger_uncounted, nrm2, scal};
 use crate::gemm::{gemm_op_uncounted, Op};
 use crate::matrix::{MatMut, MatRef, Matrix};
-use fsi_runtime::{flops, workspace, Par};
+use fsi_runtime::{flops, trace, workspace, Par};
 
 /// Column count at which the recursive panel stops splitting and factors
 /// with the level-2 kernel.
@@ -65,7 +65,7 @@ pub fn geqrf(a: Matrix) -> QrFactor {
     static METER: fsi_runtime::metrics::Meter = fsi_runtime::metrics::Meter::new("dense.geqrf");
     let charge = flops::counts::geqrf(m, n) + flops::counts::larft(m, n);
     let _meter = METER.start(charge);
-    flops::add_flops(charge);
+    trace::charge_flops(charge);
     let mut f = QrFactor {
         v: a,
         r: Matrix::zeros(n, n),
@@ -91,7 +91,7 @@ fn house_generate(x: &mut [f64]) -> (f64, f64) {
 
 /// Which side of `C` the orthogonal factor is applied to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Side {
+pub(crate) enum Side {
     /// `C := op(Q)·C`
     Left,
     /// `C := C·op(Q)`
@@ -165,7 +165,7 @@ impl QrFactor {
             }
         };
         let _kernel = fsi_runtime::trace::kernel_span("ormqr");
-        flops::add_flops(flops::counts::ormqr(m, self.n(), other_dim));
+        trace::charge_flops(flops::counts::ormqr(m, self.n(), other_dim));
         apply_wy(par, self.v.as_ref(), self.t.as_ref(), side, trans, c);
     }
 
@@ -174,12 +174,6 @@ impl QrFactor {
         let mut q = Matrix::identity(self.m());
         self.apply_q_left(Par::Seq, q.as_mut());
         q
-    }
-
-    /// Thin `m × n` orthogonal factor.
-    pub fn q_thin(&self) -> Matrix {
-        let q = self.q();
-        q.block(0, 0, self.m(), self.n())
     }
 
     /// Factors columns `[j0, j0 + w)` — which still hold `A`, already
@@ -364,7 +358,7 @@ mod tests {
     fn q_thin_has_orthonormal_columns() {
         let a = test_matrix(30, 12, 16);
         let f = geqrf(a);
-        let qt = f.q_thin();
+        let qt = f.q().block(0, 0, 30, 12);
         assert_eq!((qt.rows(), qt.cols()), (30, 12));
         let mut g = Matrix::zeros(12, 12);
         gemm_op(

@@ -15,7 +15,7 @@ use crate::batch::gemm_nn_uncounted;
 use crate::blas::{axpy, dot};
 use crate::gemm::{gemm_op, Op};
 use crate::matrix::{MatMut, MatRef};
-use fsi_runtime::{flops, workspace, Par};
+use fsi_runtime::{flops, trace, workspace, Par};
 
 /// Diagonal-block size of the blocked substitutions: each `TB × TB`
 /// triangle is solved with the scalar kernel, and the off-diagonal
@@ -33,7 +33,7 @@ const RB: usize = 16;
 ///
 /// # Panics
 /// Panics unless `L` is square with side `B.rows()`.
-pub fn solve_unit_lower(l: MatRef<'_>, b: MatMut<'_>) {
+pub(crate) fn solve_unit_lower(l: MatRef<'_>, b: MatMut<'_>) {
     let _kernel = fsi_runtime::trace::kernel_span("trsm");
     solve_unit_lower_impl(true, l, b);
 }
@@ -51,7 +51,7 @@ fn solve_unit_lower_impl(count: bool, l: MatRef<'_>, mut b: MatMut<'_>) {
     while j0 < n {
         let tb = TB.min(n - j0);
         if count {
-            flops::add_flops(flops::counts::trsm(tb, nrhs));
+            trace::charge_flops(flops::counts::trsm(tb, nrhs));
         }
         solve_unit_lower_unblocked(
             l.submatrix(j0, j0, tb, tb),
@@ -86,7 +86,7 @@ fn solve_unit_lower_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
 ///
 /// # Panics
 /// Panics on shape mismatch or an exactly zero diagonal entry.
-pub fn solve_upper(u: MatRef<'_>, mut b: MatMut<'_>) {
+pub(crate) fn solve_upper(u: MatRef<'_>, mut b: MatMut<'_>) {
     let n = check_square(u, b.rows());
     let _kernel = fsi_runtime::trace::kernel_span("trsm");
     let nrhs = b.cols();
@@ -112,7 +112,7 @@ pub fn solve_upper(u: MatRef<'_>, mut b: MatMut<'_>) {
 
 fn solve_upper_unblocked(u: MatRef<'_>, mut b: MatMut<'_>) {
     let n = u.rows();
-    flops::add_flops(flops::counts::trsm(n, b.cols()));
+    trace::charge_flops(flops::counts::trsm(n, b.cols()));
     for c in 0..b.cols() {
         let col = b.col_mut(c);
         for j in (0..n).rev() {
@@ -128,7 +128,7 @@ fn solve_upper_unblocked(u: MatRef<'_>, mut b: MatMut<'_>) {
 }
 
 /// Solves `Lᵀ·X = B` in place with `L` unit lower triangular.
-pub fn solve_unit_lower_trans(l: MatRef<'_>, mut b: MatMut<'_>) {
+pub(crate) fn solve_unit_lower_trans(l: MatRef<'_>, mut b: MatMut<'_>) {
     let n = check_square(l, b.rows());
     let _kernel = fsi_runtime::trace::kernel_span("trsm");
     let nrhs = b.cols();
@@ -163,7 +163,7 @@ pub fn solve_unit_lower_trans(l: MatRef<'_>, mut b: MatMut<'_>) {
 
 fn solve_unit_lower_trans_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
     let n = l.rows();
-    flops::add_flops(flops::counts::trsm(n, b.cols()));
+    trace::charge_flops(flops::counts::trsm(n, b.cols()));
     for c in 0..b.cols() {
         let col = b.col_mut(c);
         for j in (0..n).rev() {
@@ -176,7 +176,7 @@ fn solve_unit_lower_trans_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
 ///
 /// # Panics
 /// Panics on shape mismatch or an exactly zero diagonal entry.
-pub fn solve_upper_trans(u: MatRef<'_>, mut b: MatMut<'_>) {
+pub(crate) fn solve_upper_trans(u: MatRef<'_>, mut b: MatMut<'_>) {
     let n = check_square(u, b.rows());
     let _kernel = fsi_runtime::trace::kernel_span("trsm");
     let nrhs = b.cols();
@@ -210,7 +210,7 @@ pub fn solve_upper_trans(u: MatRef<'_>, mut b: MatMut<'_>) {
 
 fn solve_upper_trans_unblocked(u: MatRef<'_>, mut b: MatMut<'_>) {
     let n = u.rows();
-    flops::add_flops(flops::counts::trsm(n, b.cols()));
+    trace::charge_flops(flops::counts::trsm(n, b.cols()));
     for c in 0..b.cols() {
         let col = b.col_mut(c);
         for j in 0..n {
@@ -234,28 +234,14 @@ fn gemm_raw(count: bool, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
 }
 
 /// Solves `X·L = B` in place (`B := B·L⁻¹`) with `L` unit lower
-/// triangular.
+/// triangular, without flop accounting or a kernel span: its one caller,
+/// GETRI, charges its own analytic total.
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn solve_unit_lower_right(l: MatRef<'_>, b: MatMut<'_>) {
-    let _kernel = fsi_runtime::trace::kernel_span("trsm");
-    solve_unit_lower_right_impl(true, l, b);
-}
-
-/// [`solve_unit_lower_right`] without flop accounting or a kernel span,
-/// for GETRI, which charges its own analytic total.
 pub(crate) fn solve_unit_lower_right_uncounted(l: MatRef<'_>, b: MatMut<'_>) {
-    solve_unit_lower_right_impl(false, l, b);
-}
-
-fn solve_unit_lower_right_impl(count: bool, l: MatRef<'_>, b: MatMut<'_>) {
     let n = check_square(l, b.cols());
-    let nrhs = b.rows();
     if n <= RB {
-        if count {
-            flops::add_flops(flops::counts::trsm(n, nrhs));
-        }
         solve_unit_lower_right_unblocked(l, b);
         return;
     }
@@ -263,9 +249,9 @@ fn solve_unit_lower_right_impl(count: bool, l: MatRef<'_>, b: MatMut<'_>) {
     // Down to RB-wide triangles all the work is the product in between.
     let h = n / 2;
     let (mut b1, mut b2) = b.split_at_col(h);
-    solve_unit_lower_right_impl(count, l.submatrix(h, h, n - h, n - h), b2.rb_mut());
-    gemm_raw(count, b2.as_ref(), l.submatrix(h, 0, n - h, h), b1.rb_mut());
-    solve_unit_lower_right_impl(count, l.submatrix(0, 0, h, h), b1);
+    solve_unit_lower_right_uncounted(l.submatrix(h, h, n - h, n - h), b2.rb_mut());
+    gemm_raw(false, b2.as_ref(), l.submatrix(h, 0, n - h, h), b1.rb_mut());
+    solve_unit_lower_right_uncounted(l.submatrix(0, 0, h, h), b1);
 }
 
 fn solve_unit_lower_right_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
@@ -299,7 +285,7 @@ fn solve_unit_lower_right_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
 /// Panics on an exactly zero diagonal entry.
 pub fn invert_upper(u: MatMut<'_>) {
     let _kernel = fsi_runtime::trace::kernel_span("trtri");
-    flops::add_flops(flops::counts::trtri(u.rows()) * 2);
+    trace::charge_flops(flops::counts::trtri(u.rows()) * 2);
     invert_upper_uncounted(u);
 }
 
@@ -521,7 +507,7 @@ mod tests {
             let l = unit_lower(n, 23);
             let b = test_matrix(5, n, 22);
             let mut x = b.clone();
-            solve_unit_lower_right(l.as_ref(), x.as_mut());
+            solve_unit_lower_right_uncounted(l.as_ref(), x.as_mut());
             assert!(residual(&x, &l, &b) < 1e-11, "XL residual at n={n}");
         }
     }

@@ -158,7 +158,7 @@ impl DelayedUpdates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsi_dense::{rel_error, test_matrix};
+    use fsi_dense::{ger, rel_error, test_matrix};
 
     /// Reference: immediate rank-1 application.
     fn immediate_update(g: &mut Matrix, i: usize, gamma: f64, r: f64) {
@@ -170,7 +170,7 @@ mod tests {
             v[j] = g[(i, j)];
         }
         u[i] += 1.0;
-        fsi_dense::blas::ger(-gamma / r, &u, &v, g.as_mut());
+        ger(-gamma / r, &u, &v, g.as_mut());
     }
 
     #[test]

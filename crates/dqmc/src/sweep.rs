@@ -44,17 +44,16 @@
 //! * **Factored wraps** ([`wrap_factored`]): `B = e^{tΔτK}·D` with
 //!   `D = diag(e^{σνh})`, so the wrap is a diagonal similarity
 //!   (`Ĝ[i,j] ← Ĝ[i,j]·d_i/d_j`, two `exp` calls total since `h ∈ {±1}`)
-//!   followed by the kinetic conjugation — two scratch-buffered GEMMs, or
-//!   `O(N·bonds)` bond sweeps when the builder carries a
-//!   [`fsi_pcyclic::Checkerboard`]. No `B`/`B⁻¹` is materialized;
-//!   [`wrap_dense`] is kept only as the reference it is tested against.
+//!   followed by the kinetic conjugation, two scratch-buffered GEMMs by
+//!   `e^{±tΔτK}`. No `B`/`B⁻¹` is materialized; [`wrap_dense`] is kept
+//!   only as the reference it is tested against.
 //! * **Incremental stabilization**: dense blocks and CLS cluster products
 //!   are cached per channel ([`fsi_pcyclic::BlockCache`],
 //!   [`fsi_selinv::ClusterCache`]) and only the slices flipped since the
 //!   previous refresh are recomputed (dirty-slice tracking). On
 //!   invalidated caches a refresh is a bitwise cold rebuild.
 
-use fsi_dense::{blas, gemm_op, MatMut, MatRef, Matrix, Op};
+use fsi_dense::{gemm_op, ger, MatMut, MatRef, Matrix, Op};
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, BlockCache, HsField, Spin, SquareLattice};
 use fsi_runtime::health::{self, FsiError, FsiResult, Stage};
 use fsi_runtime::{trace, workspace, Par};
@@ -473,7 +472,7 @@ impl<'a> Sweeper<'a> {
                     v[j] = g[(i, j)];
                 }
                 u[i] += 1.0;
-                blas::ger(-gamma / r, u, v, g.as_mut());
+                ger(-gamma / r, u, v, g.as_mut());
             });
         }
         self.field.flip(slice, i);
@@ -670,8 +669,7 @@ pub fn wrap_dense(
 /// `h ∈ {±1}` only `e^{+σν}` and `e^{−σν}` ever occur, two transcendental
 /// calls per slice instead of the dense path's `2N` (formerly `N²`). The
 /// kinetic conjugation is two GEMMs through thread-local scratch (no
-/// allocation), or two `O(N·bonds)` bond sweeps when the builder carries a
-/// checkerboard backend. Matches [`wrap_dense`] up to round-off-level
+/// allocation). Matches [`wrap_dense`] up to round-off-level
 /// reassociation (≪ 1e-12; property-tested).
 pub fn wrap_factored(
     par: Par<'_>,
@@ -697,36 +695,28 @@ pub fn wrap_factored(
         }
     }
     trace::charge_flops(2 * (n * n) as u64);
-    match builder.checkerboard() {
-        Some(cb) => {
-            cb.apply_left(g);
-            cb.apply_right_inverse(g);
-        }
-        None => {
-            workspace::with_scratch(n * n, |buf| {
-                gemm_op(
-                    par,
-                    1.0,
-                    Op::NoTrans,
-                    builder.exp_k().view(0, 0, n, n),
-                    Op::NoTrans,
-                    g.view(0, 0, n, n),
-                    0.0,
-                    MatMut::from_slice(&mut *buf, n, n, n),
-                );
-                gemm_op(
-                    par,
-                    1.0,
-                    Op::NoTrans,
-                    MatRef::from_slice(&*buf, n, n, n),
-                    Op::NoTrans,
-                    builder.exp_k_inv().view(0, 0, n, n),
-                    0.0,
-                    g.as_mut(),
-                );
-            });
-        }
-    }
+    workspace::with_scratch(n * n, |buf| {
+        gemm_op(
+            par,
+            1.0,
+            Op::NoTrans,
+            builder.exp_k().view(0, 0, n, n),
+            Op::NoTrans,
+            g.view(0, 0, n, n),
+            0.0,
+            MatMut::from_slice(&mut *buf, n, n, n),
+        );
+        gemm_op(
+            par,
+            1.0,
+            Op::NoTrans,
+            MatRef::from_slice(&*buf, n, n, n),
+            Op::NoTrans,
+            builder.exp_k_inv().view(0, 0, n, n),
+            0.0,
+            g.as_mut(),
+        );
+    });
 }
 
 #[cfg(test)]
@@ -859,33 +849,6 @@ mod tests {
                 let err = rel_error(&factored, &dense);
                 assert!(err < 1e-12, "{spin:?} slice {slice}: {err}");
             }
-        }
-    }
-
-    #[test]
-    fn checkerboard_factored_wrap_matches_its_dense_reference() {
-        // With a checkerboard builder, both strategies use the *same*
-        // Trotterized propagator, so they still agree to round-off.
-        let builder = BlockBuilder::with_checkerboard(
-            SquareLattice::square(2),
-            HubbardParams {
-                t: 1.0,
-                u: 4.0,
-                beta: 2.0,
-                l: 8,
-            },
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let field = HsField::random(8, 4, &mut rng);
-        let sweeper =
-            Sweeper::new(&builder, field.clone(), SweepConfig::default()).expect("healthy");
-        for spin in Spin::BOTH {
-            let mut dense = sweeper.green(spin);
-            wrap_dense(Par::Seq, &builder, &field, 2, spin, &mut dense);
-            let mut factored = sweeper.green(spin);
-            wrap_factored(Par::Seq, &builder, &field, 2, spin, &mut factored);
-            let err = rel_error(&factored, &dense);
-            assert!(err < 1e-12, "{spin:?}: {err}");
         }
     }
 

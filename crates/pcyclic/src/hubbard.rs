@@ -17,10 +17,9 @@
 //! matrix exponential and shared by all slices, spins and Monte Carlo
 //! sweeps.
 
-use fsi_dense::{expm, Matrix};
+use fsi_dense::{expm, scale_cols_exp, scale_rows_exp, Matrix};
 use rand::Rng;
 
-use crate::checkerboard::Checkerboard;
 use crate::lattice::SquareLattice;
 
 /// Spin direction `σ ∈ {↑, ↓}` entering the HS exponent as `±1`.
@@ -179,7 +178,6 @@ pub struct BlockBuilder {
     nu: f64,
     exp_k: Matrix,
     exp_k_inv: Matrix,
-    cb: Option<Checkerboard>,
 }
 
 impl BlockBuilder {
@@ -198,36 +196,7 @@ impl BlockBuilder {
             nu,
             exp_k,
             exp_k_inv,
-            cb: None,
         }
-    }
-
-    /// Like [`Self::new`] but with the checkerboard breakup as the kinetic
-    /// propagator: `exp_k`/`exp_k_inv` are the *materialized* checkerboard
-    /// products (not the Padé exponential), so every consumer — dense block
-    /// assembly, CLS, measurements, and the O(N·bonds) factored wrap — sees
-    /// the same propagator and stays mutually consistent to round-off. The
-    /// substitution carries the usual `O((tΔτ)²)` Trotter error relative to
-    /// the exact exponential, the same order as the discretization itself.
-    pub fn with_checkerboard(lattice: SquareLattice, params: HubbardParams) -> Self {
-        let cb = Checkerboard::new(&lattice, params.t * params.delta_tau());
-        let exp_k = cb.as_dense();
-        let exp_k_inv = cb.as_dense_inverse();
-        let nu = params.nu();
-        BlockBuilder {
-            lattice,
-            params,
-            nu,
-            exp_k,
-            exp_k_inv,
-            cb: Some(cb),
-        }
-    }
-
-    /// The checkerboard backend, when this builder was constructed with
-    /// [`Self::with_checkerboard`].
-    pub fn checkerboard(&self) -> Option<&Checkerboard> {
-        self.cb.as_ref()
     }
 
     /// The lattice this builder was created for.
@@ -243,9 +212,8 @@ impl BlockBuilder {
     /// Whether the model is particle–hole symmetric: with no chemical
     /// potential and sublattice signs `Π = diag((−1)^{x+y})`, every field
     /// gives `Π·B↓·Π = (B↑)⁻ᵀ` slice by slice, so `G↓ = Π(I − G↑)ᵀΠ` at
-    /// equal time. Holds for the dense and the checkerboard propagator
-    /// exactly when both extents are even (the periodic lattice is then
-    /// bipartite).
+    /// equal time. Holds exactly when both extents are even (the periodic
+    /// lattice is then bipartite).
     pub fn particle_hole_symmetric(&self) -> bool {
         self.lattice.nx().is_multiple_of(2) && self.lattice.ny().is_multiple_of(2)
     }
@@ -269,7 +237,7 @@ impl BlockBuilder {
     pub fn block(&self, field: &HsField, l: usize, spin: Spin) -> Matrix {
         let mut b = self.exp_k.clone();
         let d = field.row(l);
-        fsi_dense::expm::scale_cols_exp(&mut b, spin.sign() * self.nu, &d);
+        scale_cols_exp(&mut b, spin.sign() * self.nu, &d);
         b
     }
 
@@ -278,7 +246,7 @@ impl BlockBuilder {
         let d = field.row(l);
         let alpha = -spin.sign() * self.nu;
         let mut out = self.exp_k_inv.clone();
-        fsi_dense::expm::scale_rows_exp(&mut out, alpha, &d);
+        scale_rows_exp(&mut out, alpha, &d);
         out
     }
 
@@ -407,31 +375,6 @@ mod tests {
         for blk in &blocks[1..] {
             assert!(rel_error(blk, &blocks[0]) < 1e-15);
         }
-    }
-
-    #[test]
-    fn checkerboard_builder_is_self_consistent() {
-        let lat = SquareLattice::square(4);
-        let p = HubbardParams::paper_validation(8);
-        let b = BlockBuilder::with_checkerboard(lat.clone(), p.clone());
-        let cb = b.checkerboard().expect("checkerboard backend present");
-        // exp_k is exactly the materialized checkerboard product.
-        assert!(rel_error(b.exp_k(), &cb.as_dense()) < 1e-15);
-        // Blocks still satisfy B·B⁻¹ = I (the inverse is exact even though
-        // the propagator is the Trotterized one).
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
-        let h = HsField::random(8, 16, &mut rng);
-        let blk = b.block(&h, 5, Spin::Up);
-        let inv = b.block_inverse(&h, 5, Spin::Up);
-        let mut prod = mul(&blk, &inv);
-        prod.add_diag(-1.0);
-        assert!(prod.max_abs() < 1e-12, "cb B·B⁻¹ ≉ I: {}", prod.max_abs());
-        // Close to (but distinct from) the dense-exponential builder.
-        let dense = BlockBuilder::new(lat, p);
-        let err = rel_error(b.exp_k(), dense.exp_k());
-        assert!(err < 0.05, "Trotter error unexpectedly large: {err}");
-        // The plain builder has no checkerboard backend.
-        assert!(dense.checkerboard().is_none());
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! * [`green`] — the explicit Green's-function expression of Eq. (3)
 //!   (the baseline FSI is compared against, and the test oracle for all
 //!   structured algorithms);
-//! * [`checkerboard`] — QUEST's sparse bond-split alternative to the
-//!   dense hopping exponential, with exact inverse and O(N) application;
 //! * [`block_cache`] — dirty-slice-tracking reuse of dense `B_ℓ` blocks
 //!   across DQMC stabilizations.
 
@@ -24,14 +22,12 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod block_cache;
-pub mod checkerboard;
 pub mod green;
 pub mod hubbard;
 pub mod lattice;
 pub mod pcyclic;
 
 pub use block_cache::BlockCache;
-pub use checkerboard::Checkerboard;
 pub use hubbard::{BlockBuilder, HsField, HubbardParams, Spin};
 pub use lattice::{temporal_distance, SquareLattice};
 pub use pcyclic::{random_pcyclic, BlockPCyclic};

@@ -32,10 +32,10 @@ use std::path::{Path, PathBuf};
 use crate::metrics::{flight, LazyCounter};
 
 /// Envelope magic: identifies a file as an FSI checkpoint, any version.
-pub const MAGIC: [u8; 8] = *b"FSICKPT\x01";
+pub(crate) const MAGIC: [u8; 8] = *b"FSICKPT\x01";
 
 /// Envelope header length: magic + version + payload length + checksum.
-pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
+pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 static CORRUPT: LazyCounter = LazyCounter::new("runtime.ckpt.corrupt");
 static FALLBACKS: LazyCounter = LazyCounter::new("runtime.ckpt.fallbacks");
@@ -273,12 +273,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Appends a length-prefixed byte string.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
     /// Appends a length-prefixed `i8` slice (HS field configurations).
     pub fn put_i8s(&mut self, v: &[i8]) {
         self.put_u64(v.len() as u64);
@@ -354,7 +348,7 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     /// [`CkptError::Malformed`] on truncation or an absurd length.
-    pub fn take_bytes(&mut self) -> Result<&'a [u8], CkptError> {
+    pub(crate) fn take_bytes(&mut self) -> Result<&'a [u8], CkptError> {
         let len = self.take_u64()? as usize;
         self.take(len)
     }
@@ -429,7 +423,6 @@ mod tests {
         w.put_f64(f64::NAN);
         w.put_i8s(&[1, -1, 1]);
         w.put_f64s(&[1.5, f64::MIN_POSITIVE]);
-        w.put_bytes(b"tenant");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.take_u32().unwrap(), 7);
@@ -438,7 +431,6 @@ mod tests {
         assert!(r.take_f64().unwrap().is_nan());
         assert_eq!(r.take_i8s().unwrap(), vec![1, -1, 1]);
         assert_eq!(r.take_f64s().unwrap(), vec![1.5, f64::MIN_POSITIVE]);
-        assert_eq!(r.take_bytes().unwrap(), b"tenant");
         assert!(r.is_empty());
         assert!(r.take_u32().is_err(), "reads past the end fail loudly");
     }

@@ -14,12 +14,6 @@
 //! region with `trace::span(..)` and read flops from
 //! [`crate::trace::SpanGuard::finish`] or the run report.
 
-/// Adds `n` flops to the innermost open trace span of this thread.
-#[inline]
-pub fn add_flops(n: u64) {
-    crate::trace::charge_flops(n);
-}
-
 /// Textbook flop counts for the dense kernels, kept in one place so kernels
 /// and complexity tables agree by construction.
 pub mod counts {

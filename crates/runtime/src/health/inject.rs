@@ -42,19 +42,6 @@ pub enum FaultKind {
     BitFlip,
 }
 
-impl FaultKind {
-    /// Stable label for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultKind::Nan => "nan",
-            FaultKind::Inf => "inf",
-            FaultKind::Huge => "huge",
-            FaultKind::Scale => "scale",
-            FaultKind::BitFlip => "bitflip",
-        }
-    }
-}
-
 /// An injection site: which stage/block to poison and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Site {
@@ -104,11 +91,6 @@ pub fn arm_times(site: Site, fires: u32) {
 pub fn disarm() -> u64 {
     ARMED.store(false, Ordering::Relaxed);
     plan().take().map(|p| p.fired).unwrap_or(0)
-}
-
-/// How many times the current plan has fired so far.
-pub fn fired() -> u64 {
-    plan().as_ref().map(|p| p.fired).unwrap_or(0)
 }
 
 /// Injection hook: called by the pipeline at each stage boundary with
@@ -174,7 +156,6 @@ mod tests {
         assert!(buf.iter().all(|x| x.is_finite()), "no match, no poison");
         poison(Stage::Cls, 1, &mut buf);
         assert!(buf[4].is_nan(), "matched site poisons the midpoint");
-        assert_eq!(fired(), 1);
         buf[4] = 1.0;
         poison(Stage::Cls, 1, &mut buf);
         poison(Stage::Cls, 1, &mut buf);

@@ -92,7 +92,7 @@ pub enum HealthEvent {
         column: usize,
     },
     /// Conditioning beyond the usable range — either a pivot-magnitude
-    /// ratio past [`KAPPA_MAX`] or entries past [`MAGNITUDE_MAX`]
+    /// ratio past [`KAPPA_MAX`] or entries past `MAGNITUDE_MAX` (1e100)
     /// (an overflow-bound proxy for `κ(B)^c` blowup, paper §II-C).
     IllConditioned {
         /// Stage whose probe tripped.
@@ -112,7 +112,7 @@ pub enum HealthEvent {
 
 impl HealthEvent {
     /// The stage this event is attributed to.
-    pub fn stage(&self) -> Stage {
+    pub(crate) fn stage(&self) -> Stage {
         match self {
             HealthEvent::NonFinite { stage, .. }
             | HealthEvent::SingularPivot { stage, .. }
@@ -123,7 +123,7 @@ impl HealthEvent {
 
     /// Stable `health.*` label for this event kind, matching the
     /// trace-span and metrics vocabulary.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             HealthEvent::NonFinite { .. } => "health.non_finite",
             HealthEvent::SingularPivot { .. } => "health.singular_pivot",
@@ -231,11 +231,11 @@ pub const KAPPA_MAX: f64 = 1e14;
 /// Healthy Green's-function and propagator blocks live many orders of
 /// magnitude below this; crossing it means the chain conditioning has
 /// blown up even if no Inf has been produced yet.
-pub const MAGNITUDE_MAX: f64 = 1e100;
+pub(crate) const MAGNITUDE_MAX: f64 = 1e100;
 
 /// Scans a stage-output buffer: raises [`HealthEvent::NonFinite`] on the
 /// first NaN/Inf and [`HealthEvent::IllConditioned`] when the magnitude
-/// exceeds [`MAGNITUDE_MAX`].
+/// exceeds `MAGNITUDE_MAX` (1e100).
 pub fn check_block(stage: Stage, block: usize, data: &[f64]) -> Result<(), HealthEvent> {
     // Branchless unrolled scan that lowers to packed mul/add/max: the
     // poison lanes accumulate `x * 0.0` (±0.0 for finite `x`, NaN for

@@ -43,6 +43,7 @@
 //! of the workspace dependency graph.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ckpt;
 pub mod flops;
@@ -58,7 +59,7 @@ pub mod workspace;
 pub use health::{FsiError, FsiResult, HealthEvent, Stage};
 pub use metrics::{Meter, MetricsSnapshot};
 pub use parallel::{parallel_for, parallel_map, Schedule};
-pub use pool::{Par, PoolStats, ScopeHandle, ThreadPool, WorkerStats};
+pub use pool::{Par, ScopeHandle, ThreadPool};
 pub use steal::StealQueues;
 pub use timing::{Profile, Stopwatch};
 pub use trace::{RunReport, SpanGuard, SpanStats, TraceLevel};

@@ -4,17 +4,17 @@
 //!
 //! The PR-5 guardrails tell a driver *that* a stage tripped; they carry
 //! no context about what the process was doing in the seconds before.
-//! The recorder keeps the last [`CAPACITY`] events (each a few words) in
+//! The recorder keeps the last `CAPACITY` events (each a few words) in
 //! a mutex-guarded ring, and renders them to an NDJSON *incident dump*
 //! whenever a [`crate::HealthEvent`] fires or the sweep driver's
 //! recovery ladder runs a rung — so every incident ships its own
 //! post-mortem without anyone having had tracing pre-armed.
 //!
 //! Dumps always land in an in-memory slot readable via [`last_dump`]
-//! (harnesses and tests assert on it); when a dump directory is set —
-//! [`set_dump_dir`] or the `FSI_FLIGHT_DIR` environment variable — each
-//! incident is also written to `flight-<seq>-<reason>.ndjson` there, up
-//! to [`MAX_DUMP_FILES`] files per process so a pathological event storm
+//! (harnesses and tests assert on it); when the `FSI_FLIGHT_DIR`
+//! environment variable names a dump directory, each incident is also
+//! written to `flight-<seq>-<reason>.ndjson` there, up to
+//! `MAX_DUMP_FILES` files per process so a pathological event storm
 //! cannot fill a disk.
 //!
 //! Span closures are recorded only while tracing is on (spans are no-ops
@@ -25,17 +25,17 @@
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use super::registry::LazyCounter;
 
 /// Events retained in the ring. Must comfortably exceed the 32 recent
 /// spans an incident dump is required to carry.
-pub const CAPACITY: usize = 256;
+pub(crate) const CAPACITY: usize = 256;
 
 /// File-dump cap per process (the in-memory [`last_dump`] slot is
 /// always refreshed regardless).
-pub const MAX_DUMP_FILES: u64 = 64;
+pub(crate) const MAX_DUMP_FILES: u64 = 64;
 
 /// What kind of moment a [`FlightEvent`] captures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,9 +92,9 @@ struct Ring {
 
 static RING: Mutex<Option<Ring>> = Mutex::new(None);
 static LAST_DUMP: Mutex<Option<String>> = Mutex::new(None);
-/// `None` until resolved: dump dir from `set_dump_dir` or
-/// `FSI_FLIGHT_DIR` (empty string disables file dumps).
-static DUMP_DIR: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
+/// Dump dir from `FSI_FLIGHT_DIR`, read on the first incident (unset or
+/// empty disables file dumps).
+static DUMP_DIR: OnceLock<Option<PathBuf>> = OnceLock::new();
 static DUMP_FILES_WRITTEN: AtomicU64 = AtomicU64::new(0);
 
 static DUMPS: LazyCounter = LazyCounter::new("runtime.flight.dumps");
@@ -148,7 +148,7 @@ fn record_mark(kind: FlightKind, name: &'static str, stage: &'static str) {
 }
 
 /// Records a health event and dumps the ring (the incident trigger).
-pub fn note_health(name: &'static str, stage: &'static str) {
+pub(crate) fn note_health(name: &'static str, stage: &'static str) {
     record_mark(FlightKind::Health, name, stage);
     incident(name);
 }
@@ -180,17 +180,9 @@ pub fn clear() {
     *LAST_DUMP.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-/// Overrides the incident-dump directory (`None` disables file dumps).
-/// When never called, the `FSI_FLIGHT_DIR` environment variable is
-/// consulted on the first incident.
-pub fn set_dump_dir(dir: Option<PathBuf>) {
-    *DUMP_DIR.lock().unwrap_or_else(|e| e.into_inner()) = Some(dir);
-}
-
 fn dump_dir() -> Option<PathBuf> {
-    let mut guard = DUMP_DIR.lock().unwrap_or_else(|e| e.into_inner());
-    guard
-        .get_or_insert_with(|| {
+    DUMP_DIR
+        .get_or_init(|| {
             std::env::var_os("FSI_FLIGHT_DIR")
                 .filter(|v| !v.is_empty())
                 .map(PathBuf::from)
@@ -206,7 +198,7 @@ pub fn last_dump() -> Option<String> {
 /// Renders the current ring to incident-dump NDJSON: a `flight_meta`
 /// line followed by one `flight` line per event, oldest first (see
 /// `results/schema.md`).
-pub fn render(reason: &str) -> String {
+pub(crate) fn render(reason: &str) -> String {
     let events = events();
     let unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

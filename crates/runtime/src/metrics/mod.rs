@@ -38,7 +38,7 @@ mod registry;
 
 pub use registry::{
     counter, gauge, histogram, Counter, Gauge, HistogramMetric, LazyCounter, LazyGauge,
-    LazyHistogram, Meter, MeterGuard, SHARDS,
+    LazyHistogram, Meter, MeterGuard,
 };
 
 use std::collections::BTreeMap;
@@ -214,10 +214,8 @@ mod tests {
         let g = gauge("test.mod.gauge_a");
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
-        g.set_max(1.0);
-        assert_eq!(g.get(), 2.5, "set_max never lowers");
-        g.set_max(9.0);
-        assert_eq!(g.get(), 9.0);
+        g.set(1.0);
+        assert_eq!(g.get(), 1.0, "the last write wins");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::trace::Histogram;
 /// Number of per-thread shards in a [`Counter`] / [`HistogramMetric`].
 /// Threads hash onto shards by a process-assigned index, so up to
 /// `SHARDS` concurrent writers proceed with zero line sharing.
-pub const SHARDS: usize = 16;
+pub(crate) const SHARDS: usize = 16;
 
 /// One cache line per shard so neighboring shards never false-share.
 #[repr(align(64))]
@@ -41,7 +41,7 @@ fn shard_index() -> usize {
 }
 
 /// A monotonically increasing event/quantity counter, sharded across
-/// [`SHARDS`] cache lines.
+/// `SHARDS` cache lines.
 #[derive(Default)]
 pub struct Counter {
     shards: [PaddedU64; SHARDS],
@@ -50,7 +50,7 @@ pub struct Counter {
 impl Counter {
     /// Creates a detached counter (not in the registry); registry users
     /// go through [`counter`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -83,7 +83,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// Creates a detached gauge holding `0.0`.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge {
             bits: AtomicU64::new(0f64.to_bits()),
         }
@@ -91,32 +91,12 @@ impl Gauge {
 
     /// Sets the gauge.
     #[inline]
-    pub fn set(&self, v: f64) {
+    pub(crate) fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Raises the gauge to `v` if `v` is greater than the current value
-    /// (high-water mark semantics; NaN is ignored).
-    pub fn set_max(&self, v: f64) {
-        if v.is_nan() {
-            return;
-        }
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        while v > f64::from_bits(cur) {
-            match self.bits.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
     /// Reads the gauge.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -279,7 +259,7 @@ impl LazyCounter {
 
     /// The underlying registered counter.
     #[inline]
-    pub fn get(&self) -> &'static Counter {
+    pub(crate) fn get(&self) -> &'static Counter {
         self.cell.get_or_init(|| counter(self.name))
     }
 
@@ -313,7 +293,7 @@ impl LazyGauge {
 
     /// The underlying registered gauge.
     #[inline]
-    pub fn get(&self) -> &'static Gauge {
+    pub(crate) fn get(&self) -> &'static Gauge {
         self.cell.get_or_init(|| gauge(self.name))
     }
 
@@ -321,11 +301,6 @@ impl LazyGauge {
     #[inline]
     pub fn set(&self, v: f64) {
         self.get().set(v);
-    }
-
-    /// High-water-mark update.
-    pub fn set_max(&self, v: f64) {
-        self.get().set_max(v);
     }
 }
 
@@ -346,7 +321,7 @@ impl LazyHistogram {
 
     /// The underlying registered histogram.
     #[inline]
-    pub fn get(&self) -> &'static HistogramMetric {
+    pub(crate) fn get(&self) -> &'static HistogramMetric {
         self.cell.get_or_init(|| histogram(self.name))
     }
 

@@ -64,7 +64,7 @@ struct WorkerStat {
 /// Snapshot of one background worker's utilization (see
 /// [`ThreadPool::stats`]).
 #[derive(Clone, Debug)]
-pub struct WorkerStats {
+pub(crate) struct WorkerStats {
     /// Time spent executing jobs.
     pub busy: Duration,
     /// Time spent waiting for jobs.
@@ -73,26 +73,13 @@ pub struct WorkerStats {
     pub jobs: u64,
 }
 
-impl WorkerStats {
-    /// Fraction of tracked time this worker spent busy (0 if it has not
-    /// been observed yet).
-    pub fn utilization(&self) -> f64 {
-        let total = (self.busy + self.idle).as_secs_f64();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / total
-        }
-    }
-}
-
 /// Utilization snapshot of a whole pool (see [`ThreadPool::stats`]).
 ///
 /// Covers the `size - 1` background workers; the scope-calling thread's
 /// time shows up in trace spans instead. `queue_depth` is the number of
 /// jobs queued but not yet picked up at snapshot time.
 #[derive(Clone, Debug)]
-pub struct PoolStats {
+pub(crate) struct PoolStats {
     /// One entry per background worker, in spawn order.
     pub workers: Vec<WorkerStats>,
     /// Jobs waiting in the shared queue right now.
@@ -169,12 +156,6 @@ impl ThreadPool {
         }
     }
 
-    /// Creates a pool sized by `FSI_NUM_THREADS` or the hardware thread
-    /// count.
-    pub fn with_default_size() -> Self {
-        Self::new(crate::default_threads())
-    }
-
     /// Total thread count including the scope-calling thread.
     pub fn size(&self) -> usize {
         self.size
@@ -183,7 +164,7 @@ impl ThreadPool {
     /// Snapshots worker utilization (busy vs. idle time, jobs executed)
     /// and the current queue depth. Counters accumulate over the pool's
     /// lifetime; diff two snapshots to measure a region.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         let stats = PoolStats {
             workers: self
                 .shared

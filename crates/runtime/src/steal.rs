@@ -36,8 +36,8 @@ static STEAL_MOVED: LazyCounter = LazyCounter::new("runtime.steal.tasks_moved");
 ///
 /// `W` workers each own one deque. Producers push to any worker's deque
 /// ([`StealQueues::push`]); worker `w` drains its own deque FIFO via
-/// [`StealQueues::pop`] and falls back to stealing half of the fullest
-/// other deque ([`StealQueues::steal_into`]). [`StealQueues::acquire`]
+/// `pop` and falls back to stealing half of the fullest other deque
+/// (`steal_into`). [`StealQueues::acquire`]
 /// bundles both with blocking: it parks the worker until a task arrives
 /// anywhere or the queues are [closed](StealQueues::close).
 pub struct StealQueues<T> {
@@ -62,18 +62,13 @@ impl<T> StealQueues<T> {
         }
     }
 
-    /// Number of worker deques.
-    pub fn workers(&self) -> usize {
-        self.deques.len()
-    }
-
     /// Tasks currently queued across all deques (racy snapshot).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending.load(Ordering::Acquire)
     }
 
     /// Whether every deque is empty (racy snapshot).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -104,7 +99,7 @@ impl<T> StealQueues<T> {
     }
 
     /// Pops the oldest task from `worker`'s own deque (FIFO), if any.
-    pub fn pop(&self, worker: usize) -> Option<T> {
+    pub(crate) fn pop(&self, worker: usize) -> Option<T> {
         let task = self.deques[worker].lock().unwrap().pop_front();
         if task.is_some() {
             self.pending.fetch_sub(1, Ordering::AcqRel);
@@ -118,7 +113,7 @@ impl<T> StealQueues<T> {
     /// Tasks are taken from the *back* of the victim (the youngest work,
     /// least likely to be cache-warm for the owner). Returns `None` when
     /// no victim has work.
-    pub fn steal_into(&self, thief: usize) -> Option<T> {
+    pub(crate) fn steal_into(&self, thief: usize) -> Option<T> {
         STEAL_ATTEMPTS.inc();
         // Pick the fullest victim by a racy scan; contention re-checks
         // under the victim's lock below.

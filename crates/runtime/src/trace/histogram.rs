@@ -9,7 +9,7 @@
 //! count.
 
 /// Number of log₂ buckets; covers the full `u64` nanosecond range.
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A mergeable latency histogram with power-of-two bucket edges.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,13 +35,13 @@ impl Histogram {
 
     /// Index of the bucket covering `value`: `floor(log2(value))`, with
     /// 0 and 1 both landing in bucket 0.
-    pub fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         63 - (value | 1).leading_zeros() as usize
     }
 
     /// Half-open value range `[lo, hi)` covered by bucket `i` (bucket 63's
     /// upper bound saturates at `u64::MAX`).
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
+    pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
         let lo = if i == 0 { 0 } else { 1u64 << i };
         let hi = if i >= 63 { u64::MAX } else { 1u64 << (i + 1) };
         (lo, hi)
@@ -56,12 +56,12 @@ impl Histogram {
     /// Adds `count` pre-aggregated observations to bucket `bucket` with a
     /// known value total (used when reconstructing from a serialized
     /// report).
-    pub fn record_bucket(&mut self, bucket: usize, count: u64) {
+    pub(crate) fn record_bucket(&mut self, bucket: usize, count: u64) {
         self.counts[bucket.min(BUCKETS - 1)] += count;
     }
 
     /// Sets the exact sum of observed values (serialization round-trip).
-    pub fn set_sum(&mut self, sum: u64) {
+    pub(crate) fn set_sum(&mut self, sum: u64) {
         self.sum = sum;
     }
 
@@ -90,27 +90,12 @@ impl Histogram {
     }
 
     /// Exact sum of all observed values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
-    /// Exact mean of observed values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
     /// Iterates `(bucket_index, count)` over non-empty buckets.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
@@ -121,7 +106,7 @@ impl Histogram {
     /// Upper bound of the bucket containing the `q`-quantile observation
     /// (`q` in `[0, 1]`); 0 if the histogram is empty. Resolution is one
     /// bucket, i.e. a factor of two.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
             return 0;
@@ -173,8 +158,7 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1 + 2 + 3 + 1000 + 1_000_000);
-        assert!((h.mean() - h.sum() as f64 / 5.0).abs() < 1e-9);
-        assert_eq!(h.bucket_count(1), 2); // 2 and 3
+        assert_eq!(h.counts[1], 2); // 2 and 3
     }
 
     #[test]
@@ -187,7 +171,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.sum(), 710);
-        assert_eq!(a.bucket_count(Histogram::bucket_index(5)), 2);
+        assert_eq!(a.counts[Histogram::bucket_index(5)], 2);
     }
 
     #[test]

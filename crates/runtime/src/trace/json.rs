@@ -108,7 +108,7 @@ impl Json {
     }
 
     /// Appends the serialized form to `out`.
-    pub fn write(&self, out: &mut String) {
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

@@ -10,7 +10,7 @@
 //! * [`span`] / [`kernel_span`] — hierarchical RAII spans
 //!   (`span("fsi")` > `span("cls")` > `kernel_span("gemm")`) with
 //!   per-span flop and byte counters. Flops charged via
-//!   [`crate::flops::add_flops`] land on the innermost span of the current
+//!   [`charge_flops`] land on the innermost span of the current
 //!   thread, and [`crate::ThreadPool`] propagates span context to worker
 //!   threads, so parallel kernels attribute to the stage that launched
 //!   them.
@@ -32,13 +32,14 @@ mod json;
 mod report;
 mod span;
 
-pub use histogram::{Histogram, BUCKETS};
+pub use histogram::Histogram;
+pub(crate) use histogram::BUCKETS;
 pub use json::{Json, JsonError};
-pub use report::{RunReport, SpanRow, StageTotal, WorkerRow, SCHEMA_VERSION};
+pub use report::{RunReport, SpanRow, StageTotal, WorkerRow};
 pub use span::{
-    charge_bytes, charge_flops, clear, current_context, drain, enabled, kernel_span,
-    kernels_enabled, level, set_level, span, with_context, SpanContext, SpanGuard, SpanRecord,
-    SpanStats, TraceData, TraceLevel,
+    charge_bytes, charge_flops, clear, current_context, drain, enabled, kernel_span, level,
+    set_level, span, with_context, SpanContext, SpanGuard, SpanRecord, SpanStats, TraceData,
+    TraceLevel,
 };
 
 #[doc(hidden)]

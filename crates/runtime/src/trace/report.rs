@@ -19,7 +19,7 @@ use super::span;
 use crate::pool::ThreadPool;
 
 /// NDJSON schema version; bump when a record shape changes.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// One finished span as exported (owned strings so parsed reports and
 /// captured reports are the same type).
@@ -45,17 +45,8 @@ pub struct SpanRow {
 
 impl SpanRow {
     /// Duration in seconds.
-    pub fn seconds(&self) -> f64 {
+    pub(crate) fn seconds(&self) -> f64 {
         self.dur_ns as f64 / 1e9
-    }
-
-    /// Attained rate in Gflop/s.
-    pub fn gflops(&self) -> f64 {
-        if self.dur_ns == 0 {
-            0.0
-        } else {
-            self.flops as f64 / self.seconds() / 1e9
-        }
     }
 }
 
@@ -71,18 +62,6 @@ pub struct WorkerRow {
     pub idle_ns: u64,
     /// Number of jobs executed.
     pub jobs: u64,
-}
-
-impl WorkerRow {
-    /// Fraction of tracked time spent busy (0 when nothing was tracked).
-    pub fn utilization(&self) -> f64 {
-        let total = self.busy_ns + self.idle_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / total as f64
-        }
-    }
 }
 
 /// Aggregate over all spans sharing a name.
@@ -102,7 +81,7 @@ pub struct StageTotal {
 
 impl StageTotal {
     /// Attained rate in Gflop/s.
-    pub fn gflops(&self) -> f64 {
+    pub(crate) fn gflops(&self) -> f64 {
         if self.seconds <= 0.0 {
             0.0
         } else {
@@ -193,7 +172,7 @@ impl RunReport {
     }
 
     /// Aggregates spans by name, in name order.
-    pub fn stage_totals(&self) -> Vec<StageTotal> {
+    pub(crate) fn stage_totals(&self) -> Vec<StageTotal> {
         let mut by_name: BTreeMap<&str, StageTotal> = BTreeMap::new();
         for row in &self.spans {
             let t = by_name.entry(&row.name).or_insert_with(|| StageTotal {
@@ -299,7 +278,7 @@ impl RunReport {
     }
 
     /// Serializes to NDJSON (see `results/schema.md`).
-    pub fn to_ndjson(&self) -> String {
+    pub(crate) fn to_ndjson(&self) -> String {
         let mut out = String::new();
         Json::Obj(vec![
             ("kind".into(), Json::Str("meta".into())),
@@ -359,7 +338,7 @@ impl RunReport {
     }
 
     /// Parses the NDJSON form back into a report (exact inverse of
-    /// [`RunReport::to_ndjson`]).
+    /// `to_ndjson`).
     pub fn parse_ndjson(text: &str) -> Result<RunReport, String> {
         let mut report = RunReport::default();
         let mut saw_meta = false;
@@ -445,7 +424,7 @@ impl RunReport {
     /// Serializes to Chrome `trace_event` JSON (open in `chrome://tracing`
     /// or Perfetto). Span rows become complete (`"ph":"X"`) events; worker
     /// rows become metadata counters in `args`.
-    pub fn to_chrome_trace(&self) -> String {
+    pub(crate) fn to_chrome_trace(&self) -> String {
         let mut events: Vec<Json> = self
             .spans
             .iter()

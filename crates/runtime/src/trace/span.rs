@@ -103,7 +103,7 @@ pub fn enabled() -> bool {
 
 /// True when kernel-granularity spans are being recorded.
 #[inline]
-pub fn kernels_enabled() -> bool {
+pub(crate) fn kernels_enabled() -> bool {
     level() >= TraceLevel::Kernels
 }
 
@@ -271,28 +271,6 @@ impl SpanGuard {
         }
     }
 
-    /// True if this guard is actually recording (false when tracing is
-    /// disabled at the relevant level).
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Charges flops directly to this span (normally [`charge_flops`] is
-    /// used instead, which targets the innermost span of the current
-    /// thread).
-    pub fn add_flops(&self, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.ctx.flops.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Charges bytes directly to this span.
-    pub fn add_bytes(&self, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.ctx.bytes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Closes the span now and returns its measured stats (zeroes when the
     /// guard was inactive). Harnesses use this to print per-stage rates
     /// without re-deriving them from the collector.
@@ -377,8 +355,9 @@ pub fn kernel_span(name: &'static str) -> SpanGuard {
 }
 
 /// Adds `n` flops to the innermost open span of the current thread (no-op
-/// when tracing is off or no span is open). `fsi_runtime::flops::add_flops`
-/// calls this, so kernels need no extra instrumentation for attribution.
+/// when tracing is off or no span is open). The dense kernels charge their
+/// analytic counts here, so they need no other instrumentation for
+/// attribution.
 #[inline]
 pub fn charge_flops(n: u64) {
     if level() == TraceLevel::Off {
@@ -498,7 +477,7 @@ mod tests {
         clear();
         set_level(TraceLevel::Off);
         let g = span("ghost");
-        assert!(!g.is_active());
+        assert!(g.inner.is_none());
         charge_flops(5);
         drop(g);
         assert!(drain().records.is_empty());
@@ -508,9 +487,9 @@ mod tests {
     fn kernel_spans_gated_by_level() {
         let _guard = test_lock();
         reset();
-        assert!(!kernel_span("gemm").is_active());
+        assert!(kernel_span("gemm").inner.is_none());
         set_level(TraceLevel::Kernels);
-        assert!(kernel_span("gemm").is_active());
+        assert!(kernel_span("gemm").inner.is_some());
         set_level(TraceLevel::Off);
         clear();
     }

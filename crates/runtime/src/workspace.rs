@@ -135,13 +135,6 @@ pub fn with_scratch2<R>(
     with_scratch(len_a, |a| with_scratch(len_b, |b| f(a, b)))
 }
 
-/// Drops every scratch buffer cached by the calling thread (tests and
-/// memory-sensitive harnesses). The process-wide block pool is a separate
-/// store: see [`release_pool`].
-pub fn clear_thread_scratch() {
-    SCRATCH.with(|s| s.borrow_mut().clear());
-}
-
 /// The pool and its users together may hold `1/SLACK_DIVISOR` more than
 /// the high-water mark (see the module docs for why not zero).
 const SLACK_DIVISOR: usize = 8;
@@ -342,7 +335,6 @@ mod tests {
 
     #[test]
     fn buffers_are_reused_across_calls() {
-        clear_thread_scratch();
         let p1 = with_scratch(64, |s| {
             s.fill(1.0);
             s.as_ptr() as usize

@@ -70,9 +70,7 @@
 //!   (`12N³`), `W_j` and a step of the last column (`8N³`): `≈ 33bN³`,
 //!   linear in `b`, with nothing larger than `2N × 2N` allocated.
 
-use fsi_dense::blas::axpy;
-use fsi_dense::tri::invert_upper;
-use fsi_dense::{gemm, gemm_op, geqrf, MatMut, MatRef, Matrix, Op, QrFactor};
+use fsi_dense::{axpy, gemm, gemm_op, geqrf, invert_upper, MatMut, MatRef, Matrix, Op, QrFactor};
 use fsi_pcyclic::BlockPCyclic;
 use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
 use fsi_runtime::{trace, Par, Schedule};

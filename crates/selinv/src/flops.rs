@@ -75,29 +75,15 @@ pub fn bsofi_selected_flops(n: usize, b: usize, pattern: &SelectedPattern) -> u6
     let rows = pattern.rows(b);
     let kmin = rows[0];
     let nnn = counts::gemm(n, n, n);
-    let mut total = structured_qr_flops(n, b);
-    // R_jj⁻¹ for j ≥ kmin (invert_upper charges 2·trtri).
-    total += (b - kmin) as u64 * 2 * counts::trtri(n);
+    let mut total = structured_qr_flops(n, b) + rinv_and_last_column(n, b, kmin);
     // Shared couplings W_j = −E_{j−1}·R_jj⁻¹ for kmin < j < b−1.
     total += ((b - 1).saturating_sub(kmin + 1)) as u64 * nnn;
-    // Shared last column X_{i,b−1}, i = b−2..kmin: two GEMMs per step plus
-    // the C-fill term where it exists (i ≤ b−3, i.e. b ≥ 3).
-    for i in kmin..b - 1 {
-        let gemms = if b >= 3 && i <= b - 3 { 3 } else { 2 };
-        total += gemms * nnn;
-    }
     if matches!(pattern, SelectedPattern::Full) {
         // Row recurrences: row k < b−1 chains through columns k+1..b−2.
         for k in 0..b {
             total += ((b - 1).saturating_sub(k + 1)) as u64 * nnn;
         }
-        // Stage C: the full right-apply of every panel to the whole
-        // stacked buffer.
-        for i in 0..b {
-            let panel_m = if i == b - 1 { n } else { 2 * n };
-            total += counts::ormqr(panel_m, n, b * n);
-        }
-        return total;
+        return total + full_right_apply(n, b);
     }
     // Diagonal requests: the (S, T) recursion.
     total += qt_columns(n, n, n);
@@ -118,6 +104,48 @@ pub fn bsofi_selected_flops(n: usize, b: usize, pattern: &SelectedPattern) -> u6
         total += 2 * nnn;
     }
     total
+}
+
+/// Exact flop count of the dense BSOFI inverse `Ḡ = R⁻¹·Qᵀ`
+/// ([`crate::StructuredQr::inverse`], the BSOFI stage of FSI for the
+/// columns and rows patterns), mirroring the kernel charges call for call:
+/// the structured QR, every `R_jj⁻¹`, each block column `j < b−1` of
+/// `R⁻¹` by its own upward recurrence (two GEMMs per block above the
+/// diagonal), the last column with its `C` fills, and the full right-apply
+/// of every panel. One GEMM per interior column more than the shared
+/// couplings of [`bsofi_selected_flops`]'s full request: `(b−2)(b−1)` GEMMs
+/// against `(b−2)(b+1)/2`.
+pub fn bsofi_inverse_flops(n: usize, b: usize) -> u64 {
+    if b == 1 {
+        return bsofi_selected_flops(n, 1, &SelectedPattern::Full);
+    }
+    structured_qr_flops(n, b)
+        + rinv_and_last_column(n, b, 0)
+        + ((b - 1) * (b - 2)) as u64 * counts::gemm(n, n, n)
+        + full_right_apply(n, b)
+}
+
+/// `R_jj⁻¹` for `j ≥ kmin` (`invert_upper` charges `2·trtri`) and the last
+/// block column `X_{i,b−1}`, `i = b−2..kmin`: two GEMMs per step plus the
+/// `C`-fill term where it exists (`i ≤ b−3`, i.e. `b ≥ 3`).
+fn rinv_and_last_column(n: usize, b: usize, kmin: usize) -> u64 {
+    let mut total = (b - kmin) as u64 * 2 * counts::trtri(n);
+    for i in kmin..b - 1 {
+        let gemms = if b >= 3 && i <= b - 3 { 3 } else { 2 };
+        total += gemms * counts::gemm(n, n, n);
+    }
+    total
+}
+
+/// Stage C of a dense request: the right-apply of every panel to the whole
+/// `bN × bN` buffer.
+fn full_right_apply(n: usize, b: usize) -> u64 {
+    (0..b)
+        .map(|i| {
+            let panel_m = if i == b - 1 { n } else { 2 * n };
+            counts::ormqr(panel_m, n, b * n)
+        })
+        .sum()
 }
 
 /// Flops of the explicit-form computation (paper table, left column).
@@ -142,18 +170,19 @@ pub fn fsi_flops(pattern: Pattern, n: usize, l: usize, c: usize) -> u64 {
     }
 }
 
-/// Exact stage-by-stage FSI flop budget (CLS + BSOFI + WRP), the sum the
-/// paper's rounded table approximates.
+/// Exact flop count of one FSI call, the sum the paper's rounded table
+/// approximates: CLS ([`crate::cls::cls_flops`]), the BSOFI path the
+/// pattern seeds ([`bsofi_inverse_flops`] for the dense `Ḡ` of the
+/// columns and rows patterns, [`bsofi_selected_flops`] for the diagonal
+/// seeds) and WRP ([`crate::wrap::wrap_kernel_flops`]), each the
+/// kernel-exact model of its stage. None depends on the wrap shift `q`.
 pub fn fsi_flops_exact(pattern: Pattern, n: usize, l: usize, c: usize) -> u64 {
-    let cls = crate::cls::cls_flops(n, l, c);
     let b = l / c;
-    let bsofi = crate::bsofi::bsofi_flops(n, b);
-    let wrap = match pattern {
-        Pattern::Diagonal => 0,
-        Pattern::SubDiagonal => 3 * (b as u64) * n3(n),
-        Pattern::Columns | Pattern::Rows => crate::wrap::wrap_flops(n, l, c),
+    let bsofi = match SelectedPattern::for_wrap(pattern) {
+        SelectedPattern::Full => bsofi_inverse_flops(n, b),
+        seeds => bsofi_selected_flops(n, b, &seeds),
     };
-    cls + bsofi + wrap
+    crate::cls::cls_flops(n, l, c) + bsofi + crate::wrap::wrap_kernel_flops(pattern, n, l, c)
 }
 
 /// Speedup factor of FSI over the explicit form predicted by the formulas.

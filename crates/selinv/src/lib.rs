@@ -47,7 +47,7 @@ pub mod wrap;
 pub use bsofi::{bsofi, bsofi_selected, StructuredQr};
 pub use cache::ClusterCache;
 pub use cls::{cls, cls_flops, cls_incremental_flops, Clustered};
-pub use flops::{bsofi_selected_flops, structured_qr_flops};
+pub use flops::{bsofi_inverse_flops, bsofi_selected_flops, structured_qr_flops};
 pub use fsi::{fsi, fsi_with_q, FsiOutput, Parallelism, ReducedInverse};
 pub use multi::{
     generate_fields, per_rank_bytes, run_multi, shift_for, trace_measure, MatrixTask, MemoryModel,

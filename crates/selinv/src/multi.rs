@@ -41,7 +41,7 @@ use std::sync::Mutex;
 
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, Spin};
 use fsi_runtime::health::{FsiError, FsiResult};
-use fsi_runtime::{StealQueues, Stopwatch, ThreadPool};
+use fsi_runtime::{trace, StealQueues, Stopwatch, ThreadPool};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -300,34 +300,39 @@ pub fn run_multi(
     let abort = AtomicBool::new(false);
     let failure: Mutex<Option<(usize, FsiError)>> = Mutex::new(None);
     let done: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
+    // Rank threads charge the caller's open span, as pool workers do.
+    let ctx = trace::current_context();
     std::thread::scope(|s| {
         for rank in 0..cfg.ranks {
             let (queues, abort, failure, done) = (&queues, &abort, &failure, &done);
+            let ctx = ctx.clone();
             s.spawn(move || {
-                // Per-rank pool = the OpenMP level of the hybrid model.
-                let pool = ThreadPool::new(cfg.threads_per_rank);
-                let par = if cfg.threads_per_rank == 1 {
-                    Parallelism::Serial
-                } else {
-                    Parallelism::OpenMp(&pool)
-                };
-                while let Some(mut task) = queues.acquire(rank) {
-                    if abort.load(Ordering::Acquire) {
-                        continue; // drain without processing
-                    }
-                    match task.run(par, builder, measure) {
-                        Ok(()) => done.lock().unwrap().push(task.into_quantities()),
-                        Err(e) => {
-                            let mut slot = failure.lock().unwrap();
-                            // Keep the lowest-index failure for
-                            // deterministic error surfacing.
-                            if slot.as_ref().is_none_or(|(i, _)| task.index() < *i) {
-                                *slot = Some((task.index(), e));
+                trace::with_context(ctx, || {
+                    // Per-rank pool = the OpenMP level of the hybrid model.
+                    let pool = ThreadPool::new(cfg.threads_per_rank);
+                    let par = if cfg.threads_per_rank == 1 {
+                        Parallelism::Serial
+                    } else {
+                        Parallelism::OpenMp(&pool)
+                    };
+                    while let Some(mut task) = queues.acquire(rank) {
+                        if abort.load(Ordering::Acquire) {
+                            continue; // drain without processing
+                        }
+                        match task.run(par, builder, measure) {
+                            Ok(()) => done.lock().unwrap().push(task.into_quantities()),
+                            Err(e) => {
+                                let mut slot = failure.lock().unwrap();
+                                // Keep the lowest-index failure for
+                                // deterministic error surfacing.
+                                if slot.as_ref().is_none_or(|(i, _)| task.index() < *i) {
+                                    *slot = Some((task.index(), e));
+                                }
+                                abort.store(true, Ordering::Release);
                             }
-                            abort.store(true, Ordering::Release);
                         }
                     }
-                }
+                })
             });
         }
     });
@@ -511,19 +516,29 @@ mod tests {
             seed: 7,
             ..base_cfg()
         };
+        // Under stage tracing, so the spans also show every rank's flops
+        // reaching the caller's span.
+        let _lock = trace::test_lock();
+        trace::set_level(trace::TraceLevel::Stages);
+        let span = trace::span("serial");
         let want = serial_reference(&builder, &base);
+        let serial_flops = span.finish().flops;
+        assert!(serial_flops > 0);
         for (ranks, threads_per_rank) in [(1usize, 1usize), (2, 1), (3, 2), (5, 1), (7, 1)] {
             let cfg = MultiConfig {
                 ranks,
                 threads_per_rank,
                 ..base.clone()
             };
+            let span = trace::span("run_multi");
             let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
-            assert_eq!(
-                r.global_measurements, want,
-                "ranks={ranks} threads={threads_per_rank}"
-            );
+            let flops = span.finish().flops;
+            let label = format!("ranks={ranks} threads={threads_per_rank}");
+            assert_eq!(r.global_measurements, want, "{label}");
+            assert_eq!(flops, serial_flops, "{label}");
         }
+        trace::set_level(trace::TraceLevel::Off);
+        trace::clear();
     }
 
     #[test]

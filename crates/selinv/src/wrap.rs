@@ -60,8 +60,7 @@
 
 use std::sync::OnceLock;
 
-use fsi_dense::blas::axpy;
-use fsi_dense::{gemm_batched, getrf, BatchOperand, MatMut, MatRef, Matrix, Op};
+use fsi_dense::{axpy, gemm_batched, getrf, BatchOperand, MatMut, MatRef, Matrix, Op};
 use fsi_pcyclic::BlockPCyclic;
 use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
 use fsi_runtime::{parallel_map, Par, Schedule};
@@ -126,9 +125,7 @@ impl<'a> BlockFactors<'a> {
 fn invert_block(pc: &BlockPCyclic, k: usize) -> Result<Matrix, HealthEvent> {
     let n = pc.n();
     let lu = getrf(pc.block(k).clone()).map_err(|e| {
-        let fsi_dense::DenseError::Singular { column } = e else {
-            unreachable!("getrf only fails on a zero pivot");
-        };
+        let fsi_dense::DenseError::Singular { column } = e;
         let event = HealthEvent::SingularPivot {
             stage: Stage::Wrap,
             column: k * n + column,

@@ -127,16 +127,10 @@ fn flop_accounting_spans_the_whole_pipeline() {
     let counted = span.finish().flops;
     fsi::runtime::trace::set_level(fsi::runtime::TraceLevel::Off);
     fsi::runtime::trace::clear();
-    // Rough analytic budget: should be within an order of magnitude of
-    // the closed form.
-    let predicted = fsi::selinv::flops::fsi_flops_exact(Pattern::Columns, 4, 8, 4);
-    assert!(
-        counted > predicted / 4,
-        "counted {counted} vs predicted {predicted}"
-    );
-    assert!(
-        counted < predicted * 10,
-        "counted {counted} vs predicted {predicted}"
+    // The kernel-exact model of the three stages, to the flop.
+    assert_eq!(
+        counted,
+        fsi::selinv::flops::fsi_flops_exact(Pattern::Columns, 4, 8, 4)
     );
 }
 

@@ -1,5 +1,5 @@
 //! Property-based tests of the structure-exploiting sweep hot path: the
-//! factored (and checkerboard) similarity wraps agree with the dense-GEMM
+//! factored similarity wrap agrees with the dense-GEMM
 //! baseline for arbitrary fields and Green's functions, the incremental
 //! cluster cache is bitwise-invisible under random flip trajectories, and
 //! a sweep over a pool is deterministic against its serial baseline.
@@ -29,18 +29,16 @@ fn wrap_config() -> impl Strategy<Value = (usize, usize, usize, Spin, u64)> {
     })
 }
 
-fn builder(nx: usize, l: usize, checkerboard: bool) -> BlockBuilder {
-    let params = HubbardParams {
-        t: 1.0,
-        u: 4.0,
-        beta: 2.0,
-        l,
-    };
-    if checkerboard {
-        BlockBuilder::with_checkerboard(SquareLattice::square(nx), params)
-    } else {
-        BlockBuilder::new(SquareLattice::square(nx), params)
-    }
+fn builder(nx: usize, l: usize) -> BlockBuilder {
+    BlockBuilder::new(
+        SquareLattice::square(nx),
+        HubbardParams {
+            t: 1.0,
+            u: 4.0,
+            beta: 2.0,
+            l,
+        },
+    )
 }
 
 proptest! {
@@ -52,27 +50,7 @@ proptest! {
     fn factored_wrap_matches_dense_for_any_matrix(
         (nx, l, slice, spin, seed) in wrap_config(),
     ) {
-        let builder = builder(nx, l, false);
-        let n = nx * nx;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let field = HsField::random(l, n, &mut rng);
-        let g0 = test_matrix(n, n, seed.wrapping_add(1));
-        let mut dense = g0.clone();
-        wrap_dense(Par::Seq, &builder, &field, slice, spin, &mut dense);
-        let mut factored = g0;
-        wrap_factored(Par::Seq, &builder, &field, slice, spin, &mut factored);
-        let err = rel_error(&factored, &dense);
-        prop_assert!(err < 1e-12, "(nx={nx}, l={l}, slice={slice}, {spin:?}): {err}");
-    }
-
-    /// Same equivalence through the checkerboard bond sweeps: both
-    /// strategies see the same Trotterized `e^{tΔτK}`, so the O(N·bonds)
-    /// path must still match its dense conjugation to 1e-12.
-    #[test]
-    fn checkerboard_wrap_matches_dense_for_any_matrix(
-        (nx, l, slice, spin, seed) in wrap_config(),
-    ) {
-        let builder = builder(nx, l, true);
+        let builder = builder(nx, l);
         let n = nx * nx;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let field = HsField::random(l, n, &mut rng);
@@ -98,7 +76,7 @@ proptest! {
     ) {
         let l = 8;
         let c = 4;
-        let builder = builder(nx, l, false);
+        let builder = builder(nx, l);
         let n = nx * nx;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut field = HsField::random(l, n, &mut rng);
@@ -126,7 +104,7 @@ proptest! {
     #[test]
     fn spin_parallel_sweep_is_deterministic(seed in any::<u64>()) {
         let l = 8;
-        let builder = builder(2, l, false);
+        let builder = builder(2, l);
         let field = {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             HsField::random(l, 4, &mut rng)

@@ -296,12 +296,9 @@ fn spxx_agrees_with_its_definition() {
 }
 
 /// The particle–hole identity, signs and transposes pinned at N = 4 against
-/// the dense reference inverse on every block, holds for the dense and the
-/// checkerboard kinetic propagator on even extents and fails on odd ones,
-/// exactly where `BlockBuilder::particle_hole_symmetric` says.
-/// The checkerboard qualifies because each bond factor is symmetric and
-/// Π-conjugates to its inverse, so `Π·B_cb⁻ᵀ·Π = B_cb` for the product in
-/// either group order.
+/// the dense reference inverse on every block, holds on even extents and
+/// fails on odd ones, exactly where `BlockBuilder::particle_hole_symmetric`
+/// says.
 #[test]
 fn particle_hole_identity_pinned_against_the_dense_oracle() {
     let params = HubbardParams {
@@ -311,24 +308,18 @@ fn particle_hole_identity_pinned_against_the_dense_oracle() {
         l: 8,
     };
     let cases = [
-        (SquareLattice::square(2), false, true),
-        (SquareLattice::new(4, 2), false, true),
-        (SquareLattice::new(4, 2), true, true),
-        (SquareLattice::square(3), false, false),
-        (SquareLattice::new(3, 4), false, false),
-        (SquareLattice::new(3, 4), true, false),
+        (SquareLattice::square(2), true),
+        (SquareLattice::new(4, 2), true),
+        (SquareLattice::square(3), false),
+        (SquareLattice::new(3, 4), false),
     ];
-    for (lattice, checkerboard, holds) in cases {
+    for (lattice, holds) in cases {
         let (nx, ny) = (lattice.nx(), lattice.ny());
-        let builder = if checkerboard {
-            BlockBuilder::with_checkerboard(lattice.clone(), params.clone())
-        } else {
-            BlockBuilder::new(lattice.clone(), params.clone())
-        };
+        let builder = BlockBuilder::new(lattice.clone(), params.clone());
         assert_eq!(builder.particle_hole_symmetric(), holds, "{nx}×{ny}");
         let [up, dn] = hubbard_spins(&builder, 4);
         let err = particle_hole_error(&lattice, &dense_blocks(&up), &dense_blocks(&dn));
-        let label = format!("{nx}×{ny} checkerboard={checkerboard}: {err:e}");
+        let label = format!("{nx}×{ny}: {err:e}");
         if holds {
             assert!(err < 1e-12, "identity broken on {label}");
         } else {
@@ -356,11 +347,10 @@ fn fsi_particle_hole_symmetry_at_beta_8() {
 
 /// The sweep's derived spin. On a particle–hole symmetric lattice the
 /// sweeper keeps `Ĝ↑` alone and returns `Ĝ↓ = Π(I − Ĝ↑)ᵀΠ`. At β = 8
-/// (4×4, U = 4, L = 64, c = 8), with the dense and the checkerboard
-/// propagator, after each of three sweeps the sign is +1 and
-/// `green(Spin::Down)` at three refresh slices matches `G↓(k, k)` computed
-/// independently from the spin-down matrix: the largest entry difference
-/// reads 5.6e-13 (dense) and 3.3e-13 (checkerboard). The 3×3 lattice keeps
+/// (4×4, U = 4, L = 64, c = 8), after each of three sweeps the sign is +1
+/// and `green(Spin::Down)` at three refresh slices matches `G↓(k, k)`
+/// computed independently from the spin-down matrix: the largest entry
+/// difference reads 5.6e-13. The 3×3 lattice keeps
 /// both spins and passes the same check; it reads 0, since its spin-down
 /// channel runs the same cached CLS + BSOFI route.
 #[test]
@@ -376,23 +366,10 @@ fn sweeper_derived_spin_down_matches_the_stable_green() {
         stabilize_every: 8,
         delay: 1,
     };
-    let cases = [
-        (SquareLattice::square(4), false),
-        (SquareLattice::square(4), true),
-        (SquareLattice::square(3), false),
-    ];
-    for (lattice, checkerboard) in cases {
-        let label = format!(
-            "{}×{} checkerboard={checkerboard}",
-            lattice.nx(),
-            lattice.ny()
-        );
+    for lattice in [SquareLattice::square(4), SquareLattice::square(3)] {
+        let label = format!("{}×{}", lattice.nx(), lattice.ny());
         let n = lattice.n_sites();
-        let builder = if checkerboard {
-            BlockBuilder::with_checkerboard(lattice, params.clone())
-        } else {
-            BlockBuilder::new(lattice, params.clone())
-        };
+        let builder = BlockBuilder::new(lattice, params.clone());
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(38);
         let field = HsField::random(params.l, n, &mut rng);
         let mut s = Sweeper::new(&builder, field, cfg).expect("healthy");
