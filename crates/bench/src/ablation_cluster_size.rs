@@ -15,7 +15,7 @@
 //! the 2×2 lattice. There is no paper shape.
 
 use fsi_pcyclic::Spin;
-use fsi_runtime::{trace, Par, Stopwatch};
+use fsi_runtime::{trace, Stopwatch};
 use fsi_selinv::baselines::{full_inverse_selected, max_block_error};
 use fsi_selinv::{fsi_with_q, Parallelism, Pattern, Selection};
 
@@ -53,7 +53,7 @@ pub fn run(_: Scale) -> Vec<Row> {
             let sw = Stopwatch::start();
             let out = fsi_with_q(Parallelism::Serial, &pc, &sel);
             let (seconds, flops) = (sw.seconds(), span.finish().flops);
-            let reference = || full_inverse_selected(Par::Seq, &pc, &sel);
+            let reference = || full_inverse_selected(&pc, &sel);
             let error = out.map(|out| max_block_error(&out.selected, &reference()));
             let err = error
                 .as_ref()

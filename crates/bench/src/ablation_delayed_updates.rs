@@ -30,7 +30,7 @@ up to round-off (asserted above).
 ///
 /// # Panics
 /// If a batch size changes the trajectory.
-pub fn run(scale: Scale) {
+pub(crate) fn run(scale: Scale) {
     let tracer = Trace::start("ablation_delayed_updates");
     let shape = scale.shape([64, 24, 6], [400, 100, 10]);
     let Shape { n, l, c } = shape;

@@ -29,7 +29,7 @@ shape check: dynamic never loses much and wins when task costs vary
 /// Times the FSI tasks and replays them under contiguous static chunks
 /// and dynamic assignment, then runs a wrap-shaped loop on a real pool
 /// under both schedules.
-pub fn run(_: Scale) {
+pub(crate) fn run(_: Scale) {
     let tracer = Trace::start("ablation_schedule");
     let pc = hubbard_matrix(6, 60, 9, Spin::Up);
     let (openmp, _) = trace_fsi(&pc, &Selection::new(Pattern::Columns, 6, 3));

@@ -59,7 +59,7 @@ pub fn run(_: Scale) -> Table {
     let pc = low_temperature_matrix(48, 16.0, 55, Spin::Down);
     let clustered = cls(Par::Seq, Par::Seq, &pc, C, C / 2);
     let g_red = bsofi(Par::Seq, Par::Seq, &clustered.reduced);
-    let g_ref = pc.reference_green(Par::Seq);
+    let g_ref = pc.reference_green();
     let factors = BlockFactors::new(&pc);
     let (mut split, mut down_only) = (vec![None; C - 1], vec![0.0; C - 1]);
     let worst = |slot: &mut f64, cur: &Matrix, row, col| {

@@ -30,7 +30,7 @@ shape check (paper): MKL-style helps only the Green's phase; FSI+OpenMP cuts bot
 
 /// Computes both spins' measurement sets and the measurements in each
 /// mode, and prints each phase's measured and simulated seconds.
-pub fn run(scale: Scale) {
+pub(crate) fn run(scale: Scale) {
     let tracer = Trace::start("fig10");
     let shape = scale.shape([36, 40, 8], [400, 100, 10]);
     let Shape { n, l, c } = shape;

@@ -30,7 +30,7 @@ at paper scale that is 3.5 h → 40 min for the full simulation.
 
 /// Runs the simulation serially for its phase profile, then in both
 /// parallel modes at each pool size.
-pub fn run(scale: Scale) {
+pub(crate) fn run(scale: Scale) {
     let tracer = Trace::start("fig11");
     let shape = scale.shape([16, 16, 4], [400, 100, 10]);
     let (l, c) = (shape.l, shape.c);

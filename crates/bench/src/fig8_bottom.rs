@@ -26,7 +26,7 @@ const HEADER: &str = " threads   OpenMP [s]      MKL [s]   OpenMP sim x      MKL
 
 /// Traces one sequential run for the simulator, then times both modes on
 /// pools of 1..=12 threads, one pool at a time.
-pub fn run(scale: Scale) {
+pub(crate) fn run(scale: Scale) {
     let tracer = Trace::start("fig8_bottom");
     let shape = scale.shape([64, 60, 6], [576, 100, 10]);
     let pc = hubbard_matrix(shape.side(), shape.l, 11, Spin::Up);

@@ -28,7 +28,7 @@ fn rate<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, f64) {
 
 /// Prints, per `N`, the Gflop/s of CLS, BSOFI, WRP, the whole FSI call,
 /// and DGEMM.
-pub fn run(scale: Scale) {
+pub(crate) fn run(scale: Scale) {
     let tracer = Trace::start("fig8_top");
     let sizes: &[usize] = scale.pick(&[36, 64, 100, 144], &[256, 400, 576, 784, 1024]);
     let (l, c) = (scale.pick(60, 100), scale.pick(6, 10));

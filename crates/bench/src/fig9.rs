@@ -17,8 +17,7 @@
 //! from the Edison memory model.
 
 use fsi_pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
-use fsi_selinv::multi::{per_rank_bytes, trace_measure, MultiConfig};
-use fsi_selinv::{run_multi, MemoryModel, Pattern};
+use fsi_selinv::{per_rank_bytes, run_multi, trace_measure, MemoryModel, MultiConfig, Pattern};
 
 use crate::{Scale, Trace, Verdict};
 

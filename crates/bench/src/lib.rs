@@ -27,6 +27,8 @@
 //! Timing claims belong to the layered benchmark under `benchmark/`, not
 //! to this crate.
 
+#![warn(unreachable_pub)]
+
 use std::fmt::Display;
 
 use fsi_pcyclic::BlockPCyclic;
@@ -39,13 +41,13 @@ use rand_chacha::ChaCha8Rng;
 use sim::AlgorithmTrace;
 
 pub mod ablation_cluster_size;
-pub mod ablation_delayed_updates;
-pub mod ablation_schedule;
+mod ablation_delayed_updates;
+mod ablation_schedule;
 pub mod ablation_wrap_split;
-pub mod fig10;
-pub mod fig11;
-pub mod fig8_bottom;
-pub mod fig8_top;
+mod fig10;
+mod fig11;
+mod fig8_bottom;
+mod fig8_top;
 pub mod fig9;
 pub mod table_complexity;
 pub mod table_patterns;
@@ -64,7 +66,7 @@ pub enum Scale {
 
 impl Scale {
     /// `smoke` if `self` is [`Scale::Smoke`], else `paper`.
-    pub fn pick<T>(self, smoke: T, paper: T) -> T {
+    pub(crate) fn pick<T>(self, smoke: T, paper: T) -> T {
         match self {
             Scale::Smoke => smoke,
             Scale::Paper => paper,
@@ -72,7 +74,7 @@ impl Scale {
     }
 
     /// The `[N, L, c]` shape of this scale.
-    pub fn shape(self, smoke: [usize; 3], paper: [usize; 3]) -> Shape {
+    pub(crate) fn shape(self, smoke: [usize; 3], paper: [usize; 3]) -> Shape {
         let [n, l, c] = self.pick(smoke, paper);
         Shape { n, l, c }
     }
@@ -90,7 +92,7 @@ pub struct Shape {
 impl Shape {
     /// The side of the square lattice with `n` sites (every figure's `N`
     /// is a perfect square).
-    pub fn side(&self) -> usize {
+    pub(crate) fn side(&self) -> usize {
         lattice_side_for(self.n)
     }
 }
@@ -102,7 +104,7 @@ impl Display for Shape {
 }
 
 /// Outcome of a figure's paper-shape verdict: `Err` names the broken claim.
-pub type Verdict = Result<(), String>;
+pub(crate) type Verdict = Result<(), String>;
 
 /// One entry of `reproduce`'s menu.
 pub struct Figure {
@@ -240,7 +242,7 @@ fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> (AlgorithmTrace, Algor
             sw.seconds()
         })
         .collect();
-    let clustered = fsi_selinv::cls::cls(Par::Seq, Par::Seq, pc, c, q);
+    let clustered = fsi_selinv::cls(Par::Seq, Par::Seq, pc, c, q);
 
     // --- BSOFI: stage A serial, stages B + C parallel. ---
     let sw = Stopwatch::start();

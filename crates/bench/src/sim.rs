@@ -18,7 +18,7 @@
 /// maximum load. With tasks sorted longest-first this is the classic LPT
 /// 4/3-approximation; in FSI's loops task order is the loop order, matching
 /// the dynamic `parallel_for` schedule.
-pub fn makespan(task_seconds: &[f64], workers: usize) -> f64 {
+pub(crate) fn makespan(task_seconds: &[f64], workers: usize) -> f64 {
     assert!(workers > 0, "need at least one worker");
     if task_seconds.is_empty() {
         return 0.0;
@@ -43,7 +43,7 @@ pub fn makespan(task_seconds: &[f64], workers: usize) -> f64 {
 ///
 /// Returns the modelled time on `workers` threads for a kernel measured at
 /// `seq_seconds` on one thread.
-pub fn amdahl(seq_seconds: f64, f: f64, workers: usize, max_chunks: usize) -> f64 {
+pub(crate) fn amdahl(seq_seconds: f64, f: f64, workers: usize, max_chunks: usize) -> f64 {
     assert!((0.0..=1.0).contains(&f), "parallel fraction in [0,1]");
     let effective = workers.min(max_chunks.max(1)) as f64;
     seq_seconds * ((1.0 - f) + f / effective)
@@ -52,7 +52,7 @@ pub fn amdahl(seq_seconds: f64, f: f64, workers: usize, max_chunks: usize) -> f6
 /// A recorded parallel region: the independent task durations of one
 /// `parallel_for` loop, plus any serial time around it.
 #[derive(Debug, Clone, Default)]
-pub struct RegionTrace {
+pub(crate) struct RegionTrace {
     /// Durations of the region's independent tasks, in seconds.
     pub tasks: Vec<f64>,
     /// Serial work attached to the region (runs on one thread regardless).
@@ -61,12 +61,12 @@ pub struct RegionTrace {
 
 impl RegionTrace {
     /// Simulated execution time of this region on `workers` threads.
-    pub fn simulated(&self, workers: usize) -> f64 {
+    pub(crate) fn simulated(&self, workers: usize) -> f64 {
         self.serial + makespan(&self.tasks, workers)
     }
 
     /// Total sequential time (1 worker).
-    pub fn sequential(&self) -> f64 {
+    pub(crate) fn sequential(&self) -> f64 {
         self.serial + self.tasks.iter().sum::<f64>()
     }
 }
@@ -74,29 +74,29 @@ impl RegionTrace {
 /// A whole algorithm trace: regions execute one after another (each region
 /// is a fork/join barrier, like an OpenMP parallel-do).
 #[derive(Debug, Clone, Default)]
-pub struct AlgorithmTrace {
+pub(crate) struct AlgorithmTrace {
     /// The fork/join regions in execution order.
     pub regions: Vec<RegionTrace>,
 }
 
 impl AlgorithmTrace {
     /// Adds a region from raw task durations.
-    pub fn push_region(&mut self, tasks: Vec<f64>, serial: f64) {
+    pub(crate) fn push_region(&mut self, tasks: Vec<f64>, serial: f64) {
         self.regions.push(RegionTrace { tasks, serial });
     }
 
     /// Simulated time on `workers` threads.
-    pub fn simulated(&self, workers: usize) -> f64 {
+    pub(crate) fn simulated(&self, workers: usize) -> f64 {
         self.regions.iter().map(|r| r.simulated(workers)).sum()
     }
 
     /// Sequential time.
-    pub fn sequential(&self) -> f64 {
+    pub(crate) fn sequential(&self) -> f64 {
         self.regions.iter().map(|r| r.sequential()).sum()
     }
 
     /// Speedup at `workers` threads relative to sequential execution.
-    pub fn speedup(&self, workers: usize) -> f64 {
+    pub(crate) fn speedup(&self, workers: usize) -> f64 {
         let s = self.simulated(workers);
         if s <= 0.0 {
             return 1.0;

@@ -7,8 +7,10 @@
 use fsi_pcyclic::Spin;
 use fsi_runtime::{trace, Par};
 use fsi_selinv::baselines::explicit_selected;
-use fsi_selinv::flops::{explicit_flops, fsi_flops, fsi_flops_exact, predicted_speedup};
-use fsi_selinv::{fsi_with_q, Parallelism, Pattern, Selection};
+use fsi_selinv::{
+    explicit_flops, fsi_flops, fsi_flops_exact, fsi_with_q, predicted_speedup, Parallelism,
+    Pattern, Selection,
+};
 
 use crate::{hubbard_matrix, Scale, Shape, Trace, Verdict};
 

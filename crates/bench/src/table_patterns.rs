@@ -15,14 +15,14 @@ const HEADER: &str = "pattern                  # blocks      paper formula   red
 /// The table's `(L, c)`.
 const L_C: (usize, usize) = (100, 10);
 /// The shape of the measured selections.
-pub const MEASURED: Shape = Shape { n: 16, l: 24, c: 6 };
+pub(crate) const MEASURED: Shape = Shape { n: 16, l: 24, c: 6 };
 
 /// The §II-B table, in [`Pattern::ALL`] order.
 pub struct Table {
     /// Per pattern: selected blocks, and full-inverse blocks over them,
     /// at `(L, c) = (100, 10)`.
     pub rows: [(Pattern, usize, usize); 4],
-    /// Per pattern: bytes of a real selection at [`MEASURED`].
+    /// Per pattern: bytes of a real selection at `(N, L, c) = (16, 24, 6)`.
     pub measured: [(Pattern, usize); 4],
 }
 

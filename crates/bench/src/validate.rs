@@ -25,17 +25,16 @@
 
 use fsi_pcyclic::Spin;
 use fsi_runtime::trace::Json;
-use fsi_runtime::{Par, Stopwatch};
+use fsi_runtime::Stopwatch;
 use fsi_selinv::baselines::{full_inverse_selected, max_block_error, mean_block_error};
-use fsi_selinv::bsofi::bsofi_flops;
-use fsi_selinv::cls::cls_flops;
 use fsi_selinv::wrap::{wrap_flops, wrap_kernel_flops};
+use fsi_selinv::{bsofi_flops, cls_flops};
 use fsi_selinv::{bsofi_inverse_flops, fsi_with_q, Parallelism, Pattern, Selection};
 
 use crate::{gflops, hubbard_matrix, Scale, Shape, Trace, Verdict};
 
 /// The paper's error threshold.
-pub const MAX_MEAN_ERROR: f64 = 1e-10;
+const MAX_MEAN_ERROR: f64 = 1e-10;
 /// The wrap shift of the selection.
 const Q: usize = 5;
 
@@ -51,7 +50,7 @@ pub struct FlopCheck {
 
 impl FlopCheck {
     /// Whether the measured count equals the model.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.measured == self.exact
     }
 }
@@ -66,7 +65,7 @@ pub struct Table {
 
 /// Runs FSI on the validation matrix, checks it against the dense
 /// inverse and writes `results/validate.json`.
-pub fn run(scale: Scale) -> Table {
+pub(crate) fn run(scale: Scale) -> Table {
     let tracer = Trace::start("validate");
     let shape = scale.shape([36, 32, 8], [100, 64, 8]);
     let Shape { n, l, c } = shape;
@@ -76,7 +75,7 @@ pub fn run(scale: Scale) -> Table {
     let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
     let fsi_seconds = sw.seconds();
     let sw = Stopwatch::start();
-    let reference = full_inverse_selected(Par::Seq, &pc, &sel);
+    let reference = full_inverse_selected(&pc, &sel);
     let reference_seconds = sw.seconds();
     let mean = mean_block_error(&out.selected, &reference);
     let max = max_block_error(&out.selected, &reference);

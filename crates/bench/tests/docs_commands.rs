@@ -3,7 +3,8 @@
 //! survives as `-p fsi-bench --bin` or `target/release/<figure>`. Every
 //! backticked `crates/…` path exists, and every backticked
 //! `fsi_<crate>::…::name` runs through `pub mod`s of that crate to an item
-//! declared `pub` in it.
+//! declared `pub` in it. Every backticked metric name
+//! (`<crate>.<what>…`) is one the sources can emit.
 
 use std::path::{Path, PathBuf};
 
@@ -222,4 +223,106 @@ fn code_spans_skip_fences_and_tokens_start_at_word_boundaries() {
     assert!(declares_pub(src, &["fn"], "new"));
     assert!(!declares_pub(src, &["fn"], "dot"));
     assert!(declares_pub(src, &["mod"], "trace"));
+}
+
+/// Whether `c` may appear in a metric name or a template for one.
+fn name_char(c: char) -> bool {
+    c.is_ascii_lowercase() || c.is_ascii_digit() || "_.{}".contains(c)
+}
+
+/// What sources `src` can emit as a metric name: a quoted string, each of
+/// the five metrics of a `Meter::new("x")`, or a `format!` template whose
+/// `{…}` parts each stand for one dot-free segment. A quoted string is a
+/// piece after a quote on a line outside `//` comments, made of
+/// [`name_char`]s only.
+fn emitted(src: &str) -> impl Fn(&str) -> bool + '_ {
+    let is_name = |p: &str| !p.is_empty() && p.chars().all(name_char);
+    let quoted: std::collections::HashSet<&str> = src
+        .lines()
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .flat_map(|line| line.split('"').skip(1))
+        .filter(|p| is_name(p))
+        .collect();
+    let after = |call: &str| -> Vec<&str> {
+        let quoted = src
+            .split(call)
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next());
+        quoted.filter(|p| is_name(p)).collect()
+    };
+    let (meters, templates) = (after("Meter::new(\""), after("format!(\""));
+    move |name| {
+        const METER: [&str; 5] = ["calls", "flops", "busy_ns", "gflops", "ns"];
+        quoted.contains(name)
+            || name
+                .rsplit_once('.')
+                .is_some_and(|(meter, metric)| METER.contains(&metric) && meters.contains(&meter))
+            || templates.iter().any(|t| template_matches(t, name))
+    }
+}
+
+/// Whether `name` is `template` with each `{…}` standing for one
+/// dot-free segment.
+fn template_matches(template: &str, name: &str) -> bool {
+    let Some((head, rest)) = template.split_once('{') else {
+        return template == name;
+    };
+    let (Some((_, tail)), Some(name)) = (rest.split_once('}'), name.strip_prefix(head)) else {
+        return false;
+    };
+    (1..=name.len()).any(|end| !name[..end].contains('.') && template_matches(tail, &name[end..]))
+}
+
+/// Whether `span` is a metric name: `<crate>.<what>…`.
+fn is_metric_name(span: &str) -> bool {
+    const CRATES: [&str; 6] = ["dense", "pcyclic", "selinv", "dqmc", "service", "runtime"];
+    span.split_once('.').is_some_and(|(krate, rest)| {
+        CRATES.contains(&krate)
+            && !rest.is_empty()
+            && rest.chars().all(|c| name_char(c) && !"{}".contains(c))
+    })
+}
+
+#[test]
+fn documented_metric_names_are_emitted() {
+    let root = root();
+    let mut src = sources(&root.join("benchmark/src"));
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        src.push_str(&sources(&entry.expect("crate").path().join("src")));
+    }
+    let emitted = emitted(&src);
+    let mut problems = Vec::new();
+    let mut checked = 0;
+    for path in docs() {
+        let text = std::fs::read_to_string(&path).expect("read doc");
+        let doc = path.file_name().unwrap().to_string_lossy();
+        for span in code_spans(&text).into_iter().filter(|s| is_metric_name(s)) {
+            checked += 1;
+            if !emitted(&span) {
+                problems.push(format!("{doc}: metric `{span}` is never emitted"));
+            }
+        }
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+    assert!(checked > 0, "no backticked metric name found in the docs");
+}
+
+#[test]
+fn metric_names_match_strings_meters_and_templates() {
+    let src = r#"
+        // counter("dense.commented.out");
+        let q = '"'; static M: Meter = Meter::new("dense.gemm");
+        counter("selinv.cluster_cache.hits");
+        let name = |leaf: &str| format!("service.tenant.{tenant}.{leaf}");
+    "#;
+    let emitted = emitted(src);
+    assert!(emitted("selinv.cluster_cache.hits"));
+    assert!(emitted("dense.gemm.flops"));
+    assert!(emitted("service.tenant.alice.bins"));
+    assert!(!emitted("selinv.made_up.metric"), "a made-up name");
+    assert!(!emitted("dense.commented.out"), "comments emit nothing");
+    assert!(!emitted("dense.gemm.bytes"), "not a meter metric");
+    assert!(!emitted("service.tenant.a.b.bins"), "one segment per hole");
+    assert!(is_metric_name("dqmc.sweep_s") && !is_metric_name("wrap.factored"));
+    assert!(!is_metric_name("dense.gemm()") && !is_metric_name("service."));
 }

@@ -64,7 +64,7 @@ pub use error::{DenseError, Result};
 pub use expm::{expm, scale_cols_exp, scale_rows_exp};
 pub use gemm::{chain_mul, gemm, gemm_op, mul, mul_par, test_matrix, Op};
 pub use kernel::{active_tier, available_tiers, with_tier, Tier};
-pub use lu::{getrf, inverse, inverse_par, solve, LuFactor};
+pub use lu::{getrf, inverse, solve, LuFactor};
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use norms::{cond1, frobenius, norm1, norm_inf, rel_error};
 pub use qr::{geqrf, QrFactor};

@@ -48,13 +48,7 @@ pub struct LuFactor {
 /// factorization up to that column is still mathematically valid but the
 /// factor object is not returned, because every downstream use in this
 /// workspace requires a nonsingular matrix.
-pub fn getrf(a: Matrix) -> Result<LuFactor> {
-    getrf_par(Par::Seq, a)
-}
-
-/// [`getrf`] with the given parallelism for the trailing GEMM updates,
-/// for [`inverse_par`].
-fn getrf_par(par: Par<'_>, mut a: Matrix) -> Result<LuFactor> {
+pub fn getrf(mut a: Matrix) -> Result<LuFactor> {
     assert!(a.is_square(), "getrf expects a square matrix");
     let _kernel = fsi_runtime::trace::kernel_span("getrf");
     let n = a.rows();
@@ -83,7 +77,7 @@ fn getrf_par(par: Par<'_>, mut a: Matrix) -> Result<LuFactor> {
             // Trailing update: A[j+nb.., j+nb..] −= L[j+nb.., j..j+nb]·U_row
             let l21 = left.as_ref().submatrix(j + nb, j, n - j - nb, nb);
             gemm_op_uncounted(
-                par,
+                Par::Seq,
                 -1.0,
                 Op::NoTrans,
                 l21,
@@ -277,16 +271,10 @@ pub fn inverse(a: &Matrix) -> Result<Matrix> {
     Ok(getrf(a.clone())?.inverse())
 }
 
-/// Convenience: explicit inverse with parallel trailing updates.
-pub fn inverse_par(par: Par<'_>, a: &Matrix) -> Result<Matrix> {
-    Ok(getrf_par(par, a.clone())?.inverse())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::{mul, test_matrix};
-    use fsi_runtime::ThreadPool;
 
     /// Random diagonally-dominated matrix (guaranteed nonsingular).
     fn well_conditioned(n: usize, seed: u64) -> Matrix {
@@ -365,18 +353,6 @@ mod tests {
         let mut prod = mul(&a, &ainv);
         prod.add_diag(-1.0);
         assert!(prod.max_abs() < 1e-10, "|A·A⁻¹ − I| = {}", prod.max_abs());
-    }
-
-    #[test]
-    fn parallel_factorization_matches_sequential() {
-        let pool = ThreadPool::new(4);
-        let n = 160;
-        let a = well_conditioned(n, 10);
-        let f_seq = getrf(a.clone()).unwrap();
-        let f_par = getrf_par(Par::Pool(&pool), a).unwrap();
-        assert_eq!(f_seq.packed().as_slice(), f_par.packed().as_slice());
-        let b = test_matrix(n, 3, 11);
-        assert_eq!(f_seq.solve(&b).as_slice(), f_par.solve(&b).as_slice());
     }
 
     #[test]

@@ -39,7 +39,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::sweep::{SweepConfig, Sweeper};
 
 /// Payload version of [`SweepCheckpoint`]'s serialization.
-pub const SWEEP_CKPT_VERSION: u32 = 2;
+const SWEEP_CKPT_VERSION: u32 = 2;
 
 /// Everything needed to resume a sweep trajectory bitwise-exactly from a
 /// sweep boundary (see the module docs for why this set is sufficient).

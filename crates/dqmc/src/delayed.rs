@@ -34,7 +34,7 @@ use fsi_runtime::Par;
 
 /// Accumulator for up to `capacity` delayed rank-1 updates of an `N × N`
 /// Green's function.
-pub struct DelayedUpdates {
+pub(crate) struct DelayedUpdates {
     /// Left factors, one column per accepted flip.
     u: Matrix,
     /// Right factors, one column per accepted flip (the update is
@@ -52,7 +52,7 @@ impl DelayedUpdates {
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
-    pub fn new(n: usize, capacity: usize) -> Self {
+    pub(crate) fn new(n: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "delay capacity must be positive");
         DelayedUpdates {
             u: Matrix::zeros(n, capacity),
@@ -63,18 +63,13 @@ impl DelayedUpdates {
         }
     }
 
-    /// Number of pending updates.
-    pub fn pending(&self) -> usize {
-        self.m
-    }
-
     /// Whether the accumulator must be flushed before another update.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.m == self.capacity
     }
 
     /// Current effective diagonal element `Ĝ[i,i] + Σ u[i,m]·v[i,m]`.
-    pub fn diag(&self, g0: &Matrix, i: usize) -> f64 {
+    pub(crate) fn diag(&self, g0: &Matrix, i: usize) -> f64 {
         let mut d = g0[(i, i)];
         for m in 0..self.m {
             d += self.u[(i, m)] * self.v[(i, m)];
@@ -83,7 +78,7 @@ impl DelayedUpdates {
     }
 
     /// Current effective column `i` into `out`.
-    pub fn col(&self, g0: &Matrix, i: usize, out: &mut [f64]) {
+    pub(crate) fn col(&self, g0: &Matrix, i: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.n);
         for (j, o) in out.iter_mut().enumerate() {
             *o = g0[(j, i)];
@@ -99,7 +94,7 @@ impl DelayedUpdates {
     }
 
     /// Current effective row `i` into `out`.
-    pub fn row(&self, g0: &Matrix, i: usize, out: &mut [f64]) {
+    pub(crate) fn row(&self, g0: &Matrix, i: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.n);
         for (j, o) in out.iter_mut().enumerate() {
             *o = g0[(i, j)];
@@ -121,7 +116,7 @@ impl DelayedUpdates {
     /// # Panics
     /// Panics if the accumulator is full (callers check [`Self::is_full`]
     /// and flush first).
-    pub fn push(&mut self, g0: &Matrix, i: usize, gamma: f64, r: f64) {
+    pub(crate) fn push(&mut self, g0: &Matrix, i: usize, gamma: f64, r: f64) {
         assert!(!self.is_full(), "flush before pushing more updates");
         let m = self.m;
         let n = self.n;
@@ -144,7 +139,7 @@ impl DelayedUpdates {
 
     /// Materializes the pending updates into `g0` with one rank-`m` GEMM
     /// and clears the accumulator.
-    pub fn flush(&mut self, par: Par<'_>, g0: &mut Matrix) {
+    pub(crate) fn flush(&mut self, par: Par<'_>, g0: &mut Matrix) {
         if self.m == 0 {
             return;
         }
@@ -229,9 +224,7 @@ mod tests {
                 assert!((row[j] - g_check[(i, j)]).abs() < 1e-12);
             }
         }
-        assert_eq!(acc.pending(), 2);
         acc.flush(Par::Seq, &mut g);
-        assert_eq!(acc.pending(), 0);
         assert!(rel_error(&g, &g_check) < 1e-12);
     }
 

@@ -4,39 +4,43 @@
 //! two-dimensional Hubbard model whose Green's-function phase runs on the
 //! fast selected inversion algorithm.
 //!
-//! * [`stable`] — stabilized equal-time Green's functions via the
-//!   CLS + BSOFI route (the paper notes Hirsch's stable low-temperature
-//!   algorithm is block cyclic reduction in disguise), plus the naive
-//!   product baseline for the stabilization ablation;
-//! * [`sweep`] — Metropolis sweeps: determinant ratios from a single
+//! * [`equal_time_green_stable`] and [`equal_time_green_cached`] —
+//!   stabilized equal-time Green's functions via the CLS + BSOFI route
+//!   (the paper notes Hirsch's stable low-temperature algorithm is block
+//!   cyclic reduction in disguise);
+//! * [`Sweeper`] — Metropolis sweeps: determinant ratios from a single
 //!   Green's-function diagonal element, O(N²) Sherman–Morrison updates,
 //!   similarity wraps between slices, periodic restabilization;
 //! * [`meas`] — equal-time observables (density, double occupancy, local
 //!   moment, kinetic energy, spin correlations) and the time-dependent
 //!   SPXX table computed from FSI's block rows + columns with per-task
 //!   local accumulators;
-//! * [`sim`] — the full warmup + measurement loop (Alg. 4) with the
+//! * [`run`] — the full warmup + measurement loop (Alg. 4) with the
 //!   per-phase timing decomposition of Figs. 10–11;
-//! * [`checkpoint`] — durable checkpoint/restart: versioned, checksummed
-//!   sweep-boundary snapshots with a bitwise-identical-resume guarantee.
+//! * [`SweepCheckpoint`] and [`DurableSweeper`] — durable
+//!   checkpoint/restart: versioned, checksummed sweep-boundary snapshots
+//!   with a bitwise-identical-resume guarantee.
+//!
+//! Apart from [`meas`], the modules are private: the re-exports below are
+//! the crate's one public path to each name.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // index loops mirror the site/slice indexing of the algorithms.
 #![allow(clippy::needless_range_loop)]
 
-pub mod checkpoint;
-pub mod delayed;
+mod checkpoint;
+mod delayed;
 pub mod meas;
-pub mod sim;
-pub mod stable;
-pub mod sweep;
+mod sim;
+mod stable;
+mod sweep;
 
-pub use checkpoint::{DurableSweeper, SweepCheckpoint, SWEEP_CKPT_VERSION};
-pub use delayed::DelayedUpdates;
+pub use checkpoint::{DurableSweeper, SweepCheckpoint};
 pub use meas::{
-    equal_time, spin_zz_by_displacement, spxx, staggered_structure_factor, structure_factor_q,
-    uniform_xy_susceptibility, Accumulator, EqualTime, SpxxTable,
+    equal_time, spxx, staggered_structure_factor, uniform_xy_susceptibility, Accumulator,
+    EqualTime, SpxxTable,
 };
 pub use sim::{run, DqmcConfig, DqmcResults};
-pub use stable::{equal_time_green_cached, equal_time_green_naive, equal_time_green_stable};
+pub use stable::{equal_time_green_cached, equal_time_green_stable};
 pub use sweep::{wrap_dense, wrap_factored, RecoveryStats, SweepConfig, SweepStats, Sweeper};

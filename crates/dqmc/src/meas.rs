@@ -386,8 +386,9 @@ pub fn spxx(
 ///
 /// This is the input of the momentum-space structure factor; translation
 /// invariance (restored by the Monte Carlo average) makes the single-`i`
-/// sum sufficient.
-pub fn spin_zz_by_displacement(lattice: &SquareLattice, g_up: &Matrix, g_dn: &Matrix) -> Matrix {
+/// sum sufficient. The test oracle for [`staggered_structure_factor`].
+#[cfg(test)]
+fn spin_zz_by_displacement(lattice: &SquareLattice, g_up: &Matrix, g_dn: &Matrix) -> Matrix {
     let n = lattice.n_sites();
     let (nx, ny) = (lattice.nx(), lattice.ny());
     let mut c = Matrix::zeros(nx, ny);
@@ -415,7 +416,8 @@ pub fn spin_zz_by_displacement(lattice: &SquareLattice, g_up: &Matrix, g_dn: &Ma
 /// transform since `C(r) = C(−r)` up to Monte Carlo noise. Entry
 /// `(m, n)` of the result is `S(q_mn)`; `(nx/2, ny/2)` is the
 /// antiferromagnetic point `S(π, π)`.
-pub fn structure_factor_q(c_of_r: &Matrix) -> Matrix {
+#[cfg(test)]
+fn structure_factor_q(c_of_r: &Matrix) -> Matrix {
     let (nx, ny) = (c_of_r.rows(), c_of_r.cols());
     Matrix::from_fn(nx, ny, |m, nq| {
         let qx = 2.0 * std::f64::consts::PI * m as f64 / nx as f64;
@@ -531,7 +533,12 @@ impl Accumulator {
 mod reference {
     use super::*;
 
-    pub fn equal_time(lattice: &SquareLattice, t: f64, g_up: &Matrix, g_dn: &Matrix) -> EqualTime {
+    pub(super) fn equal_time(
+        lattice: &SquareLattice,
+        t: f64,
+        g_up: &Matrix,
+        g_dn: &Matrix,
+    ) -> EqualTime {
         let n = lattice.n_sites();
         let mut up = 0.0;
         let mut dn = 0.0;
@@ -569,7 +576,11 @@ mod reference {
         counts
     }
 
-    pub fn spin_zz_equal_time(lattice: &SquareLattice, g_up: &Matrix, g_dn: &Matrix) -> Vec<f64> {
+    pub(super) fn spin_zz_equal_time(
+        lattice: &SquareLattice,
+        g_up: &Matrix,
+        g_dn: &Matrix,
+    ) -> Vec<f64> {
         let n = lattice.n_sites();
         let mut acc = vec![0.0f64; lattice.n_dist_classes()];
         for i in 0..n {
@@ -592,7 +603,7 @@ mod reference {
         acc
     }
 
-    pub fn spxx(
+    pub(super) fn spxx(
         lattice: &SquareLattice,
         l: usize,
         sel_up: &SelectedInverse,
@@ -663,7 +674,7 @@ mod tests {
         );
         let field = HsField::ones(l_slices, 4);
         let pc = hubbard_pcyclic(&builder, &field, Spin::Up);
-        let g = fsi_pcyclic::green::equal_time_green_explicit(Par::Seq, &pc, 0);
+        let g = fsi_pcyclic::equal_time_green_explicit(Par::Seq, &pc, 0);
         (lat, g)
     }
 

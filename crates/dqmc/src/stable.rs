@@ -124,9 +124,10 @@ fn scan_green(k: usize, mut g: Matrix) -> FsiResult<Matrix> {
 
 /// Naive `G(k, k) = (I + P(k))⁻¹` via the explicit product — loses
 /// accuracy once the product's condition number exhausts double
-/// precision. Kept as the ablation baseline.
-pub fn equal_time_green_naive(par: Par<'_>, pc: &BlockPCyclic, k: usize) -> Matrix {
-    fsi_pcyclic::green::equal_time_green_explicit(par, pc, k)
+/// precision. The reference the stabilization tests compare against.
+#[cfg(test)]
+fn equal_time_green_naive(par: Par<'_>, pc: &BlockPCyclic, k: usize) -> Matrix {
+    fsi_pcyclic::equal_time_green_explicit(par, pc, k)
 }
 
 #[cfg(test)]
@@ -141,7 +142,7 @@ mod tests {
     #[test]
     fn stable_matches_reference_for_every_slice() {
         let pc = random_pcyclic(3, 8, 50);
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         for k in 0..8 {
             let got = equal_time_green_stable(Par::Seq, Par::Seq, &pc, k, 4).expect("healthy");
             let want = pc.dense_block(&g_ref, k, k);
@@ -206,7 +207,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
         let field = HsField::random(48, 2, &mut rng);
         let pc = hubbard_pcyclic(&builder, &field, Spin::Up);
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         let want = pc.dense_block(&g_ref, 0, 0);
         let stable = equal_time_green_stable(Par::Seq, Par::Seq, &pc, 0, 6).expect("healthy");
         let naive = equal_time_green_naive(Par::Seq, &pc, 0);

@@ -55,7 +55,7 @@
 
 use fsi_dense::{gemm_op, ger, MatMut, MatRef, Matrix, Op};
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, BlockCache, HsField, Spin, SquareLattice};
-use fsi_runtime::health::{self, FsiError, FsiResult, Stage};
+use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
 use fsi_runtime::{trace, workspace, Par};
 use fsi_selinv::{auto_cluster_size, ClusterCache, Parallelism};
 use rand::Rng;
@@ -67,7 +67,7 @@ use crate::stable::equal_time_green_cached;
 /// ladder re-estimates the cluster size on suspect data — tighter than the
 /// usual 1e-8 so the shrunk `c` has margin against the very conditioning
 /// problem that tripped the probe.
-pub const RECOVERY_TOL: f64 = 1e-10;
+const RECOVERY_TOL: f64 = 1e-10;
 
 /// Tuning knobs of the sweep engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,8 +82,8 @@ pub struct SweepConfig {
     /// `k mod c` residue.
     pub stabilize_every: usize,
     /// Delayed-update batch size: accepted flips are accumulated as
-    /// low-rank factors and flushed into `Ĝ` with one rank-`delay` GEMM
-    /// (see [`crate::delayed`]). `1` = plain immediate rank-1 updates.
+    /// low-rank factors and flushed into `Ĝ` with one rank-`delay` GEMM.
+    /// `1` = plain immediate rank-1 updates.
     pub delay: usize,
 }
 
@@ -128,7 +128,7 @@ pub struct RecoveryStats {
     /// caches and retry (`recovery.invalidate_caches`).
     pub cache_invalidations: u64,
     /// Rung 2 executions: shrink the cluster size `c` (halved, capped by
-    /// [`auto_cluster_size`] at [`RECOVERY_TOL`]) and retry
+    /// [`auto_cluster_size`] at `RECOVERY_TOL` = 1e-10) and retry
     /// (`recovery.shrink_cluster`).
     pub cluster_shrinks: u64,
     /// Rung 3 executions: invalidate the caches again and recompute with
@@ -136,7 +136,7 @@ pub struct RecoveryStats {
     pub from_scratch: u64,
     /// Every error the driver saw, in arrival order (the first entry of
     /// each burst is the original fault; later ones are retry failures).
-    pub events: Vec<FsiError>,
+    pub events: Vec<HealthEvent>,
 }
 
 impl RecoveryStats {
@@ -251,7 +251,7 @@ impl<'a> Sweeper<'a> {
     /// so [`crate::checkpoint::SweepCheckpoint`] carries it and resume
     /// paths reinstate it here. Not for general use: overwriting the
     /// sign mid-trajectory silently corrupts `⟨sign⟩` observables.
-    pub fn restore_sign(&mut self, sign: f64) {
+    pub(crate) fn restore_sign(&mut self, sign: f64) {
         self.sign = sign;
     }
 
@@ -346,7 +346,7 @@ impl<'a> Sweeper<'a> {
     /// deliberately persist in the configuration: a matrix that needed
     /// them once will need them again, and a deterministic ladder must not
     /// oscillate.
-    fn recover(&mut self, slice: usize, par: Parallelism<'_>, first: FsiError) -> FsiResult<()> {
+    fn recover(&mut self, slice: usize, par: Parallelism<'_>, first: HealthEvent) -> FsiResult<()> {
         // Each rung is mirrored into the metrics registry and the flight
         // recorder; note_recovery also triggers an incident dump, so every
         // escalation ships the ring of spans that led up to it.
@@ -354,7 +354,7 @@ impl<'a> Sweeper<'a> {
             fsi_runtime::metrics::counter(name).inc();
             fsi_runtime::metrics::flight::note_recovery(name, stage.name());
         }
-        self.recovery.events.push(first.clone());
+        self.recovery.events.push(first);
         {
             let _s = trace::span("recovery.invalidate_caches");
             rung("dqmc.recovery.invalidate_caches", first.stage());
@@ -386,7 +386,7 @@ impl<'a> Sweeper<'a> {
         match self.refresh_once(slice, par) {
             Ok(()) => Ok(()),
             Err(e) => {
-                self.recovery.events.push(e.clone());
+                self.recovery.events.push(e);
                 static FAILED: fsi_runtime::metrics::LazyCounter =
                     fsi_runtime::metrics::LazyCounter::new("dqmc.recovery.failed");
                 FAILED.inc();
@@ -498,7 +498,7 @@ impl<'a> Sweeper<'a> {
             health::check_block(Stage::Wrap, slice, ch.g.as_slice()).err()
         });
         if let Some(e) = tripped {
-            self.recover(slice + 1, par, e.into())?;
+            self.recover(slice + 1, par, e)?;
         }
         Ok(())
     }
@@ -509,7 +509,7 @@ impl<'a> Sweeper<'a> {
     /// refresh in place of the next wrap). Returns acceptance statistics.
     ///
     /// With `cfg.delay > 1`, accepted flips within a slice are batched
-    /// through [`crate::delayed::DelayedUpdates`] and applied as rank-`k`
+    /// through a delayed-update accumulator and applied as rank-`k`
     /// GEMMs (identical trajectories up to round-off; tested).
     ///
     /// # Errors
@@ -752,7 +752,7 @@ mod tests {
     /// Brute-force determinant of `W(k) = I + P(k)` for the current field.
     fn log_det_w(builder: &BlockBuilder, field: &HsField, spin: Spin, k: usize) -> (f64, f64) {
         let pc = hubbard_pcyclic(builder, field, spin);
-        let w = fsi_pcyclic::green::w_matrix(Par::Seq, &pc, k);
+        let w = fsi_pcyclic::w_matrix(Par::Seq, &pc, k);
         getrf(w).expect("nonsingular").sign_log_det()
     }
 

@@ -30,11 +30,6 @@ impl BlockCache {
         BlockCache { blocks: Vec::new() }
     }
 
-    /// Whether the cache holds a block set (any sync has happened).
-    pub fn is_warm(&self) -> bool {
-        !self.blocks.is_empty()
-    }
-
     /// Brings the cache up to date with `field`, rebuilding every slice
     /// marked in `dirty` (plus everything, on a cold or shape-mismatched
     /// cache). Returns the number of blocks rebuilt.
@@ -101,10 +96,8 @@ mod tests {
     fn cold_sync_builds_everything() {
         let (builder, field) = setup();
         let mut cache = BlockCache::new();
-        assert!(!cache.is_warm());
         let rebuilt = cache.sync(&builder, &field, Spin::Up, &[false; 6]);
         assert_eq!(rebuilt, 6);
-        assert!(cache.is_warm());
         let fresh = builder.all_blocks(&field, Spin::Up);
         for (a, b) in cache.blocks().iter().zip(&fresh) {
             assert_eq!(a.as_slice(), b.as_slice(), "cold build must be bitwise");
@@ -136,7 +129,6 @@ mod tests {
         let mut cache = BlockCache::new();
         cache.sync(&builder, &field, Spin::Up, &[false; 6]);
         cache.invalidate();
-        assert!(!cache.is_warm());
         let rebuilt = cache.sync(&builder, &field, Spin::Up, &[false; 6]);
         assert_eq!(rebuilt, 6);
     }

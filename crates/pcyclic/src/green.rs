@@ -26,7 +26,7 @@ use crate::pcyclic::BlockPCyclic;
 
 /// Product of `count` blocks descending cyclically from index `from`:
 /// `b[from]·b[from−1]⋯` (`count = 0` gives the identity).
-pub fn cyclic_product_desc(par: Par<'_>, pc: &BlockPCyclic, from: usize, count: usize) -> Matrix {
+fn cyclic_product_desc(par: Par<'_>, pc: &BlockPCyclic, from: usize, count: usize) -> Matrix {
     assert!(count <= pc.l(), "at most L factors in a cyclic product");
     if count == 0 {
         return Matrix::identity(pc.n());
@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn explicit_blocks_match_dense_inverse() {
         let pc = random_pcyclic(3, 5, 3);
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         for k in 0..5 {
             for l in 0..5 {
                 let blk = green_block_explicit(Par::Seq, &pc, k, l);
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn equal_time_matches_diagonal_blocks() {
         let pc = random_pcyclic(4, 6, 4);
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         for k in 0..6 {
             let g = equal_time_green_explicit(Par::Seq, &pc, k);
             let want = pc.dense_block(&g_ref, k, k);
@@ -170,7 +170,7 @@ mod tests {
         // L = 1: G = (I + B_1)⁻¹.
         let pc = random_pcyclic(4, 1, 6);
         let g = equal_time_green_explicit(Par::Seq, &pc, 0);
-        let want = pc.dense_block(&pc.reference_green(Par::Seq), 0, 0);
+        let want = pc.dense_block(&pc.reference_green(), 0, 0);
         assert!(rel_error(&g, &want) < 1e-10);
     }
 }

@@ -69,7 +69,7 @@ impl HubbardParams {
     }
 
     /// Imaginary-time step `Δτ = β/L`.
-    pub fn delta_tau(&self) -> f64 {
+    fn delta_tau(&self) -> f64 {
         self.beta / self.l as f64
     }
 
@@ -251,7 +251,7 @@ impl BlockBuilder {
     }
 
     /// Builds all `L` blocks for one spin (the input to a p-cyclic matrix).
-    pub fn all_blocks(&self, field: &HsField, spin: Spin) -> Vec<Matrix> {
+    pub(crate) fn all_blocks(&self, field: &HsField, spin: Spin) -> Vec<Matrix> {
         (0..field.slices())
             .map(|l| self.block(field, l, spin))
             .collect()

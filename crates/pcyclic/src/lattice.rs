@@ -94,7 +94,7 @@ impl SquareLattice {
     }
 
     /// Site index of coordinates `(x, y)` (taken modulo the extents).
-    pub fn site(&self, x: usize, y: usize) -> usize {
+    pub(crate) fn site(&self, x: usize, y: usize) -> usize {
         (x % self.nx) + (y % self.ny) * self.nx
     }
 
@@ -125,7 +125,7 @@ impl SquareLattice {
 
     /// The `N × N` adjacency matrix `K` (`k_ij = 1` when `i`, `j` are
     /// nearest neighbours). Symmetric by construction.
-    pub fn adjacency(&self) -> Matrix {
+    pub(crate) fn adjacency(&self) -> Matrix {
         let n = self.n_sites();
         let mut k = Matrix::zeros(n, n);
         for i in 0..n {
@@ -138,7 +138,7 @@ impl SquareLattice {
 
     /// Minimum-image displacement of site `j` relative to site `i`, folded
     /// into `0 ≤ dx ≤ nx/2`, `0 ≤ dy ≤ ny/2`.
-    pub fn displacement(&self, i: usize, j: usize) -> (usize, usize) {
+    pub(crate) fn displacement(&self, i: usize, j: usize) -> (usize, usize) {
         let (xi, yi) = self.coords(i);
         let (xj, yj) = self.coords(j);
         let dx = (xj + self.nx - xi) % self.nx;

@@ -2,32 +2,39 @@
 //!
 //! Bridges the physics and the linear algebra of the FSI paper:
 //!
-//! * [`lattice`] — periodic rectangular lattices (QUEST's default
+//! * [`SquareLattice`] — periodic rectangular lattices (QUEST's default
 //!   geometry): adjacency matrix `K`, spatial displacement classes
-//!   `D(i, j)`, and the temporal distance map `T(k, ℓ)`;
-//! * [`hubbard`] — Hubbard parameters, the HS coupling
-//!   `ν = cosh⁻¹ e^{ΔτU/2}`, Hubbard–Stratonovich field configurations,
-//!   and the [`hubbard::BlockBuilder`] assembling
+//!   `D(i, j)`, and the temporal distance map [`temporal_distance`];
+//! * [`HubbardParams`], [`HsField`] and [`BlockBuilder`] — Hubbard
+//!   parameters, the HS coupling `ν = cosh⁻¹ e^{ΔτU/2}`,
+//!   Hubbard–Stratonovich field configurations, and the builder assembling
 //!   `B_ℓ^σ = e^{tΔτK}·e^{σνV_ℓ(h)}` (with exact analytic inverses);
-//! * [`pcyclic`] — the [`BlockPCyclic`] normal-form matrix `M` of Eq. (1),
-//!   its dense assembly, and the LU reference inverse;
-//! * [`green`] — the explicit Green's-function expression of Eq. (3)
-//!   (the baseline FSI is compared against, and the test oracle for all
-//!   structured algorithms);
-//! * [`block_cache`] — dirty-slice-tracking reuse of dense `B_ℓ` blocks
+//! * [`BlockPCyclic`] — the normal-form matrix `M` of Eq. (1), its dense
+//!   assembly, and the LU reference inverse;
+//! * [`green_block_explicit`] and its helpers — the explicit
+//!   Green's-function expression of Eq. (3) (the baseline FSI is compared
+//!   against, and the test oracle for all structured algorithms);
+//! * [`BlockCache`] — dirty-slice-tracking reuse of dense `B_ℓ` blocks
 //!   across DQMC stabilizations.
+//!
+//! The modules are private: the re-exports below are the crate's one
+//! public path to each name.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // index loops mirror the lattice/slice indexing of the paper.
 #![allow(clippy::needless_range_loop)]
 
-pub mod block_cache;
-pub mod green;
-pub mod hubbard;
-pub mod lattice;
-pub mod pcyclic;
+mod block_cache;
+mod green;
+mod hubbard;
+mod lattice;
+mod pcyclic;
 
 pub use block_cache::BlockCache;
+pub use green::{
+    cyclic_product_full, equal_time_green_explicit, green_block_explicit, w_matrix, z_matrix,
+};
 pub use hubbard::{BlockBuilder, HsField, HubbardParams, Spin};
 pub use lattice::{temporal_distance, SquareLattice};
 pub use pcyclic::{random_pcyclic, BlockPCyclic};
@@ -57,7 +64,7 @@ mod tests {
             let pc = hubbard_pcyclic(&builder, &field, spin);
             assert_eq!(pc.l(), 6);
             assert_eq!(pc.n(), 4);
-            let g_ref = pc.reference_green(Par::Seq);
+            let g_ref = pc.reference_green();
             for k in [0usize, 3, 5] {
                 let blk = green::green_block_explicit(Par::Seq, &pc, k, 2);
                 let want = pc.dense_block(&g_ref, k, 2);

@@ -13,8 +13,7 @@
 //! (the `B`s), while `G` is block-dense — which is exactly why *selected*
 //! inversion matters.
 
-use fsi_dense::{inverse_par, Matrix};
-use fsi_runtime::Par;
+use fsi_dense::{inverse, Matrix};
 
 /// A block p-cyclic matrix in normal form, stored as its `L` blocks
 /// `b[0..L]`, each `N × N`.
@@ -56,7 +55,7 @@ impl BlockPCyclic {
     }
 
     /// Total dimension `N·L`.
-    pub fn dim(&self) -> usize {
+    fn dim(&self) -> usize {
         self.n * self.l()
     }
 
@@ -68,12 +67,6 @@ impl BlockPCyclic {
     /// All blocks.
     pub fn blocks(&self) -> &[Matrix] {
         &self.blocks
-    }
-
-    /// Torus-wrapped block index (`wrap(L) = 0`, `wrap(-1 as computed via
-    /// +L-1) = L-1`); inputs may exceed `L` by at most `L`.
-    pub fn wrap(&self, k: usize) -> usize {
-        k % self.l()
     }
 
     /// Index below `k` on the torus (`k+1`, wrapping to 0).
@@ -126,8 +119,8 @@ impl BlockPCyclic {
 
     /// Reference Green's function: dense `G = M⁻¹` via LU (the paper's
     /// "MKL DGETRF + DGETRI" validation baseline). O((NL)³) flops.
-    pub fn reference_green(&self, par: Par<'_>) -> Matrix {
-        inverse_par(par, &self.assemble_dense())
+    pub fn reference_green(&self) -> Matrix {
+        inverse(&self.assemble_dense())
             .expect("p-cyclic matrices with nonsingular blocks are nonsingular")
     }
 
@@ -137,12 +130,6 @@ impl BlockPCyclic {
         assert_eq!(dense.rows(), self.dim());
         assert_eq!(dense.cols(), self.dim());
         dense.block(k * self.n, l * self.n, self.n, self.n)
-    }
-
-    /// Memory footprint of the stored blocks in bytes (used by the Fig. 9
-    /// per-rank memory model).
-    pub fn bytes(&self) -> usize {
-        self.l() * self.n * self.n * std::mem::size_of::<f64>()
     }
 }
 
@@ -194,7 +181,7 @@ mod tests {
     #[test]
     fn reference_green_is_inverse() {
         let pc = random_pcyclic(4, 5, 2);
-        let g = pc.reference_green(Par::Seq);
+        let g = pc.reference_green();
         let m = pc.assemble_dense();
         let mut prod = mul(&m, &g);
         prod.add_diag(-1.0);
@@ -208,8 +195,6 @@ mod tests {
         assert_eq!(pc.down(2), 3);
         assert_eq!(pc.up(0), 4);
         assert_eq!(pc.up(3), 2);
-        assert_eq!(pc.wrap(5), 0);
-        assert_eq!(pc.wrap(7), 2);
     }
 
     #[test]
@@ -220,16 +205,10 @@ mod tests {
         let mut want = pc.block(0).clone();
         want.add_diag(1.0);
         assert_eq!(&m, &want);
-        let g = pc.reference_green(Par::Seq);
+        let g = pc.reference_green();
         let mut prod = mul(&m, &g);
         prod.add_diag(-1.0);
         assert!(prod.max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn bytes_accounting() {
-        let pc = random_pcyclic(10, 7, 5);
-        assert_eq!(pc.bytes(), 7 * 10 * 10 * 8);
     }
 
     #[test]

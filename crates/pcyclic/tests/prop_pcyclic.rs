@@ -1,11 +1,9 @@
 //! Property-based tests of the p-cyclic/Hubbard layer: Green's-function
 //! identities and Hubbard block structure on arbitrary inputs.
 
-use fsi_pcyclic::green::{
-    cyclic_product_full, equal_time_green_explicit, green_block_explicit, w_matrix,
-};
 use fsi_pcyclic::{
-    hubbard_pcyclic, random_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice,
+    cyclic_product_full, equal_time_green_explicit, green_block_explicit, hubbard_pcyclic,
+    random_pcyclic, w_matrix, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice,
 };
 use fsi_runtime::Par;
 use proptest::prelude::*;
@@ -22,7 +20,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let pc = random_pcyclic(n, l, seed);
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         let k = (seed as usize) % l;
         let j = (seed as usize / 7) % l;
         let blk = green_block_explicit(Par::Seq, &pc, k, j);

@@ -112,7 +112,7 @@ pub enum HealthEvent {
 
 impl HealthEvent {
     /// The stage this event is attributed to.
-    pub(crate) fn stage(&self) -> Stage {
+    pub fn stage(&self) -> Stage {
         match self {
             HealthEvent::NonFinite { stage, .. }
             | HealthEvent::SingularPivot { stage, .. }
@@ -164,63 +164,12 @@ impl fmt::Display for HealthEvent {
     }
 }
 
-/// Error type of the fallible FSI / DQMC public APIs.
-///
-/// Extends the dense layer's data-dependent failures with the
-/// health-probe events; dimension mismatches stay XERBLA-style panics
-/// (programming errors, not data).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FsiError {
-    /// A stage-boundary probe raised a health event.
-    Health(HealthEvent),
-    /// An iterative routine hit its iteration cap without converging.
-    NoConvergence {
-        /// Stage the routine ran in.
-        stage: Stage,
-        /// Iterations performed before giving up.
-        iterations: usize,
-    },
-}
+impl std::error::Error for HealthEvent {}
 
-impl FsiError {
-    /// The stage the failure is attributed to.
-    pub fn stage(&self) -> Stage {
-        match self {
-            FsiError::Health(e) => e.stage(),
-            FsiError::NoConvergence { stage, .. } => *stage,
-        }
-    }
-
-    /// The underlying health event, if this error wraps one.
-    pub fn health_event(&self) -> Option<&HealthEvent> {
-        match self {
-            FsiError::Health(e) => Some(e),
-            FsiError::NoConvergence { .. } => None,
-        }
-    }
-}
-
-impl From<HealthEvent> for FsiError {
-    fn from(e: HealthEvent) -> Self {
-        FsiError::Health(e)
-    }
-}
-
-impl fmt::Display for FsiError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FsiError::Health(e) => e.fmt(f),
-            FsiError::NoConvergence { stage, iterations } => {
-                write!(f, "{stage}: no convergence after {iterations} iterations")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FsiError {}
-
-/// Result alias for the fallible FSI / DQMC APIs.
-pub type FsiResult<T> = std::result::Result<T, FsiError>;
+/// Result alias for the fallible FSI / DQMC APIs: the error is the
+/// health event a stage-boundary probe raised. Dimension mismatches stay
+/// XERBLA-style panics (programming errors, not data).
+pub type FsiResult<T> = std::result::Result<T, HealthEvent>;
 
 /// Pivot-magnitude ratio above which a factorization is declared
 /// unusable: `max|R_ii| / min|R_ii| > KAPPA_MAX` leaves no significant
@@ -407,20 +356,11 @@ mod tests {
 
     #[test]
     fn error_formatting_and_accessors() {
-        let e: FsiError = HealthEvent::IllConditioned {
+        let e = HealthEvent::IllConditioned {
             stage: Stage::Cls,
             kappa: 1e15,
-        }
-        .into();
+        };
         assert_eq!(e.stage(), Stage::Cls);
         assert!(e.to_string().contains("ill-conditioned"));
-        assert!(e.health_event().is_some());
-        let e = FsiError::NoConvergence {
-            stage: Stage::Green,
-            iterations: 8,
-        };
-        assert_eq!(e.stage(), Stage::Green);
-        assert!(e.to_string().contains("8 iterations"));
-        assert!(e.health_event().is_none());
     }
 }

@@ -56,7 +56,7 @@ pub mod timing;
 pub mod trace;
 pub mod workspace;
 
-pub use health::{FsiError, FsiResult, HealthEvent, Stage};
+pub use health::{FsiResult, HealthEvent, Stage};
 pub use metrics::{Meter, MetricsSnapshot};
 pub use parallel::{parallel_for, parallel_map, Schedule};
 pub use pool::{Par, ScopeHandle, ThreadPool};

@@ -12,21 +12,15 @@
 
 use std::collections::HashMap;
 
-use fsi_dense::{getrf, inverse_par, LuFactor};
-use fsi_pcyclic::green::{w_matrix, z_matrix};
-use fsi_pcyclic::BlockPCyclic;
+use fsi_dense::{getrf, inverse, LuFactor};
+use fsi_pcyclic::{w_matrix, z_matrix, BlockPCyclic};
 use fsi_runtime::Par;
 
 use crate::patterns::{SelectedInverse, Selection};
 
 /// Selected blocks via full dense inversion (GETRF/GETRI baseline).
-pub fn full_inverse_selected(
-    par: Par<'_>,
-    pc: &BlockPCyclic,
-    selection: &Selection,
-) -> SelectedInverse {
-    let g =
-        inverse_par(par, &pc.assemble_dense()).expect("valid p-cyclic matrices are nonsingular");
+pub fn full_inverse_selected(pc: &BlockPCyclic, selection: &Selection) -> SelectedInverse {
+    let g = inverse(&pc.assemble_dense()).expect("valid p-cyclic matrices are nonsingular");
     let mut out = SelectedInverse::new();
     for (k, l) in selection.coordinates(pc.l()) {
         out.insert(k, l, pc.dense_block(&g, k, l));
@@ -49,24 +43,6 @@ pub fn explicit_selected(
             .or_insert_with(|| getrf(w_matrix(par, pc, k)).expect("W(k) nonsingular"));
         let z = z_matrix(par, pc, k, l);
         out.insert(k, l, f.solve(&z));
-    }
-    out
-}
-
-/// BSOFI applied directly to the *unreduced* matrix (no clustering): the
-/// paper's intermediate comparison point. Produces the full block-dense
-/// inverse, from which the selection is extracted. `O(L²N³)` flops,
-/// `(NL)²` memory.
-pub fn bsofi_full_selected(
-    par_cols: Par<'_>,
-    par_gemm: Par<'_>,
-    pc: &BlockPCyclic,
-    selection: &Selection,
-) -> SelectedInverse {
-    let g = crate::bsofi::bsofi(par_cols, par_gemm, pc);
-    let mut out = SelectedInverse::new();
-    for (k, l) in selection.coordinates(pc.l()) {
-        out.insert(k, l, pc.dense_block(&g, k, l));
     }
     out
 }
@@ -114,12 +90,10 @@ mod tests {
     fn baselines_agree_with_each_other() {
         let pc = random_pcyclic(3, 8, 90);
         let sel = Selection::new(Pattern::Columns, 4, 1);
-        let full = full_inverse_selected(Par::Seq, &pc, &sel);
+        let full = full_inverse_selected(&pc, &sel);
         let expl = explicit_selected(Par::Seq, &pc, &sel);
-        let bsofi_sel = bsofi_full_selected(Par::Seq, Par::Seq, &pc, &sel);
         assert_eq!(full.len(), expl.len());
         assert!(max_block_error(&full, &expl) < 1e-9);
-        assert!(max_block_error(&full, &bsofi_sel) < 1e-9);
     }
 
     #[test]
@@ -129,7 +103,7 @@ mod tests {
         for pattern in Pattern::ALL {
             let sel = Selection::new(pattern, 4, 2);
             let fsi_out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
-            let full = full_inverse_selected(Par::Seq, &pc, &sel);
+            let full = full_inverse_selected(&pc, &sel);
             let err = max_block_error(&fsi_out.selected, &full);
             assert!(err < 1e-8, "{pattern:?}: {err}");
             let mean = mean_block_error(&fsi_out.selected, &full);
@@ -144,7 +118,7 @@ mod tests {
         let pc = random_pcyclic(2, 10, 92);
         let sel = Selection::new(Pattern::Rows, 5, 0);
         let expl = explicit_selected(Par::Seq, &pc, &sel);
-        let full = full_inverse_selected(Par::Seq, &pc, &sel);
+        let full = full_inverse_selected(&pc, &sel);
         assert!(max_block_error(&expl, &full) < 1e-9);
     }
 

@@ -263,16 +263,6 @@ impl StructuredQr {
         Self::factor(par_gemm, pc)
     }
 
-    /// Block size `N`.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Block row count `b`.
-    pub fn b(&self) -> usize {
-        self.b
-    }
-
     /// The upper-triangular `N × N` diagonal factor `R_jj` (borrowed from
     /// panel `j`'s factorization — no per-call allocation).
     pub fn r_diag(&self, j: usize) -> &Matrix {
@@ -298,17 +288,6 @@ impl StructuredQr {
         health::check_pivots(Stage::Bsofi, 0, &diag)
     }
 
-    /// Superdiagonal fill `E_j` (`j = b−2` is the merged last-column
-    /// entry).
-    pub fn e_block(&self, j: usize) -> &Matrix {
-        &self.e[j]
-    }
-
-    /// Last-column fill `C_j` for `j ≤ b−3`.
-    pub fn c_block(&self, j: usize) -> &Matrix {
-        &self.c[j]
-    }
-
     /// Assembles the dense `R` factor (tests / inspection; O((bN)²)).
     pub fn assemble_r(&self) -> Matrix {
         let (n, b) = (self.n, self.b);
@@ -327,7 +306,7 @@ impl StructuredQr {
 
     /// Applies the accumulated `Qᵀ` from the right to a dense `? × bN`
     /// matrix (stage C primitive): `X := X·Qᵀ`.
-    pub fn apply_qt_right(&self, par_gemm: Par<'_>, x: &mut Matrix) {
+    fn apply_qt_right(&self, par_gemm: Par<'_>, x: &mut Matrix) {
         let (n, b) = (self.n, self.b);
         assert_eq!(x.cols(), b * n, "apply_qt_right width mismatch");
         let rows = x.rows();
@@ -835,7 +814,7 @@ mod tests {
         for &(n, b) in &[(2usize, 2usize), (3, 3), (4, 4), (3, 6), (5, 2), (2, 8)] {
             let pc = random_pcyclic(n, b, (n * 31 + b) as u64);
             let got = bsofi(Par::Seq, Par::Seq, &pc);
-            let want = pc.reference_green(Par::Seq);
+            let want = pc.reference_green();
             assert!(
                 rel_error(&got, &want) < 1e-9,
                 "(n={n}, b={b}): rel err {}",
@@ -848,7 +827,7 @@ mod tests {
     fn bsofi_single_block() {
         let pc = random_pcyclic(5, 1, 9);
         let got = bsofi(Par::Seq, Par::Seq, &pc);
-        let want = pc.reference_green(Par::Seq);
+        let want = pc.reference_green();
         assert!(rel_error(&got, &want) < 1e-10);
     }
 
@@ -983,7 +962,7 @@ mod tests {
     #[test]
     fn selected_single_block_matrix() {
         let pc = random_pcyclic(4, 1, 19);
-        let want = pc.reference_green(Par::Seq);
+        let want = pc.reference_green();
         for pattern in [
             SelectedPattern::Diagonals,
             SelectedPattern::DiagonalBlock(0),
@@ -1038,7 +1017,7 @@ mod tests {
         let pc = hubbard_pcyclic(&builder, &field, fsi_pcyclic::Spin::Up);
         let cl = crate::cls::cls(Par::Seq, Par::Seq, &pc, 4, 1);
         let got = bsofi(Par::Seq, Par::Seq, &cl.reduced);
-        let want = cl.reduced.reference_green(Par::Seq);
+        let want = cl.reduced.reference_green();
         assert!(rel_error(&got, &want) < 1e-9);
     }
 

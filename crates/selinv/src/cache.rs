@@ -160,7 +160,7 @@ impl ClusterCache {
                 };
                 event.record();
                 self.invalidate();
-                return Err(event.into());
+                return Err(event);
             }
             trace::span("cls.cache_hit").finish();
         }
@@ -172,7 +172,7 @@ impl ClusterCache {
             health::inject::poison(Stage::Cls, m, recomputed[i].as_mut_slice());
             if let Err(event) = health::check_block(Stage::Cls, m, recomputed[i].as_slice()) {
                 self.invalidate();
-                return Err(event.into());
+                return Err(event);
             }
         }
 

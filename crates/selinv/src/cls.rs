@@ -47,7 +47,7 @@ pub struct Clustered {
 impl Clustered {
     /// The 0-based offset `o = c − 1 − q`: original row `o + m·c` is the
     /// reduced row `m`.
-    pub fn offset(&self) -> usize {
+    pub(crate) fn offset(&self) -> usize {
         self.c - 1 - self.q
     }
 
@@ -235,11 +235,11 @@ mod tests {
         // Paper Eq. (8): Ḡ(k₀, ℓ₀) = G(c·k₀ + o, c·ℓ₀ + o), for every
         // (c, q) combination.
         let pc = random_pcyclic(2, 8, 2);
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         for c in [2usize, 4] {
             for q in 0..c {
                 let cl = cls(Par::Seq, Par::Seq, &pc, c, q);
-                let g_red = cl.reduced.reference_green(Par::Seq);
+                let g_red = cl.reduced.reference_green();
                 let b = cl.b();
                 for k0 in 0..b {
                     for l0 in 0..b {
@@ -315,7 +315,7 @@ mod tests {
         let cl = cls(Par::Seq, Par::Seq, &pc, 6, 0);
         assert_eq!(cl.b(), 1);
         // The single block is the full cyclic product P(L−1).
-        let want = fsi_pcyclic::green::cyclic_product_full(Par::Seq, &pc, 5);
+        let want = fsi_pcyclic::cyclic_product_full(Par::Seq, &pc, 5);
         assert!(rel_error(cl.reduced.block(0), &want) < 1e-12);
     }
 

@@ -190,11 +190,6 @@ pub fn predicted_speedup(pattern: Pattern, n: usize, l: usize, c: usize) -> f64 
     explicit_flops(pattern, n, l, c) as f64 / fsi_flops(pattern, n, l, c) as f64
 }
 
-/// Flops of the full LU inversion baseline: `2(NL)³`.
-pub fn full_inverse_flops(n: usize, l: usize) -> u64 {
-    2 * ((n * l) as u64).pow(3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,7 +300,8 @@ mod tests {
     #[test]
     fn full_inverse_dominates_everything() {
         let (n, l, c) = (100, 100, 10);
-        let full = full_inverse_flops(n, l);
+        // The full LU inversion baseline: 2(NL)³.
+        let full = 2 * ((n * l) as u64).pow(3);
         assert!(full > explicit_flops(Pattern::Columns, n, l, c));
         assert!(full > fsi_flops_exact(Pattern::Columns, n, l, c));
         // Paper: FSI is (2/3)L·c ≈ 667× cheaper than full LU inversion for

@@ -25,7 +25,6 @@ use fsi_dense::Matrix;
 use fsi_pcyclic::BlockPCyclic;
 use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
 use fsi_runtime::{Par, Profile, ThreadPool};
-use rand::Rng;
 
 use crate::bsofi::{bsofi_selected, single_block_inverse, StructuredQr};
 use crate::cls::{cls, Clustered};
@@ -54,14 +53,6 @@ impl<'p> Parallelism<'p> {
             Parallelism::MklStyle(pool) => (Par::Seq, Par::Pool(pool)),
         }
     }
-
-    /// Number of threads in play.
-    pub fn threads(&self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::OpenMp(p) | Parallelism::MklStyle(p) => p.size(),
-        }
-    }
 }
 
 /// The reduced inverse `Ḡ = M̄⁻¹` in whichever representation the BSOFI
@@ -84,28 +75,11 @@ impl ReducedInverse {
         }
     }
 
-    /// The sparse block map, if this run used selected assembly.
-    pub fn selected(&self) -> Option<&SelectedInverse> {
-        match self {
-            ReducedInverse::Dense(_) => None,
-            ReducedInverse::Selected(s) => Some(s),
-        }
-    }
-
     /// This inverse as a wrap's seed source.
     fn seeds(&self) -> Seeds<'_> {
         match self {
             ReducedInverse::Dense(g) => Seeds::Dense(g),
             ReducedInverse::Selected(s) => Seeds::Selected(s),
-        }
-    }
-
-    /// Looks up reduced block `Ḡ(k₀, ℓ₀)` regardless of representation;
-    /// `None` if a sparse run did not assemble it.
-    pub fn block(&self, clustered: &Clustered, k0: usize, l0: usize) -> Option<Matrix> {
-        match self {
-            ReducedInverse::Dense(g) => Some(clustered.reduced.dense_block(g, k0, l0)),
-            ReducedInverse::Selected(s) => s.get(k0, l0).cloned(),
         }
     }
 }
@@ -125,8 +99,9 @@ pub struct FsiOutput {
     pub g_reduced: ReducedInverse,
 }
 
-/// Runs Alg. 1 with an explicitly chosen shift `q` (deterministic; the
-/// random-`q` entry point is [`fsi`]).
+/// Runs Alg. 1 with the shift `q` the selection carries (the paper draws
+/// `q` uniformly from `0..c` so repeated Green's functions sample all
+/// block positions; the caller draws it).
 ///
 /// The BSOFI stage is pattern-aware: diagonal and sub-diagonal selections
 /// request only the diagonal seed blocks via [`bsofi_selected`]
@@ -140,6 +115,22 @@ pub struct FsiOutput {
 /// singular or wildly graded `R` diagonal ([`Stage::Bsofi`]), and bad
 /// wrapped output blocks ([`Stage::Wrap`]) all surface as structured
 /// errors before the damaged numbers reach the caller.
+///
+/// ```
+/// use fsi_selinv::{fsi_with_q, Parallelism, Pattern, Selection};
+/// let pc = fsi_pcyclic::random_pcyclic(3, 8, 42);
+/// let selection = Selection::new(Pattern::Diagonal, 4, 1);
+/// let out = fsi_with_q(Parallelism::Serial, &pc, &selection)
+///     .expect("well-conditioned test matrix");
+/// // b = L/c = 2 diagonal blocks selected, validated against the dense
+/// // reference inverse.
+/// assert_eq!(out.selected.len(), 2);
+/// let g_ref = pc.reference_green();
+/// for (&(k, l), blk) in out.selected.iter() {
+///     let want = pc.dense_block(&g_ref, k, l);
+///     assert!(fsi_dense::rel_error(blk, &want) < 1e-8);
+/// }
+/// ```
 pub fn fsi_with_q(
     par: Parallelism<'_>,
     pc: &BlockPCyclic,
@@ -208,38 +199,6 @@ fn check_reduced(clustered: &Clustered) -> Result<(), HealthEvent> {
     Ok(())
 }
 
-/// Runs Alg. 1, drawing the shift `q` uniformly from `0..c` (the paper
-/// randomizes `q` so repeated Green's functions sample all block
-/// positions).
-///
-/// ```
-/// use fsi_selinv::{fsi, Parallelism, Pattern};
-/// use rand::SeedableRng;
-/// let pc = fsi_pcyclic::random_pcyclic(3, 8, 42);
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let out = fsi(Parallelism::Serial, &pc, Pattern::Diagonal, 4, &mut rng)
-///     .expect("well-conditioned test matrix");
-/// // b = L/c = 2 diagonal blocks selected, validated against the dense
-/// // reference inverse.
-/// assert_eq!(out.selected.len(), 2);
-/// let g_ref = pc.reference_green(fsi_runtime::Par::Seq);
-/// for (&(k, l), blk) in out.selected.iter() {
-///     let want = pc.dense_block(&g_ref, k, l);
-///     assert!(fsi_dense::rel_error(blk, &want) < 1e-8);
-/// }
-/// ```
-pub fn fsi<R: Rng + ?Sized>(
-    par: Parallelism<'_>,
-    pc: &BlockPCyclic,
-    pattern: crate::patterns::Pattern,
-    c: usize,
-    rng: &mut R,
-) -> FsiResult<FsiOutput> {
-    let q = rng.gen_range(0..c);
-    let selection = Selection::new(pattern, c, q);
-    fsi_with_q(par, pc, &selection)
-}
-
 /// The paper's §V-C measurement selection: *all* `L` diagonal blocks plus
 /// `b` block rows plus `b` block columns, produced from a single
 /// clustering + BSOFI and one cache of `B_k⁻¹` (the expensive parts are
@@ -283,7 +242,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn reference_check(out: &FsiOutput, pc: &BlockPCyclic, selection: &Selection, tol: f64) {
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         for (k, l) in selection.coordinates(pc.l()) {
             let got = out.selected.get(k, l).expect("block present");
             let want = pc.dense_block(&g_ref, k, l);
@@ -327,19 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn random_q_stays_in_range_and_validates() {
-        let pc = random_pcyclic(2, 8, 79);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        for _ in 0..5 {
-            let out =
-                fsi(Parallelism::Serial, &pc, Pattern::Diagonal, 4, &mut rng).expect("healthy");
-            assert!(out.clustered.q < 4);
-            let sel = Selection::new(Pattern::Diagonal, 4, out.clustered.q);
-            reference_check(&out, &pc, &sel, 1e-8);
-        }
-    }
-
-    #[test]
     fn hubbard_end_to_end_matches_reference() {
         use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, SquareLattice};
         let builder =
@@ -370,7 +316,7 @@ mod tests {
             assert!(merged.contains(l, k), "col block ({l},{k})");
         }
         // Spot-validate against the reference.
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         for &(k, l) in &[(0usize, 0usize), (5, 2), (2, 6), (7, 7)] {
             if let Some(blk) = merged.get(k, l) {
                 let want = pc.dense_block(&g_ref, k, l);
@@ -385,26 +331,17 @@ mod tests {
         for pattern in [Pattern::Diagonal, Pattern::SubDiagonal] {
             let out = fsi_with_q(Parallelism::Serial, &pc, &Selection::new(pattern, 4, 1))
                 .expect("healthy");
-            assert!(out.g_reduced.selected().is_some(), "{pattern:?}");
-            assert!(out.g_reduced.dense().is_none(), "{pattern:?}");
-            // Uniform accessor: diagonal seeds present, off-diagonals not
-            // assembled by the sparse path.
-            assert!(out.g_reduced.block(&out.clustered, 0, 0).is_some());
-            assert!(out.g_reduced.block(&out.clustered, 0, 1).is_none());
+            // Diagonal seeds present, off-diagonals not assembled by the
+            // sparse path.
+            let ReducedInverse::Selected(s) = &out.g_reduced else {
+                panic!("{pattern:?}: dense reduced inverse");
+            };
+            assert!(s.contains(0, 0) && !s.contains(0, 1), "{pattern:?}");
         }
         for pattern in [Pattern::Columns, Pattern::Rows] {
             let out = fsi_with_q(Parallelism::Serial, &pc, &Selection::new(pattern, 4, 1))
                 .expect("healthy");
             assert!(out.g_reduced.dense().is_some(), "{pattern:?}");
-            assert!(out.g_reduced.block(&out.clustered, 0, 1).is_some());
         }
-    }
-
-    #[test]
-    fn parallelism_reports_threads() {
-        let pool = ThreadPool::new(5);
-        assert_eq!(Parallelism::Serial.threads(), 1);
-        assert_eq!(Parallelism::OpenMp(&pool).threads(), 5);
-        assert_eq!(Parallelism::MklStyle(&pool).threads(), 5);
     }
 }

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, Spin};
-use fsi_runtime::health::{FsiError, FsiResult};
+use fsi_runtime::health::{FsiResult, HealthEvent};
 use fsi_runtime::{trace, StealQueues, Stopwatch, ThreadPool};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -104,7 +104,8 @@ pub struct MatrixTask {
 impl MatrixTask {
     /// Creates a task for matrix `index` with the given field and
     /// selection parameters. `seed` is the *run* seed; the per-matrix
-    /// shift is derived from it and `index` (see [`shift_for`]).
+    /// shift is derived from it and `index` alone, so it does not depend
+    /// on the rank that runs the task.
     pub fn new(index: usize, field: HsField, c: usize, pattern: Pattern, seed: u64) -> Self {
         assert!(c > 0, "cluster size must be positive");
         MatrixTask {
@@ -119,7 +120,7 @@ impl MatrixTask {
     }
 
     /// The matrix index this task computes.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.index
     }
 
@@ -127,11 +128,6 @@ impl MatrixTask {
     /// [`MatrixTask::degrade`]).
     pub fn c(&self) -> usize {
         self.c
-    }
-
-    /// How many times [`MatrixTask::degrade`] has fired.
-    pub fn degradations(&self) -> u32 {
-        self.degradations
     }
 
     /// Consumes the task, returning `(index, quantities)`.
@@ -199,7 +195,7 @@ impl MatrixTask {
 /// Derived from `(seed, index, c)` only — *not* from the rank or worker
 /// executing the matrix — so every rank count and steal order produces
 /// bitwise-identical selected inversions.
-pub fn shift_for(seed: u64, index: usize, c: usize) -> usize {
+fn shift_for(seed: u64, index: usize, c: usize) -> usize {
     let mix = seed ^ 0x9E37 ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ChaCha8Rng::seed_from_u64(mix).gen_range(0..c)
 }
@@ -298,7 +294,7 @@ pub fn run_multi(
     queues.close(); // batch run: drain and exit
 
     let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<(usize, FsiError)>> = Mutex::new(None);
+    let failure: Mutex<Option<(usize, HealthEvent)>> = Mutex::new(None);
     let done: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
     // Rank threads charge the caller's open span, as pool workers do.
     let ctx = trace::current_context();
@@ -608,7 +604,6 @@ mod tests {
         assert!(task.degrade());
         assert_eq!(task.c(), 1);
         assert!(!task.degrade(), "c=1 is the floor");
-        assert_eq!(task.degradations(), 2);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl SelectedPattern {
     ///
     /// # Panics
     /// Panics if a [`SelectedPattern::DiagonalBlock`] index is `≥ b`.
-    pub fn rows(&self, b: usize) -> Vec<usize> {
+    pub(crate) fn rows(&self, b: usize) -> Vec<usize> {
         match *self {
             SelectedPattern::Diagonals | SelectedPattern::Full => (0..b).collect(),
             SelectedPattern::DiagonalBlock(k) => {
@@ -122,7 +122,7 @@ impl SelectedPattern {
     }
 
     /// The block columns wanted within assembled row `k`.
-    pub fn cols_for_row(&self, k: usize, b: usize) -> Vec<usize> {
+    fn cols_for_row(&self, k: usize, b: usize) -> Vec<usize> {
         match *self {
             SelectedPattern::Diagonals | SelectedPattern::DiagonalBlock(_) => vec![k],
             SelectedPattern::Full => (0..b).collect(),
@@ -135,15 +135,6 @@ impl SelectedPattern {
             .into_iter()
             .flat_map(|k| self.cols_for_row(k, b).into_iter().map(move |l| (k, l)))
             .collect()
-    }
-
-    /// Display label for benches and traces.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SelectedPattern::Diagonals => "diagonals",
-            SelectedPattern::DiagonalBlock(_) => "diagonal-block",
-            SelectedPattern::Full => "full",
-        }
     }
 }
 
@@ -172,7 +163,7 @@ impl Selection {
     }
 
     /// The 0-based offset `o = c − 1 − q` of the index set.
-    pub fn offset(&self) -> usize {
+    pub(crate) fn offset(&self) -> usize {
         self.c - 1 - self.q
     }
 
@@ -188,16 +179,6 @@ impl Selection {
         );
         let b = l / self.c;
         (0..b).map(|m| m * self.c + self.offset()).collect()
-    }
-
-    /// Number of reduced block rows `b = L/c`.
-    pub fn b(&self, l: usize) -> usize {
-        assert!(
-            l.is_multiple_of(self.c),
-            "cluster size c={} must divide L={l}",
-            self.c
-        );
-        l / self.c
     }
 
     /// All selected `(k, ℓ)` block coordinates for block count `L`.
@@ -232,7 +213,7 @@ impl SelectedInverse {
     }
 
     /// An empty selection result with room for `blocks` blocks.
-    pub fn with_capacity(blocks: usize) -> Self {
+    pub(crate) fn with_capacity(blocks: usize) -> Self {
         SelectedInverse {
             blocks: HashMap::with_capacity(blocks),
         }
@@ -314,7 +295,6 @@ mod tests {
         let idx = sel.index_set(20);
         // 1-based would be {3, 8, 13, 18}; 0-based {2, 7, 12, 17}.
         assert_eq!(idx, vec![2, 7, 12, 17]);
-        assert_eq!(sel.b(20), 4);
         // q = 0 gives the last index of each cluster.
         let sel = Selection::new(Pattern::Diagonal, 5, 0);
         assert_eq!(sel.index_set(10), vec![4, 9]);

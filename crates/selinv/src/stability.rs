@@ -32,7 +32,7 @@ use fsi_pcyclic::BlockPCyclic;
 /// degrades to no clustering instead of aborting. Hubbard blocks are
 /// never singular, but a recovery path re-estimating `c` on suspect data
 /// must not panic on the one matrix it is trying to defend against.
-pub fn growth_rate(pc: &BlockPCyclic) -> f64 {
+fn growth_rate(pc: &BlockPCyclic) -> f64 {
     let mut worst = 1.0f64;
     for k in 0..pc.l() {
         let b = pc.block(k);
@@ -85,12 +85,6 @@ pub fn auto_cluster_size(pc: &BlockPCyclic, tol: f64) -> usize {
         }
     }
     best
-}
-
-/// Predicted relative error of an FSI run at cluster size `c` (a coarse
-/// upper-bound model: chain conditioning times machine epsilon).
-pub fn predicted_error(rate: f64, c: usize) -> f64 {
-    (c as f64 * rate.max(1.0).ln()).exp() * f64::EPSILON
 }
 
 #[cfg(test)]
@@ -170,17 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn predicted_error_matches_measured_scaling_shape() {
-        // Qualitative check against the ablation: error grows
-        // multiplicatively with c.
-        let rate = 10.0;
-        let e2 = predicted_error(rate, 2);
-        let e4 = predicted_error(rate, 4);
-        assert!(e4 / e2 > 50.0, "quadrupling the exponent: {e2} -> {e4}");
-        assert!(predicted_error(1.0, 100) < 1e-15);
-    }
-
-    #[test]
     fn auto_size_keeps_fsi_accurate() {
         // End-to-end: the auto-chosen c passes the validation threshold.
         use crate::baselines::{full_inverse_selected, max_block_error};
@@ -189,7 +172,7 @@ mod tests {
         let c = auto_cluster_size(&pc, 1e-9);
         let sel = Selection::new(Pattern::Columns, c, c / 2);
         let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
-        let reference = full_inverse_selected(fsi_runtime::Par::Seq, &pc, &sel);
+        let reference = full_inverse_selected(&pc, &sel);
         let err = max_block_error(&out.selected, &reference);
         assert!(err < 1e-7, "auto c = {c} gave error {err}");
     }

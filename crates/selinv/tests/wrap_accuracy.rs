@@ -117,7 +117,7 @@ fn explicit_inverse_wraps_are_as_accurate_as_lu_solves_were() {
         let q = p.c / 2;
         let clustered = cls(Par::Seq, Par::Seq, &pc, p.c, q);
         let g_red = bsofi(Par::Seq, Par::Seq, &clustered.reduced);
-        let g_ref = pc.reference_green(Par::Seq);
+        let g_ref = pc.reference_green();
         let sel = Selection::new(Pattern::Columns, p.c, q);
         let cols = wrap(Par::Seq, &pc, &clustered, &g_red, &sel).expect("healthy");
         let diags = wrap_all_diagonals(Par::Seq, &pc, &clustered, &g_red).expect("healthy");
@@ -159,10 +159,10 @@ fn graded_pcyclic(bad: usize) -> BlockPCyclic {
 
 #[test]
 fn ill_conditioned_block_is_refused_not_inverted() {
-    let is_ill_conditioned = |err: &fsi_runtime::health::FsiError| {
+    let is_ill_conditioned = |err: &HealthEvent| {
         matches!(
-            err.health_event(),
-            Some(HealthEvent::IllConditioned { stage: Stage::Wrap, kappa }) if *kappa > KAPPA_MAX
+            err,
+            HealthEvent::IllConditioned { stage: Stage::Wrap, kappa } if *kappa > KAPPA_MAX
         )
     };
     let pc = graded_pcyclic(4);

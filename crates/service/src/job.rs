@@ -1,7 +1,7 @@
 //! Job specifications, streamed events, and completion reports.
 
 use crossbeam_channel::Receiver;
-use fsi_runtime::health::FsiError;
+use fsi_runtime::health::HealthEvent;
 use fsi_selinv::{per_rank_bytes, Pattern};
 
 /// A tenant's request for one simulation job: `sweeps` independent
@@ -153,7 +153,7 @@ pub enum JobEvent {
         /// The sweep whose inversion could not be recovered.
         sweep: usize,
         /// The unrecovered health-probe failure.
-        error: FsiError,
+        error: HealthEvent,
     },
     /// The job was cancelled — by [`crate::ServiceHandle::cancel`] or by
     /// the watchdog (deadline expiry) — and its remaining sweeps are
@@ -205,7 +205,7 @@ pub struct JobOutcome {
     /// `(sweep, quantities)` pairs in ascending sweep order.
     pub bins: Vec<(usize, Vec<f64>)>,
     /// The failure that ended the job, if any.
-    pub error: Option<FsiError>,
+    pub error: Option<HealthEvent>,
     /// The cancellation reason, if the job was cancelled.
     pub cancelled: Option<String>,
 }

@@ -790,7 +790,7 @@ fn run_sweep(inner: &Inner, par: Parallelism<'_>, task: SweepTask) {
 
     let mut outcome: Option<Vec<f64>> = None;
     if !job.failed.load(Ordering::Acquire) && !job.cancelled.load(Ordering::Acquire) {
-        let measure: &fsi_selinv::multi::MeasureFn = &*inner.measure;
+        let measure: &fsi_selinv::MeasureFn = &*inner.measure;
         'attempt: loop {
             let mut mt = MatrixTask::new(
                 sweep,

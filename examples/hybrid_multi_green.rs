@@ -8,8 +8,7 @@
 //! Run with: `cargo run --release --example hybrid_multi_green`
 
 use fsi::pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
-use fsi::selinv::multi::{per_rank_bytes, trace_measure, MultiConfig};
-use fsi::selinv::{run_multi, MemoryModel, Pattern};
+use fsi::selinv::{per_rank_bytes, run_multi, trace_measure, MemoryModel, MultiConfig, Pattern};
 
 fn main() {
     // Local run: 12 matrices over a few rank×thread configurations.

@@ -52,7 +52,7 @@ fn main() {
 
     // Validate against dense LU inversion of the full NL × NL matrix.
     let sw = Stopwatch::start();
-    let reference = full_inverse_selected(fsi::runtime::Par::Seq, &m, &selection);
+    let reference = full_inverse_selected(&m, &selection);
     let lu_time = sw.seconds();
     let err = max_block_error(&out.selected, &reference);
     println!(

@@ -61,9 +61,9 @@ fn main() {
         println!(
             "  {:<20} explicit {:>12}  FSI {:>12}  predicted speedup {:>6.1}x",
             pattern.label(),
-            fsi::selinv::flops::explicit_flops(pattern, 1, l, c),
-            fsi::selinv::flops::fsi_flops(pattern, 1, l, c),
-            fsi::selinv::flops::predicted_speedup(pattern, n, l, c),
+            fsi::selinv::explicit_flops(pattern, 1, l, c),
+            fsi::selinv::fsi_flops(pattern, 1, l, c),
+            fsi::selinv::predicted_speedup(pattern, n, l, c),
         );
     }
 }

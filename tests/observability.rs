@@ -76,7 +76,7 @@ fn stage_walls_sum_to_driver_and_stage_flops_match_model() {
 
     // Flop accounting: CLS is exactly b chains of (c-1) NxN GEMMs, so the
     // measured span count must equal the analytic model to the flop.
-    assert_eq!(report.flops_of("cls"), fsi::selinv::cls::cls_flops(n, l, c));
+    assert_eq!(report.flops_of("cls"), fsi::selinv::cls_flops(n, l, c));
     // The driver span's inclusive count is exactly the sum of its stages
     // (nothing else in the driver charges flops).
     assert_eq!(

@@ -4,8 +4,7 @@
 use fsi::dqmc::{run, DqmcConfig};
 use fsi::pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
 use fsi::runtime::ThreadPool;
-use fsi::selinv::multi::{trace_measure, MultiConfig};
-use fsi::selinv::{run_multi, MemoryModel, Parallelism, Pattern};
+use fsi::selinv::{run_multi, trace_measure, MemoryModel, MultiConfig, Parallelism, Pattern};
 
 #[test]
 fn dqmc_runs_identically_under_all_parallel_modes() {
@@ -88,7 +87,7 @@ fn memory_model_feasibility_is_monotone() {
     let model = MemoryModel::edison();
     // More ranks per node can never turn an infeasible config feasible.
     for n in [400usize, 576, 784, 1024] {
-        let bytes = fsi::selinv::multi::per_rank_bytes(n, 100, 10, Pattern::Columns);
+        let bytes = fsi::selinv::per_rank_bytes(n, 100, 10, Pattern::Columns);
         let mut prev = true;
         for ranks in [1usize, 2, 4, 8, 12, 24] {
             let f = model.feasible(ranks, bytes);
@@ -100,8 +99,8 @@ fn memory_model_feasibility_is_monotone() {
         }
     }
     // Per-rank bytes grow with N and with the selection size.
-    let diag = fsi::selinv::multi::per_rank_bytes(400, 100, 10, Pattern::Diagonal);
-    let cols = fsi::selinv::multi::per_rank_bytes(400, 100, 10, Pattern::Columns);
+    let diag = fsi::selinv::per_rank_bytes(400, 100, 10, Pattern::Diagonal);
+    let cols = fsi::selinv::per_rank_bytes(400, 100, 10, Pattern::Columns);
     assert!(cols > diag);
 }
 
@@ -130,7 +129,7 @@ fn flop_accounting_spans_the_whole_pipeline() {
     // The kernel-exact model of the three stages, to the flop.
     assert_eq!(
         counted,
-        fsi::selinv::flops::fsi_flops_exact(Pattern::Columns, 4, 8, 4)
+        fsi::selinv::fsi_flops_exact(Pattern::Columns, 4, 8, 4)
     );
 }
 

@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use fsi::dqmc::{equal_time_green_stable, SweepConfig, Sweeper};
 use fsi::pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
 use fsi::runtime::health::inject::{self, FaultKind, Site, ANY_BLOCK};
-use fsi::runtime::health::Stage;
+use fsi::runtime::health::{FsiResult, Stage};
 use fsi::runtime::Par;
 use fsi::selinv::Parallelism;
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ fn sweep_config() -> SweepConfig {
 }
 
 /// One sweep of the fixed workload; returns the sweeper for inspection.
-fn run_workload(builder: &BlockBuilder) -> Result<Sweeper<'_>, fsi::runtime::health::FsiError> {
+fn run_workload(builder: &BlockBuilder) -> FsiResult<Sweeper<'_>> {
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
     let field = HsField::random(L, builder.lattice().n_sites(), &mut rng);
     let mut s = Sweeper::new(builder, field, sweep_config())?;

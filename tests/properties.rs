@@ -77,7 +77,7 @@ fn hubbard_spins(builder: &BlockBuilder, seed: u64) -> [fsi::pcyclic::BlockPCycl
 
 /// Every block of the dense reference inverse of `pc`.
 fn dense_blocks(pc: &fsi::pcyclic::BlockPCyclic) -> SelectedInverse {
-    let g = pc.reference_green(Par::Seq);
+    let g = pc.reference_green();
     let mut out = SelectedInverse::new();
     for k in 0..pc.l() {
         for ell in 0..pc.l() {
@@ -147,7 +147,7 @@ proptest! {
         let pc = random_pcyclic(n, l, seed);
         let sel = Selection::new(pattern, c, q);
         let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
-        let reference = full_inverse_selected(Par::Seq, &pc, &sel);
+        let reference = full_inverse_selected(&pc, &sel);
         let err = max_block_error(&out.selected, &reference);
         prop_assert!(err < 1e-8, "(n={n}, l={l}, c={c}, q={q}, {pattern:?}): {err}");
         // Exactly the right set of blocks was produced.
@@ -178,8 +178,8 @@ proptest! {
         let q = seed as usize % c;
         let pc = random_pcyclic(n, l, seed);
         let clustered = cls(Par::Seq, Par::Seq, &pc, c, q);
-        let g_red = clustered.reduced.reference_green(Par::Seq);
-        let g_full = pc.reference_green(Par::Seq);
+        let g_red = clustered.reduced.reference_green();
+        let g_full = pc.reference_green();
         for k0 in 0..b {
             for l0 in 0..b {
                 let got = clustered.reduced.dense_block(&g_red, k0, l0);
@@ -201,7 +201,7 @@ proptest! {
     #[test]
     fn adjacency_relations_hold(n in 2usize..4, l in 2usize..7, seed in any::<u64>()) {
         let pc = random_pcyclic(n, l, seed);
-        let g = pc.reference_green(Par::Seq);
+        let g = pc.reference_green();
         let worst = fsi::selinv::wrap::max_relation_error(&pc, &g);
         prop_assert!(worst < 1e-7, "worst relation error {worst}");
     }

@@ -3,7 +3,6 @@
 //! the dense LU reference on genuine Hubbard matrices.
 
 use fsi::pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
-use fsi::runtime::Par;
 use fsi::selinv::baselines::{full_inverse_selected, max_block_error, mean_block_error};
 use fsi::selinv::{fsi_with_q, Parallelism, Pattern, Selection};
 use rand::SeedableRng;
@@ -24,7 +23,7 @@ fn paper_validation_shape_mean_error_below_1e10() {
     let pc = validation_matrix(16, Spin::Up, 1);
     let sel = Selection::new(Pattern::Columns, 4, 2);
     let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
-    let reference = full_inverse_selected(Par::Seq, &pc, &sel);
+    let reference = full_inverse_selected(&pc, &sel);
     let mean = mean_block_error(&out.selected, &reference);
     assert!(mean < 1e-10, "mean relative error {mean} >= 1e-10");
 }
@@ -36,7 +35,7 @@ fn all_patterns_validate_for_both_spins() {
         for pattern in Pattern::ALL {
             let sel = Selection::new(pattern, 4, 1);
             let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
-            let reference = full_inverse_selected(Par::Seq, &pc, &sel);
+            let reference = full_inverse_selected(&pc, &sel);
             let err = max_block_error(&out.selected, &reference);
             assert!(err < 1e-10, "{spin:?} {pattern:?}: {err}");
         }
@@ -49,7 +48,7 @@ fn every_shift_q_validates() {
     for q in 0..4 {
         let sel = Selection::new(Pattern::Columns, 4, q);
         let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
-        let reference = full_inverse_selected(Par::Seq, &pc, &sel);
+        let reference = full_inverse_selected(&pc, &sel);
         let err = max_block_error(&out.selected, &reference);
         assert!(err < 1e-10, "q={q}: {err}");
     }
@@ -63,7 +62,7 @@ fn extreme_cluster_sizes_validate() {
     for c in [1usize, 2, 3, 6, 12] {
         let sel = Selection::new(Pattern::Columns, c, c - 1);
         let out = fsi_with_q(Parallelism::Serial, &pc, &sel).expect("healthy");
-        let reference = full_inverse_selected(Par::Seq, &pc, &sel);
+        let reference = full_inverse_selected(&pc, &sel);
         let err = max_block_error(&out.selected, &reference);
         assert!(err < 1e-9, "c={c}: {err}");
     }
