@@ -29,11 +29,9 @@ echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 if [[ $quick -eq 0 ]]; then
+  # Runs every crate's doc tests too (the `Doc-tests <crate>` sections).
   echo "== cargo test =="
   cargo test --offline --workspace -q
-
-  echo "== cargo test --doc =="
-  cargo test --offline --workspace --doc -q
 
   # Metrics-enabled lane: the always-on registry and flight recorder are
   # exercised with stage tracing live and a real dump directory, so the

@@ -15,11 +15,13 @@
 //!   moment, kinetic energy, spin correlations) and the time-dependent
 //!   SPXX table computed from FSI's block rows + columns with per-task
 //!   local accumulators;
-//! * [`run`] — the full warmup + measurement loop (Alg. 4) with the
-//!   per-phase timing decomposition of Figs. 10–11;
-//! * [`SweepCheckpoint`] and [`DurableSweeper`] — durable
-//!   checkpoint/restart: versioned, checksummed sweep-boundary snapshots
-//!   with a bitwise-identical-resume guarantee.
+//! * [`Simulation`] — the warmup + measurement loop (Alg. 4) as a value
+//!   stepped one measurement at a time, with the per-phase timing
+//!   decomposition of Figs. 10–11; [`run`] is its whole-run form;
+//! * [`SweepCheckpoint`] — durable checkpoint/restart of a
+//!   [`Simulation`]: versioned, checksummed sweep-boundary snapshots from
+//!   which a resumed run finishes with bitwise the uninterrupted run's
+//!   observables.
 //!
 //! Apart from [`meas`], the modules are private: the re-exports below are
 //! the crate's one public path to each name.
@@ -36,11 +38,11 @@ mod sim;
 mod stable;
 mod sweep;
 
-pub use checkpoint::{DurableSweeper, SweepCheckpoint};
+pub use checkpoint::SweepCheckpoint;
 pub use meas::{
     equal_time, spxx, staggered_structure_factor, uniform_xy_susceptibility, Accumulator,
     EqualTime, SpxxTable,
 };
-pub use sim::{run, DqmcConfig, DqmcResults};
+pub use sim::{run, DqmcConfig, DqmcResults, Simulation};
 pub use stable::{equal_time_green_cached, equal_time_green_stable};
 pub use sweep::{wrap_dense, wrap_factored, RecoveryStats, SweepConfig, SweepStats, Sweeper};

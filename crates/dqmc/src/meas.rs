@@ -253,6 +253,23 @@ impl SpxxTable {
             *a *= f;
         }
     }
+
+    /// Row `τ` (one entry per displacement class).
+    pub(crate) fn row(&self, tau: usize) -> &[f64] {
+        &self.data[tau * self.dmax..(tau + 1) * self.dmax]
+    }
+
+    /// A table from its row-major data and per-row counts (checkpoint
+    /// restore).
+    pub(crate) fn from_parts(l: usize, dmax: usize, data: Vec<f64>, counts: Vec<usize>) -> Self {
+        assert_eq!((data.len(), counts.len()), (l * dmax, l), "SPXX shape");
+        SpxxTable {
+            data,
+            counts,
+            l,
+            dmax,
+        }
+    }
 }
 
 /// The four blocks of one contributing block pair `{k, ℓ}` of [`spxx`],
@@ -525,6 +542,16 @@ impl Accumulator {
         }
         (self.m2 / (self.n - 1) as f64 / self.n as f64).sqrt()
     }
+
+    /// The running state `(n, mean, m2)` (checkpoint save).
+    pub(crate) fn parts(&self) -> (u64, f64, f64) {
+        (self.n, self.mean, self.m2)
+    }
+
+    /// An accumulator from [`Self::parts`] (checkpoint restore).
+    pub(crate) fn from_parts(n: u64, mean: f64, m2: f64) -> Self {
+        Accumulator { n, mean, m2 }
+    }
 }
 
 /// The element-by-element definitions of the three kernels above — the
@@ -674,7 +701,7 @@ mod tests {
         );
         let field = HsField::ones(l_slices, 4);
         let pc = hubbard_pcyclic(&builder, &field, Spin::Up);
-        let g = fsi_pcyclic::equal_time_green_explicit(Par::Seq, &pc, 0);
+        let g = fsi_pcyclic::equal_time_green_explicit(&pc, 0);
         (lat, g)
     }
 

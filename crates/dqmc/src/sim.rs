@@ -7,6 +7,14 @@
 //!                    measurements }
 //! ```
 //!
+//! [`Simulation`] holds the loop's state and steps it: [`Simulation::new`]
+//! draws h₀, [`Simulation::warmup`] runs the warm-up sweeps,
+//! [`Simulation::step`] is one measurement iteration and
+//! [`Simulation::finish`] hands back the averaged [`DqmcResults`]. [`run`]
+//! is exactly those four calls. Because the state lives in one value,
+//! [`Simulation::checkpoint`] and [`Simulation::resume`] can stop a run at
+//! any sweep boundary and continue it bitwise (see [`crate::SweepCheckpoint`]).
+//!
 //! Per measurement iteration the simulation computes, for both spins, the
 //! selection the paper uses in §V-C: *all* diagonal blocks plus `b` block
 //! rows plus `b` block columns of `G^σ` — one clustering + BSOFI shared by
@@ -25,6 +33,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use crate::checkpoint::{observables_from_bins, observables_to_bins, SweepCheckpoint};
 use crate::meas::{
     equal_time, spin_zz_equal_time, spxx, staggered_structure_factor, uniform_xy_susceptibility,
     Accumulator, SpxxTable,
@@ -91,7 +100,7 @@ impl DqmcConfig {
 }
 
 /// Averaged results of a DQMC run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DqmcResults {
     /// `⟨n_↑⟩ + ⟨n_↓⟩` (total density) accumulator.
     pub density: Accumulator,
@@ -116,87 +125,184 @@ pub struct DqmcResults {
     pub profile: Profile,
 }
 
-/// Runs the full simulation under the given parallelism mode.
+/// A DQMC run of Alg. 4 as a value: the configuration, the sweep engine,
+/// the trajectory RNG and the observables accumulated so far.
 ///
 /// ```
-/// use fsi_dqmc::{run, DqmcConfig};
+/// use fsi_dqmc::{DqmcConfig, Simulation};
+/// use fsi_pcyclic::{BlockBuilder, SquareLattice};
 /// use fsi_selinv::Parallelism;
-/// let mut cfg = DqmcConfig::small();
-/// cfg.measurements = 2;
-/// let results = run(&cfg, Parallelism::Serial).expect("healthy run");
-/// // Half filling by particle-hole symmetry.
-/// assert!((results.density.mean() - 1.0).abs() < 0.2);
+/// let cfg = DqmcConfig::small();
+/// let builder = BlockBuilder::new(SquareLattice::new(cfg.nx, cfg.ny), cfg.params());
+/// let mut sim = Simulation::new(&cfg, &builder).expect("healthy start");
+/// sim.warmup(Parallelism::Serial).expect("healthy warm-up");
+/// sim.step(Parallelism::Serial).expect("healthy step");
+/// let saved = sim.checkpoint();
+/// let mut resumed = Simulation::resume(&cfg, &builder, saved).expect("healthy resume");
+/// resumed.step(Parallelism::Serial).expect("healthy step");
+/// assert_eq!(resumed.finish().density.count(), 2);
 /// ```
-///
-/// # Errors
-/// Surfaces any [`fsi_runtime::health`] event that survived the sweep
-/// driver's recovery ladder (see [`crate::sweep::RecoveryStats`]), and any
-/// probe trip inside the measurement-set inversions, which run outside the
-/// ladder.
-pub fn run(cfg: &DqmcConfig, par: Parallelism<'_>) -> FsiResult<DqmcResults> {
-    let _dqmc_span = fsi_runtime::trace::span("dqmc");
-    let lattice = SquareLattice::new(cfg.nx, cfg.ny);
-    let builder = BlockBuilder::new(lattice.clone(), cfg.params());
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let field = HsField::random(cfg.l, lattice.n_sites(), &mut rng);
-    let sweep_cfg = SweepConfig {
-        c: cfg.c,
-        stabilize_every: cfg.stabilize_every,
-        delay: cfg.delay,
-    };
-    let mut sweeper = Sweeper::new(&builder, field, sweep_cfg)?;
-    let mut results = DqmcResults {
-        density: Accumulator::new(),
-        double_occupancy: Accumulator::new(),
-        moment: Accumulator::new(),
-        kinetic: Accumulator::new(),
-        avg_sign: Accumulator::new(),
-        acceptance: Accumulator::new(),
-        structure_factor: Accumulator::new(),
-        susceptibility: Accumulator::new(),
-        spxx: None,
-        profile: Profile::new(),
-    };
+pub struct Simulation<'a> {
+    cfg: DqmcConfig,
+    lattice: SquareLattice,
+    builder: &'a BlockBuilder,
+    sweeper: Sweeper<'a>,
+    rng: ChaCha8Rng,
+    /// Sweeps done, warm-up and measurement alike.
+    sweeps: u64,
+    /// Measurement steps done.
+    steps: u64,
+    results: DqmcResults,
+}
 
-    // Warmup stage.
-    for _ in 0..cfg.warmup {
-        let stats = results
-            .profile
-            .time("sweep", || sweeper.sweep(&mut rng, par))?;
-        results.acceptance.push(stats.acceptance());
+impl<'a> Simulation<'a> {
+    /// Starts a run: seeds the RNG from `cfg.seed` and draws the initial
+    /// field from it. `builder` must be built from `cfg`'s lattice and
+    /// [`DqmcConfig::params`].
+    ///
+    /// # Errors
+    /// The initial refresh's unrecovered health failures.
+    pub fn new(cfg: &DqmcConfig, builder: &'a BlockBuilder) -> FsiResult<Self> {
+        let lattice = SquareLattice::new(cfg.nx, cfg.ny);
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let field = HsField::random(cfg.l, lattice.n_sites(), &mut rng);
+        let sweep_cfg = SweepConfig {
+            c: cfg.c,
+            stabilize_every: cfg.stabilize_every,
+            delay: cfg.delay,
+        };
+        let sweeper = Sweeper::new(builder, field, sweep_cfg)?;
+        Ok(Simulation {
+            cfg: cfg.clone(),
+            lattice,
+            builder,
+            sweeper,
+            rng,
+            sweeps: 0,
+            steps: 0,
+            results: DqmcResults::default(),
+        })
     }
 
-    // Measurement stage.
-    let (outer, _inner) = par.split();
-    for _ in 0..cfg.measurements {
-        let stats = results
+    /// Resumes a run from a checkpoint that [`Simulation::checkpoint`] took
+    /// under the same `cfg`: rebuilds the sweep engine from the stored
+    /// field and in-force [`SweepConfig`], reinstates the sign, moves a
+    /// fresh `cfg.seed` RNG to the stored stream position and restores the
+    /// accumulated observables. The run then continues bitwise as if it
+    /// had never stopped. The [`Profile`] wall times are not stored, so
+    /// the resumed run's profile covers only what it runs itself.
+    ///
+    /// # Errors
+    /// Refresh failures, as in [`Simulation::new`].
+    ///
+    /// # Panics
+    /// When the checkpoint's `(L, N)` shape does not match `builder`, or
+    /// its `bins` do not hold a `Simulation`'s observables — resuming the
+    /// wrong run is operator error, not a recoverable condition.
+    pub fn resume(
+        cfg: &DqmcConfig,
+        builder: &'a BlockBuilder,
+        ckpt: SweepCheckpoint,
+    ) -> FsiResult<Self> {
+        assert_eq!(ckpt.l, builder.params().l, "checkpoint L mismatch");
+        assert_eq!(ckpt.n, builder.lattice().n_sites(), "checkpoint N mismatch");
+        let (steps, results) = observables_from_bins(&ckpt.bins)
+            .expect("checkpoint bins hold a Simulation's observables");
+        let field = HsField::from_flat(ckpt.l, ckpt.n, &ckpt.field);
+        let mut sweeper = Sweeper::new(builder, field, ckpt.cfg)?;
+        sweeper.restore_sign(ckpt.sign);
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        rng.set_word_pos(ckpt.rng_word_pos);
+        Ok(Simulation {
+            cfg: cfg.clone(),
+            lattice: SquareLattice::new(cfg.nx, cfg.ny),
+            builder,
+            sweeper,
+            rng,
+            sweeps: ckpt.sweep,
+            steps,
+            results,
+        })
+    }
+
+    /// Captures the resumable state at the current sweep boundary: the
+    /// field, RNG position, sign and in-force [`SweepConfig`], plus the
+    /// accumulated observables.
+    pub fn checkpoint(&self) -> SweepCheckpoint {
+        let field = self.sweeper.field();
+        SweepCheckpoint {
+            sweep: self.sweeps,
+            l: field.slices(),
+            n: field.sites(),
+            field: field.to_flat(),
+            rng_word_pos: self.rng.word_pos(),
+            sign: self.sweeper.sign(),
+            cfg: *self.sweeper.config(),
+            bins: observables_to_bins(self.steps, &self.results),
+        }
+    }
+
+    /// Runs the warm-up sweeps not yet done (of `cfg.warmup`).
+    ///
+    /// # Errors
+    /// Unrecovered health failures from the sweep's recovery ladder.
+    pub fn warmup(&mut self, par: Parallelism<'_>) -> FsiResult<()> {
+        while self.sweeps < self.cfg.warmup as u64 {
+            self.sweep(par)?;
+        }
+        Ok(())
+    }
+
+    /// One Metropolis sweep, timed as `"sweep"`, its acceptance recorded.
+    fn sweep(&mut self, par: Parallelism<'_>) -> FsiResult<()> {
+        let stats = self
+            .results
             .profile
-            .time("sweep", || sweeper.sweep(&mut rng, par))?;
-        results.acceptance.push(stats.acceptance());
+            .time("sweep", || self.sweeper.sweep(&mut self.rng, par))?;
+        self.results.acceptance.push(stats.acceptance());
+        self.sweeps += 1;
+        Ok(())
+    }
+
+    /// One measurement iteration: a sweep, the Green's functions of both
+    /// spins via FSI, and the physical measurements.
+    ///
+    /// # Errors
+    /// Surfaces any [`fsi_runtime::health`] event that survived the sweep
+    /// driver's recovery ladder (see [`crate::sweep::RecoveryStats`]), and
+    /// any probe trip inside the measurement-set inversions, which run
+    /// outside the ladder.
+    pub fn step(&mut self, par: Parallelism<'_>) -> FsiResult<()> {
+        self.sweep(par)?;
+        let cfg = &self.cfg;
+        let (outer, _inner) = par.split();
 
         // Green's functions: all diagonals + b rows + b cols, both spins,
         // sharing one clustering/BSOFI per spin (paper §V-C's selection).
-        let q = rng.gen_range(0..cfg.c);
-        let (selections, diag_blocks) = results.profile.time("green", || -> FsiResult<_> {
-            let mut selections: Vec<SelectedInverse> = Vec::with_capacity(2);
-            let mut diag_blocks: Vec<SelectedInverse> = Vec::with_capacity(2);
-            for spin in Spin::BOTH {
-                let pc = hubbard_pcyclic(&builder, sweeper.field(), spin);
-                let (merged, diags) = fsi_measurement_set(par, &pc, cfg.c, q)?;
-                diag_blocks.push(diags);
-                selections.push(merged);
-            }
-            Ok((selections, diag_blocks))
-        })?;
+        let q = self.rng.gen_range(0..cfg.c);
+        let (selections, diag_blocks) =
+            self.results.profile.time("green", || -> FsiResult<_> {
+                let mut selections: Vec<SelectedInverse> = Vec::with_capacity(2);
+                let mut diag_blocks: Vec<SelectedInverse> = Vec::with_capacity(2);
+                for spin in Spin::BOTH {
+                    let pc = hubbard_pcyclic(self.builder, self.sweeper.field(), spin);
+                    let (merged, diags) = fsi_measurement_set(par, &pc, cfg.c, q)?;
+                    diag_blocks.push(diags);
+                    selections.push(merged);
+                }
+                Ok((selections, diag_blocks))
+            })?;
 
         // Physical measurements.
         let sw = Stopwatch::start();
         let meas_span = fsi_runtime::trace::span("measurement");
+        let lattice = &self.lattice;
+        let results = &mut self.results;
         let mut et_sum = crate::meas::EqualTime::default();
         for k in 0..cfg.l {
             let gu = diag_blocks[0].get(k, k).expect("diagonal block");
             let gd = diag_blocks[1].get(k, k).expect("diagonal block");
-            let et = equal_time(&lattice, cfg.t, gu, gd);
+            let et = equal_time(lattice, cfg.t, gu, gd);
             et_sum.density_up += et.density_up;
             et_sum.density_down += et.density_down;
             et_sum.double_occupancy += et.double_occupancy;
@@ -210,7 +316,7 @@ pub fn run(cfg: &DqmcConfig, par: Parallelism<'_>) -> FsiResult<DqmcResults> {
         results.double_occupancy.push(et_sum.double_occupancy / lf);
         results.moment.push(et_sum.moment / lf);
         results.kinetic.push(et_sum.kinetic / lf);
-        results.avg_sign.push(sweeper.sign());
+        results.avg_sign.push(self.sweeper.sign());
 
         // Structure factor S(π,π) from the slice-averaged zz correlation
         // (even extents only — staggering is ill-defined otherwise).
@@ -219,18 +325,18 @@ pub fn run(cfg: &DqmcConfig, par: Parallelism<'_>) -> FsiResult<DqmcResults> {
             for k in 0..cfg.l {
                 let gu = diag_blocks[0].get(k, k).expect("diagonal block");
                 let gd = diag_blocks[1].get(k, k).expect("diagonal block");
-                for (a, v) in zz_acc.iter_mut().zip(spin_zz_equal_time(&lattice, gu, gd)) {
+                for (a, v) in zz_acc.iter_mut().zip(spin_zz_equal_time(lattice, gu, gd)) {
                     *a += v / cfg.l as f64;
                 }
             }
             results
                 .structure_factor
-                .push(staggered_structure_factor(&lattice, &zz_acc));
+                .push(staggered_structure_factor(lattice, &zz_acc));
         }
 
-        let table = spxx(outer, &lattice, cfg.l, &selections[0], &selections[1]);
+        let table = spxx(outer, lattice, cfg.l, &selections[0], &selections[1]);
         results.susceptibility.push(uniform_xy_susceptibility(
-            &lattice,
+            lattice,
             &table,
             cfg.beta / cfg.l as f64,
         ));
@@ -240,13 +346,44 @@ pub fn run(cfg: &DqmcConfig, par: Parallelism<'_>) -> FsiResult<DqmcResults> {
         }
         drop(meas_span);
         results.profile.add("measurement", sw.elapsed());
+        self.steps += 1;
+        Ok(())
     }
-    if let Some(t) = &mut results.spxx {
-        if cfg.measurements > 0 {
-            t.scale(1.0 / cfg.measurements as f64);
+
+    /// Ends the run: the SPXX table becomes the mean over the steps run.
+    pub fn finish(mut self) -> DqmcResults {
+        if let Some(t) = &mut self.results.spxx {
+            t.scale(1.0 / self.steps as f64);
         }
+        self.results
     }
-    Ok(results)
+}
+
+/// Runs the full simulation under the given parallelism mode:
+/// [`Simulation::new`], [`Simulation::warmup`], `cfg.measurements` ×
+/// [`Simulation::step`] and [`Simulation::finish`].
+///
+/// ```
+/// use fsi_dqmc::{run, DqmcConfig};
+/// use fsi_selinv::Parallelism;
+/// let mut cfg = DqmcConfig::small();
+/// cfg.measurements = 2;
+/// let results = run(&cfg, Parallelism::Serial).expect("healthy run");
+/// // Half filling by particle-hole symmetry.
+/// assert!((results.density.mean() - 1.0).abs() < 0.2);
+/// ```
+///
+/// # Errors
+/// As [`Simulation::step`].
+pub fn run(cfg: &DqmcConfig, par: Parallelism<'_>) -> FsiResult<DqmcResults> {
+    let _dqmc_span = fsi_runtime::trace::span("dqmc");
+    let builder = BlockBuilder::new(SquareLattice::new(cfg.nx, cfg.ny), cfg.params());
+    let mut sim = Simulation::new(cfg, &builder)?;
+    sim.warmup(par)?;
+    for _ in 0..cfg.measurements {
+        sim.step(par)?;
+    }
+    Ok(sim.finish())
 }
 
 #[cfg(test)]

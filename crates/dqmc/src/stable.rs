@@ -21,7 +21,8 @@ use fsi_runtime::health::{self, FsiResult, Stage};
 use fsi_runtime::Par;
 use fsi_selinv::{bsofi_selected, cls, ClusterCache, SelectedPattern};
 
-/// Stable `G(k, k)` via clustering + BSOFI (Hirsch/BCR route).
+/// Stable `G(k, k)` via clustering + BSOFI (Hirsch/BCR route), on the
+/// calling thread.
 ///
 /// The shift `q` is chosen so that row `k` is a seed row of the reduction
 /// (`k ≡ c−1−q (mod c)`), making the requested block directly available
@@ -35,19 +36,13 @@ use fsi_selinv::{bsofi_selected, cls, ClusterCache, SelectedPattern};
 ///
 /// # Panics
 /// Panics unless `c` divides `L` (a dimension contract, not data).
-pub fn equal_time_green_stable(
-    par_outer: Par<'_>,
-    par_inner: Par<'_>,
-    pc: &BlockPCyclic,
-    k: usize,
-    c: usize,
-) -> FsiResult<Matrix> {
+pub fn equal_time_green_stable(pc: &BlockPCyclic, k: usize, c: usize) -> FsiResult<Matrix> {
     let l = pc.l();
     assert!(l.is_multiple_of(c), "cluster size must divide L");
     assert!(k < l, "slice index out of range");
     let o = k % c;
     let q = c - 1 - o;
-    let clustered = cls(par_outer, par_inner, pc, c, q);
+    let clustered = cls(Par::Seq, Par::Seq, pc, c, q);
     for m in 0..clustered.b() {
         health::check_block(Stage::Cls, m, clustered.reduced.block(m).as_slice())?;
     }
@@ -57,8 +52,8 @@ pub fn equal_time_green_stable(
     // Only Ḡ(k₀,k₀) is needed — request exactly that block instead of
     // materializing the dense reduced inverse.
     let mut sel = bsofi_selected(
-        par_outer,
-        par_inner,
+        Par::Seq,
+        Par::Seq,
         &clustered.reduced,
         &SelectedPattern::DiagonalBlock(k0),
     )?;
@@ -126,8 +121,8 @@ fn scan_green(k: usize, mut g: Matrix) -> FsiResult<Matrix> {
 /// accuracy once the product's condition number exhausts double
 /// precision. The reference the stabilization tests compare against.
 #[cfg(test)]
-fn equal_time_green_naive(par: Par<'_>, pc: &BlockPCyclic, k: usize) -> Matrix {
-    fsi_pcyclic::equal_time_green_explicit(par, pc, k)
+fn equal_time_green_naive(pc: &BlockPCyclic, k: usize) -> Matrix {
+    fsi_pcyclic::equal_time_green_explicit(pc, k)
 }
 
 #[cfg(test)]
@@ -144,7 +139,7 @@ mod tests {
         let pc = random_pcyclic(3, 8, 50);
         let g_ref = pc.reference_green();
         for k in 0..8 {
-            let got = equal_time_green_stable(Par::Seq, Par::Seq, &pc, k, 4).expect("healthy");
+            let got = equal_time_green_stable(&pc, k, 4).expect("healthy");
             let want = pc.dense_block(&g_ref, k, k);
             assert!(rel_error(&got, &want) < 1e-9, "k={k}");
         }
@@ -158,8 +153,8 @@ mod tests {
         let field = HsField::random(8, 4, &mut rng);
         let pc = hubbard_pcyclic(&builder, &field, Spin::Up);
         for k in [0usize, 3, 7] {
-            let stable = equal_time_green_stable(Par::Seq, Par::Seq, &pc, k, 4).expect("healthy");
-            let naive = equal_time_green_naive(Par::Seq, &pc, k);
+            let stable = equal_time_green_stable(&pc, k, 4).expect("healthy");
+            let naive = equal_time_green_naive(&pc, k);
             assert!(rel_error(&stable, &naive) < 1e-9, "k={k}");
         }
     }
@@ -187,7 +182,7 @@ mod tests {
             let got =
                 equal_time_green_cached(Par::Seq, Par::Seq, pc.blocks(), &dirty, &mut cache, k, 4)
                     .expect("healthy");
-            let want = equal_time_green_stable(Par::Seq, Par::Seq, &pc, k, 4).expect("healthy");
+            let want = equal_time_green_stable(&pc, k, 4).expect("healthy");
             assert_eq!(got.as_slice(), want.as_slice(), "round {round} not bitwise");
         }
         assert!(cache.hits() > 0, "warm round must reuse clusters");
@@ -209,8 +204,8 @@ mod tests {
         let pc = hubbard_pcyclic(&builder, &field, Spin::Up);
         let g_ref = pc.reference_green();
         let want = pc.dense_block(&g_ref, 0, 0);
-        let stable = equal_time_green_stable(Par::Seq, Par::Seq, &pc, 0, 6).expect("healthy");
-        let naive = equal_time_green_naive(Par::Seq, &pc, 0);
+        let stable = equal_time_green_stable(&pc, 0, 6).expect("healthy");
+        let naive = equal_time_green_naive(&pc, 0);
         let err_stable = rel_error(&stable, &want);
         let err_naive = rel_error(&naive, &want);
         assert!(

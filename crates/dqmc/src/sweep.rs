@@ -752,7 +752,7 @@ mod tests {
     /// Brute-force determinant of `W(k) = I + P(k)` for the current field.
     fn log_det_w(builder: &BlockBuilder, field: &HsField, spin: Spin, k: usize) -> (f64, f64) {
         let pc = hubbard_pcyclic(builder, field, spin);
-        let w = fsi_pcyclic::w_matrix(Par::Seq, &pc, k);
+        let w = fsi_pcyclic::w_matrix(&pc, k);
         getrf(w).expect("nonsingular").sign_log_det()
     }
 

@@ -26,7 +26,7 @@ use crate::pcyclic::BlockPCyclic;
 
 /// Product of `count` blocks descending cyclically from index `from`:
 /// `b[from]·b[from−1]⋯` (`count = 0` gives the identity).
-fn cyclic_product_desc(par: Par<'_>, pc: &BlockPCyclic, from: usize, count: usize) -> Matrix {
+fn cyclic_product_desc(pc: &BlockPCyclic, from: usize, count: usize) -> Matrix {
     assert!(count <= pc.l(), "at most L factors in a cyclic product");
     if count == 0 {
         return Matrix::identity(pc.n());
@@ -42,31 +42,31 @@ fn cyclic_product_desc(par: Par<'_>, pc: &BlockPCyclic, from: usize, count: usiz
     // Sequential small-N descents (the reference-Green workload at the
     // paper's N ≤ 64 shapes) additionally ride chain_mul's no-pack direct
     // kernel fast path — no per-product workspace borrows or fill passes.
-    chain_mul(par, &factors)
+    chain_mul(Par::Seq, &factors)
 }
 
 /// The full cyclic product `P(k) = b[k]·b[k−1]⋯b[k−L+1]` (all `L` factors).
-pub fn cyclic_product_full(par: Par<'_>, pc: &BlockPCyclic, k: usize) -> Matrix {
-    cyclic_product_desc(par, pc, k, pc.l())
+pub fn cyclic_product_full(pc: &BlockPCyclic, k: usize) -> Matrix {
+    cyclic_product_desc(pc, k, pc.l())
 }
 
 /// `W(k) = I + P(k)` — the matrix whose inverse is the equal-time Green's
 /// function block `G(k, k)`.
-pub fn w_matrix(par: Par<'_>, pc: &BlockPCyclic, k: usize) -> Matrix {
-    let mut w = cyclic_product_full(par, pc, k);
+pub fn w_matrix(pc: &BlockPCyclic, k: usize) -> Matrix {
+    let mut w = cyclic_product_full(pc, k);
     w.add_diag(1.0);
     w
 }
 
 /// `Z(k, ℓ)` of Eq. (3) in the uniform cyclic form.
-pub fn z_matrix(par: Par<'_>, pc: &BlockPCyclic, k: usize, l: usize) -> Matrix {
+pub fn z_matrix(pc: &BlockPCyclic, k: usize, l: usize) -> Matrix {
     let ll = pc.l();
     assert!(k < ll && l < ll, "block indices out of range");
     if k == l {
         return Matrix::identity(pc.n());
     }
     let count = (k + ll - l - 1) % ll + 1;
-    let mut z = cyclic_product_desc(par, pc, k, count);
+    let mut z = cyclic_product_desc(pc, k, count);
     if k < l {
         z.scale(-1.0);
     }
@@ -75,9 +75,9 @@ pub fn z_matrix(par: Par<'_>, pc: &BlockPCyclic, k: usize, l: usize) -> Matrix {
 
 /// One Green's-function block `G(k, ℓ) = W(k)⁻¹·Z(k, ℓ)` by the explicit
 /// expression — O(L·N³) per block.
-pub fn green_block_explicit(par: Par<'_>, pc: &BlockPCyclic, k: usize, l: usize) -> Matrix {
-    let w = w_matrix(par, pc, k);
-    let z = z_matrix(par, pc, k, l);
+pub fn green_block_explicit(pc: &BlockPCyclic, k: usize, l: usize) -> Matrix {
+    let w = w_matrix(pc, k);
+    let z = z_matrix(pc, k, l);
     getrf(w)
         .expect("W(k) nonsingular for valid Hubbard matrices")
         .solve(&z)
@@ -85,8 +85,8 @@ pub fn green_block_explicit(par: Par<'_>, pc: &BlockPCyclic, k: usize, l: usize)
 
 /// The equal-time Green's function `G(k, k) = W(k)⁻¹` by the explicit
 /// expression.
-pub fn equal_time_green_explicit(par: Par<'_>, pc: &BlockPCyclic, k: usize) -> Matrix {
-    let w = w_matrix(par, pc, k);
+pub fn equal_time_green_explicit(pc: &BlockPCyclic, k: usize) -> Matrix {
+    let w = w_matrix(pc, k);
     getrf(w)
         .expect("W(k) nonsingular for valid Hubbard matrices")
         .inverse()
@@ -102,11 +102,11 @@ mod tests {
     fn cyclic_product_wraps_correctly() {
         let pc = random_pcyclic(3, 4, 1);
         // Descending from 1, three factors: b1·b0·b3.
-        let got = cyclic_product_desc(Par::Seq, &pc, 1, 3);
+        let got = cyclic_product_desc(&pc, 1, 3);
         let want = mul(&mul(pc.block(1), pc.block(0)), pc.block(3));
         assert!(rel_error(&got, &want) < 1e-14);
         // Zero factors → identity.
-        let id = cyclic_product_desc(Par::Seq, &pc, 2, 0);
+        let id = cyclic_product_desc(&pc, 2, 0);
         assert!(rel_error(&id, &Matrix::identity(3)) < 1e-15);
     }
 
@@ -116,9 +116,9 @@ mod tests {
         // spectrum; verify via trace equality.
         let pc = random_pcyclic(4, 5, 2);
         let trace = |m: &Matrix| (0..4).map(|i| m[(i, i)]).sum::<f64>();
-        let t0 = trace(&cyclic_product_full(Par::Seq, &pc, 0));
+        let t0 = trace(&cyclic_product_full(&pc, 0));
         for k in 1..5 {
-            let tk = trace(&cyclic_product_full(Par::Seq, &pc, k));
+            let tk = trace(&cyclic_product_full(&pc, k));
             assert!((t0 - tk).abs() < 1e-10 * t0.abs().max(1.0), "k={k}");
         }
     }
@@ -129,7 +129,7 @@ mod tests {
         let g_ref = pc.reference_green();
         for k in 0..5 {
             for l in 0..5 {
-                let blk = green_block_explicit(Par::Seq, &pc, k, l);
+                let blk = green_block_explicit(&pc, k, l);
                 let want = pc.dense_block(&g_ref, k, l);
                 assert!(
                     rel_error(&blk, &want) < 1e-9,
@@ -145,7 +145,7 @@ mod tests {
         let pc = random_pcyclic(4, 6, 4);
         let g_ref = pc.reference_green();
         for k in 0..6 {
-            let g = equal_time_green_explicit(Par::Seq, &pc, k);
+            let g = equal_time_green_explicit(&pc, k);
             let want = pc.dense_block(&g_ref, k, k);
             assert!(rel_error(&g, &want) < 1e-9, "k={k}");
         }
@@ -155,11 +155,11 @@ mod tests {
     fn z_signs_flip_across_the_diagonal() {
         let pc = random_pcyclic(2, 4, 5);
         // k > ℓ: positive product of (k−ℓ) factors.
-        let z = z_matrix(Par::Seq, &pc, 3, 1);
+        let z = z_matrix(&pc, 3, 1);
         let want = mul(pc.block(3), pc.block(2));
         assert!(rel_error(&z, &want) < 1e-14);
         // k < ℓ: negative cyclic product of L−(ℓ−k) factors.
-        let z = z_matrix(Par::Seq, &pc, 1, 2);
+        let z = z_matrix(&pc, 1, 2);
         let mut want = mul(&mul(pc.block(1), pc.block(0)), pc.block(3));
         want.scale(-1.0);
         assert!(rel_error(&z, &want) < 1e-14);
@@ -169,7 +169,7 @@ mod tests {
     fn single_slice_green() {
         // L = 1: G = (I + B_1)⁻¹.
         let pc = random_pcyclic(4, 1, 6);
-        let g = equal_time_green_explicit(Par::Seq, &pc, 0);
+        let g = equal_time_green_explicit(&pc, 0);
         let want = pc.dense_block(&pc.reference_green(), 0, 0);
         assert!(rel_error(&g, &want) < 1e-10);
     }

@@ -48,7 +48,6 @@ pub fn hubbard_pcyclic(builder: &BlockBuilder, field: &HsField, spin: Spin) -> B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsi_runtime::Par;
     use rand::SeedableRng;
 
     /// End-to-end: a small Hubbard matrix has a well-conditioned dense form
@@ -66,7 +65,7 @@ mod tests {
             assert_eq!(pc.n(), 4);
             let g_ref = pc.reference_green();
             for k in [0usize, 3, 5] {
-                let blk = green::green_block_explicit(Par::Seq, &pc, k, 2);
+                let blk = green::green_block_explicit(&pc, k, 2);
                 let want = pc.dense_block(&g_ref, k, 2);
                 assert!(
                     fsi_dense::rel_error(&blk, &want) < 1e-9,

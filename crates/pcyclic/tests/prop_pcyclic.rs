@@ -5,7 +5,6 @@ use fsi_pcyclic::{
     cyclic_product_full, equal_time_green_explicit, green_block_explicit, hubbard_pcyclic,
     random_pcyclic, w_matrix, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice,
 };
-use fsi_runtime::Par;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -23,7 +22,7 @@ proptest! {
         let g_ref = pc.reference_green();
         let k = (seed as usize) % l;
         let j = (seed as usize / 7) % l;
-        let blk = green_block_explicit(Par::Seq, &pc, k, j);
+        let blk = green_block_explicit(&pc, k, j);
         let want = pc.dense_block(&g_ref, k, j);
         prop_assert!(fsi_dense::rel_error(&blk, &want) < 1e-8);
     }
@@ -33,9 +32,9 @@ proptest! {
     fn cyclic_products_share_invariants(n in 2usize..4, l in 2usize..6, seed in any::<u64>()) {
         let pc = random_pcyclic(n, l, seed);
         let trace = |m: &fsi_dense::Matrix| (0..n).map(|i| m[(i, i)]).sum::<f64>();
-        let t0 = trace(&cyclic_product_full(Par::Seq, &pc, 0));
+        let t0 = trace(&cyclic_product_full(&pc, 0));
         for k in 1..l {
-            let tk = trace(&cyclic_product_full(Par::Seq, &pc, k));
+            let tk = trace(&cyclic_product_full(&pc, k));
             prop_assert!((t0 - tk).abs() < 1e-8 * t0.abs().max(1.0));
         }
     }
@@ -45,9 +44,9 @@ proptest! {
     #[test]
     fn det_w_is_frame_independent(n in 2usize..4, l in 2usize..5, seed in any::<u64>()) {
         let pc = random_pcyclic(n, l, seed);
-        let d0 = fsi_dense::getrf(w_matrix(Par::Seq, &pc, 0)).unwrap().det();
+        let d0 = fsi_dense::getrf(w_matrix(&pc, 0)).unwrap().det();
         for k in 1..l {
-            let dk = fsi_dense::getrf(w_matrix(Par::Seq, &pc, k)).unwrap().det();
+            let dk = fsi_dense::getrf(w_matrix(&pc, k)).unwrap().det();
             prop_assert!((d0 - dk).abs() < 1e-8 * d0.abs().max(1.0), "k={k}: {d0} vs {dk}");
         }
     }
@@ -83,7 +82,7 @@ proptest! {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let field = HsField::random(l, 4, &mut rng);
         let pc = hubbard_pcyclic(&builder, &field, Spin::Up);
-        let g = equal_time_green_explicit(Par::Seq, &pc, 0);
+        let g = equal_time_green_explicit(&pc, 0);
         // G = (I + P)⁻¹ with P positive-ish for these parameters: the
         // diagonal stays within a loose physical window.
         for i in 0..4 {

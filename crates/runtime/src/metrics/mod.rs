@@ -7,9 +7,8 @@
 //! Green's-function-as-a-service tier needs: cheap enough to leave on in
 //! release builds (a counter increment is one relaxed `fetch_add` on a
 //! thread-sharded cache line), queryable at any moment via
-//! [`snapshot`], and exportable to both Prometheus text exposition
-//! ([`MetricsSnapshot::to_prometheus`]) and the workspace's JSON schema
-//! ([`MetricsSnapshot::to_json`], `results/schema.md`).
+//! [`snapshot`], and exportable to Prometheus text exposition
+//! ([`MetricsSnapshot::to_prometheus`]).
 //!
 //! ## Naming
 //!
@@ -43,13 +42,11 @@ pub use registry::{
 
 use std::collections::BTreeMap;
 
-use crate::trace::{Histogram, Json};
+use crate::trace::Histogram;
 
 /// A point-in-time view of every registered metric.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
-    /// Capture time, ms since the Unix epoch.
-    pub unix_ms: u64,
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
@@ -62,10 +59,6 @@ pub struct MetricsSnapshot {
 pub fn snapshot() -> MetricsSnapshot {
     let view = registry::read_all();
     MetricsSnapshot {
-        unix_ms: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0),
         counters: view.counters,
         gauges: view.gauges,
         histograms: view.histograms,
@@ -129,46 +122,6 @@ impl MetricsSnapshot {
             out.push_str(&format!("{n}_count {}\n", h.count()));
         }
         out
-    }
-
-    /// Renders the snapshot as a `kind: "metrics"` JSON object (schema
-    /// in `results/schema.md`).
-    pub fn to_json(&self) -> Json {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::Int(v)))
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::Num(v)))
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets = h
-                    .nonzero_buckets()
-                    .map(|(i, c)| Json::Arr(vec![Json::Int(i as u64), Json::Int(c)]))
-                    .collect();
-                (
-                    k.clone(),
-                    Json::Obj(vec![
-                        ("sum".into(), Json::Int(h.sum())),
-                        ("buckets".into(), Json::Arr(buckets)),
-                    ]),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            ("kind".into(), Json::Str("metrics".into())),
-            ("schema".into(), Json::Int(1)),
-            ("unix_ms".into(), Json::Int(self.unix_ms)),
-            ("counters".into(), Json::Obj(counters)),
-            ("gauges".into(), Json::Obj(gauges)),
-            ("histograms".into(), Json::Obj(histograms)),
-        ])
     }
 }
 
@@ -266,24 +219,6 @@ mod tests {
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split_whitespace().count(), 2, "line {line:?}");
         }
-    }
-
-    #[test]
-    fn json_export_parses_back() {
-        counter("test.mod.json_c").add(1);
-        let json = snapshot().to_json();
-        let mut text = String::new();
-        json.write(&mut text);
-        let parsed = Json::parse(&text).expect("self-emitted JSON parses");
-        assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("metrics"));
-        assert!(
-            parsed
-                .get("counters")
-                .and_then(|c| c.get("test.mod.json_c"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-                >= 1
-        );
     }
 
     #[test]

@@ -115,15 +115,6 @@ impl Profile {
             .iter()
             .map(|(name, (d, c))| (*name, d.as_secs_f64(), *c))
     }
-
-    /// Merges another profile into this one (summing durations and counts).
-    pub fn merge(&mut self, other: &Profile) {
-        for (name, (d, c)) in &other.sections {
-            let entry = self.sections.entry(name).or_insert((Duration::ZERO, 0));
-            entry.0 += *d;
-            entry.1 += *c;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -156,19 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_merge_sums() {
-        let mut a = Profile::new();
-        a.add("x", Duration::from_millis(2));
-        let mut b = Profile::new();
-        b.add("x", Duration::from_millis(3));
-        b.add("y", Duration::from_millis(1));
-        a.merge(&b);
-        assert_eq!(a.count("x"), 2);
-        assert!((a.seconds("x") - 0.005).abs() < 1e-9);
-        assert_eq!(a.count("y"), 1);
-    }
-
-    #[test]
     fn profile_time_charges_on_panic() {
         let _trace = crate::trace::test_lock();
         let mut p = Profile::new();
@@ -185,30 +163,6 @@ mod tests {
         // The profile remains usable afterwards.
         p.time("after", || ());
         assert_eq!(p.count("after"), 1);
-    }
-
-    #[test]
-    fn profile_merge_is_safe_from_many_threads() {
-        use std::sync::Mutex;
-        let total = Mutex::new(Profile::new());
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                let total = &total;
-                s.spawn(move || {
-                    let mut local = Profile::new();
-                    for _ in 0..100 {
-                        local.add("work", Duration::from_micros(t + 1));
-                    }
-                    local.add("setup", Duration::from_millis(1));
-                    total.lock().unwrap().merge(&local);
-                });
-            }
-        });
-        let total = total.into_inner().unwrap();
-        assert_eq!(total.count("work"), 800);
-        assert_eq!(total.count("setup"), 8);
-        // Sum of 100·(t+1) µs over t in 0..8 = 3600 µs.
-        assert!((total.seconds("work") - 0.0036).abs() < 1e-9);
     }
 
     #[test]

@@ -30,8 +30,12 @@ pub fn full_inverse_selected(pc: &BlockPCyclic, selection: &Selection) -> Select
 
 /// Selected blocks via the explicit expression (3), memoizing the `W(k)`
 /// factorization per block row.
+///
+/// The expression runs sequentially and `_par` is unused. It stays in the
+/// signature because the layered benchmark (`benchmark/src/workloads/fsi.rs`)
+/// calls this function with it.
 pub fn explicit_selected(
-    par: Par<'_>,
+    _par: Par<'_>,
     pc: &BlockPCyclic,
     selection: &Selection,
 ) -> SelectedInverse {
@@ -40,8 +44,8 @@ pub fn explicit_selected(
     for (k, l) in selection.coordinates(pc.l()) {
         let f = w_factors
             .entry(k)
-            .or_insert_with(|| getrf(w_matrix(par, pc, k)).expect("W(k) nonsingular"));
-        let z = z_matrix(par, pc, k, l);
+            .or_insert_with(|| getrf(w_matrix(pc, k)).expect("W(k) nonsingular"));
+        let z = z_matrix(pc, k, l);
         out.insert(k, l, f.solve(&z));
     }
     out

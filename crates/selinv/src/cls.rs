@@ -315,7 +315,7 @@ mod tests {
         let cl = cls(Par::Seq, Par::Seq, &pc, 6, 0);
         assert_eq!(cl.b(), 1);
         // The single block is the full cyclic product P(L−1).
-        let want = fsi_pcyclic::cyclic_product_full(Par::Seq, &pc, 5);
+        let want = fsi_pcyclic::cyclic_product_full(&pc, 5);
         assert!(rel_error(cl.reduced.block(0), &want) < 1e-12);
     }
 

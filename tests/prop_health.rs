@@ -14,7 +14,6 @@ use fsi::dqmc::{equal_time_green_stable, SweepConfig, Sweeper};
 use fsi::pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
 use fsi::runtime::health::inject::{self, FaultKind, Site, ANY_BLOCK};
 use fsi::runtime::health::{FsiResult, Stage};
-use fsi::runtime::Par;
 use fsi::selinv::Parallelism;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -69,8 +68,7 @@ fn field_observable(field: &HsField) -> f64 {
     let mut obs = 0.0;
     for spin in Spin::BOTH {
         let pc = hubbard_pcyclic(&builder, field, spin);
-        let g = equal_time_green_stable(Par::Seq, Par::Seq, &pc, 0, C)
-            .expect("observable on a healthy field");
+        let g = equal_time_green_stable(&pc, 0, C).expect("observable on a healthy field");
         let n = g.rows();
         obs += (0..n).map(|i| g[(i, i)]).sum::<f64>() / n as f64;
     }

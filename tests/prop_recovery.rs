@@ -1,7 +1,7 @@
 //! Durability properties: checkpoint envelopes round-trip bitwise,
 //! every single-byte corruption of a sealed envelope is rejected, a
-//! torn current generation falls back to the previous one, a DQMC
-//! trajectory resumes bitwise from every sweep boundary, and a service
+//! torn current generation falls back to the previous one, a DQMC run's
+//! observables resume bitwise from every sweep boundary, and a service
 //! that is drained, crash-killed at each durability boundary, or wedged
 //! under its watchdog still delivers bins bitwise-identical to an
 //! uninterrupted run.
@@ -13,8 +13,10 @@
 use std::path::Path;
 use std::time::Duration;
 
-use fsi::dqmc::{DurableSweeper, SweepCheckpoint, SweepConfig};
-use fsi::pcyclic::{BlockBuilder, HubbardParams, Spin, SquareLattice};
+use fsi::dqmc::{
+    run, Accumulator, DqmcConfig, DqmcResults, Simulation, SpxxTable, SweepCheckpoint, SweepConfig,
+};
+use fsi::pcyclic::{BlockBuilder, SquareLattice};
 use fsi::runtime::ckpt::{self, Generation};
 use fsi::runtime::metrics;
 use fsi::selinv::Parallelism;
@@ -119,16 +121,18 @@ proptest! {
     }
 }
 
-fn dqmc_builder() -> BlockBuilder {
-    BlockBuilder::new(SquareLattice::square(2), HubbardParams::paper_validation(8))
+/// The drills' run: 2×2, L=8, two warm-up sweeps, three measurement
+/// steps — six sweep boundaries after the initial one.
+fn dqmc_config(seed: u64) -> DqmcConfig {
+    DqmcConfig {
+        measurements: 3,
+        seed,
+        ..DqmcConfig::small()
+    }
 }
 
-fn dqmc_config() -> SweepConfig {
-    SweepConfig {
-        c: 4,
-        stabilize_every: 4,
-        ..SweepConfig::default()
-    }
+fn dqmc_builder(cfg: &DqmcConfig) -> BlockBuilder {
+    BlockBuilder::new(SquareLattice::new(cfg.nx, cfg.ny), cfg.params())
 }
 
 fn remove_checkpoint(path: &Path) {
@@ -141,85 +145,117 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Same bins, same field, same sign, same Green's functions, bit for bit.
-fn assert_same_trajectory(resumed: &DurableSweeper<'_>, reference: &DurableSweeper<'_>, at: &str) {
-    assert_eq!(resumed.bins().len(), reference.bins().len(), "{at}: bins");
-    for ((sweep_a, bin_a), (sweep_b, bin_b)) in resumed.bins().iter().zip(reference.bins()) {
-        assert_eq!(sweep_a, sweep_b, "{at}: bin order");
-        assert_eq!(bits(bin_a), bits(bin_b), "{at}: bin of sweep {sweep_a}");
+/// `cfg`'s run stopped at sweep boundary `stop`, warm-up and measurement
+/// alike. A warm-up boundary is reached with `warmup` cut to `stop`: the
+/// initial field depends on the seed and the shape only, so that is the
+/// same trajectory.
+fn first_leg<'a>(cfg: &DqmcConfig, builder: &'a BlockBuilder, stop: usize) -> Simulation<'a> {
+    let warmup = stop.min(cfg.warmup);
+    let leg_cfg = DqmcConfig {
+        warmup,
+        ..cfg.clone()
+    };
+    let mut sim = Simulation::new(&leg_cfg, builder).expect("first leg");
+    sim.warmup(Parallelism::Serial).expect("first leg warm-up");
+    for _ in warmup..stop {
+        sim.step(Parallelism::Serial).expect("first leg step");
     }
-    assert_eq!(
-        resumed.sweeper().field(),
-        reference.sweeper().field(),
-        "{at}: field"
-    );
-    assert_eq!(
-        resumed.sweeper().sign().to_bits(),
-        reference.sweeper().sign().to_bits(),
-        "{at}: sign"
-    );
-    for spin in Spin::BOTH {
+    sim
+}
+
+/// Resumes `saved` under `cfg` and runs it to the end.
+fn second_leg(cfg: &DqmcConfig, builder: &BlockBuilder, saved: SweepCheckpoint) -> DqmcResults {
+    let steps_done = (saved.sweep as usize).saturating_sub(cfg.warmup);
+    let mut sim = Simulation::resume(cfg, builder, saved).expect("resume");
+    sim.warmup(Parallelism::Serial).expect("second leg warm-up");
+    for _ in steps_done..cfg.measurements {
+        sim.step(Parallelism::Serial).expect("second leg step");
+    }
+    sim.finish()
+}
+
+/// The accumulators of a run's observables, by name.
+fn accumulators(r: &DqmcResults) -> [(&'static str, &Accumulator); 8] {
+    [
+        ("density", &r.density),
+        ("double occupancy", &r.double_occupancy),
+        ("moment", &r.moment),
+        ("kinetic", &r.kinetic),
+        ("sign", &r.avg_sign),
+        ("acceptance", &r.acceptance),
+        ("structure factor", &r.structure_factor),
+        ("susceptibility", &r.susceptibility),
+    ]
+}
+
+/// Same observables, bit for bit: every accumulator's count, mean and
+/// standard error, and every SPXX entry and count.
+fn assert_same_results(resumed: &DqmcResults, reference: &DqmcResults, at: &str) {
+    for ((name, a), (_, b)) in accumulators(resumed)
+        .into_iter()
+        .zip(accumulators(reference))
+    {
+        assert_eq!(a.count(), b.count(), "{at}: {name} count");
+        assert_eq!(a.mean().to_bits(), b.mean().to_bits(), "{at}: {name} mean");
         assert_eq!(
-            bits(resumed.sweeper().green(spin).as_slice()),
-            bits(reference.sweeper().green(spin).as_slice()),
-            "{at}: {spin:?} Green's function"
+            a.stderr().to_bits(),
+            b.stderr().to_bits(),
+            "{at}: {name} stderr"
         );
+    }
+    let (a, b) = (
+        resumed.spxx.as_ref().expect("resumed SPXX"),
+        reference.spxx.as_ref().expect("reference SPXX"),
+    );
+    assert_eq!((a.l(), a.dmax()), (b.l(), b.dmax()), "{at}: SPXX shape");
+    for tau in 0..a.l() {
+        assert_eq!(a.count(tau), b.count(tau), "{at}: SPXX count τ={tau}");
+        let row = |t: &SpxxTable| (0..t.dmax()).map(|d| t.at(tau, d)).collect::<Vec<_>>();
+        assert_eq!(bits(&row(a)), bits(&row(b)), "{at}: SPXX row τ={tau}");
     }
 }
 
-/// A checkpoint written at any sweep boundary of a trajectory resumes
-/// bitwise: the second leg ends exactly where never stopping ends.
+/// A checkpoint written at any sweep boundary of a run, warm-up and
+/// measurement alike, resumes bitwise: the second leg finishes with
+/// exactly the observables of `run`, which never stops.
 #[test]
 fn dqmc_resume_is_bitwise_equal_to_uninterrupted() {
-    let builder = dqmc_builder();
-    let seed = 97;
-    let total = 5;
-    let mut reference = DurableSweeper::new(&builder, dqmc_config(), seed).expect("reference");
-    reference
-        .run_to(total, Parallelism::Serial, None, 1)
-        .expect("reference run");
+    let cfg = dqmc_config(97);
+    let builder = dqmc_builder(&cfg);
+    let reference = run(&cfg, Parallelism::Serial).expect("reference run");
 
     let path = scratch("dqmc");
-    for stop in 1..total {
+    for stop in 0..=cfg.warmup + cfg.measurements {
         remove_checkpoint(&path);
-        let mut first = DurableSweeper::new(&builder, dqmc_config(), seed).expect("first leg");
-        first
-            .run_to(stop, Parallelism::Serial, Some(&path), 1)
-            .expect("first leg run");
+        let first = first_leg(&cfg, &builder, stop);
+        first.checkpoint().save(&path).expect("checkpoint write");
         drop(first); // the "crash": only the checkpoint file survives
         let (saved, generation) = SweepCheckpoint::load(&path).expect("checkpoint on disk");
         assert_eq!(generation, Generation::Current, "stop {stop}");
-        assert_eq!(saved.sweep, stop, "stop {stop}: checkpointed sweep");
-        let mut resumed = DurableSweeper::resume(&builder, saved, seed).expect("resume");
-        resumed
-            .run_to(total, Parallelism::Serial, None, 1)
-            .expect("second leg");
-        assert_same_trajectory(&resumed, &reference, &format!("stop {stop}"));
+        assert_eq!(saved.sweep, stop as u64, "stop {stop}: checkpointed sweep");
+        let resumed = second_leg(&cfg, &builder, saved);
+        assert_same_results(&resumed, &reference, &format!("stop {stop}"));
     }
     remove_checkpoint(&path);
 }
 
 /// A torn current `SweepCheckpoint` is rejected, the previous generation
-/// is served instead, and the trajectory resumed from it is still bitwise
-/// the uninterrupted one.
+/// is served instead, and the run resumed from it still finishes with
+/// bitwise the uninterrupted run's observables.
 #[test]
 fn torn_sweep_checkpoint_resumes_bitwise_from_the_previous_generation() {
-    let builder = dqmc_builder();
-    let seed = 43;
-    let total = 4;
-    let mut reference = DurableSweeper::new(&builder, dqmc_config(), seed).expect("reference");
-    reference
-        .run_to(total, Parallelism::Serial, None, 1)
-        .expect("reference run");
+    let cfg = dqmc_config(43);
+    let builder = dqmc_builder(&cfg);
+    let reference = run(&cfg, Parallelism::Serial).expect("reference run");
 
     let path = scratch("torn-sweep");
     remove_checkpoint(&path);
-    let mut first = DurableSweeper::new(&builder, dqmc_config(), seed).expect("first leg");
-    // Two checkpoints: sweep 1 rotates to the previous generation when
-    // sweep 2 lands.
-    first
-        .run_to(2, Parallelism::Serial, Some(&path), 1)
-        .expect("first leg run");
+    // Two checkpoints: the one after the first step rotates to the
+    // previous generation when the one after the second step lands.
+    let mut first = first_leg(&cfg, &builder, cfg.warmup + 1);
+    first.checkpoint().save(&path).expect("checkpoint write");
+    first.step(Parallelism::Serial).expect("first leg step");
+    first.checkpoint().save(&path).expect("checkpoint write");
     drop(first);
     let sealed = std::fs::read(&path).expect("read current generation");
     std::fs::write(&path, &sealed[..sealed.len() / 2]).expect("tear current generation");
@@ -227,12 +263,9 @@ fn torn_sweep_checkpoint_resumes_bitwise_from_the_previous_generation() {
     let (saved, generation) = SweepCheckpoint::load(&path).expect("previous generation survives");
     remove_checkpoint(&path);
     assert_eq!(generation, Generation::Previous);
-    assert_eq!(saved.sweep, 1);
-    let mut resumed = DurableSweeper::resume(&builder, saved, seed).expect("resume");
-    resumed
-        .run_to(total, Parallelism::Serial, None, 1)
-        .expect("second leg");
-    assert_same_trajectory(&resumed, &reference, "previous generation");
+    assert_eq!(saved.sweep, cfg.warmup as u64 + 1);
+    let resumed = second_leg(&cfg, &builder, saved);
+    assert_same_results(&resumed, &reference, "previous generation");
 }
 
 /// Bins of an uninterrupted run on a durability-free service.

@@ -92,7 +92,7 @@ proptest! {
             let got = equal_time_green_cached(
                 Par::Seq, Par::Seq, pc.blocks(), &dirty, &mut cache, k, c)
                 .expect("healthy");
-            let want = equal_time_green_stable(Par::Seq, Par::Seq, &pc, k, c)
+            let want = equal_time_green_stable(&pc, k, c)
                 .expect("healthy");
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }

@@ -382,8 +382,7 @@ fn sweeper_derived_spin_down_matches_the_stable_green() {
                 s.refresh(slice, Parallelism::Serial).expect("healthy");
                 let k = (slice + params.l - 1) % params.l;
                 let pc = hubbard_pcyclic(&builder, s.field(), Spin::Down);
-                let want =
-                    equal_time_green_stable(Par::Seq, Par::Seq, &pc, k, cfg.c).expect("healthy");
+                let want = equal_time_green_stable(&pc, k, cfg.c).expect("healthy");
                 let mut diff = s.green(Spin::Down);
                 diff.sub_assign(&want);
                 let err = diff.max_abs();
