@@ -35,12 +35,18 @@ if [[ $quick -eq 0 ]]; then
 
   # Metrics-enabled lane: the always-on registry and flight recorder are
   # exercised with stage tracing live and a real dump directory, so the
-  # span→flight wiring and incident-dump file path run inside the test
-  # suite instead of only in production incidents.
+  # span→flight wiring, the incident path (one counter, one ring entry and
+  # one collector span per health event, sweep rung, checkpoint or service
+  # incident) and the incident-dump file path run inside the test suite
+  # instead of only in production incidents. The root package's
+  # observability and prop_health targets drive injected faults through
+  # the sweep's recovery ladder with that tracing on.
   echo "== cargo test (metrics lane: FSI_TRACE=stages + flight dir) =="
   FLIGHT_DIR="$(mktemp -d)"
   FSI_TRACE=stages FSI_FLIGHT_DIR="$FLIGHT_DIR" \
-    cargo test --offline -q -p fsi-runtime -p fsi-dqmc
+    cargo test --offline -q -p fsi-runtime -p fsi-dqmc -p fsi-service
+  FSI_TRACE=stages FSI_FLIGHT_DIR="$FLIGHT_DIR" \
+    cargo test --offline -q -p fsi --test observability --test prop_health
   rm -rf "$FLIGHT_DIR"
 
   # Kernel-equivalence lane with the dispatch forced to the scalar tier

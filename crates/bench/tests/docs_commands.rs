@@ -230,11 +230,10 @@ fn name_char(c: char) -> bool {
     c.is_ascii_lowercase() || c.is_ascii_digit() || "_.{}".contains(c)
 }
 
-/// What sources `src` can emit as a metric name: a quoted string, each of
-/// the five metrics of a `Meter::new("x")`, or a `format!` template whose
-/// `{…}` parts each stand for one dot-free segment. A quoted string is a
-/// piece after a quote on a line outside `//` comments, made of
-/// [`name_char`]s only.
+/// What sources `src` can emit as a metric name: a quoted string or a
+/// `format!` template whose `{…}` parts each stand for one dot-free
+/// segment. A quoted string is a piece after a quote on a line outside
+/// `//` comments, made of [`name_char`]s only.
 fn emitted(src: &str) -> impl Fn(&str) -> bool + '_ {
     let is_name = |p: &str| !p.is_empty() && p.chars().all(name_char);
     let quoted: std::collections::HashSet<&str> = src
@@ -243,22 +242,13 @@ fn emitted(src: &str) -> impl Fn(&str) -> bool + '_ {
         .flat_map(|line| line.split('"').skip(1))
         .filter(|p| is_name(p))
         .collect();
-    let after = |call: &str| -> Vec<&str> {
-        let quoted = src
-            .split(call)
-            .skip(1)
-            .filter_map(|rest| rest.split('"').next());
-        quoted.filter(|p| is_name(p)).collect()
-    };
-    let (meters, templates) = (after("Meter::new(\""), after("format!(\""));
-    move |name| {
-        const METER: [&str; 5] = ["calls", "flops", "busy_ns", "gflops", "ns"];
-        quoted.contains(name)
-            || name
-                .rsplit_once('.')
-                .is_some_and(|(meter, metric)| METER.contains(&metric) && meters.contains(&meter))
-            || templates.iter().any(|t| template_matches(t, name))
-    }
+    let templates: Vec<&str> = src
+        .split("format!(\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .filter(|p| is_name(p))
+        .collect();
+    move |name| quoted.contains(name) || templates.iter().any(|t| template_matches(t, name))
 }
 
 /// Whether `name` is `template` with each `{…}` standing for one
@@ -311,17 +301,20 @@ fn documented_metric_names_are_emitted() {
 fn metric_names_match_strings_meters_and_templates() {
     let src = r#"
         // counter("dense.commented.out");
-        let q = '"'; static M: Meter = Meter::new("dense.gemm");
+        let q = '"'; static H: LazyHistogram = LazyHistogram::new("dense.gemm_batched.batch");
         counter("selinv.cluster_cache.hits");
         let name = |leaf: &str| format!("service.tenant.{tenant}.{leaf}");
     "#;
     let emitted = emitted(src);
     assert!(emitted("selinv.cluster_cache.hits"));
-    assert!(emitted("dense.gemm.flops"));
+    assert!(emitted("dense.gemm_batched.batch"));
     assert!(emitted("service.tenant.alice.bins"));
     assert!(!emitted("selinv.made_up.metric"), "a made-up name");
     assert!(!emitted("dense.commented.out"), "comments emit nothing");
-    assert!(!emitted("dense.gemm.bytes"), "not a meter metric");
+    assert!(
+        !emitted("dense.gemm_batched.batch.ns"),
+        "no name derives another"
+    );
     assert!(!emitted("service.tenant.a.b.bins"), "one segment per hole");
     assert!(is_metric_name("dqmc.sweep_s") && !is_metric_name("wrap.factored"));
     assert!(!is_metric_name("dense.gemm()") && !is_metric_name("service."));

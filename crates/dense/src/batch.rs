@@ -22,7 +22,7 @@
 //!   would produce;
 //! * **one dispatch, one accounting block** — the batch is split over the
 //!   thread pool once (each worker streams a contiguous chunk), and
-//!   flops/bytes/meters are charged once for the whole batch under the
+//!   flops and bytes are charged once for the whole batch to the
 //!   `gemm_batched` kernel span.
 //!
 //! Results are **bitwise identical** to calling [`crate::gemm()`] in a loop
@@ -157,23 +157,13 @@ pub fn gemm_batched(
     }
 
     // One accounting block for the whole batch: the per-item route would
-    // pay a span + meter + two clock reads per product, which at N ≤ 64
-    // rivals the product itself.
-    static BATCH_METER: fsi_runtime::metrics::Meter =
-        fsi_runtime::metrics::Meter::new("dense.gemm_batched");
+    // pay a span per product, which at N ≤ 64 rivals the product itself.
     static BATCH_HIST: fsi_runtime::metrics::LazyHistogram =
         fsi_runtime::metrics::LazyHistogram::new("dense.gemm_batched.batch");
     let _kernel = fsi_runtime::trace::kernel_span("gemm_batched");
-    let total = flops::counts::gemm(m, n, k) * batch as u64;
-    trace::charge_flops(total);
+    trace::charge_flops(flops::counts::gemm(m, n, k) * batch as u64);
     fsi_runtime::trace::charge_bytes(8 * ((m * k + k * n + 2 * m * n) * batch) as u64);
     BATCH_HIST.record(batch as u64);
-    let _meter = if total >= crate::gemm::TIMED_METER_MIN {
-        Some(BATCH_METER.start(total))
-    } else {
-        BATCH_METER.observe(total);
-        None
-    };
 
     // Resolve the kernel tier once on the calling thread so a
     // `with_tier` override covers pool workers too.

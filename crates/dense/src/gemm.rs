@@ -179,11 +179,7 @@ fn gemm_op_impl(
         return;
     }
 
-    let _count = if count {
-        Some(gemm_count(m, n, k))
-    } else {
-        None
-    };
+    let _count = count.then(|| gemm_count(m, n, k));
 
     let (tm, tn) = thread_grid(par.threads().max(1), m, n);
     if tm * tn <= 1 {
@@ -213,43 +209,18 @@ fn gemm_op_impl(
     });
 }
 
-/// The `dense.gemm` meter, shared by [`gemm_op`] and the chain/batch fast
-/// paths so every small-product route lands under one registry name.
-pub(crate) static GEMM_METER: fsi_runtime::metrics::Meter =
-    fsi_runtime::metrics::Meter::new("dense.gemm");
-
-/// Flop threshold below which metering skips the timed (`Instant`-reading)
-/// route: under ~2·64³ flops the two clock reads rival the gemm itself, so
-/// small calls take the two-relaxed-adds counter route instead.
-pub(crate) const TIMED_METER_MIN: u64 = 2 * 64 * 64 * 64;
-
-/// Open accounting guards for one `m × n × k` gemm: a `gemm` kernel span,
-/// the analytic flop/byte charges, and the `dense.gemm` meter (timed only
-/// for kernel-sized calls). Dropping the returned value closes the span.
-/// The chain fast path in [`crate::batch`] charges per product through
-/// this same helper, so flop attribution is identical on every route.
-pub(crate) struct GemmCount {
-    _kernel: fsi_runtime::trace::SpanGuard,
-    _meter: Option<fsi_runtime::metrics::MeterGuard<'static>>,
-}
-
-pub(crate) fn gemm_count(m: usize, n: usize, k: usize) -> GemmCount {
+/// Opens the accounting for one `m × n × k` gemm: a `gemm` kernel span
+/// charged with the analytic flop and byte counts. Dropping the returned
+/// guard closes the span. The chain fast path in [`crate::batch`]
+/// charges per product through this same helper, so flop attribution is
+/// identical on every route.
+pub(crate) fn gemm_count(m: usize, n: usize, k: usize) -> fsi_runtime::trace::SpanGuard {
     // Open before charging so the flops land on this kernel's span (the
     // guard is a no-op below FSI_TRACE=2).
     let kernel = fsi_runtime::trace::kernel_span("gemm");
-    let f = flops::counts::gemm(m, n, k);
-    trace::charge_flops(f);
+    trace::charge_flops(flops::counts::gemm(m, n, k));
     fsi_runtime::trace::charge_bytes(8 * (m * k + k * n + 2 * m * n) as u64);
-    let meter = if f >= TIMED_METER_MIN {
-        Some(GEMM_METER.start(f))
-    } else {
-        GEMM_METER.observe(f);
-        None
-    };
-    GemmCount {
-        _kernel: kernel,
-        _meter: meter,
-    }
+    kernel
 }
 
 /// Chooses a `tm × tn` thread grid for an `m × n` output: among the splits

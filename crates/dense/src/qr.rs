@@ -62,10 +62,7 @@ pub fn geqrf(a: Matrix) -> QrFactor {
     let (m, n) = (a.rows(), a.cols());
     assert!(m >= n, "geqrf requires m >= n (got {m} x {n})");
     let _kernel = fsi_runtime::trace::kernel_span("geqrf");
-    static METER: fsi_runtime::metrics::Meter = fsi_runtime::metrics::Meter::new("dense.geqrf");
-    let charge = flops::counts::geqrf(m, n) + flops::counts::larft(m, n);
-    let _meter = METER.start(charge);
-    trace::charge_flops(charge);
+    trace::charge_flops(flops::counts::geqrf(m, n) + flops::counts::larft(m, n));
     let mut f = QrFactor {
         v: a,
         r: Matrix::zeros(n, n),

@@ -26,7 +26,7 @@
 
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
 use fsi_runtime::health::FsiResult;
-use fsi_runtime::{Profile, Stopwatch};
+use fsi_runtime::Profile;
 use fsi_selinv::fsi::fsi_measurement_set;
 use fsi_selinv::{Parallelism, SelectedInverse};
 use rand::Rng;
@@ -293,59 +293,59 @@ impl<'a> Simulation<'a> {
                 Ok((selections, diag_blocks))
             })?;
 
-        // Physical measurements.
-        let sw = Stopwatch::start();
-        let meas_span = fsi_runtime::trace::span("measurement");
+        // Physical measurements (the closure captures the result fields
+        // it fills, disjoint from the profile that times it).
         let lattice = &self.lattice;
-        let results = &mut self.results;
-        let mut et_sum = crate::meas::EqualTime::default();
-        for k in 0..cfg.l {
-            let gu = diag_blocks[0].get(k, k).expect("diagonal block");
-            let gd = diag_blocks[1].get(k, k).expect("diagonal block");
-            let et = equal_time(lattice, cfg.t, gu, gd);
-            et_sum.density_up += et.density_up;
-            et_sum.density_down += et.density_down;
-            et_sum.double_occupancy += et.double_occupancy;
-            et_sum.moment += et.moment;
-            et_sum.kinetic += et.kinetic;
-        }
-        let lf = cfg.l as f64;
-        results
-            .density
-            .push((et_sum.density_up + et_sum.density_down) / lf);
-        results.double_occupancy.push(et_sum.double_occupancy / lf);
-        results.moment.push(et_sum.moment / lf);
-        results.kinetic.push(et_sum.kinetic / lf);
-        results.avg_sign.push(self.sweeper.sign());
-
-        // Structure factor S(π,π) from the slice-averaged zz correlation
-        // (even extents only — staggering is ill-defined otherwise).
-        if cfg.nx.is_multiple_of(2) && cfg.ny.is_multiple_of(2) {
-            let mut zz_acc = vec![0.0; lattice.n_dist_classes()];
+        self.results.profile.time("measurement", || {
+            let mut et_sum = crate::meas::EqualTime::default();
             for k in 0..cfg.l {
                 let gu = diag_blocks[0].get(k, k).expect("diagonal block");
                 let gd = diag_blocks[1].get(k, k).expect("diagonal block");
-                for (a, v) in zz_acc.iter_mut().zip(spin_zz_equal_time(lattice, gu, gd)) {
-                    *a += v / cfg.l as f64;
-                }
+                let et = equal_time(lattice, cfg.t, gu, gd);
+                et_sum.density_up += et.density_up;
+                et_sum.density_down += et.density_down;
+                et_sum.double_occupancy += et.double_occupancy;
+                et_sum.moment += et.moment;
+                et_sum.kinetic += et.kinetic;
             }
-            results
-                .structure_factor
-                .push(staggered_structure_factor(lattice, &zz_acc));
-        }
+            let lf = cfg.l as f64;
+            self.results
+                .density
+                .push((et_sum.density_up + et_sum.density_down) / lf);
+            self.results
+                .double_occupancy
+                .push(et_sum.double_occupancy / lf);
+            self.results.moment.push(et_sum.moment / lf);
+            self.results.kinetic.push(et_sum.kinetic / lf);
+            self.results.avg_sign.push(self.sweeper.sign());
 
-        let table = spxx(outer, lattice, cfg.l, &selections[0], &selections[1]);
-        results.susceptibility.push(uniform_xy_susceptibility(
-            lattice,
-            &table,
-            cfg.beta / cfg.l as f64,
-        ));
-        match &mut results.spxx {
-            Some(acc) => acc.merge(&table),
-            None => results.spxx = Some(table),
-        }
-        drop(meas_span);
-        results.profile.add("measurement", sw.elapsed());
+            // Structure factor S(π,π) from the slice-averaged zz correlation
+            // (even extents only — staggering is ill-defined otherwise).
+            if cfg.nx.is_multiple_of(2) && cfg.ny.is_multiple_of(2) {
+                let mut zz_acc = vec![0.0; lattice.n_dist_classes()];
+                for k in 0..cfg.l {
+                    let gu = diag_blocks[0].get(k, k).expect("diagonal block");
+                    let gd = diag_blocks[1].get(k, k).expect("diagonal block");
+                    for (a, v) in zz_acc.iter_mut().zip(spin_zz_equal_time(lattice, gu, gd)) {
+                        *a += v / cfg.l as f64;
+                    }
+                }
+                self.results
+                    .structure_factor
+                    .push(staggered_structure_factor(lattice, &zz_acc));
+            }
+
+            let table = spxx(outer, lattice, cfg.l, &selections[0], &selections[1]);
+            self.results.susceptibility.push(uniform_xy_susceptibility(
+                lattice,
+                &table,
+                cfg.beta / cfg.l as f64,
+            ));
+            match &mut self.results.spxx {
+                Some(acc) => acc.merge(&table),
+                None => self.results.spxx = Some(table),
+            }
+        });
         self.steps += 1;
         Ok(())
     }

@@ -56,6 +56,7 @@
 use fsi_dense::{gemm_op, ger, MatMut, MatRef, Matrix, Op};
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, BlockCache, HsField, Spin, SquareLattice};
 use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
+use fsi_runtime::metrics::flight::{self, FlightKind};
 use fsi_runtime::{trace, workspace, Par};
 use fsi_selinv::{auto_cluster_size, ClusterCache, Parallelism};
 use rand::Rng;
@@ -125,14 +126,14 @@ impl SweepStats {
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryStats {
     /// Rung 1 executions: invalidate every channel's block and cluster
-    /// caches and retry (`recovery.invalidate_caches`).
+    /// caches and retry (`dqmc.recovery.invalidate_caches`).
     pub cache_invalidations: u64,
     /// Rung 2 executions: shrink the cluster size `c` (halved, capped by
     /// [`auto_cluster_size`] at `RECOVERY_TOL` = 1e-10) and retry
-    /// (`recovery.shrink_cluster`).
+    /// (`dqmc.recovery.shrink_cluster`).
     pub cluster_shrinks: u64,
     /// Rung 3 executions: invalidate the caches again and recompute with
-    /// `c = 1`, no clustering at all (`recovery.from_scratch`).
+    /// `c = 1`, no clustering at all (`dqmc.recovery.from_scratch`).
     pub from_scratch: u64,
     /// Every error the driver saw, in arrival order (the first entry of
     /// each burst is the original fault; later ones are retry failures).
@@ -280,15 +281,11 @@ impl<'a> Sweeper<'a> {
     /// ladder failed; the last error is surfaced and also logged in
     /// [`Self::recovery_stats`].
     pub fn refresh(&mut self, slice: usize, par: Parallelism<'_>) -> FsiResult<()> {
-        static REFRESH_NS: fsi_runtime::metrics::LazyHistogram =
-            fsi_runtime::metrics::LazyHistogram::new("dqmc.refresh.ns");
-        let start = std::time::Instant::now();
-        let result = match self.refresh_once(slice, par) {
+        let _s = trace::span("refresh");
+        match self.refresh_once(slice, par) {
             Ok(()) => Ok(()),
             Err(e) => self.recover(slice, par, e),
-        };
-        REFRESH_NS.record(start.elapsed().as_nanos() as u64);
-        result
+        }
     }
 
     /// One stabilization attempt, no recovery: the fallible core that both
@@ -327,17 +324,17 @@ impl<'a> Sweeper<'a> {
     }
 
     /// The deterministic escalation ladder (tentpole of the robustness
-    /// layer). Each rung emits a `recovery.*` trace span, applies a
+    /// layer). Each rung is one `dqmc.recovery.*` incident, applies a
     /// progressively blunter remedy, and retries the refresh:
     ///
-    /// 1. `recovery.invalidate_caches` — drop every channel's block and
+    /// 1. `dqmc.recovery.invalidate_caches` — drop every channel's block and
     ///    cluster caches (heals any corrupted cached state; retry is a
     ///    cold, bitwise-clean rebuild).
-    /// 2. `recovery.shrink_cluster` — halve the cluster size (largest
+    /// 2. `dqmc.recovery.shrink_cluster` — halve the cluster size (largest
     ///    divisor of `L` at most `c/2`, capped by [`auto_cluster_size`]
     ///    with the tightened [`RECOVERY_TOL`]) — the paper-§II-C remedy
     ///    for `κ(B)^c` chain-conditioning blowup.
-    /// 3. `recovery.from_scratch` — invalidate the caches again and
+    /// 3. `dqmc.recovery.from_scratch` — invalidate the caches again and
     ///    recompute with `c = 1` (no clustering at all). If rung 2 already
     ///    reached `c = 1`, this is a plain retry of rung 2's refresh.
     ///
@@ -347,42 +344,30 @@ impl<'a> Sweeper<'a> {
     /// them once will need them again, and a deterministic ladder must not
     /// oscillate.
     fn recover(&mut self, slice: usize, par: Parallelism<'_>, first: HealthEvent) -> FsiResult<()> {
-        // Each rung is mirrored into the metrics registry and the flight
-        // recorder; note_recovery also triggers an incident dump, so every
-        // escalation ships the ring of spans that led up to it.
-        fn rung(name: &'static str, stage: fsi_runtime::Stage) {
-            fsi_runtime::metrics::counter(name).inc();
-            fsi_runtime::metrics::flight::note_recovery(name, stage.name());
-        }
+        // Each rung is one incident: counter, flight-ring entry with an
+        // incident dump (so every escalation ships the ring of spans that
+        // led up to it) and, tracing on, a collector span, under one name.
+        let rung = |name| flight::record(FlightKind::Recovery, name, first.stage().name());
         self.recovery.events.push(first);
-        {
-            let _s = trace::span("recovery.invalidate_caches");
-            rung("dqmc.recovery.invalidate_caches", first.stage());
-            self.recovery.cache_invalidations += 1;
-            self.invalidate_caches();
-        }
+        rung("dqmc.recovery.invalidate_caches");
+        self.recovery.cache_invalidations += 1;
+        self.invalidate_caches();
         match self.refresh_once(slice, par) {
             Ok(()) => return Ok(()),
             Err(e) => self.recovery.events.push(e),
         }
-        {
-            let _s = trace::span("recovery.shrink_cluster");
-            rung("dqmc.recovery.shrink_cluster", first.stage());
-            self.recovery.cluster_shrinks += 1;
-            self.cfg.c = self.shrunk_cluster_size();
-            self.invalidate_caches();
-        }
+        rung("dqmc.recovery.shrink_cluster");
+        self.recovery.cluster_shrinks += 1;
+        self.cfg.c = self.shrunk_cluster_size();
+        self.invalidate_caches();
         match self.refresh_once(slice, par) {
             Ok(()) => return Ok(()),
             Err(e) => self.recovery.events.push(e),
         }
-        {
-            let _s = trace::span("recovery.from_scratch");
-            rung("dqmc.recovery.from_scratch", first.stage());
-            self.recovery.from_scratch += 1;
-            self.cfg.c = 1;
-            self.invalidate_caches();
-        }
+        rung("dqmc.recovery.from_scratch");
+        self.recovery.from_scratch += 1;
+        self.cfg.c = 1;
+        self.invalidate_caches();
         match self.refresh_once(slice, par) {
             Ok(()) => Ok(()),
             Err(e) => {

@@ -22,23 +22,21 @@
 //! current file to `<path>.prev` before renaming the fresh one in, and
 //! [`load`] falls back to the previous generation when the current one
 //! is corrupt — reporting what it found so callers can feed the health
-//! machinery. Two counters ride the always-on metrics registry:
-//! `runtime.ckpt.corrupt` (envelope rejections) and
-//! `runtime.ckpt.fallbacks` (loads served by the previous generation).
+//! machinery. Two incidents ([`flight::record`], a counter and a flight
+//! note under one name) mark what it found: `runtime.ckpt.corrupt`
+//! (envelope rejections) and `runtime.ckpt.fallbacks` (loads served by
+//! the previous generation).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::metrics::{flight, LazyCounter};
+use crate::metrics::flight::{self, FlightKind};
 
 /// Envelope magic: identifies a file as an FSI checkpoint, any version.
 pub(crate) const MAGIC: [u8; 8] = *b"FSICKPT\x01";
 
 /// Envelope header length: magic + version + payload length + checksum.
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 8;
-
-static CORRUPT: LazyCounter = LazyCounter::new("runtime.ckpt.corrupt");
-static FALLBACKS: LazyCounter = LazyCounter::new("runtime.ckpt.fallbacks");
 
 /// Why a checkpoint failed to load. Every variant means "do not trust
 /// this file" — the caller falls back to an older generation or a
@@ -213,9 +211,9 @@ pub enum Generation {
 }
 
 /// Loads the payload at `path`, falling back to `<path>.prev` when the
-/// current generation is corrupt or missing. Corruption is counted on
-/// `runtime.ckpt.corrupt` and noted on the flight recorder; a fallback
-/// additionally counts on `runtime.ckpt.fallbacks`.
+/// current generation is corrupt or missing. Corruption is recorded as
+/// the incident `runtime.ckpt.corrupt`; a fallback additionally as
+/// `runtime.ckpt.fallbacks`.
 ///
 /// # Errors
 /// The *current* generation's error when both generations fail —
@@ -226,13 +224,11 @@ pub fn load(path: &Path, expected_version: u32) -> Result<(Vec<u8>, Generation),
         Ok(payload) => Ok((payload, Generation::Current)),
         Err(current_err) => {
             if !matches!(current_err, CkptError::Io(ref e) if e.kind() == io::ErrorKind::NotFound) {
-                CORRUPT.inc();
-                flight::note("ckpt.corrupt");
+                flight::record(FlightKind::Note, "runtime.ckpt.corrupt", "");
             }
             match read_envelope(&prev_path(path), expected_version) {
                 Ok(payload) => {
-                    FALLBACKS.inc();
-                    flight::note("ckpt.fallback_prev");
+                    flight::record(FlightKind::Note, "runtime.ckpt.fallbacks", "");
                     Ok((payload, Generation::Previous))
                 }
                 Err(_) => Err(current_err),

@@ -71,9 +71,9 @@ impl fmt::Display for Stage {
 /// A structured numerical-health event raised by a stage-boundary probe.
 ///
 /// Events carry enough context (stage + block / column / magnitude) for a
-/// recovery policy to decide how hard to escalate, and each is mirrored
-/// as a `health.*` trace span so the observability layer shows what
-/// tripped without a side channel.
+/// recovery policy to decide how hard to escalate, and each is recorded
+/// once under its `health.*` label (see [`HealthEvent::record`]) so the
+/// observability layer shows what tripped without a side channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HealthEvent {
     /// A NaN or ±Inf appeared in the given block of the given stage.
@@ -121,8 +121,8 @@ impl HealthEvent {
         }
     }
 
-    /// Stable `health.*` label for this event kind, matching the
-    /// trace-span and metrics vocabulary.
+    /// Stable `health.*` label for this event kind: the one name of its
+    /// counter, flight-ring entry and trace span.
     pub(crate) fn label(&self) -> &'static str {
         match self {
             HealthEvent::NonFinite { .. } => "health.non_finite",
@@ -132,16 +132,17 @@ impl HealthEvent {
         }
     }
 
-    /// Mirrors the event into every observability surface: a
-    /// zero-duration `health.*` trace span (NDJSON exporter and
-    /// [`crate::RunReport`] counters), a `health.*` metrics counter, and
-    /// a flight-recorder entry — which triggers an incident dump, so
-    /// every health event ships its own post-mortem context.
+    /// Records the event as one incident under its `health.*` label
+    /// ([`crate::metrics::flight::record`]): the counter, a flight-ring
+    /// entry at the event's stage with an incident dump, so every health
+    /// event ships its own post-mortem context, and, while tracing is on,
+    /// a zero-length collector span.
     pub fn record(&self) {
-        let name = self.label();
-        crate::metrics::counter(name).inc();
-        crate::metrics::flight::note_health(name, self.stage().name());
-        crate::trace::span(name).finish();
+        crate::metrics::flight::record(
+            crate::metrics::flight::FlightKind::Health,
+            self.label(),
+            self.stage().name(),
+        );
     }
 }
 

@@ -34,9 +34,10 @@
 //!   (`1`/`stages` or `2`/`kernels`); off by default at near-zero cost.
 //! * [`metrics`] — always-on process metrics: a named registry of
 //!   lock-free sharded counters, gauges, and histograms with
-//!   snapshot/delta semantics and Prometheus/JSON exporters, plus the
+//!   snapshot/delta semantics and a Prometheus exporter, plus the
 //!   health **flight recorder** — a ring of recent span closures, health
-//!   events, and recovery rungs dumped automatically on incidents.
+//!   events, and recovery rungs dumped automatically on incidents. Stage
+//!   and kernel time is read off trace spans only.
 //!
 //! The crate is dependency-free apart from the vendored channel used by
 //! the pool and has no knowledge of linear algebra; it sits at the bottom
@@ -57,7 +58,7 @@ pub mod trace;
 pub mod workspace;
 
 pub use health::{FsiResult, HealthEvent, Stage};
-pub use metrics::{Meter, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use parallel::{parallel_for, parallel_map, Schedule};
 pub use pool::{Par, ScopeHandle, ThreadPool};
 pub use steal::StealQueues;

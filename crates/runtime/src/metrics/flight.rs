@@ -18,9 +18,10 @@
 //! cannot fill a disk.
 //!
 //! Span closures are recorded only while tracing is on (spans are no-ops
-//! otherwise); health and recovery events are always recorded. Ring
-//! pushes take an uncontended mutex — fine at stage granularity, and
-//! `FSI_TRACE=2` kernel storms degrade to contention, not data loss.
+//! otherwise); incidents ([`record`]) and notes ([`note`]) are always
+//! recorded. Ring pushes take an uncontended mutex — fine at stage
+//! granularity, and `FSI_TRACE=2` kernel storms degrade to contention,
+//! not data loss.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -147,19 +148,21 @@ fn record_mark(kind: FlightKind, name: &'static str, stage: &'static str) {
     });
 }
 
-/// Records a health event and dumps the ring (the incident trigger).
-pub(crate) fn note_health(name: &'static str, stage: &'static str) {
-    record_mark(FlightKind::Health, name, stage);
-    incident(name);
+/// Records one incident under one name: bumps the registry counter
+/// `name`, pushes one ring entry of `kind` (`stage` labels it; `""` for
+/// none), dumps the ring for [`FlightKind::Health`] and
+/// [`FlightKind::Recovery`], and, while tracing is on, records one
+/// zero-length collector span `name` that pushes no second ring entry.
+pub fn record(kind: FlightKind, name: &'static str, stage: &'static str) {
+    super::counter(name).inc();
+    record_mark(kind, name, stage);
+    if matches!(kind, FlightKind::Health | FlightKind::Recovery) {
+        incident(name);
+    }
+    crate::trace::mark(name);
 }
 
-/// Records a recovery-ladder rung and dumps the ring.
-pub fn note_recovery(rung: &'static str, stage: &'static str) {
-    record_mark(FlightKind::Recovery, rung, stage);
-    incident(rung);
-}
-
-/// Records a free-form marker (no dump).
+/// Records a free-form marker with no counter (no dump).
 pub fn note(name: &'static str) {
     record_mark(FlightKind::Note, name, "");
 }

@@ -2,8 +2,9 @@
 //! gauges, and log-bucket histograms, plus the health flight recorder.
 //!
 //! The trace layer ([`crate::trace`]) answers "where did *this run's*
-//! time and flops go" — opt-in, post-hoc, file-oriented. This module is
-//! the complementary *service* view the ROADMAP's
+//! time and flops go" — opt-in, post-hoc, file-oriented — and is the
+//! only stage and kernel timer. This module is the complementary
+//! *service* view of counts, levels and sizes the ROADMAP's
 //! Green's-function-as-a-service tier needs: cheap enough to leave on in
 //! release builds (a counter increment is one relaxed `fetch_add` on a
 //! thread-sharded cache line), queryable at any moment via
@@ -13,7 +14,7 @@
 //! ## Naming
 //!
 //! Metric names are dotted paths, `<crate>.<subsystem>.<what>`:
-//! `dense.gemm.flops`, `selinv.cluster_cache.hits`,
+//! `dense.gemm_batched.batch`, `selinv.cluster_cache.hits`,
 //! `dqmc.recovery.invalidate_caches`, `runtime.pool.utilization`. The
 //! Prometheus exporter maps dots to underscores and prefixes `fsi_`.
 //!
@@ -30,14 +31,16 @@
 //! [`flight`] keeps a fixed ring of recent span closures, health
 //! events, and recovery rungs, and dumps it (NDJSON) whenever a
 //! [`crate::HealthEvent`] fires or the recovery ladder escalates — see
-//! the module docs.
+//! the module docs. An incident is one [`flight::record`] call under
+//! one name: the counter, the ring entry and (tracing on) the collector
+//! span all carry it.
 
 pub mod flight;
 mod registry;
 
 pub use registry::{
     counter, gauge, histogram, Counter, Gauge, HistogramMetric, LazyCounter, LazyGauge,
-    LazyHistogram, Meter, MeterGuard,
+    LazyHistogram,
 };
 
 use std::collections::BTreeMap;
@@ -219,19 +222,5 @@ mod tests {
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split_whitespace().count(), 2, "line {line:?}");
         }
-    }
-
-    #[test]
-    fn meter_records_calls_flops_and_latency() {
-        static M: Meter = Meter::new("test.mod.meter");
-        M.observe(10);
-        {
-            let _g = M.start(1_000_000);
-        }
-        let snap = snapshot();
-        assert_eq!(snap.counter("test.mod.meter.calls"), 2);
-        assert_eq!(snap.counter("test.mod.meter.flops"), 1_000_010);
-        assert_eq!(snap.histograms["test.mod.meter.ns"].count(), 1);
-        assert!(snap.counter("test.mod.meter.busy_ns") > 0);
     }
 }

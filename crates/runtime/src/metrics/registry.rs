@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 use crate::trace::Histogram;
 
@@ -329,89 +328,6 @@ impl LazyHistogram {
     #[inline]
     pub fn record(&self, value: u64) {
         self.get().record(value);
-    }
-}
-
-struct MeterInner {
-    calls: &'static Counter,
-    flops: &'static Counter,
-    busy_ns: &'static Counter,
-    gflops: &'static Gauge,
-    latency: &'static HistogramMetric,
-}
-
-/// A bundled kernel/stage meter: `<name>.calls` and `<name>.flops`
-/// counters for every observation, plus `<name>.busy_ns` /
-/// `<name>.gflops` / a `<name>.ns` latency histogram for *timed*
-/// observations ([`Meter::start`]).
-///
-/// The split exists because `Instant::now()` costs more than the kernels
-/// it would meter at small sizes: hot callers count every invocation with
-/// [`Meter::observe`] (two relaxed adds) and reserve the timed guard for
-/// calls above a flop threshold of their choosing.
-pub struct Meter {
-    name: &'static str,
-    cell: OnceLock<MeterInner>,
-}
-
-impl Meter {
-    /// Declares a meter named `name` without touching the registry.
-    pub const fn new(name: &'static str) -> Self {
-        Meter {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn inner(&self) -> &MeterInner {
-        self.cell.get_or_init(|| MeterInner {
-            calls: counter(&format!("{}.calls", self.name)),
-            flops: counter(&format!("{}.flops", self.name)),
-            busy_ns: counter(&format!("{}.busy_ns", self.name)),
-            gflops: gauge(&format!("{}.gflops", self.name)),
-            latency: histogram(&format!("{}.ns", self.name)),
-        })
-    }
-
-    /// Counts one untimed observation of `flops` floating-point
-    /// operations.
-    #[inline]
-    pub fn observe(&self, flops: u64) {
-        let m = self.inner();
-        m.calls.inc();
-        m.flops.add(flops);
-    }
-
-    /// Opens a timed observation; the returned guard records duration,
-    /// latency bucket, and attained Gflop/s when dropped.
-    #[inline]
-    pub fn start(&self, flops: u64) -> MeterGuard<'_> {
-        MeterGuard {
-            meter: self,
-            flops,
-            start: Instant::now(),
-        }
-    }
-}
-
-/// RAII guard for a timed [`Meter`] observation.
-pub struct MeterGuard<'m> {
-    meter: &'m Meter,
-    flops: u64,
-    start: Instant,
-}
-
-impl Drop for MeterGuard<'_> {
-    fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos() as u64;
-        let m = self.meter.inner();
-        m.calls.inc();
-        m.flops.add(self.flops);
-        m.busy_ns.add(ns);
-        m.latency.record(ns);
-        if ns > 0 && self.flops > 0 {
-            m.gflops.set(self.flops as f64 / ns as f64);
-        }
     }
 }
 

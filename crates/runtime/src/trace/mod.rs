@@ -45,7 +45,7 @@ pub use span::{
 #[doc(hidden)]
 pub use span::test_lock;
 
-pub(crate) use span::{now_ns, thread_index};
+pub(crate) use span::{mark, now_ns, thread_index};
 
 /// Opens a stage span: `let _s = span!("cls");`. Sugar for
 /// [`trace::span`](span()).

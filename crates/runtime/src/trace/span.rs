@@ -312,19 +312,43 @@ impl SpanGuard {
             dur_ns,
             flops,
         );
-        let mut guard = collector();
-        let c = guard.get_or_insert_with(Collector::default);
-        c.histograms
-            .entry(inner.ctx.name)
-            .or_default()
-            .record(dur_ns);
-        if c.records.len() < MAX_RECORDS {
-            c.records.push(record);
-        } else {
-            c.dropped += 1;
-        }
+        collect(record);
         Some(SpanStats { wall, flops, bytes })
     }
+}
+
+/// Appends a finished span to the collector and its name's histogram.
+fn collect(record: SpanRecord) {
+    let mut guard = collector();
+    let c = guard.get_or_insert_with(Collector::default);
+    c.histograms
+        .entry(record.name)
+        .or_default()
+        .record(record.dur_ns);
+    if c.records.len() < MAX_RECORDS {
+        c.records.push(record);
+    } else {
+        c.dropped += 1;
+    }
+}
+
+/// Records a zero-length span `name` under the innermost open span (a
+/// no-op when tracing is off). Unlike a closing guard it pushes no
+/// flight-ring entry: the incident that calls it has pushed its own.
+pub(crate) fn mark(name: &'static str) {
+    if !enabled() {
+        return;
+    }
+    collect(SpanRecord {
+        id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        parent: CURRENT.with(|c| c.borrow().as_ref().map(|p| p.id)),
+        name,
+        thread: thread_index(),
+        start_ns: now_ns(),
+        dur_ns: 0,
+        flops: 0,
+        bytes: 0,
+    });
 }
 
 impl Drop for SpanGuard {

@@ -69,11 +69,13 @@ pub fn max_block_error(a: &SelectedInverse, b: &SelectedInverse) -> f64 {
 
 /// Mean relative Frobenius error over common coordinates (the exact
 /// quantity the paper's §V-A inequality bounds by 1e-10).
+/// Summed in sorted coordinate order, so the same selections give the
+/// same bits on every run.
 pub fn mean_block_error(a: &SelectedInverse, b: &SelectedInverse) -> f64 {
     let mut total = 0.0f64;
     let mut compared = 0usize;
-    for (coord, blk) in a.iter() {
-        if let Some(other) = b.get(coord.0, coord.1) {
+    for (k, l) in a.sorted_coordinates() {
+        if let (Some(blk), Some(other)) = (a.get(k, l), b.get(k, l)) {
             total += fsi_dense::rel_error(blk, other);
             compared += 1;
         }
@@ -124,6 +126,49 @@ mod tests {
         let expl = explicit_selected(Par::Seq, &pc, &sel);
         let full = full_inverse_selected(&pc, &sel);
         assert!(max_block_error(&expl, &full) < 1e-9);
+    }
+
+    #[test]
+    fn mean_block_error_sums_in_sorted_coordinate_order() {
+        // Errors ten orders of magnitude apart, inserted out of order, so
+        // the order of the sum shows in its last bits.
+        let inserted = [
+            (3, 1),
+            (0, 2),
+            (2, 2),
+            (1, 0),
+            (0, 0),
+            (2, 3),
+            (1, 1),
+            (3, 3),
+        ];
+        let (mut a, mut b) = (SelectedInverse::new(), SelectedInverse::new());
+        for (i, &(k, l)) in inserted.iter().enumerate() {
+            let eps = 1.234_567 * 10f64.powi(-(i as i32) - 3 * (i as i32 % 3));
+            a.insert(
+                k,
+                l,
+                Matrix::from_fn(2, 2, |r, c| (r == c) as u8 as f64 + eps),
+            );
+            b.insert(k, l, Matrix::identity(2));
+        }
+        let err = |k, l| fsi_dense::rel_error(a.get(k, l).unwrap(), b.get(k, l).unwrap());
+        let sorted = [
+            (0, 0),
+            (0, 2),
+            (1, 0),
+            (1, 1),
+            (2, 2),
+            (2, 3),
+            (3, 1),
+            (3, 3),
+        ];
+        let mut total = 0.0f64;
+        for (k, l) in sorted {
+            total += err(k, l);
+        }
+        let want = total / sorted.len() as f64;
+        assert_eq!(mean_block_error(&a, &b).to_bits(), want.to_bits());
     }
 
     #[test]

@@ -144,9 +144,6 @@ pub fn bsofi_selected(
     pattern: &SelectedPattern,
 ) -> FsiResult<SelectedInverse> {
     let _span = trace::span("bsofi.selected");
-    static METER: fsi_runtime::metrics::Meter =
-        fsi_runtime::metrics::Meter::new("selinv.bsofi.selected");
-    let _meter = METER.start(crate::flops::bsofi_selected_flops(pc.n(), pc.l(), pattern));
     let b = pc.l();
     if b == 1 {
         let _ = pattern.rows(1); // bounds-check DiagonalBlock requests
@@ -221,9 +218,6 @@ impl StructuredQr {
         let n = pc.n();
         let b = pc.l();
         assert!(b >= 2, "StructuredQr requires at least two block rows");
-        static METER: fsi_runtime::metrics::Meter =
-            fsi_runtime::metrics::Meter::new("selinv.bsofi.factor");
-        let _meter = METER.start(crate::flops::structured_qr_flops(n, b));
         let mut qrs = Vec::with_capacity(b);
         let mut e: Vec<Matrix> = Vec::with_capacity(b - 1);
         let mut c: Vec<Matrix> = Vec::with_capacity(b - 2);

@@ -93,8 +93,6 @@ pub fn cls(
     assert!(q < c, "shift q={q} must be < c={c}");
     let b = l / c;
     let o = c - 1 - q;
-    static METER: fsi_runtime::metrics::Meter = fsi_runtime::metrics::Meter::new("selinv.cls");
-    let _meter = METER.start(cls_flops(pc.n(), l, c));
     // The batched lockstep path streams all `b` chains through
     // `gemm_batched` step by step (one engine dispatch per chain
     // position). It is bitwise identical to the per-cluster path — each
@@ -126,11 +124,8 @@ fn cluster_products_batched(par: Par<'_>, blocks: &[Matrix], c: usize, o: usize)
     let l = blocks.len();
     let b = l / c;
     let n = blocks[0].rows();
-    static BATCH_METER: fsi_runtime::metrics::Meter =
-        fsi_runtime::metrics::Meter::new("selinv.cls.batch");
     static BATCH_HIST: fsi_runtime::metrics::LazyHistogram =
         fsi_runtime::metrics::LazyHistogram::new("selinv.cls.batch.clusters");
-    let _meter = BATCH_METER.start(cls_flops(n, l, c));
     BATCH_HIST.record(b as u64);
     // Chain start: b̄[m] ← b[c·m + o].
     let mut acc: Vec<Matrix> = (0..b).map(|m| blocks[(c * m + o) % l].clone()).collect();

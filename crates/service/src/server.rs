@@ -13,7 +13,9 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{unbounded, Sender};
 use fsi_pcyclic::{BlockBuilder, HsField, HubbardParams, SquareLattice};
 use fsi_runtime::metrics::{
-    counter, flight, histogram, Counter, HistogramMetric, LazyCounter, LazyGauge, LazyHistogram,
+    counter,
+    flight::{self, FlightKind},
+    histogram, Counter, HistogramMetric, LazyCounter, LazyGauge, LazyHistogram,
 };
 use fsi_runtime::{StealQueues, ThreadPool};
 use fsi_selinv::{
@@ -29,10 +31,6 @@ static REJECTED: LazyCounter = LazyCounter::new("service.jobs.rejected");
 static COMPLETED: LazyCounter = LazyCounter::new("service.jobs.completed");
 static FAILED: LazyCounter = LazyCounter::new("service.jobs.failed");
 static CANCELLED: LazyCounter = LazyCounter::new("service.jobs.cancelled");
-static RECOVERED: LazyCounter = LazyCounter::new("service.jobs.recovered");
-static DEGRADED: LazyCounter = LazyCounter::new("service.jobs.degraded");
-static RETRIES: LazyCounter = LazyCounter::new("service.job.retries");
-static STALLS: LazyCounter = LazyCounter::new("service.watchdog.stalls");
 static SWEEPS_DONE: LazyCounter = LazyCounter::new("service.sweeps.completed");
 static QUEUE_DEPTH: LazyGauge = LazyGauge::new("service.queue.depth");
 static LATENCY: LazyHistogram = LazyHistogram::new("service.job.latency_ns");
@@ -635,8 +633,7 @@ fn enqueue_recovered(inner: &Arc<Inner>, id: u64, spec: JobSpec) -> JobHandle {
         .map(|(ck, _generation)| ck);
     let (job, rx) = build_job(id, spec, resume);
     inner.jobs.lock().unwrap().insert(id, Arc::clone(&job));
-    RECOVERED.inc();
-    flight::note("service.job.recovered");
+    flight::record(FlightKind::Note, "service.jobs.recovered", "");
     tenant_meters(inner, &job.spec.tenant).jobs.inc();
     let open: Vec<usize> = {
         let slots = job.slots.lock().unwrap();
@@ -759,8 +756,7 @@ fn watchdog_loop(inner: &Inner) {
                 if !open || inner.queues.is_closed() {
                     continue;
                 }
-                STALLS.inc();
-                flight::note("service.watchdog.stall");
+                flight::record(FlightKind::Note, "service.watchdog.stalls", "");
                 push_sweeps(inner, &job, vec![sweep]);
             }
         }
@@ -817,8 +813,11 @@ fn run_sweep(inner: &Inner, par: Parallelism<'_>, task: SweepTask) {
                             // Scope the §II-C "shrink c" rung to this job.
                             let rung = job.degradations.fetch_add(1, Ordering::AcqRel) + 1;
                             job.c_now.fetch_min(mt.c(), Ordering::AcqRel);
-                            DEGRADED.inc();
-                            flight::note_recovery("service.shrink_c", "service");
+                            flight::record(
+                                FlightKind::Recovery,
+                                "service.jobs.degraded",
+                                "service",
+                            );
                             let _ = job.tx.send(JobEvent::Degraded {
                                 sweep,
                                 c: mt.c(),
@@ -832,8 +831,7 @@ fn run_sweep(inner: &Inner, par: Parallelism<'_>, task: SweepTask) {
                         let attempts = job.retries.load(Ordering::Acquire);
                         if attempts < inner.cfg.max_retries {
                             job.retries.fetch_add(1, Ordering::AcqRel);
-                            RETRIES.inc();
-                            flight::note("service.job.retry");
+                            flight::record(FlightKind::Note, "service.job.retries", "");
                             std::thread::sleep(Duration::from_millis(
                                 inner
                                     .cfg

@@ -16,7 +16,7 @@ use fsi::pcyclic::{
 use fsi::runtime::flops::counts;
 use fsi::runtime::health::inject::{self, FaultKind, Site, ANY_BLOCK};
 use fsi::runtime::health::Stage;
-use fsi::runtime::metrics::flight;
+use fsi::runtime::metrics::{self, flight};
 use fsi::runtime::trace;
 use fsi::runtime::{RunReport, TraceLevel};
 use fsi::selinv::{fsi_with_q, Parallelism, Pattern, Selection};
@@ -244,7 +244,7 @@ fn ndjson_report_round_trips_through_a_file() {
 }
 
 /// An injected fault shows up in the exporter: the probe's `health.*`
-/// marker and every ladder rung's `recovery.*` span survive the NDJSON
+/// marker and every ladder rung's `dqmc.recovery.*` span survive the NDJSON
 /// round trip, so a trace of a degraded run shows exactly what recovered.
 /// The flight recorder's incident dump carries the same story: the most
 /// recent spans (a preceding clean traced run fills the process-wide
@@ -300,7 +300,7 @@ fn health_and_recovery_spans_reach_the_ndjson_exporter() {
         "probe marker missing from trace"
     );
     assert!(
-        report.count_of("recovery.invalidate_caches") > 0,
+        report.count_of("dqmc.recovery.invalidate_caches") > 0,
         "recovery rung span missing from trace"
     );
 
@@ -310,7 +310,7 @@ fn health_and_recovery_spans_reach_the_ndjson_exporter() {
     let text = std::fs::read_to_string(&path).expect("read back");
     let parsed = RunReport::parse_ndjson(&text).expect("parse ndjson");
     assert!(parsed.count_of("health.non_finite") > 0);
-    assert!(parsed.count_of("recovery.invalidate_caches") > 0);
+    assert!(parsed.count_of("dqmc.recovery.invalidate_caches") > 0);
     let _ = std::fs::remove_dir_all(&dir);
 
     let spans = dump
@@ -329,4 +329,96 @@ fn health_and_recovery_spans_reach_the_ndjson_exporter() {
             .any(|l| l.contains("\"type\":\"span\"") && l.contains("\"name\":\"cls")),
         "incident dump must include spans of the faulted stage"
     );
+}
+
+/// One feed per fact: with tracing on, the injected health event and the
+/// sweep rung it triggers are each one increment of their counter, one
+/// flight-ring entry and one collector span, all under the same name.
+#[test]
+fn each_incident_is_one_counter_one_ring_entry_and_one_span_under_one_name() {
+    let _inject_lock = inject::test_lock();
+    let _lock = trace::test_lock();
+    let builder = BlockBuilder::new(
+        SquareLattice::square(2),
+        HubbardParams {
+            t: 1.0,
+            u: 4.0,
+            beta: 2.0,
+            l: 8,
+        },
+    );
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(34);
+    let field = HsField::random(8, 4, &mut rng);
+    trace::set_level(TraceLevel::Stages);
+    trace::clear();
+    flight::clear();
+    let before = metrics::snapshot();
+    inject::arm(Site {
+        stage: Stage::Cls,
+        block: ANY_BLOCK,
+        kind: FaultKind::Nan,
+    });
+    let s = Sweeper::new(&builder, field, SweepConfig::default());
+    let fired = inject::disarm();
+    let report = RunReport::capture("single-feed");
+    let ring = flight::events();
+    let delta = metrics::snapshot().delta_since(&before);
+    trace::set_level(TraceLevel::Off);
+    trace::clear();
+    let s = s.expect("rung 1 absorbs a one-shot fault");
+    assert_eq!(fired, 1);
+    assert_eq!(s.recovery_stats().cache_invalidations, 1);
+    for (name, kind) in [
+        ("health.non_finite", flight::FlightKind::Health),
+        (
+            "dqmc.recovery.invalidate_caches",
+            flight::FlightKind::Recovery,
+        ),
+    ] {
+        assert_eq!(delta.counter(name), 1, "{name}: counter increments");
+        let entries: Vec<_> = ring.iter().filter(|e| e.name == name).collect();
+        assert_eq!(entries.len(), 1, "{name}: flight-ring entries");
+        assert_eq!((entries[0].kind, entries[0].stage), (kind, "cls"), "{name}");
+        assert_eq!(report.count_of(name), 1, "{name}: collector records");
+    }
+}
+
+/// The stage and kernel meters are gone for good: no source file of the
+/// workspace declares, opens or names one.
+#[test]
+fn no_meter_is_left_in_the_workspace() {
+    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() && !path.ends_with("target") {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "walked {} files", files.len());
+    // Spelled in pieces so this file does not match itself.
+    let meter = ["Me", "ter"].concat();
+    let guard = format!("{meter}Guard");
+    let new = format!("{meter}::new");
+    let path = format!("metrics::{meter}");
+    let mut hits = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("read source");
+        for (i, line) in text.lines().enumerate() {
+            let named = line.match_indices(&path).any(|(at, m)| {
+                !line[at + m.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            });
+            if line.contains(&guard) || line.contains(&new) || named {
+                hits.push(format!("{}:{}: {line}", file.display(), i + 1));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "{}", hits.join("\n"));
 }
